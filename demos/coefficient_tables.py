@@ -2,7 +2,8 @@
 
 Computes the order-2 normal form on a small mode cutoff, prints the exact
 rational coefficient tables stage by stage, and checks the homological
-cancellations that define them.
+cancellations that define them. Every stage is the same field type: the
+polynomial stages carry no divisors, the rational continuation of K5 does.
 """
 
 from fractions import Fraction
@@ -21,9 +22,9 @@ N = 6
 
 def show(label, vf, limit=4):
     print(f"  {label}: {len(vf.terms)} terms, orders {sorted(vf.orders())}")
-    for key, c in sorted(vf.terms.items())[:limit]:
-        a, kind, j = key[0], key[1], key[2]
-        print(f"    mode {a:+d}  {kind:<4}  j={j}  coeff {c}")
+    for (a, kind, j, h2, h4, kk), c in sorted(vf.terms.items())[:limit]:
+        over = f"  over {h2 + h4 + kk}" if h2 or h4 or kk else ""
+        print(f"    mode {a:+d}  {kind:<4}  j={j}{over}  coeff {c}")
     if len(vf.terms) > limit:
         print(f"    ... {len(vf.terms) - limit} more")
 
@@ -48,8 +49,8 @@ def main():
 
     print("\nrational continuation of K5")
     s_gen, m_gen = quintic_rational_solve(nf.k5, N)
-    print(f"  S generator: {len(s_gen.terms)} terms")
-    print(f"  M generator: {len(m_gen.terms)} terms")
+    show("S generator", s_gen, limit=2)
+    show("M generator", m_gen, limit=2)
     peak = max(abs(c.re) + abs(c.im) for c in nf.k5.terms.values())
     print(f"  largest |K5| coefficient: {peak} = {float(peak):.6f}")
     print(f"\nskipped degrees start at {nf.min_skipped_degree}")

@@ -24,7 +24,6 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,7 +40,7 @@ from .divisors import (
     is_nonresonant,
     kappa,
 )
-from .measure import MeasureSpec, estimate_measure, sample_actions
+from .measure import MeasureSpec, default_eps, estimate_measure, sample_actions
 from .nf_engine import (
     RationalVF,
     chi3_explicit,
@@ -50,7 +49,6 @@ from .nf_engine import (
     evaluate_vf,
     field_to_json,
     quintic_rational_solve,
-    rational_commutator,
     resonant_normal_form,
     septic_stage_input,
     solve_homological_z3z5,
@@ -345,22 +343,11 @@ def _header_lines(command: str, cfg: Dict[str, Any]) -> List[str]:
 
 def _write_json(path: Path, payload: Dict[str, Any]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _point_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=base, spawn_key=(index,)).generate_state(1)[0])
-
-
-def _pool_map(fn: Callable[[int], Any], count: int, threads: int) -> List[Any]:
-    """Run ``fn`` over indices in a thread pool; results in index order."""
-    if count == 0:
-        return []
-    workers = max(1, min(threads, count))
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _sup(values: Dict[int, complex]) -> float:
@@ -380,7 +367,7 @@ def _uv_from_maps(
     return UVState(u_map, v_map, truncation)
 
 
-def cmd_simulate(cfg: Dict[str, Any], out: Path, threads: int) -> int:
+def cmd_simulate(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     initial = _uv_from_maps(cfg["initial_u"], cfg["initial_v"], cfg["M"])
     try:
@@ -431,7 +418,7 @@ def _slope_fit(points: Sequence[Tuple[float, float]]) -> Dict[str, Any]:
     return fit
 
 
-def cmd_drift_sweep(cfg: Dict[str, Any], out: Path, threads: int) -> int:
+def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     for e in cfg["eps"]:
         if not (e > 0.0 and math.isfinite(e)):
@@ -488,7 +475,7 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path, threads: int) -> int:
         _write_json(out / f"sweep_point_{index}.json", {**_resolved("drift-sweep", cfg), "point": record})
         return record
 
-    points = _pool_map(point, len(cfg["eps"]), threads)
+    points = [point(i) for i in range(len(cfg["eps"]))]
     fit = _slope_fit([(p["eps"], p["drift"]) for p in points])
     _write_json(
         out / "sweep.json",
@@ -507,7 +494,7 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path, threads: int) -> int:
 # ---------------------------------------------------------------------------
 # measure scan
 
-def cmd_measure(cfg: Dict[str, Any], out: Path, threads: int) -> int:
+def cmd_measure(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     grid = cfg["gamma_grid"]
     try:
@@ -519,17 +506,14 @@ def cmd_measure(cfg: Dict[str, Any], out: Path, threads: int) -> int:
     eps = cfg["eps"]
     if eps <= 0.0:
         # largest amplitude for which the sparsity hypothesis holds on the whole grid
-        eps = math.sqrt(2.0 * min(grid) / ((r + 1) * float(n) ** (4 * r + 2)))
+        eps = default_eps(min(grid), r, n)
     try:
         spec = MeasureSpec(weight, truncation, cfg["samples"], cfg["seed"], cfg["ball_radius"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    def one(index: int) -> Dict[str, Any]:
-        return estimate_measure(params[index], spec, eps).record()
-
     try:
-        records = _pool_map(one, len(grid), threads)
+        records = [estimate_measure(p, spec, eps).record() for p in params]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _write_json(
@@ -547,7 +531,7 @@ def cmd_measure(cfg: Dict[str, Any], out: Path, threads: int) -> int:
 # ---------------------------------------------------------------------------
 # resonance report
 
-def cmd_resonance(cfg: Dict[str, Any], out: Path, threads: int) -> int:
+def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     state = cfg["state"]
     truncation = cfg["truncation"] or max([cfg["N"], *state.keys()])
@@ -583,16 +567,16 @@ def cmd_resonance(cfg: Dict[str, Any], out: Path, threads: int) -> int:
         {
             **_resolved("resonance", cfg),
             "in_set": rep.ok,
-            "margin": rep.margin,
+            "margin": rep.margin if math.isfinite(rep.margin) else None,
             "norm": rep.norm_w,
             "reason": rep.reason,
             "worst_witness": witness,
         },
     )
+    why = rep.reason or f"margin {rep.margin:.4g}"
     if rep.ok:
-        print(f"resonance: state is non-resonant (margin {rep.margin:.4g})")
+        print(f"resonance: state is non-resonant ({why})")
     else:
-        why = rep.reason or f"margin {rep.margin:.4g}"
         print(f"resonance: state is not in the non-resonant set ({why})")
     return EXIT_OK
 
@@ -644,7 +628,7 @@ def _rel_residual(total: RationalVF, reference: RationalVF, states: Sequence[Com
 _GOLDEN_NAMES = ("k3", "k5", "z5", "chi3", "s", "m")
 
 
-def cmd_nf_verify(cfg: Dict[str, Any], out: Path, threads: int) -> int:
+def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
     checks: List[Dict[str, Any]] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -677,9 +661,8 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path, threads: int) -> int:
     states_q = _ensemble_states(
         cfg["quintic_samples"], nq, cfg["quintic_gamma"], cfg["quintic_s"], cfg["seed"]
     )
-    k5q = RationalVF.from_poly(nfq.k5)
-    total_q = rational_commutator(nfq.z3, s_gen + m_gen, nq) + k5q
-    rq = _rel_residual(total_q, k5q, states_q)
+    total_q = commutator(nfq.z3, s_gen + m_gen, nq) + nfq.k5
+    rq = _rel_residual(total_q, nfq.k5, states_q)
     record(
         "quintic cascade identity",
         rq <= cfg["tol_quintic"],
@@ -691,8 +674,7 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path, threads: int) -> int:
     nfs = resonant_normal_form(3, ns)
     q = septic_stage_input(nfs)
     chi, z_int, echo_same, echo_down = solve_homological_z3z5(q, ns)
-    rot = RationalVF.from_poly(nfs.z3) + RationalVF.from_poly(nfs.z5)
-    total_s = rational_commutator(rot, chi, ns) + q - z_int - echo_same - echo_down
+    total_s = commutator(nfs.z3 + nfs.z5, chi, ns) + q - z_int - echo_same - echo_down
     states_s = _plain_states(cfg["solver_samples"], ns, cfg["seed"] + 1)
     rs = _rel_residual(total_s, q, states_s)
     record(
@@ -736,7 +718,7 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path, threads: int) -> int:
 # ---------------------------------------------------------------------------
 # coordinate roundtrip
 
-def cmd_roundtrip(cfg: Dict[str, Any], out: Path, threads: int) -> int:
+def cmd_roundtrip(cfg: Dict[str, Any], out: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     modes = range(1, cfg["M"] + 1)
     scale = cfg["scale"]
@@ -780,7 +762,7 @@ def cmd_roundtrip(cfg: Dict[str, Any], out: Path, threads: int) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-_COMMANDS: Dict[str, Callable[[Dict[str, Any], Path, int], int]] = {
+_COMMANDS: Dict[str, Callable[[Dict[str, Any], Path], int]] = {
     "simulate": cmd_simulate,
     "drift-sweep": cmd_drift_sweep,
     "measure": cmd_measure,
@@ -819,7 +801,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", metavar="DIR", default=".", help="output directory (default: .)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads where applicable")
     return parser
 
 
@@ -827,9 +808,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.command, args.config, args.overrides, args.seed)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        return _COMMANDS[args.command](cfg, Path(args.out), args.threads)
+        return _COMMANDS[args.command](cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,6 +14,7 @@ two vectors describing the same monomial compare equal.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -87,6 +88,8 @@ def _clean_seq(data: Mapping[int, complex], truncation: int) -> dict[int, comple
         if a > truncation:
             raise ValueError(f"mode {a} exceeds truncation {truncation}")
         v = complex(v)
+        if not cmath.isfinite(v):
+            raise ValueError(f"value {v!r} at mode {a} is not finite")
         if v != 0:  # absent modes are exactly zero
             out[a] = v
     return out

@@ -71,7 +71,7 @@ class FreqContext:
 
     @cached_property
     def _omega4_table(self) -> dict[int, float]:
-        return {a: _omega4_raw(a, self) for a in range(1, self.N + 1)}
+        return {a: _omega4_raw(a, self.actions, self.N) for a in range(1, self.N + 1)}
 
 
 def omega2(a: int, ctx: FreqContext) -> float:
@@ -83,24 +83,32 @@ def omega2(a: int, ctx: FreqContext) -> float:
     return 0.25 * ctx.I(a)
 
 
-def _omega4_raw(a: int, ctx: FreqContext) -> float:
-    Ia = ctx.I(a)
-    a_f = float(a)
-    cross = 0.0
-    tail = 0.0
-    for d in range(1, ctx.N + 1):
+def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
+    """The quartic correction over the number type of ``one`` (float or Fraction).
+
+    ``actions`` maps modes to actions, with absent modes at zero.  Floats give
+    the divisor values; Fractions give the exact oracle of
+    ``nf_engine.rational.evaluate_exact``.  Integer constants enter through
+    ``one``, so the float operations are the same whichever type is used.
+    """
+    zero = one * 0
+    Ia = actions.get(a, zero)
+    a_f = one * a
+    cross = zero
+    tail = zero
+    for d in range(1, N + 1):
         if d == a:
             continue
-        Id = ctx.I(d)
-        if Id == 0.0:
+        Id = actions.get(d)
+        if not Id:
             continue
-        d_f = float(d)
+        d_f = one * d
         denom = d_f * d_f - a_f * a_f
-        cross += (3.0 / d_f + d_f / denom) * Id
+        cross += (3 / d_f + d_f / denom) * Id
         tail += Id * Id / denom
-    if a <= ctx.N:
-        return -27.0 / (64.0 * a_f) * Ia * Ia - 0.125 * Ia * cross + a_f / 16.0 * tail
-    return a_f / 16.0 * tail
+    if a <= N:
+        return -27 / (64 * a_f) * Ia * Ia - Ia / 8 * cross + a_f / 16 * tail
+    return a_f / 16 * tail
 
 
 def omega4(a: int, ctx: FreqContext) -> float:
@@ -116,7 +124,7 @@ def omega4(a: int, ctx: FreqContext) -> float:
         return 0.0
     if a <= ctx.N:
         return ctx._omega4_table[a]
-    return _omega4_raw(a, ctx)
+    return _omega4_raw(a, ctx.actions, ctx.N)
 
 
 def irr(jvec: Iterable[tuple[int, int]], delta_target: int) -> tuple[tuple[int, int], ...]:
@@ -277,6 +285,8 @@ def is_nonresonant(z: ComplexSeq, params: NonResonanceParams) -> NonResonanceRep
     where ``kf`` is ``kappa^(-2s)`` for Sobolev weights and
     ``exp(-2 rho kappa^theta)`` for Gevrey weights. Returns the worst margin
     and the index vector attaining it. The zero sequence is never non-resonant.
+    With no divisor at the cutoff every nonzero state passes vacuously: the
+    margin is infinite, there is no witness, and ``reason`` says so.
     """
     from .core import weighted_norm
 
@@ -302,7 +312,8 @@ def is_nonresonant(z: ComplexSeq, params: NonResonanceParams) -> NonResonanceRep
                 best_j = j
                 best_order = order
     ok = best > 1.0
-    return NonResonanceReport(ok, best, best_j, best_order, nrm)
+    reason = "no divisors at this cutoff" if best_j is None else ""
+    return NonResonanceReport(ok, best, best_j, best_order, nrm, reason)
 
 
 @dataclass(frozen=True)

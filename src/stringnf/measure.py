@@ -43,7 +43,9 @@ __all__ = [
     "MeasureSpec",
     "SampleBatch",
     "corrected_divisor",
+    "default_eps",
     "divisor_tail",
+    "eps_squared_cap",
     "estimate_measure",
     "sample_actions",
     "wilson_interval",
@@ -191,6 +193,20 @@ class MeasureEstimate:
         }
 
 
+def eps_squared_cap(gamma: float, r: int, N: int) -> float:
+    """Largest ``eps**2`` of the small-data hypothesis, ``2 gamma / ((r+1) N^(4r+2))``."""
+    return 2.0 * gamma / ((r + 1) * float(N) ** (4 * r + 2))
+
+
+def default_eps(gamma: float, r: int, N: int) -> float:
+    """The square root of :func:`eps_squared_cap`, stepped down until it squares under the cap."""
+    cap = eps_squared_cap(gamma, r, N)
+    eps = math.sqrt(cap)
+    while eps * eps > cap:
+        eps = math.nextafter(eps, 0.0)
+    return eps
+
+
 def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) -> MeasureEstimate:
     """Monte Carlo fraction of samples ``z`` with ``eps * z`` non-resonant.
 
@@ -201,7 +217,7 @@ def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) 
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
-    cap = 2.0 * params.gamma / ((params.r + 1) * float(params.N) ** (4 * params.r + 2))
+    cap = eps_squared_cap(params.gamma, params.r, params.N)
     if eps * eps > cap:
         warnings.warn(
             f"eps^2 = {eps * eps:.3e} exceeds 2 gamma / ((r+1) N^(4r+2)) = {cap:.3e}; "

@@ -1,16 +1,11 @@
-"""Polynomial vector fields on the complex mode variables, with exact arithmetic.
+"""Polynomial stages of the normal form: interaction fields and Lie transforms.
 
-A field is stored through its ``d/dz_a`` components only; the ``d/dzbar_a``
-component is always the complex conjugate, so real (conjugation-closed) fields
-need no second copy. Each component is a combination of monomials
-
-    z_a * zeta_j   (kind "diag")      zbar_a * zeta_j   (kind "anti")
-
-where ``zeta_j`` maps an index vector entry ``(1, b)`` to ``z_b^2``, ``(0, b)``
-to ``I_b = z_b zbar_b`` and ``(-1, b)`` to ``zbar_b^2``. Every monomial a
-commutator or product can produce collapses back onto this basis; the funnel
-below performs that reduction from raw exponents. Coefficients are Gaussian
-rationals, so chained Lie transforms stay exact.
+The string's interaction is expanded into homogeneous fields of degree
+``2l+1`` on the modes ``1..N``. The linear-nonresonant terms are removed
+order by order with generators solved against the linear rotation, by
+exact Lie transforms; all fields here are polynomial, that is, divisor-free
+:class:`~.rational.RationalVF` fields, so equalities between the produced
+fields are literal.
 """
 
 from __future__ import annotations
@@ -18,23 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..core import ComplexSeq, canonicalize, delta_sum
+from ..core import delta_sum
+from .rational import DIAG, NO_DIVISORS, QC, RationalVF, RKey, canonical_from_exponents, commutator
 
 __all__ = [
-    "QC",
-    "QC_ZERO",
-    "QC_ONE",
-    "QC_I",
-    "DIAG",
-    "ANTI",
-    "ParityError",
-    "PolyVF",
-    "canonical_from_exponents",
-    "key_exponents",
-    "multiplicity",
-    "commutator",
     "taylor_vf",
     "stiffness_taylor_coeff",
     "z1_field",
@@ -45,320 +29,8 @@ __all__ = [
     "resonant_normal_form",
 ]
 
-DIAG = "diag"
-ANTI = "anti"
-
 _R0 = Fraction(0)
 _R1 = Fraction(1)
-
-
-class QC:
-    """Gaussian rational ``re + i*im`` with exact Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __add__(self, other: "QC") -> "QC":
-        return QC(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QC") -> "QC":
-        return QC(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, QC):
-            return QC(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return QC(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, QC):
-            d = other.re * other.re + other.im * other.im
-            if d == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return QC(
-                (self.re * other.re + self.im * other.im) / d,
-                (self.im * other.re - self.re * other.im) / d,
-            )
-        return QC(self.re / Fraction(other), self.im / Fraction(other))
-
-    def conj(self) -> "QC":
-        return QC(self.re, -self.im)
-
-    def times_i(self) -> "QC":
-        return QC(-self.im, self.re)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
-    def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QC) and self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"QC({self.re}, {self.im})"
-
-
-QC_ZERO = QC(0, 0)
-QC_ONE = QC(1, 0)
-QC_I = QC(0, 1)
-
-
-class ParityError(ValueError):
-    """Raised when raw exponents cannot be folded onto the monomial basis."""
-
-
-IndexVector = Tuple[Tuple[int, int], ...]
-TermKey = Tuple[int, str, IndexVector]
-
-
-def canonical_from_exponents(a: int, alphas: Mapping[int, int], betas: Mapping[int, int]) -> TermKey:
-    """Fold raw exponents of a ``d/dz_a`` component monomial onto the basis.
-
-    Exponent differences must be even away from mode ``a`` and odd at it; the
-    surplus at ``a`` supplies the prefix (its sign picks diag versus anti), and
-    at every mode the matched part becomes actions with the leftover going to
-    squares. This also performs the boundary bookkeeping: for example
-    ``zbar_a^3`` folds to an anti term with index entry ``(-1, a)``.
-    """
-    modes = set(alphas) | set(betas)
-    al = dict(alphas)
-    be = dict(betas)
-    da = al.get(a, 0) - be.get(a, 0)
-    if da % 2 == 0:
-        raise ParityError(f"exponent difference at derivative mode {a} must be odd")
-    if da > 0:
-        kind = DIAG
-        al[a] = al.get(a, 0) - 1
-    else:
-        kind = ANTI
-        be[a] = be.get(a, 0) - 1
-    entries = []
-    for m in modes:
-        x = al.get(m, 0)
-        y = be.get(m, 0)
-        if x < 0 or y < 0:
-            raise ParityError(f"negative exponent at mode {m}")
-        p = min(x, y)
-        entries.extend([(0, m)] * p)
-        x -= p
-        y -= p
-        if x % 2 or y % 2:
-            raise ParityError(f"exponent difference at mode {m} must be even")
-        entries.extend([(1, m)] * (x // 2))
-        entries.extend([(-1, m)] * (y // 2))
-    return (a, kind, canonicalize(entries))
-
-
-def key_exponents(key: TermKey) -> Dict[int, list]:
-    """Raw exponents ``{mode: [alpha, beta]}`` of a term, prefix included."""
-    a, kind, j = key
-    exp: Dict[int, list] = {a: [1, 0] if kind == DIAG else [0, 1]}
-    for delta, m in j:
-        e = exp.setdefault(m, [0, 0])
-        if delta == 1:
-            e[0] += 2
-        elif delta == -1:
-            e[1] += 2
-        else:
-            e[0] += 1
-            e[1] += 1
-    return exp
-
-
-def multiplicity(j: IndexVector) -> int:
-    """Number of distinct orderings of the index vector."""
-    counts: Dict[Tuple[int, int], int] = {}
-    for entry in j:
-        counts[entry] = counts.get(entry, 0) + 1
-    out = math.factorial(len(j))
-    for c in counts.values():
-        out //= math.factorial(c)
-    return out
-
-
-class PolyVF:
-    """Conjugation-closed polynomial vector field with exact coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Mapping[TermKey, QC]] = None):
-        clean: Dict[TermKey, QC] = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    clean[key] = c
-        self.terms = clean
-
-    # -- algebra ---------------------------------------------------------
-
-    def __add__(self, other: "PolyVF") -> "PolyVF":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        return PolyVF(out)
-
-    def __sub__(self, other: "PolyVF") -> "PolyVF":
-        return self + other.scale(QC(-1))
-
-    def scale(self, factor) -> "PolyVF":
-        if not isinstance(factor, QC):
-            factor = QC(factor)
-        return PolyVF({key: c * factor for key, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyVF) and self.terms == other.terms
-
-    # -- structure -------------------------------------------------------
-
-    def orders(self) -> set:
-        return {len(j) for _, _, j in self.terms}
-
-    def select_order(self, l: int) -> "PolyVF":
-        return PolyVF({k: c for k, c in self.terms.items() if len(k[2]) == l})
-
-    def truncate(self, N: int) -> "PolyVF":
-        """Keep terms whose field mode and index modes all lie within N."""
-        out = {}
-        for key, c in self.terms.items():
-            a, _, j = key
-            if a <= N and all(m <= N for _, m in j):
-                out[key] = c
-        return PolyVF(out)
-
-    def max_mode(self) -> int:
-        best = 0
-        for a, _, j in self.terms:
-            best = max(best, a, max((m for _, m in j), default=0))
-        return best
-
-    def linf_norm(self) -> float:
-        """Largest per-ordering coefficient magnitude.
-
-        Stored coefficients are totals over each canonical index multiset, so
-        the per-ordering value divides by the number of orderings.
-        """
-        best = 0.0
-        for (_, _, j), c in self.terms.items():
-            best = max(best, abs(c) / multiplicity(j))
-        return best
-
-    def is_reversible_parity(self) -> bool:
-        return all(c.re == 0 for c in self.terms.values())
-
-    def is_symmetric_parity(self) -> bool:
-        return all(c.im == 0 for c in self.terms.values())
-
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, z: ComplexSeq) -> Dict[int, complex]:
-        """Values of the ``d/dz_a`` components at a state."""
-        out: Dict[int, complex] = {}
-        for (a, kind, j), c in self.terms.items():
-            za = z[a]
-            val = za if kind == DIAG else za.conjugate()
-            if val == 0:
-                continue
-            for delta, m in j:
-                w = z[m]
-                if delta == 1:
-                    val *= w * w
-                elif delta == -1:
-                    val *= w.conjugate() * w.conjugate()
-                else:
-                    val *= (w * w.conjugate()).real
-                if val == 0:
-                    break
-            if val != 0:
-                out[a] = out.get(a, 0j) + c.to_complex() * val
-        return out
-
-
-def _accumulate(acc: Dict[TermKey, QC], key: TermKey, c: QC) -> None:
-    prev = acc.get(key)
-    acc[key] = c if prev is None else prev + c
-
-
-def _term_list(vf: PolyVF):
-    """Precompute (a, coeff, exponents) triples for commutator loops."""
-    return [(key[0], c, key_exponents(key)) for key, c in vf.terms.items()]
-
-
-def _by_mode(triples):
-    out: Dict[int, list] = {}
-    for a, c, exp in triples:
-        out.setdefault(a, []).append((c, exp))
-    return out
-
-
-def _directional(acc: Dict[TermKey, QC], x_by_mode, y_triples, sign: int) -> None:
-    # sign * sum_b [ X^{z_b} d/dz_b + conj(X^{z_b}) d/dzbar_b ] Y^{z_a}
-    for a, cY, expY in y_triples:
-        for b, (alpha, beta) in expY.items():
-            actors = x_by_mode.get(b)
-            if not actors:
-                continue
-            for cX, expX in actors:
-                if alpha:
-                    c = cX * cY * (sign * alpha)
-                    merged = {m: [e[0], e[1]] for m, e in expY.items()}
-                    merged[b][0] -= 1
-                    for m, e in expX.items():
-                        t = merged.setdefault(m, [0, 0])
-                        t[0] += e[0]
-                        t[1] += e[1]
-                    key = canonical_from_exponents(
-                        a, {m: e[0] for m, e in merged.items()}, {m: e[1] for m, e in merged.items()}
-                    )
-                    _accumulate(acc, key, c)
-                if beta:
-                    # conjugate actor: swap its exponents, conjugate its coefficient
-                    c = cX.conj() * cY * (sign * beta)
-                    merged = {m: [e[0], e[1]] for m, e in expY.items()}
-                    merged[b][1] -= 1
-                    for m, e in expX.items():
-                        t = merged.setdefault(m, [0, 0])
-                        t[0] += e[1]
-                        t[1] += e[0]
-                    key = canonical_from_exponents(
-                        a, {m: e[0] for m, e in merged.items()}, {m: e[1] for m, e in merged.items()}
-                    )
-                    _accumulate(acc, key, c)
-
-
-def commutator(x: PolyVF, y: PolyVF) -> PolyVF:
-    """Bracket ``[X, Y] = DX[Y] - DY[X]`` on conjugation-closed fields.
-
-    ``DX[Y]`` is the Jacobian of ``X`` applied to the vector ``Y``, so the
-    first term differentiates the components of ``X`` along ``Y``.
-    """
-    acc: Dict[TermKey, QC] = {}
-    xt = _term_list(x)
-    yt = _term_list(y)
-    _directional(acc, _by_mode(yt), xt, +1)
-    _directional(acc, _by_mode(xt), yt, -1)
-    return PolyVF(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +81,7 @@ def _chirality_symbol(M: int) -> Dict[ScalarMon, Fraction]:
     return out
 
 
-def taylor_vf(l: int, M: int) -> PolyVF:
+def taylor_vf(l: int, M: int) -> RationalVF:
     """Degree ``2l+1`` interaction field of the string on modes ``1..M``.
 
     Built as the scalar symbol ``A^(l-1) B`` (A the weighted elastic
@@ -425,69 +97,71 @@ def taylor_vf(l: int, M: int) -> PolyVF:
     A = _elastic_symbol(M)
     for _ in range(l - 1):
         sym = _scalar_mul(sym, A)
-    acc: Dict[TermKey, QC] = {}
+    acc: Dict[RKey, QC] = {}
     for a in range(1, M + 1):
         for mon, c in sym.items():
             alphas = {m: e[0] for m, e in mon}
             betas = {m: e[1] for m, e in mon}
             betas[a] = betas.get(a, 0) + 1
-            key = canonical_from_exponents(a, alphas, betas)
-            _accumulate(acc, key, pref * c)
-    return PolyVF(acc)
+            key = canonical_from_exponents(a, alphas, betas) + NO_DIVISORS
+            term = pref * c
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return RationalVF(acc)
 
 
-def z1_field(M: int) -> PolyVF:
+def z1_field(M: int) -> RationalVF:
     """Linear rotation field ``-i a z_a d/dz_a`` plus conjugate."""
-    return PolyVF({(a, DIAG, ()): QC(0, -a) for a in range(1, M + 1)})
+    return RationalVF({(a, DIAG, ()) + NO_DIVISORS: QC(0, -a) for a in range(1, M + 1)})
 
 
 # ---------------------------------------------------------------------------
 # homological equation for the linear field
 
-def solve_homological_z1(k: PolyVF) -> Tuple[PolyVF, PolyVF]:
+def solve_homological_z1(k: RationalVF) -> Tuple[RationalVF, RationalVF]:
     """Split ``K`` into a removable part and the linear-resonant remainder.
 
     Returns ``(chi, Z)`` with ``[Z1, chi] + K = Z``: diag terms with momentum
     zero and anti terms with momentum equal to the field mode stay in ``Z``;
     every other term divides by its integer eigenvalue.
     """
-    chi: Dict[TermKey, QC] = {}
-    res: Dict[TermKey, QC] = {}
+    chi: Dict[RKey, QC] = {}
+    res: Dict[RKey, QC] = {}
     for key, c in k.terms.items():
-        a, kind, j = key
+        a, kind, j = key[0], key[1], key[2]
         d = delta_sum(j)
         m = 2 * d if kind == DIAG else 2 * (d - a)
         if m == 0:
             res[key] = c
         else:
             chi[key] = c.times_i() / m
-    return PolyVF(chi), PolyVF(res)
+    return RationalVF(chi), RationalVF(res)
 
 
-def is_action_key(key: TermKey) -> bool:
-    a, kind, j = key
+def is_action_key(key: RKey) -> bool:
+    kind, j = key[1], key[2]
     return kind == DIAG and all(delta == 0 for delta, _ in j)
 
 
-def split_integrable(vf: PolyVF) -> Tuple[PolyVF, PolyVF]:
+def split_integrable(vf: RationalVF) -> Tuple[RationalVF, RationalVF]:
     """Separate action-only diag terms from everything else."""
     good = {}
     rest = {}
     for key, c in vf.terms.items():
         (good if is_action_key(key) else rest)[key] = c
-    return PolyVF(good), PolyVF(rest)
+    return RationalVF(good), RationalVF(rest)
 
 
 # ---------------------------------------------------------------------------
 # graded Lie transforms and the resonant normal form
 
-def _lie_transform(fields: Dict[int, PolyVF], chi: PolyVF, chi_order: int, keep: int):
+def _lie_transform(fields: Dict[int, RationalVF], chi: RationalVF, chi_order: int, keep: int):
     """Apply ``exp(ad_chi)`` to a graded field, tracking the discarded orders.
 
     Returns the transformed grading and the smallest discarded order (or None
     when nothing was cut).
     """
-    out: Dict[int, PolyVF] = {}
+    out: Dict[int, RationalVF] = {}
     skipped: Optional[int] = None
     for p, x in fields.items():
         term = x
@@ -517,16 +191,16 @@ class NFResult:
 
     r: int
     N: int
-    z1: PolyVF
-    z3: PolyVF
-    z5: PolyVF  # integrable quintic part
-    k5: PolyVF  # resonant nonintegrable quintic part
-    k7: PolyVF  # resonant septic remainder (r >= 3, else empty)
-    generators: Dict[int, PolyVF] = field(default_factory=dict)
+    z1: RationalVF
+    z3: RationalVF
+    z5: RationalVF  # integrable quintic part
+    k5: RationalVF  # resonant nonintegrable quintic part
+    k7: RationalVF  # resonant septic remainder (r >= 3, else empty)
+    generators: Dict[int, RationalVF] = field(default_factory=dict)
     min_skipped_degree: Optional[int] = None
 
     @property
-    def resonant_quintic(self) -> PolyVF:
+    def resonant_quintic(self) -> RationalVF:
         return self.z5 + self.k5
 
 
@@ -543,13 +217,13 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
     if N < 1:
         raise ValueError("N must be >= 1")
     keep = 2 if r == 2 else 3  # highest retained grade: quintic, then septic
-    fields: Dict[int, PolyVF] = {0: z1_field(N)}
+    fields: Dict[int, RationalVF] = {0: z1_field(N)}
     for l in range(1, keep + 1):
         fields[l] = taylor_vf(l, N)
-    generators: Dict[int, PolyVF] = {}
+    generators: Dict[int, RationalVF] = {}
     min_skipped: Optional[int] = None
     for stage in range(1, keep + 1):
-        chi, _ = solve_homological_z1(fields.get(stage, PolyVF()))
+        chi, _ = solve_homological_z1(fields.get(stage, RationalVF()))
         generators[stage] = chi
         if chi.is_zero():
             continue
@@ -562,9 +236,9 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
         raise AssertionError(
             f"discarded a degree-{min_skipped} field; the scheme requires >= {2 * r + 3}"
         )
-    z3 = fields.get(1, PolyVF())
-    z5, k5 = split_integrable(fields.get(2, PolyVF()))
-    k7 = fields.get(3, PolyVF()) if r >= 3 else PolyVF()
+    z3 = fields.get(1, RationalVF())
+    z5, k5 = split_integrable(fields.get(2, RationalVF()))
+    k7 = fields.get(3, RationalVF()) if r >= 3 else RationalVF()
     return NFResult(
         r=r,
         N=N,

@@ -1,12 +1,22 @@
-"""Vector fields with small-divisor denominators.
+"""Exact vector fields on the complex mode variables, with small-divisor denominators.
+
+A field is stored through its ``d/dz_a`` components only; the ``d/dzbar_a``
+component is always the complex conjugate, so real (conjugation-closed) fields
+need no second copy. Each component is a combination of monomials
+
+    z_a * zeta_j   (kind "diag")      zbar_a * zeta_j   (kind "anti")
+
+where ``zeta_j`` maps an index vector entry ``(1, b)`` to ``z_b^2``, ``(0, b)``
+to ``I_b = z_b zbar_b`` and ``(-1, b)`` to ``zbar_b^2``. Every monomial a
+commutator or product can produce collapses back onto this basis; the funnel
+below performs that reduction from raw exponents. Coefficients are Gaussian
+rationals, so chained Lie transforms stay exact.
 
 Past the first resonant stage the normal form divides coefficients by
-frequency combinations evaluated at the actions.  A term of such a field is a
-polynomial term together with a descriptor listing the combinations sitting
-underneath, stored as index vectors rather than numbers so the field can be
-evaluated at any state and audited structurally.
-
-Descriptors keep three sections:
+frequency combinations evaluated at the actions.  A term then carries a
+descriptor listing the combinations sitting underneath, stored as index
+vectors rather than numbers so the field can be evaluated at any state and
+audited structurally.  Descriptors keep three sections:
 
 ``h2``
     vectors whose divisor uses the quadratic frequency corrections only;
@@ -16,6 +26,8 @@ Descriptors keep three sections:
 ``kk``
     corrected-frequency divisors produced by second derivatives of the
     frequency map; each entry lowers the order by two.
+
+A polynomial field is the case where every section is empty.
 
 Every divisor vector is stored in reduced zero-momentum form: actions
 dropped, conjugate pairs cancelled, total momentum balanced by an explicit
@@ -27,47 +39,191 @@ produced it, and cancellations between routes happen at the level of keys.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core import ComplexSeq, canonicalize, delta_sum, zeta_product
-from ..divisors import FreqContext, big_omega, irr, kappa
-from .poly import (
-    ANTI,
-    DIAG,
-    QC,
-    IndexVector,
-    PolyVF,
-    TermKey,
-    canonical_from_exponents,
-    commutator,
-    key_exponents,
-    multiplicity,
-)
+from ..divisors import FreqContext, _omega4_raw, big_omega, irr, kappa
 
 __all__ = [
+    "ANTI",
+    "DIAG",
+    "QC",
     "Divisor",
     "DivisorRefusal",
+    "NO_DIVISORS",
+    "ParityError",
     "RKey",
     "RationalVF",
+    "canonical_from_exponents",
+    "commutator",
     "conj_index_vector",
     "di_functional",
     "divisor_zero_form",
     "evaluate_exact",
     "evaluate_vf",
     "is_rational_normal_form",
+    "key_exponents",
     "key_order",
+    "multiplicity",
     "omega4_hessian",
-    "rational_commutator",
     "validate_class",
 ]
 
+DIAG = "diag"
+ANTI = "anti"
+
+
+class QC:
+    """Gaussian rational ``re + i*im`` with exact Fraction parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other: "QC") -> "QC":
+        return QC(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "QC") -> "QC":
+        return QC(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "QC":
+        return QC(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, QC):
+            return QC(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        return QC(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, QC):
+            d = other.re * other.re + other.im * other.im
+            if d == 0:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return QC(
+                (self.re * other.re + self.im * other.im) / d,
+                (self.im * other.re - self.re * other.im) / d,
+            )
+        return QC(self.re / Fraction(other), self.im / Fraction(other))
+
+    def conj(self) -> "QC":
+        return QC(self.re, -self.im)
+
+    def times_i(self) -> "QC":
+        return QC(-self.im, self.re)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __abs__(self) -> float:
+        return math.hypot(float(self.re), float(self.im))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QC) and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"QC({self.re}, {self.im})"
+
+
+class ParityError(ValueError):
+    """Raised when raw exponents cannot be folded onto the monomial basis."""
+
+
+IndexVector = Tuple[Tuple[int, int], ...]
+TermKey = Tuple[int, str, IndexVector]  # the numerator monomial of a term
 Divisor = IndexVector
 Section = Tuple[Divisor, ...]
 RKey = Tuple[int, str, IndexVector, Section, Section, Section]
 
+# divisor sections of a polynomial term
+NO_DIVISORS: Tuple[Section, Section, Section] = ((), (), ())
+
+
+def canonical_from_exponents(a: int, alphas: Mapping[int, int], betas: Mapping[int, int]) -> TermKey:
+    """Fold raw exponents of a ``d/dz_a`` component monomial onto the basis.
+
+    Exponent differences must be even away from mode ``a`` and odd at it; the
+    surplus at ``a`` supplies the prefix (its sign picks diag versus anti), and
+    at every mode the matched part becomes actions with the leftover going to
+    squares. This also performs the boundary bookkeeping: for example
+    ``zbar_a^3`` folds to an anti term with index entry ``(-1, a)``.
+    """
+    modes = set(alphas) | set(betas)
+    al = dict(alphas)
+    be = dict(betas)
+    da = al.get(a, 0) - be.get(a, 0)
+    if da % 2 == 0:
+        raise ParityError(f"exponent difference at derivative mode {a} must be odd")
+    if da > 0:
+        kind = DIAG
+        al[a] = al.get(a, 0) - 1
+    else:
+        kind = ANTI
+        be[a] = be.get(a, 0) - 1
+    entries = []
+    for m in modes:
+        x = al.get(m, 0)
+        y = be.get(m, 0)
+        if x < 0 or y < 0:
+            raise ParityError(f"negative exponent at mode {m}")
+        p = min(x, y)
+        entries.extend([(0, m)] * p)
+        x -= p
+        y -= p
+        if x % 2 or y % 2:
+            raise ParityError(f"exponent difference at mode {m} must be even")
+        entries.extend([(1, m)] * (x // 2))
+        entries.extend([(-1, m)] * (y // 2))
+    return (a, kind, canonicalize(entries))
+
+
+def key_exponents(key: TermKey) -> Dict[int, list]:
+    """Raw exponents ``{mode: [alpha, beta]}`` of a term, prefix included.
+
+    Divisor sections, if the key has them, do not enter the numerator.
+    """
+    a, kind, j = key[0], key[1], key[2]
+    exp: Dict[int, list] = {a: [1, 0] if kind == DIAG else [0, 1]}
+    for delta, m in j:
+        e = exp.setdefault(m, [0, 0])
+        if delta == 1:
+            e[0] += 2
+        elif delta == -1:
+            e[1] += 2
+        else:
+            e[0] += 1
+            e[1] += 1
+    return exp
+
+
+def multiplicity(j: IndexVector) -> int:
+    """Number of distinct orderings of the index vector."""
+    counts: Dict[Tuple[int, int], int] = {}
+    for entry in j:
+        counts[entry] = counts.get(entry, 0) + 1
+    out = math.factorial(len(j))
+    for c in counts.values():
+        out //= math.factorial(c)
+    return out
+
+
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 class DivisorRefusal(ArithmeticError):
@@ -140,13 +296,16 @@ def key_order(key: RKey) -> int:
     return len(key[2]) - len(key[3]) - len(key[4]) - 2 * len(key[5])
 
 
+
+
 class RationalVF:
-    """Conjugation-closed vector field whose terms carry divisor descriptors.
+    """Conjugation-closed vector field with exact coefficients.
 
     Terms map ``(a, kind, jvec, h2, h4, kk)`` to an exact coefficient; the
-    stored component is the usual single-sided one divided by the product of
-    the divisor values.  Zero coefficients are dropped and divisor sections
-    are kept sorted, so equal fields compare equal as dictionaries.
+    stored component is the single-sided monomial divided by the product of
+    the divisor values, and a polynomial field has every section empty.
+    Zero coefficients are dropped and divisor sections are kept sorted, so
+    equal fields compare equal as dictionaries.
     """
 
     __slots__ = ("terms",)
@@ -157,28 +316,17 @@ class RationalVF:
             for key, c in terms.items():
                 if c.is_zero():
                     continue
-                key = _normalize_rkey(key)
-                prev = clean.get(key)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    clean.pop(key, None)
-                else:
-                    clean[key] = c
+                # only sorting sections can make two distinct keys equal
+                if key[3] or key[4] or key[5]:
+                    key = _normalize_rkey(key)
+                    prev = clean.get(key)
+                    if prev is not None:
+                        c = prev + c
+                        if c.is_zero():
+                            del clean[key]
+                            continue
+                clean[key] = c
         self.terms = clean
-
-    @classmethod
-    def from_poly(cls, p: PolyVF) -> "RationalVF":
-        """Embed a polynomial field as a divisor-free rational one."""
-        return cls({key + ((), (), ()): c for key, c in p.terms.items()})
-
-    def to_poly(self) -> PolyVF:
-        """Inverse of :meth:`from_poly`; raises if any term carries divisors."""
-        out: Dict[TermKey, QC] = {}
-        for key, c in self.terms.items():
-            if key[3] or key[4] or key[5]:
-                raise ValueError(f"term {key} carries divisors")
-            out[key[:3]] = c
-        return PolyVF(out)
 
     # -- algebra ---------------------------------------------------------
 
@@ -211,6 +359,15 @@ class RationalVF:
     def select_order(self, l: int) -> "RationalVF":
         return RationalVF({k: c for k, c in self.terms.items() if key_order(k) == l})
 
+    def truncate(self, N: int) -> "RationalVF":
+        """Keep terms whose field, index and divisor modes all lie within N."""
+        out = {}
+        for key, c in self.terms.items():
+            a, _, j, h2, h4, kk = key
+            if a <= N and all(m <= N for v in (j,) + h2 + h4 + kk for _, m in v):
+                out[key] = c
+        return RationalVF(out)
+
     def max_mode(self) -> int:
         best = 0
         for a, _, j, h2, h4, kk in self.terms:
@@ -220,7 +377,11 @@ class RationalVF:
         return best
 
     def linf_norm(self) -> float:
-        """Largest per-ordering coefficient magnitude, divisors ignored."""
+        """Largest per-ordering coefficient magnitude, divisors ignored.
+
+        Stored coefficients are totals over each canonical index multiset, so
+        the per-ordering value divides by the number of orderings.
+        """
         best = 0.0
         for key, c in self.terms.items():
             best = max(best, abs(c) / multiplicity(key[2]))
@@ -239,18 +400,11 @@ class RationalVF:
         return f"RationalVF({len(self.terms)} terms, orders {sorted(self.orders())})"
 
 
-AnyVF = Union[PolyVF, RationalVF]
-
-
-def _as_rational(q: AnyVF) -> RationalVF:
-    return RationalVF.from_poly(q) if isinstance(q, PolyVF) else q
-
-
 # ---------------------------------------------------------------------------
 # class membership
 
 def validate_class(
-    vf: AnyVF,
+    vf: RationalVF,
     N: int,
     weight=None,
     strict_control: bool = False,
@@ -267,7 +421,6 @@ def validate_class(
     needs on its inputs.  A Gevrey ``weight`` swaps the product condition for
     the corresponding sum condition with exponent ``theta``.
     """
-    vf = _as_rational(vf)
     bad: List[str] = []
     for key in vf.terms:
         a, kind, j, h2, h4, kk = key
@@ -337,22 +490,19 @@ def _divisor_value(v: Divisor, order: int, ctx: FreqContext, cache: dict) -> flo
 
 
 def evaluate_vf(
-    q: AnyVF,
+    q: RationalVF,
     z: ComplexSeq,
     ctx: Optional[FreqContext] = None,
 ) -> Dict[int, complex]:
     """Component values ``d/dz_a`` of a field at a state.
 
-    Divisors are evaluated at the state's actions.  Any divisor actually
-    needed (terms whose numerator vanishes at the state are skipped) whose
-    magnitude falls below ``1e-12 * ||z||^2``, floored at 1e-300, aborts with
-    :class:`DivisorRefusal` naming the vector.
+    Divisors are evaluated at the state's actions; the frequency context is
+    built on the first divisor needed, so divisor-free fields never build
+    one.  Any divisor actually needed (terms whose numerator vanishes at the
+    state are skipped) whose magnitude falls below ``1e-12 * ||z||^2``,
+    floored at 1e-300, aborts with :class:`DivisorRefusal` naming the vector.
     """
-    if isinstance(q, PolyVF):
-        return q.evaluate(z)
-    if ctx is None:
-        ctx = FreqContext.from_seq(z, z.truncation)
-    threshold = max(1e-12 * z.norm2_unweighted(), 1e-300)
+    threshold = None
     cache: dict = {}
     out: Dict[int, complex] = {}
     for key, c in q.terms.items():
@@ -365,30 +515,19 @@ def evaluate_vf(
         if num == 0:
             continue
         denom = 1.0
-        for order, sec in ((2, h2), (4, h4), (4, kk)):
-            for v in sec:
-                val = _divisor_value(v, order, ctx, cache)
-                if abs(val) < threshold:
-                    raise DivisorRefusal(v, order, val, threshold)
-                denom *= val
+        if h2 or h4 or kk:
+            if threshold is None:
+                threshold = max(1e-12 * z.norm2_unweighted(), 1e-300)
+                if ctx is None:
+                    ctx = FreqContext.from_seq(z, z.truncation)
+            for order, sec in ((2, h2), (4, h4), (4, kk)):
+                for v in sec:
+                    val = _divisor_value(v, order, ctx, cache)
+                    if abs(val) < threshold:
+                        raise DivisorRefusal(v, order, val, threshold)
+                    denom *= val
         out[a] = out.get(a, 0j) + num / denom
     return out
-
-
-def _exact_omega4(a: int, acts: Mapping[int, Fraction], N: int) -> Fraction:
-    Ia = acts.get(a, _F0)
-    cross = _F0
-    tail = _F0
-    for d in range(1, N + 1):
-        if d == a:
-            continue
-        Id = acts.get(d, _F0)
-        if not Id:
-            continue
-        den = Fraction(d * d - a * a)
-        cross += (Fraction(3, d) + d / den) * Id
-        tail += Id * Id / den
-    return Fraction(-27, 64 * a) * Ia * Ia - cross * Ia / 8 + Fraction(a, 16) * tail
 
 
 def _zeta_exact(j: IndexVector, z: Mapping[int, QC]) -> QC:
@@ -407,14 +546,13 @@ def _zeta_exact(j: IndexVector, z: Mapping[int, QC]) -> QC:
     return out
 
 
-def evaluate_exact(q: AnyVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
+def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
     """Exact-arithmetic component values at a Gaussian-rational state.
 
     Companion to :func:`evaluate_vf` for cross-checks; divisors that vanish
     exactly raise ``ZeroDivisionError`` instead of going through the float
     refusal path.
     """
-    q = _as_rational(q)
     acts = {m: (v * v.conj()).re for m, v in z.items() if not v.is_zero()}
     w2: Dict[int, Fraction] = {}
     w4: Dict[int, Fraction] = {}
@@ -427,7 +565,7 @@ def evaluate_exact(q: AnyVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
             return val
         val4 = w4.get(m)
         if val4 is None:
-            val4 = w4[m] = _exact_omega4(m, acts, N)
+            val4 = w4[m] = _omega4_raw(m, acts, N, _F1)
         return val + val4
 
     dcache: Dict[Tuple[Divisor, int], Fraction] = {}
@@ -465,7 +603,7 @@ def evaluate_exact(q: AnyVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
 
 def di_functional(
     a: int,
-    chi: AnyVF,
+    chi: RationalVF,
     z: ComplexSeq,
     ctx: Optional[FreqContext] = None,
 ) -> complex:
@@ -480,7 +618,7 @@ def di_functional(
     return za.conjugate() * x + za * x.conjugate()
 
 
-def is_rational_normal_form(q: AnyVF) -> bool:
+def is_rational_normal_form(q: RationalVF) -> bool:
     """Whether a field is an action-preserving reversible normal form.
 
     Requires every term diagonal with a purely imaginary coefficient and,
@@ -488,7 +626,6 @@ def is_rational_normal_form(q: AnyVF) -> bool:
     an equal coefficient.  Such fields move only the angles, so their flow
     fixes every action.
     """
-    q = _as_rational(q)
     for key, c in q.terms.items():
         a, kind, j = key[:3]
         if kind != DIAG or c.re != 0:
@@ -506,29 +643,51 @@ def _merge_sections(d1: Tuple[Section, Section, Section], d2: Tuple[Section, Sec
     return tuple(tuple(sorted(s1 + s2)) for s1, s2 in zip(d1, d2))
 
 
-def _racc(acc: Dict[RKey, QC], key: RKey, c: QC) -> None:
+def _accumulate(acc: Dict, key, c: QC) -> None:
     prev = acc.get(key)
     acc[key] = c if prev is None else prev + c
 
 
-def _numerator_part(acc: Dict[RKey, QC], x: RationalVF, y: RationalVF) -> None:
-    # divisors are constants under numerator differentiation, so the bracket
-    # restricted to numerators is the polynomial one per divisor-signature pair
-    def grouped(q: RationalVF) -> Dict[tuple, Dict[TermKey, QC]]:
-        out: Dict[tuple, Dict[TermKey, QC]] = {}
-        for key, c in q.terms.items():
-            out.setdefault(key[3:], {})[key[:3]] = c
-        return out
+def _by_mode(triples):
+    out: Dict[int, list] = {}
+    for a, c, exp in triples:
+        out.setdefault(a, []).append((c, exp))
+    return out
 
-    for dx, tx in grouped(x).items():
-        px = PolyVF(tx)
-        for dy, ty in grouped(y).items():
-            pc = commutator(px, PolyVF(ty))
-            if pc.is_zero():
+
+def _directional(acc: Dict[TermKey, QC], x_by_mode, y_triples, sign: int) -> None:
+    # sign * sum_b [ X^{z_b} d/dz_b + conj(X^{z_b}) d/dzbar_b ] Y^{z_a}
+    for a, cY, expY in y_triples:
+        for b, (alpha, beta) in expY.items():
+            actors = x_by_mode.get(b)
+            if not actors:
                 continue
-            dd = _merge_sections(dx, dy)
-            for k, c in pc.terms.items():
-                _racc(acc, k + dd, c)
+            for cX, expX in actors:
+                if alpha:
+                    c = cX * cY * (sign * alpha)
+                    merged = {m: [e[0], e[1]] for m, e in expY.items()}
+                    merged[b][0] -= 1
+                    for m, e in expX.items():
+                        t = merged.setdefault(m, [0, 0])
+                        t[0] += e[0]
+                        t[1] += e[1]
+                    key = canonical_from_exponents(
+                        a, {m: e[0] for m, e in merged.items()}, {m: e[1] for m, e in merged.items()}
+                    )
+                    _accumulate(acc, key, c)
+                if beta:
+                    # conjugate actor: swap its exponents, conjugate its coefficient
+                    c = cX.conj() * cY * (sign * beta)
+                    merged = {m: [e[0], e[1]] for m, e in expY.items()}
+                    merged[b][1] -= 1
+                    for m, e in expX.items():
+                        t = merged.setdefault(m, [0, 0])
+                        t[0] += e[1]
+                        t[1] += e[0]
+                    key = canonical_from_exponents(
+                        a, {m: e[0] for m, e in merged.items()}, {m: e[1] for m, e in merged.items()}
+                    )
+                    _accumulate(acc, key, c)
 
 
 _LIN_CACHE: Dict[Divisor, Tuple[Tuple[int, Fraction], ...]] = {}
@@ -592,14 +751,17 @@ def _quadratic_derivative(v: Divisor, N: int) -> Tuple[Tuple[int, int, Fraction]
     return out
 
 
-def _divisor_part(acc: Dict[RKey, QC], xf: RationalVF, yf: RationalVF, sign: int, N: int) -> None:
+def _divisor_part(acc: Dict[RKey, QC], xt, yt, sign: int, N: Optional[int]) -> None:
     # derivative of x's divisors along y; the extra divisor copy goes to h2
     # when a quadratic-frequency divisor was hit, to h4 for the gradient part
     # of a corrected one, and to kk for its Hessian part (which also brings
     # an action factor into the numerator)
+    divided = [(key, cx, ex) for key, cx, ex in xt if key[3] or key[4] or key[5]]
+    if not divided:
+        return
     ymode: Dict[int, list] = {}
-    for key, c in yf.terms.items():
-        ymode.setdefault(key[0], []).append((c, key_exponents(key[:3]), key[3:]))
+    for key, c, ey in yt:
+        ymode.setdefault(key[0], []).append((c, ey, key[3:]))
     if not ymode:
         return
 
@@ -631,11 +793,10 @@ def _divisor_part(acc: Dict[RKey, QC], xf: RationalVF, yf: RationalVF, sign: int
                     {m: e[0] for m, e in merged.items()},
                     {m: e[1] for m, e in merged.items()},
                 )
-                _racc(acc, newkey + sections, cx_fac * pc)
+                _accumulate(acc, newkey + sections, cx_fac * pc)
 
-    for key, cx in xf.terms.items():
+    for key, cx, ex in divided:
         a, kind, j, h2, h4, kk = key
-        ex = key_exponents(key[:3])
         for sec_idx, sec in ((0, h2), (1, h4), (2, kk)):
             for v, count in Counter(sec).items():
                 target = 0 if sec_idx == 0 else 1
@@ -659,19 +820,43 @@ def _divisor_part(acc: Dict[RKey, QC], xf: RationalVF, yf: RationalVF, sign: int
                     emit(a, ex, fac, d, actors, (e,), routed_q)
 
 
-def rational_commutator(x: AnyVF, y: AnyVF, N: int) -> RationalVF:
-    """Bracket ``[X, Y] = DX[Y] - DY[X]`` on divisor-carrying fields.
+def _signature_groups(terms, N: Optional[int]):
+    """Terms grouped by divisor signature, each group with its by-mode index."""
+    grouped: Dict[Tuple[Section, Section, Section], list] = {}
+    for key, c, exp in terms:
+        grouped.setdefault(key[3:], []).append((key[0], c, exp))
+    if N is None and any(sig[1] or sig[2] for sig in grouped):
+        raise ValueError("fields with corrected-frequency divisors need the cutoff N")
+    return [(sig, t, _by_mode(t)) for sig, t in grouped.items()]
 
-    Splits into the numerator part (the polynomial bracket per pair of
-    divisor signatures, signatures concatenated) and the divisor part, where
-    the chain rule differentiates a divisor along the other field and the
-    result picks up one extra copy of the hit divisor.  The cutoff bounds the
-    Hessian sums of the corrected frequencies.
+
+def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> RationalVF:
+    """Bracket ``[X, Y] = DX[Y] - DY[X]`` on conjugation-closed fields.
+
+    ``DX[Y]`` is the Jacobian of ``X`` applied to the vector ``Y``, so the
+    first term differentiates the components of ``X`` along ``Y``.  Divisors
+    are constants under numerator differentiation, so the numerator part is
+    the polynomial bracket per pair of divisor signatures, signatures
+    concatenated.  The divisor part differentiates each divisor along the
+    other field by the chain rule, and the result picks up one extra copy of
+    the hit divisor.  The cutoff ``N`` bounds the Hessian sums of the
+    corrected frequencies; it is required when either field carries ``h4``
+    or ``kk`` divisors and unused otherwise.
     """
-    x = _as_rational(x)
-    y = _as_rational(y)
+    xt = [(key, c, key_exponents(key)) for key, c in x.terms.items()]
+    yt = [(key, c, key_exponents(key)) for key, c in y.terms.items()]
+    gx = _signature_groups(xt, N)
+    gy = _signature_groups(yt, N)
     acc: Dict[RKey, QC] = {}
-    _numerator_part(acc, x, y)
-    _divisor_part(acc, x, y, +1, N)
-    _divisor_part(acc, y, x, -1, N)
+    for sx, tx, mx in gx:
+        for sy, ty, my in gy:
+            part: Dict[TermKey, QC] = {}
+            _directional(part, my, tx, +1)
+            _directional(part, mx, ty, -1)
+            sections = _merge_sections(sx, sy)
+            for k, c in part.items():
+                if not c.is_zero():
+                    _accumulate(acc, k + sections, c)
+    _divisor_part(acc, xt, yt, +1, N)
+    _divisor_part(acc, yt, xt, -1, N)
     return RationalVF(acc)

@@ -20,8 +20,8 @@ documents:
 ``coefficient``
     ``[re, im]`` as exact fraction strings.
 
-Loading always produces a divisor-carrying field; use ``to_poly`` on the
-result when every ``h``/``k`` is empty.
+A polynomial field is the case where every ``h`` and ``k`` is empty, so one
+format and one loader serve both.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from .poly import QC, PolyVF
-from .rational import RationalVF, RKey
+from .rational import QC, RationalVF, RKey
 
 __all__ = ["FORMAT", "field_from_json", "field_to_json", "dump_field", "load_field"]
 
@@ -47,10 +46,8 @@ def _vec_in(doc) -> tuple:
     return tuple((int(delta), int(m)) for delta, m in doc)
 
 
-def field_to_json(vf: Union[PolyVF, RationalVF]) -> Dict:
+def field_to_json(vf: RationalVF) -> Dict:
     """Documented dictionary form of a field; deterministic term order."""
-    if isinstance(vf, PolyVF):
-        vf = RationalVF.from_poly(vf)
     terms = []
     for key in sorted(vf.terms):
         a, kind, j, h2, h4, kk = key
@@ -93,7 +90,7 @@ def field_from_json(doc: Dict) -> RationalVF:
     return RationalVF(terms)
 
 
-def dump_field(vf: Union[PolyVF, RationalVF], path) -> None:
+def dump_field(vf: RationalVF, path) -> None:
     text = json.dumps(field_to_json(vf), indent=1, sort_keys=True)
     Path(path).write_text(text + "\n")
 

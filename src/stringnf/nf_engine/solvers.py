@@ -18,26 +18,22 @@ step provably has no echo) or lowers/keeps the order for the next round.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple
 
 from ..core import delta_sum
 from ..divisors import irr
-from .poly import (
-    ANTI,
-    DIAG,
-    QC,
-    NFResult,
-    PolyVF,
-    TermKey,
-    canonical_from_exponents,
-    key_exponents,
-)
+from .poly import NFResult
 from .rational import (
+    ANTI,
+    NO_DIVISORS,
+    QC,
     RKey,
     RationalVF,
+    canonical_from_exponents,
+    commutator,
     divisor_zero_form,
+    key_exponents,
     omega4_hessian,
-    rational_commutator,
     validate_class,
 )
 
@@ -48,8 +44,6 @@ __all__ = [
     "septic_stage_input",
     "solve_homological_z3z5",
 ]
-
-AnyVF = Union[PolyVF, RationalVF]
 
 
 class UnsolvableKeyError(ValueError):
@@ -63,7 +57,7 @@ class UnsolvableKeyError(ValueError):
         )
 
 
-def chi3_explicit(N: int) -> PolyVF:
+def chi3_explicit(N: int) -> RationalVF:
     """Closed-form first-stage generator on modes ``1..N``.
 
     Written straight from the solved coefficients: the mode-coupling entries
@@ -72,22 +66,18 @@ def chi3_explicit(N: int) -> PolyVF:
     the generic first-stage division produces, and kept as an explicit table
     so the two can be checked against each other.
     """
-    terms: Dict[TermKey, QC] = {}
+    terms: Dict[RKey, QC] = {}
     for a in range(1, N + 1):
         for b in range(1, N + 1):
             if b != a:
-                terms[(a, ANTI, ((1, b),))] = QC(Fraction(1, 8 * (b - a)))
-                terms[(a, ANTI, ((-1, b),))] = QC(Fraction(1, 8 * (b + a)))
-        terms[(a, ANTI, ((-1, a),))] = QC(Fraction(1, 16 * a))
-    return PolyVF(terms)
+                terms[(a, ANTI, ((1, b),)) + NO_DIVISORS] = QC(Fraction(1, 8 * (b - a)))
+                terms[(a, ANTI, ((-1, b),)) + NO_DIVISORS] = QC(Fraction(1, 8 * (b + a)))
+        terms[(a, ANTI, ((-1, a),)) + NO_DIVISORS] = QC(Fraction(1, 16 * a))
+    return RationalVF(terms)
 
 
 # ---------------------------------------------------------------------------
 # building blocks
-
-def _as_rational(q: AnyVF) -> RationalVF:
-    return RationalVF.from_poly(q) if isinstance(q, PolyVF) else q
-
 
 def _split_resonant(field: RationalVF) -> Tuple[RationalVF, RationalVF]:
     """Separate terms with an empty irreducible part from divisible ones.
@@ -142,7 +132,7 @@ def _action_coupling(field: RationalVF) -> RationalVF:
     acc: Dict[RKey, QC] = {}
     for key, c in field.terms.items():
         a = key[0]
-        ey = key_exponents(key[:3])
+        ey = key_exponents(key)
         secs = key[3:]
         for pc, swap in ((c, False), (c.conj(), True)):
             merged: Dict[int, list] = {}
@@ -174,7 +164,7 @@ def _frequency_coupling(field: RationalVF, N: int) -> RationalVF:
     neg_i = QC(0, -1)
     by_mode: Dict[int, list] = {}
     for key, c in field.terms.items():
-        by_mode.setdefault(key[0], []).append((c, key_exponents(key[:3]), key[3:]))
+        by_mode.setdefault(key[0], []).append((c, key_exponents(key), key[3:]))
     acc: Dict[RKey, QC] = {}
     for a in range(1, N + 1):
         for d, e, h in omega4_hessian(a, N):
@@ -209,7 +199,7 @@ def _frequency_coupling(field: RationalVF, N: int) -> RationalVF:
 # ---------------------------------------------------------------------------
 # the solvers
 
-def quintic_rational_solve(k5_nonint: AnyVF, N: int) -> Tuple[RationalVF, RationalVF]:
+def quintic_rational_solve(k5_nonint: RationalVF, N: int) -> Tuple[RationalVF, RationalVF]:
     """Two-step divisor solution of the resonant non-integrable quintic.
 
     The first generator divides every term at the cubic rotation, leaving
@@ -220,13 +210,12 @@ def quintic_rational_solve(k5_nonint: AnyVF, N: int) -> Tuple[RationalVF, Ration
     assumed.  Returns the pair ``(S, M)`` of generators, so that the bracket
     against the cubic rotation kills the input exactly.
     """
-    k = _as_rational(k5_nonint)
-    integrable, rest = _split_resonant(k)
+    integrable, rest = _split_resonant(k5_nonint)
     if not integrable.is_zero():
         raise ValueError(
             "input contains integrable terms; pass only the non-integrable part"
         )
-    if k.max_mode() > N:
+    if k5_nonint.max_mode() > N:
         raise ValueError(f"input has modes beyond the cutoff {N}")
     s = _divide_keys(rest, "h2")
     echo = _action_coupling(s)
@@ -238,7 +227,7 @@ def quintic_rational_solve(k5_nonint: AnyVF, N: int) -> Tuple[RationalVF, Ration
 
 
 def solve_homological_z3z5(
-    q: AnyVF,
+    q: RationalVF,
     N: int,
     *,
     leading_only: bool = False,
@@ -259,7 +248,6 @@ def solve_homological_z3z5(
     descriptors and satisfy the stronger divisor-weight control condition
     (checked, violations raise).
     """
-    q = _as_rational(q)
     z_int, rest = _split_resonant(q)
     if leading_only:
         for key in rest.terms:
@@ -292,6 +280,5 @@ def septic_stage_input(nf: NFResult) -> RationalVF:
         raise ValueError("need a depth-three normal form with a septic remainder")
     N = nf.N
     s, m = quintic_rational_solve(nf.k5, N)
-    quintic = RationalVF.from_poly(nf.resonant_quintic)
-    bracket = rational_commutator(quintic, s + m, N).scale(QC(Fraction(1, 2)))
-    return bracket + RationalVF.from_poly(nf.k7)
+    bracket = commutator(nf.resonant_quintic, s + m, N).scale(QC(Fraction(1, 2)))
+    return bracket + nf.k7

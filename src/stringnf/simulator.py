@@ -212,7 +212,8 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
 
     ``T`` is rounded to a whole number of steps. ``T = 0`` records the single
     initial sample. A non-finite state aborts with :class:`SimulationBlowup`
-    stamped with the simulation time.
+    stamped with the simulation time, as does a recorded energy, norm or
+    drift that overflows.
     """
     M = config.M
     u, v = _to_arrays(initial, M)
@@ -235,22 +236,29 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     drifts = [0.0]
     states = [_to_state(u, v)] if config.record_states else None
 
-    for k in range(1, n_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
             u, v = step(u, v, config.dt, a1, a2, config.linear_only)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise SimulationBlowup(k * config.dt)
-        if k % config.record_stride == 0 or k == n_steps:
-            t = k * config.dt
-            acts = current_actions()
-            S = _slope2(u, a2)
-            times.append(t)
-            acts_list.append(acts)
-            energies.append(0.5 * float(v @ v) + 0.5 * S + 0.25 * S * S)
-            norms.append(math.sqrt(float(w2 @ acts)))
-            drifts.append(float(np.max(w2 * np.abs(acts - acts0))))
-            if states is not None:
-                states.append(_to_state(u, v))
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+                raise SimulationBlowup(k * config.dt)
+            if k % config.record_stride == 0 or k == n_steps:
+                t = k * config.dt
+                acts = current_actions()
+                S = _slope2(u, a2)
+                H = 0.5 * float(v @ v) + 0.5 * S + 0.25 * S * S
+                norm2 = float(w2 @ acts)
+                drift = float(np.max(w2 * np.abs(acts - acts0)))
+                # a finite state can still overflow what is recorded; all
+                # three are sums of nonnegative terms, so one sum checks them
+                if not math.isfinite(H + norm2 + drift):
+                    raise SimulationBlowup(t)
+                times.append(t)
+                acts_list.append(acts)
+                energies.append(H)
+                norms.append(math.sqrt(norm2))
+                drifts.append(drift)
+                if states is not None:
+                    states.append(_to_state(u, v))
 
     return Trajectory(
         times=np.array(times),
@@ -301,14 +309,3 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "actions_final": {str(a + 1): float(x) for a, x in enumerate(traj.actions[-1])},
     }
 
-
-def to_json_dict(traj: Trajectory) -> dict:
-    """Full trajectory as a JSON-serializable dict (documented stable layout)."""
-    return {
-        "columns": ["t", "H", "sup_drift"] + [f"I_{a}" for a in range(1, traj.M + 1)],
-        "rows": [
-            [float(traj.times[i]), float(traj.energy[i]), float(traj.sup_drift[i])]
-            + [float(x) for x in traj.actions[i]]
-            for i in range(len(traj.times))
-        ],
-    }

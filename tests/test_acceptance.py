@@ -27,7 +27,6 @@ from stringnf.core import ComplexSeq, WeightSpec
 from stringnf.divisors import NonResonanceParams, is_nonresonant
 from stringnf.measure import MeasureSpec, estimate_measure, sample_actions
 from stringnf.nf_engine import (
-    PolyVF,
     QC,
     RationalVF,
     chi3_explicit,
@@ -36,7 +35,6 @@ from stringnf.nf_engine import (
     is_rational_normal_form,
     key_order,
     quintic_rational_solve,
-    rational_commutator,
     resonant_normal_form,
     septic_stage_input,
     solve_homological_z3z5,
@@ -116,19 +114,19 @@ def test_criterion_2_homological_identities():
 
     s_gen, m_gen = quintic_rational_solve(nf.k5, n)
     states = _ensemble_states(100, n, 1e-3, 3.0, seed=201)
-    k5_rat = RationalVF.from_poly(nf.k5)
+    k5_rat = nf.k5
     cascade_res = _rel_residual(
-        rational_commutator(nf.z3, s_gen + m_gen, n) + k5_rat, k5_rat, states
+        commutator(nf.z3, s_gen + m_gen, n) + k5_rat, k5_rat, states
     )
 
     ns = 4
     nfs = resonant_normal_form(3, ns)
     q = septic_stage_input(nfs)
     chi, z_int, echo_same, echo_down = solve_homological_z3z5(q, ns)
-    rot = RationalVF.from_poly(nfs.z3) + RationalVF.from_poly(nfs.z5)
+    rot = nfs.z3 + nfs.z5
     solver_states = _ensemble_states(50, ns, 1e-3, 3.0, seed=202)
     solver_res = _rel_residual(
-        rational_commutator(rot, chi, ns) + q - z_int - echo_same - echo_down,
+        commutator(rot, chi, ns) + q - z_int - echo_same - echo_down,
         q,
         solver_states,
     )
@@ -150,7 +148,7 @@ def test_criterion_3_normal_form_flow_fixes_actions():
     nfs = resonant_normal_form(3, ns)
     q = septic_stage_input(nfs)
     _, z_int, _, _ = solve_homological_z3z5(q, ns)
-    ztilde = RationalVF.from_poly(nfs.z3) + RationalVF.from_poly(nfs.z5) + z_int
+    ztilde = nfs.z3 + nfs.z5 + z_int
     assert is_rational_normal_form(ztilde)
 
     rng = random.Random(301)
@@ -343,8 +341,8 @@ def test_criterion_8_structural_invariant_suite():
     for _ in range(2500):
         x = random_poly_vf(rng, 3)
         chi = random_poly_vf(rng, 3)
-        xr = PolyVF({k: QC(0, c.im) for k, c in x.terms.items()})
-        cs = PolyVF({k: QC(c.re, 0) for k, c in chi.terms.items()})
+        xr = RationalVF({k: QC(0, c.im) for k, c in x.terms.items()})
+        cs = RationalVF({k: QC(c.re, 0) for k, c in chi.terms.items()})
         assert commutator(xr, cs).is_reversible_parity()
         cases += 1
 
@@ -355,8 +353,8 @@ def test_criterion_8_structural_invariant_suite():
         if x.is_zero() or chi.is_zero():
             cases += 1
             continue
-        l1 = max(len(j) for _, _, j in x.terms)
-        l2 = max(len(j) for _, _, j in chi.terms)
+        l1 = max(len(j) for _, _, j, *_ in x.terms)
+        l2 = max(len(j) for _, _, j, *_ in chi.terms)
         bound = 6 * (l1 + l2 + 1) * x.linf_norm() * chi.linf_norm()
         assert commutator(x, chi).linf_norm() <= bound + 1e-12
         cases += 1
@@ -370,7 +368,7 @@ def test_criterion_8_structural_invariant_suite():
     s_gen, m_gen = quintic_rational_solve(nf3.k5, np_cut)
     pool = []
     for f in (chi, z_int, echo_same, echo_down, s_gen, m_gen,
-              RationalVF.from_poly(nf3.z3), RationalVF.from_poly(nf3.k5)):
+              nf3.z3, nf3.k5):
         pool.extend(f.terms.items())
 
     def rand_rational():
@@ -387,7 +385,7 @@ def test_criterion_8_structural_invariant_suite():
         if f.is_zero() or g.is_zero():
             cases += 2
             continue
-        out = rational_commutator(f, g, np_cut)
+        out = commutator(f, g, np_cut)
         want = {a + b for a in f.orders() for b in g.orders()}
         # index-count bookkeeping: every produced key sits at the summed order
         assert {key_order(k) for k in out.terms} <= want

@@ -85,6 +85,11 @@ class TestComplexSeq:
         with pytest.raises(ValueError):
             ComplexSeq({0: 1.0}, 8)
 
+    def test_non_finite_values_rejected(self):
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf), complex(1.0, math.nan)):
+            with pytest.raises(ValueError, match="not finite"):
+                ComplexSeq({1: bad}, 2)
+
     def test_actions(self):
         z = seq({2: 1 + 1j})
         assert z.action(2) == pytest.approx(2.0)

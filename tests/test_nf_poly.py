@@ -21,8 +21,9 @@ from stringnf.nf_engine import (
     DIAG,
     NFResult,
     ParityError,
-    PolyVF,
+    NO_DIVISORS,
     QC,
+    RationalVF,
     canonical_from_exponents,
     commutator,
     key_exponents,
@@ -41,40 +42,40 @@ from helpers import EC, ZPoly, oracle_commutator, stiffness_response_series
 # ---------------------------------------------------------------------------
 # reference fields, written straight from the derived coefficient tables
 
-def chi3_reference(M: int) -> PolyVF:
+def chi3_reference(M: int) -> RationalVF:
     """Cubic generator: the solved first-stage homological equation."""
     terms = {}
     for a in range(1, M + 1):
         for b in range(1, M + 1):
             if b == a:
                 continue
-            terms[(a, ANTI, ((1, b),))] = QC(Fraction(1, 8 * (b - a)))
-            terms[(a, ANTI, ((-1, b),))] = QC(Fraction(1, 8 * (b + a)))
-        terms[(a, ANTI, ((-1, a),))] = QC(Fraction(1, 16 * a))
-    return PolyVF(terms)
+            terms[(a, ANTI, ((1, b),)) + NO_DIVISORS] = QC(Fraction(1, 8 * (b - a)))
+            terms[(a, ANTI, ((-1, b),)) + NO_DIVISORS] = QC(Fraction(1, 8 * (b + a)))
+        terms[(a, ANTI, ((-1, a),)) + NO_DIVISORS] = QC(Fraction(1, 16 * a))
+    return RationalVF(terms)
 
 
-def z3_reference(M: int) -> PolyVF:
+def z3_reference(M: int) -> RationalVF:
     """Resonant cubic field: -(i/4) I_a on the diagonal."""
-    return PolyVF({(a, DIAG, ((0, a),)): QC(0, Fraction(-1, 4)) for a in range(1, M + 1)})
+    return RationalVF({(a, DIAG, ((0, a),)) + NO_DIVISORS: QC(0, Fraction(-1, 4)) for a in range(1, M + 1)})
 
 
-def z5_reference(N: int) -> PolyVF:
+def z5_reference(N: int) -> RationalVF:
     """Integrable quintic: -i omega4_a z_a expanded over action pairs."""
     terms = {}
     for a in range(1, N + 1):
-        terms[(a, DIAG, ((0, a), (0, a)))] = QC(0, Fraction(27, 64 * a))
+        terms[(a, DIAG, ((0, a), (0, a))) + NO_DIVISORS] = QC(0, Fraction(27, 64 * a))
         for d in range(1, N + 1):
             if d == a:
                 continue
             c1 = Fraction(1, 8) * (Fraction(3, d) + Fraction(d, d * d - a * a))
-            terms[(a, DIAG, canonicalize([(0, a), (0, d)]))] = QC(0, c1)
+            terms[(a, DIAG, canonicalize([(0, a), (0, d)])) + NO_DIVISORS] = QC(0, c1)
             c2 = Fraction(-a, 16 * (d * d - a * a))
-            terms[(a, DIAG, ((0, d), (0, d)))] = QC(0, c2)
-    return PolyVF(terms)
+            terms[(a, DIAG, ((0, d), (0, d))) + NO_DIVISORS] = QC(0, c2)
+    return RationalVF(terms)
 
 
-def k5_reference(N: int) -> PolyVF:
+def k5_reference(N: int) -> RationalVF:
     """Resonant non-integrable quintic (momentum equal to the field mode).
 
     Coefficients are canonical-multiset totals: the two-sided sums over
@@ -91,32 +92,32 @@ def k5_reference(N: int) -> PolyVF:
                 c = Fraction(3 * a, 32 * b1 * b1)
             else:
                 c = Fraction(3 * a, 16 * b1 * b2)
-            terms[(a, ANTI, ((1, b1), (1, b2)))] = QC(0, c)
+            terms[(a, ANTI, ((1, b1), (1, b2))) + NO_DIVISORS] = QC(0, c)
         for b in range(1, N + 1):
             c = b - a
             if c < 1 or c > N:
                 continue
-            key = (a, ANTI, canonicalize([(1, b), (-1, c)]))
+            key = (a, ANTI, canonicalize([(1, b), (-1, c)])) + NO_DIVISORS
             terms[key] = QC(0, Fraction(3 * a, 16 * b * c))
-    return PolyVF(terms)
+    return RationalVF(terms)
 
 
-def p3_reference(M: int) -> PolyVF:
+def p3_reference(M: int) -> RationalVF:
     """Cubic interaction: -(i/4) (sum_b z_b^2 - zbar_b^2) zbar_a, canonicalized."""
     q = QC(0, Fraction(-1, 4))
     terms = {}
     for a in range(1, M + 1):
         for b in range(1, M + 1):
             if b == a:
-                terms[(a, DIAG, ((0, a),))] = q
-                terms[(a, ANTI, ((-1, a),))] = -q
+                terms[(a, DIAG, ((0, a),)) + NO_DIVISORS] = q
+                terms[(a, ANTI, ((-1, a),)) + NO_DIVISORS] = -q
             else:
-                terms[(a, ANTI, ((1, b),))] = q
-                terms[(a, ANTI, ((-1, b),))] = -q
-    return PolyVF(terms)
+                terms[(a, ANTI, ((1, b),)) + NO_DIVISORS] = q
+                terms[(a, ANTI, ((-1, b),)) + NO_DIVISORS] = -q
+    return RationalVF(terms)
 
 
-def to_zpoly_components(vf: PolyVF, M: int) -> dict[int, ZPoly]:
+def to_zpoly_components(vf: RationalVF, M: int) -> dict[int, ZPoly]:
     """z_a-components of a canonical field as dense exact polynomials."""
     out: dict[int, ZPoly] = {}
     for key, c in vf.terms.items():
@@ -132,17 +133,17 @@ def to_zpoly_components(vf: PolyVF, M: int) -> dict[int, ZPoly]:
     return {a: p for a, p in out.items() if not p.is_zero()}
 
 
-def from_zpoly_components(comps: dict[int, ZPoly]) -> PolyVF:
+def from_zpoly_components(comps: dict[int, ZPoly]) -> RationalVF:
     acc: dict = {}
     for a, poly in comps.items():
         for (al, be), c in poly.terms.items():
             alphas = {i + 1: e for i, e in enumerate(al) if e}
             betas = {i + 1: e for i, e in enumerate(be) if e}
-            key = canonical_from_exponents(a, alphas, betas)
+            key = canonical_from_exponents(a, alphas, betas) + NO_DIVISORS
             q = QC(c.re, c.im)
             prev = acc.get(key)
             acc[key] = q if prev is None else prev + q
-    return PolyVF(acc)
+    return RationalVF(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +227,14 @@ def test_quintic_interaction_samples():
     vf = taylor_vf(2, 5)
     pref = Fraction(3, 16)
     # z_b^2 z_c^2 zbar_a picks up 1/b + 1/c from the two weighted factors
-    key = (4, ANTI, ((1, 2), (1, 3)))
+    key = (4, ANTI, ((1, 2), (1, 3))) + NO_DIVISORS
     assert vf.terms[key] == QC(0, pref * (Fraction(1, 2) + Fraction(1, 3)))
-    assert vf.terms[(4, ANTI, ((1, 3), (1, 3)))] == QC(0, pref * Fraction(1, 3))
+    assert vf.terms[(4, ANTI, ((1, 3), (1, 3))) + NO_DIVISORS] == QC(0, pref * Fraction(1, 3))
     # I_b z_c^2 comes only through the action part of the elastic factor
-    key = (4, ANTI, ((0, 2), (1, 3)))
+    key = (4, ANTI, ((0, 2), (1, 3))) + NO_DIVISORS
     assert vf.terms[key] == QC(0, pref * Fraction(2, 2))
     # opposite chirality flips the sign of the 1/b weight
-    key = (4, ANTI, canonicalize([(1, 2), (-1, 3)]))
+    key = (4, ANTI, canonicalize([(1, 2), (-1, 3)])) + NO_DIVISORS
     assert vf.terms[key] == QC(0, pref * (Fraction(1, 3) - Fraction(1, 2)))
 
 
@@ -256,7 +257,7 @@ def test_interaction_evaluation_matches_formula():
 # ---------------------------------------------------------------------------
 # commutator against the dense-polynomial oracle
 
-def random_poly_vf(rng: random.Random, M: int = 3, nterms: int = 3) -> PolyVF:
+def random_poly_vf(rng: random.Random, M: int = 3, nterms: int = 3) -> RationalVF:
     terms = {}
     for _ in range(nterms):
         a = rng.randint(1, M)
@@ -265,9 +266,9 @@ def random_poly_vf(rng: random.Random, M: int = 3, nterms: int = 3) -> PolyVF:
             (rng.choice([-1, 0, 1]), rng.randint(1, M))
             for _ in range(rng.randint(0, 2))
         ]
-        key = normalize_key(a, kind, j)
+        key = normalize_key(a, kind, j) + NO_DIVISORS
         terms[key] = QC(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
-    return PolyVF({k: c for k, c in terms.items() if not c.is_zero()})
+    return RationalVF({k: c for k, c in terms.items() if not c.is_zero()})
 
 
 def test_commutator_matches_oracle_on_random_fields():
@@ -298,8 +299,8 @@ def test_commutator_parity_composition():
     for _ in range(20):
         x = random_poly_vf(rng, 3)
         chi = random_poly_vf(rng, 3)
-        xr = PolyVF({k: QC(0, c.im) for k, c in x.terms.items()})
-        cs = PolyVF({k: QC(c.re, 0) for k, c in chi.terms.items()})
+        xr = RationalVF({k: QC(0, c.im) for k, c in x.terms.items()})
+        cs = RationalVF({k: QC(c.re, 0) for k, c in chi.terms.items()})
         out = commutator(xr, cs)
         assert out.is_reversible_parity()
 
@@ -312,8 +313,8 @@ def test_commutator_coefficient_bound():
         chi = random_poly_vf(rng, 3)
         if x.is_zero() or chi.is_zero():
             continue
-        l1 = max(len(j) for _, _, j in x.terms)
-        l2 = max(len(j) for _, _, j in chi.terms)
+        l1 = max(len(j) for _, _, j, *_ in x.terms)
+        l2 = max(len(j) for _, _, j, *_ in chi.terms)
         lhs = commutator(x, chi).linf_norm()
         assert lhs <= 6 * (l1 + l2 + 1) * x.linf_norm() * chi.linf_norm() + 1e-12
 
@@ -344,7 +345,7 @@ def test_linear_stage_identity_on_random_input():
         chi, res = solve_homological_z1(k)
         assert commutator(z1_field(M), chi) + k == res
         # the remainder keeps only momentum-resonant keys
-        for a, kind, j in res.terms:
+        for a, kind, j, *_ in res.terms:
             d = sum(delta * m for delta, m in j)
             assert d == (0 if kind == DIAG else a)
 
@@ -374,7 +375,7 @@ def test_resonant_cubic_bracket_structure():
     a, b1, b2 = 3, 1, 2  # b1 + b2 = a
     z3 = to_zpoly_components(z3_reference(M), M)
     coeff = EC(Fraction(5), Fraction(-2))
-    chi_vf = PolyVF({(a, ANTI, ((1, b1), (1, b2))): QC(Fraction(5), Fraction(-2))})
+    chi_vf = RationalVF({(a, ANTI, ((1, b1), (1, b2))) + NO_DIVISORS: QC(Fraction(5), Fraction(-2))})
     chi = to_zpoly_components(chi_vf, M)
     got = oracle_commutator(z3, chi, M)
 
@@ -421,7 +422,7 @@ def test_normal_form_grading(nf_small):
     # every retained field is reversible and momentum-resonant
     for vf in (nf_small.z3, nf_small.z5, nf_small.k5):
         assert vf.is_reversible_parity()
-    for a, kind, j in nf_small.k5.terms:
+    for a, kind, j, *_ in nf_small.k5.terms:
         assert sum(delta * m for delta, m in j) == a and kind == ANTI
 
 
@@ -431,7 +432,7 @@ def test_normal_form_septic_stage():
     assert res.z5 == z5_reference(3)
     assert res.k5 == k5_reference(3)
     assert res.k7.is_reversible_parity()
-    for a, kind, j in res.k7.terms:
+    for a, kind, j, *_ in res.k7.terms:
         d = sum(delta * m for delta, m in j)
         assert d == (0 if kind == DIAG else a)
     assert res.min_skipped_degree is None or res.min_skipped_degree >= 9
@@ -452,7 +453,7 @@ def test_split_integrable_partition(nf_small):
     z, k = split_integrable(total)
     assert z == nf_small.z5
     assert k == nf_small.k5
-    for _, kind, j in z.terms:
+    for _, kind, j, *_ in z.terms:
         assert kind == DIAG and all(d == 0 for d, _ in j)
 
 

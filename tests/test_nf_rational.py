@@ -20,8 +20,8 @@ from stringnf.divisors import FreqContext, big_omega, irr, kappa
 from stringnf.nf_engine import (
     ANTI,
     DIAG,
+    NO_DIVISORS,
     DivisorRefusal,
-    PolyVF,
     QC,
     RationalVF,
     commutator,
@@ -32,7 +32,6 @@ from stringnf.nf_engine import (
     evaluate_vf,
     is_rational_normal_form,
     key_order,
-    rational_commutator,
     validate_class,
 )
 from stringnf.nf_engine.rational import _linear_derivative, _quadratic_derivative
@@ -72,19 +71,19 @@ def field_kk() -> RationalVF:
     return RationalVF({key: QC(0, Fraction(-s, 10))})
 
 
-def probe_poly() -> PolyVF:
+def probe_poly() -> RationalVF:
     """Small polynomial field with nonzero action derivatives."""
-    return PolyVF(
+    return RationalVF(
         {
-            (1, DIAG, ((0, 2),)): QC(Fraction(1, 3)),
-            (2, ANTI, ((1, 1), (1, 1))): QC(0, Fraction(1, 5)),
-            (3, DIAG, ((0, 1), (0, 3))): QC(0, Fraction(-1, 7)),
+            (1, DIAG, ((0, 2),)) + NO_DIVISORS: QC(Fraction(1, 3)),
+            (2, ANTI, ((1, 1), (1, 1))) + NO_DIVISORS: QC(0, Fraction(1, 5)),
+            (3, DIAG, ((0, 1), (0, 3))) + NO_DIVISORS: QC(0, Fraction(-1, 7)),
         }
     )
 
 
 def probe_single() -> RationalVF:
-    return RationalVF.from_poly(PolyVF({(1, DIAG, ((0, 2),)): QC(Fraction(1, 3))}))
+    return RationalVF({(1, DIAG, ((0, 2),)) + NO_DIVISORS: QC(Fraction(1, 3))})
 
 
 def random_state(rng: random.Random, scale: float = 0.5) -> ComplexSeq:
@@ -151,48 +150,50 @@ def test_zero_form_unifies_routes():
 # ---------------------------------------------------------------------------
 # embedding and formal algebra
 
-def test_embed_roundtrip():
-    p = probe_poly()
-    r = RationalVF.from_poly(p)
-    assert r.to_poly() == p
-    assert r.orders() == p.orders()
-    with pytest.raises(ValueError):
-        field_h2().to_poly()
-
-
 def test_divisor_free_bracket_matches_poly():
     x = probe_poly()
-    y = PolyVF(
+    y = RationalVF(
         {
-            (2, DIAG, ((0, 1),)): QC(0, Fraction(1, 2)),
-            (4, ANTI, ((1, 1), (1, 3))): QC(0, Fraction(2, 9)),
+            (2, DIAG, ((0, 1),)) + NO_DIVISORS: QC(0, Fraction(1, 2)),
+            (4, ANTI, ((1, 1), (1, 3))) + NO_DIVISORS: QC(0, Fraction(2, 9)),
         }
     )
-    direct = RationalVF.from_poly(commutator(x, y))
-    lifted = rational_commutator(RationalVF.from_poly(x), RationalVF.from_poly(y), N)
+    direct = commutator(x, y)
+    lifted = commutator(x, y, N)
     assert direct == lifted
+
+
+def test_bracket_needs_cutoff_for_corrected_divisors():
+    # the Hessian sums of the corrected frequencies run to the cutoff; a
+    # quadratic-frequency divisor needs no cutoff
+    for f in (field_h4(), field_kk()):
+        with pytest.raises(ValueError, match="cutoff"):
+            commutator(f, probe_poly())
+        with pytest.raises(ValueError, match="cutoff"):
+            commutator(probe_poly(), f)
+    assert commutator(field_h2(), probe_poly()) == commutator(field_h2(), probe_poly(), N)
 
 
 def test_bracket_with_zero_and_self():
     f = field_h4()
     zero = RationalVF()
-    assert rational_commutator(f, zero, N).is_zero()
-    assert rational_commutator(zero, f, N).is_zero()
-    assert rational_commutator(f, f, N).is_zero()
+    assert commutator(f, zero, N).is_zero()
+    assert commutator(zero, f, N).is_zero()
+    assert commutator(f, f, N).is_zero()
 
 
 def test_bracket_antisymmetry_formal():
     x, y = field_h2(), field_h4()
-    lhs = rational_commutator(x, y, N)
-    rhs = rational_commutator(y, x, N).scale(QC(-1))
+    lhs = commutator(x, y, N)
+    rhs = commutator(y, x, N).scale(QC(-1))
     assert lhs == rhs
 
 
 def test_bracket_bilinearity_formal():
     x = field_h2()
     y1, y2 = field_h4(), field_kk()
-    joint = rational_commutator(x, y1 + y2, N)
-    split = rational_commutator(x, y1, N) + rational_commutator(x, y2, N)
+    joint = commutator(x, y1 + y2, N)
+    split = commutator(x, y1, N) + commutator(x, y2, N)
     assert joint == split
 
 
@@ -235,12 +236,12 @@ def fd_bracket(x, y, z, h=2e-3):
 
 def test_commutator_matches_directional_derivative():
     f1, f2, f3 = field_h2(), field_h4(), field_kk()
-    pr = RationalVF.from_poly(probe_poly())
+    pr = probe_poly()
     pairs = [(f1, f2), (f1, f3), (f2, f3), (f1, pr), (f3, pr)]
     rng = random.Random(7002)
     checked = 0
     for x, y in pairs:
-        bracket = rational_commutator(x, y, N)
+        bracket = commutator(x, y, N)
         for _ in range(10):
             z = random_state(rng)
             want = fd_bracket(x, y, z)
@@ -255,19 +256,19 @@ def test_commutator_matches_directional_derivative():
 
 def test_numeric_jacobi_identity():
     x, y, w = field_h2(), probe_single(), field_kk()
-    xy = rational_commutator(x, y, N)
-    yw = rational_commutator(y, w, N)
-    wx = rational_commutator(w, x, N)
+    xy = commutator(x, y, N)
+    yw = commutator(y, w, N)
+    wx = commutator(w, x, N)
     total = (
-        rational_commutator(xy, w, N)
-        + rational_commutator(yw, x, N)
-        + rational_commutator(wx, y, N)
+        commutator(xy, w, N)
+        + commutator(yw, x, N)
+        + commutator(wx, y, N)
     )
     rng = random.Random(7003)
     for _ in range(5):
         z = random_state(rng)
         vals = evaluate_vf(total, z)
-        parts = evaluate_vf(rational_commutator(xy, w, N), z)
+        parts = evaluate_vf(commutator(xy, w, N), z)
         scale = max(max((abs(v) for v in parts.values()), default=0.0), 1e-9)
         for a, v in vals.items():
             assert abs(v) <= 1e-10 * scale, (a, v, scale)
@@ -284,7 +285,7 @@ def test_order_additivity():
         (field_h2(), probe_single(), 1 + 1),
     ]
     for x, y, want in cases:
-        out = rational_commutator(x, y, N)
+        out = commutator(x, y, N)
         assert not out.is_zero()
         assert out.orders() == {want}
 
@@ -294,39 +295,39 @@ def test_parity_rules():
     sym = probe_single()
     assert rev1.is_reversible_parity() and rev2.is_reversible_parity()
     assert sym.is_symmetric_parity()
-    assert rational_commutator(rev1, rev2, N).is_symmetric_parity()
-    assert rational_commutator(rev1, sym, N).is_reversible_parity()
+    assert commutator(rev1, rev2, N).is_symmetric_parity()
+    assert commutator(rev1, sym, N).is_reversible_parity()
 
 
 def test_divisor_growth_routing():
     pr = probe_single()
 
     # quadratic-frequency divisor hit: the extra copy joins the same section
-    out = rational_commutator(field_h2(), pr, N)
+    out = commutator(field_h2(), pr, N)
     assert any(len(k[3]) == 2 for k in out.terms)
     assert all(not k[4] and not k[5] for k in out.terms)
 
     # corrected divisor in the single-weight section: gradient part doubles
     # that section, Hessian part lands in the double-weight one
-    out = rational_commutator(field_h4(), pr, N)
+    out = commutator(field_h4(), pr, N)
     assert any(len(k[4]) == 2 and not k[5] for k in out.terms)
     assert any(len(k[4]) == 1 and len(k[5]) == 1 for k in out.terms)
     assert all(not k[3] for k in out.terms)
 
     # double-weight divisor whose gradient modes miss the probe: only the
     # Hessian route can fire
-    out = rational_commutator(field_kk(), pr, N)
+    out = commutator(field_kk(), pr, N)
     assert any(len(k[5]) == 2 for k in out.terms)
     assert all(len(k[4]) == 0 for k in out.terms)
 
 
 def test_control_condition_preserved():
-    fields = [field_h2(), field_h4(), field_kk(), RationalVF.from_poly(probe_poly())]
+    fields = [field_h2(), field_h4(), field_kk(), probe_poly()]
     for f in fields:
         assert validate_class(f, N) == []
     for x in fields:
         for y in fields:
-            out = rational_commutator(x, y, N)
+            out = commutator(x, y, N)
             assert validate_class(out, N) == []
 
 
@@ -398,7 +399,7 @@ def test_evaluate_exact_matches_float():
         4: QC(Fraction(1, 6), Fraction(1, 8)),
     }
     zf = ComplexSeq({a: v.to_complex() for a, v in zq.items()}, N)
-    for f in (field_h2(), field_h4(), field_kk(), rational_commutator(field_h2(), field_h4(), N)):
+    for f in (field_h2(), field_h4(), field_kk(), commutator(field_h2(), field_h4(), N)):
         exact = evaluate_exact(f, zq, N)
         approx = evaluate_vf(f, zf)
         for a in set(exact) | set(approx):

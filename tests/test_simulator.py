@@ -159,6 +159,7 @@ class TestSimulateMechanics:
         # initial sample + every 10th of 100 steps
         assert len(traj.times) == 11
 
+    @pytest.mark.filterwarnings("error")
     def test_blowup_aborts_with_time(self):
         st = UVState({a: 1.0 for a in range(1, 9)}, {}, 8)
         cfg = SimConfig(dt=5.0, T=500.0, M=8, scheme="rk4", allow_large_dt=True)
