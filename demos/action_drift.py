@@ -12,7 +12,7 @@ runs as `stringnf drift-sweep`.
 import math
 
 from stringnf.core import WeightSpec
-from stringnf.divisors import NonResonanceParams, is_nonresonant
+from stringnf.divisors import NonResonanceParams, certify
 from stringnf.measure import MeasureSpec, sample_actions
 from stringnf.simulator import SimConfig, simulate, trajectory_summary
 from stringnf.transforms import ZState, z_to_uv
@@ -25,9 +25,8 @@ def main():
     weight = WeightSpec("sobolev", s=3.0)
     params = NonResonanceParams(2, M, 0.1, weight)
     batch = sample_actions(MeasureSpec(weight, M, 32, seed=7))
-    z = next(
-        batch.state(i) for i in range(len(batch)) if is_nonresonant(batch.state(i), params).ok
-    )
+    candidates = [batch.state(i) for i in range(len(batch))]
+    z = next(c for c, rep in zip(candidates, certify(candidates, params)) if rep.ok)
     print(f"base state on {M} modes, non-resonant at gamma=0.1")
 
     drifts = []

@@ -32,14 +32,7 @@ import numpy as np
 
 from . import __version__
 from .core import ComplexSeq, WeightSpec
-from .divisors import (
-    FreqContext,
-    NonResonanceParams,
-    _kappa_factor,
-    big_omega,
-    is_nonresonant,
-    kappa,
-)
+from .divisors import NonResonanceParams, certify, is_nonresonant, kappa
 from .measure import MeasureSpec, default_eps, estimate_measure, sample_actions
 from .nf_engine import (
     RationalVF,
@@ -434,17 +427,15 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
         seed_i = _point_seed(cfg["seed"], index)
         spec = MeasureSpec(weight, cfg["M"], cfg["max_tries"], seed_i, cfg["ball_radius"])
         batch = sample_actions(spec)
-        z: Optional[ComplexSeq] = None
-        for k in range(len(batch)):
-            cand = batch.state(k, eps)
-            if is_nonresonant(cand, params).ok:
-                z = cand
-                break
-        if z is None:
+        candidates = [batch.state(k, eps) for k in range(len(batch))]
+        reports = certify(candidates, params)
+        k = next((i for i, rep in enumerate(reports) if rep.ok), None)
+        if k is None:
             raise SamplingFailure(
                 f"eps={eps:g}: none of {len(batch)} sampled states was non-resonant "
                 f"at gamma={cfg['gamma']:g} (raise max_tries or lower gamma)"
             )
+        z = candidates[k]
         horizon = cfg["T"] if cfg["T"] > 0.0 else eps**-2
         stride = cfg["record_stride"] or max(1, int(horizon / cfg["dt"] / 512))
         try:
@@ -546,20 +537,11 @@ def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
     rep = is_nonresonant(z, params)
     witness: Optional[Dict[str, Any]] = None
     if rep.witness is not None:
-        ctx = FreqContext.from_seq(z, params.N)
-        value = abs(big_omega(rep.witness, ctx, rep.witness_order))
-        order = len(rep.witness)
-        base = params.gamma * rep.norm_w**2 * float(params.N) ** (-4 * order - 2)
-        kf = _kappa_factor(kappa(rep.witness), weight)
-        if rep.witness_order == 2:
-            threshold = base * kf
-        else:
-            threshold = base * max(kf, params.gamma * rep.norm_w**2)
         witness = {
             "index_vector": [list(pair) for pair in rep.witness],
             "divisor_order": rep.witness_order,
-            "divisor": value,
-            "threshold": threshold,
+            "divisor": rep.divisor,
+            "threshold": rep.threshold,
             "smallest_mode": kappa(rep.witness),
         }
     _write_json(
@@ -592,13 +574,10 @@ def _ensemble_states(
     params = NonResonanceParams(2, modes, gamma, weight)
     spec = MeasureSpec(weight, modes, max(4 * n, 64), seed)
     batch = sample_actions(spec)
-    states: List[ComplexSeq] = []
-    for i in range(len(batch)):
-        z = batch.state(i)
-        if is_nonresonant(z, params).ok:
-            states.append(z)
-            if len(states) == n:
-                return states
+    candidates = [batch.state(i) for i in range(len(batch))]
+    states = [z for z, rep in zip(candidates, certify(candidates, params)) if rep.ok]
+    if len(states) >= n:
+        return states[:n]
     raise SamplingFailure(
         f"only {len(states)} of the requested {n} states were non-resonant "
         f"at gamma={gamma:g}"

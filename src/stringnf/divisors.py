@@ -16,14 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .core import ComplexSeq, WeightSpec, canonicalize, delta_sum, mu_min
+import numpy as np
+
+from .core import ComplexSeq, WeightSpec, canonicalize, delta_sum, mu_min, weighted_norm
 
 __all__ = [
+    "DivisorTable",
     "FreqContext",
+    "Margins",
     "NonResonanceParams",
     "NonResonanceReport",
     "PerturbationReport",
@@ -33,6 +37,9 @@ __all__ = [
     "irr",
     "kappa",
     "enumerate_irr_indices",
+    "divisor_table",
+    "state_rows",
+    "certify",
     "is_nonresonant",
     "perturbation_stable",
 ]
@@ -88,8 +95,12 @@ def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
 
     ``actions`` maps modes to actions, with absent modes at zero.  Floats give
     the divisor values; Fractions give the exact oracle of
-    ``nf_engine.rational.evaluate_exact``.  Integer constants enter through
-    ``one``, so the float operations are the same whichever type is used.
+    ``nf_engine.rational.evaluate_exact``; float arrays (one action column per
+    mode) give a whole batch of states at once for :class:`DivisorTable`.
+    Integer constants enter through ``one``, so the float operations are the
+    same whichever type is used.  A zero action adds a signed zero to each
+    sum, which leaves the sum unchanged, so a column that is zero in some rows
+    gives those rows the same bits as leaving the mode out.
     """
     zero = one * 0
     Ia = actions.get(a, zero)
@@ -100,7 +111,7 @@ def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
         if d == a:
             continue
         Id = actions.get(d)
-        if not Id:
+        if Id is None:
             continue
         d_f = one * d
         denom = d_f * d_f - a_f * a_f
@@ -269,6 +280,8 @@ class NonResonanceReport:
     witness_order: Optional[int]  # 2 or 4
     norm_w: float
     reason: str = ""
+    divisor: Optional[float] = None  # |Omega| of the witness at its order
+    threshold: Optional[float] = None  # the threshold the witness was held to
 
 
 def _kappa_factor(k: int, w: WeightSpec) -> float:
@@ -277,43 +290,197 @@ def _kappa_factor(k: int, w: WeightSpec) -> float:
     return math.exp(-2.0 * w.rho * float(k) ** w.theta)
 
 
+class Margins(NamedTuple):
+    """Per-row result of :meth:`DivisorTable.margins`."""
+
+    margin: np.ndarray  # min over divisors of |Omega| / threshold
+    witness: np.ndarray  # index into DivisorTable.vectors, -1 when there is none
+    order: np.ndarray  # 2 or 4, 0 when there is no witness
+    divisor: np.ndarray  # |Omega| of the witness, nan when there is none
+    threshold: np.ndarray  # its threshold, nan when there is no witness
+
+
+# floats gathered per block of rows (about 64 KiB), so that the divisor
+# temporaries stay small whatever the number of rows and the size of (r, N)
+_BLOCK_FLOATS = 1 << 13
+
+
+class DivisorTable:
+    """The irreducible divisors at ``(r, N)`` and their threshold factors, compiled once.
+
+    For each vector of :func:`enumerate_irr_indices` the table holds its
+    entry modes and signs in canonical order (padded with mode 0 and sign 0
+    up to length ``r``), its momentum ``b``, its length factor ``N^(-4l-2)``
+    and its kappa factor. :meth:`margins` scores a batch of states with array
+    operations that repeat, element by element and in the same order, the
+    float operations of ``big_omega`` and the thresholds, so each row gets the
+    margin, witness and order that scoring it alone in scalar floats gives,
+    bit for bit. :func:`divisor_table` builds each table once and caches it.
+    """
+
+    def __init__(self, r: int, N: int, weight: WeightSpec) -> None:
+        self.r = r
+        self.N = N
+        self.vectors = enumerate_irr_indices(r, N)
+        V = len(self.vectors)
+        self._modes = np.zeros((V, r), dtype=np.intp)
+        self._signs = np.zeros((V, r))
+        for i, j in enumerate(self.vectors):
+            for k, (delta, a) in enumerate(j):
+                self._modes[i, k] = a
+                self._signs[i, k] = delta
+        self._momentum = np.array([delta_sum(j) for j in self.vectors], dtype=np.intp)
+        self._length_factor = np.array([float(N) ** (-4 * len(j) - 2) for j in self.vectors])
+        self._kappa_factor = np.array([_kappa_factor(kappa(j), weight) for j in self.vectors])
+        # one cached table serves every caller
+        for arr in (self._modes, self._signs, self._momentum, self._length_factor, self._kappa_factor):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def _abs_divisors(self, w: np.ndarray) -> np.ndarray:
+        # w[:, a] is the frequency of mode a, and w[:, 0] = 0 serves both the
+        # padding and zero momentum; entries are added in canonical order
+        g = w[:, self._modes]
+        total = g[:, :, 0] * self._signs[:, 0]
+        for k in range(1, self.r):
+            total = total + g[:, :, k] * self._signs[:, k]
+        return np.abs(2.0 * (total - w[:, self._momentum]))
+
+    def _frequencies(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both orders of frequency corrections, column ``a`` for mode ``a`` and column 0 zero."""
+        B, N = I.shape
+        w2 = np.zeros((B, N + 1))
+        w2[:, 1:] = 0.25 * I
+        columns = {a: I[:, a - 1] for a in range(1, N + 1)}
+        w4 = w2.copy()
+        for a in range(1, N + 1):
+            w4[:, a] += _omega4_raw(a, columns, N)
+        return w2, w4
+
+    def _scores(self, w2: np.ndarray, w4: np.ndarray, gnz2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Divisors and thresholds, columns ordered (vector 0, order 2), (vector 0, order 4), ..."""
+        B = w2.shape[0]
+        gnz2 = gnz2[:, None]
+        base = gnz2 * self._length_factor
+        div = np.empty((B, len(self), 2))
+        thr = np.empty((B, len(self), 2))
+        div[:, :, 0] = self._abs_divisors(w2)
+        div[:, :, 1] = self._abs_divisors(w4)
+        thr[:, :, 0] = base * self._kappa_factor
+        thr[:, :, 1] = base * np.maximum(self._kappa_factor, gnz2)
+        return div.reshape(B, -1), thr.reshape(B, -1)
+
+    def margins(self, I: np.ndarray, nz2: np.ndarray, gamma: float) -> Margins:
+        """Worst divisor margin of each row of actions ``I[B, N]`` with squared norm ``nz2[B]``.
+
+        The leading-order divisor of a vector of length ``l`` must clear
+        ``gamma nz2 N^(-4l-2) kf`` and the next-order one the same with ``kf``
+        replaced by ``max(kf, gamma nz2)``, where ``kf`` is ``kappa^(-2s)``
+        for Sobolev weights and ``exp(-2 rho kappa^theta)`` for Gevrey
+        weights. Ties go to the first divisor in the order (vector 0, order
+        2), (vector 0, order 4), (vector 1, order 2), ...; a ratio that is not
+        a number never attains the minimum. A row without a finite ratio (no
+        divisor at this cutoff) has an infinite margin and no witness; a row
+        with ``nz2 == 0`` has margin 0 and no witness.
+        """
+        I = np.asarray(I, dtype=float)
+        nz2 = np.asarray(nz2, dtype=float)
+        B = I.shape[0]
+        if I.shape != (B, self.N) or nz2.shape != (B,):
+            raise ValueError(f"expected actions of shape (B, {self.N}) and squared norms of shape (B,)")
+        margin = np.full(B, math.inf)
+        pick = np.zeros(B, dtype=np.intp)
+        divisor = np.full(B, math.nan)
+        threshold = np.full(B, math.nan)
+        # overflowing or vanishing thresholds give inf and nan ratios, which
+        # the comparison below handles as the scalar test does
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w2, w4 = self._frequencies(I)
+            gnz2 = gamma * nz2
+            rows = max(1, _BLOCK_FLOATS // max(1, len(self) * self.r))
+            for lo in range(0, B if len(self) else 0, rows):
+                hi = min(B, lo + rows)
+                div, thr = self._scores(w2[lo:hi], w4[lo:hi], gnz2[lo:hi])
+                ratios = div / thr
+                ratios[np.isnan(ratios)] = math.inf
+                at = np.arange(hi - lo)
+                p = np.argmin(ratios, axis=1)
+                pick[lo:hi] = p
+                margin[lo:hi] = ratios[at, p]
+                divisor[lo:hi] = div[at, p]
+                threshold[lo:hi] = thr[at, p]
+        missing = (margin == math.inf) | (nz2 == 0.0)
+        margin[nz2 == 0.0] = 0.0
+        witness = pick // 2
+        order = 2 + 2 * (pick % 2)
+        witness[missing] = -1
+        order[missing] = 0
+        divisor[missing] = math.nan
+        threshold[missing] = math.nan
+        return Margins(margin, witness, order, divisor, threshold)
+
+
+@lru_cache(maxsize=None)
+def divisor_table(r: int, N: int, weight: WeightSpec) -> DivisorTable:
+    """The :class:`DivisorTable` of ``(r, N, weight)``, built on first use."""
+    return DivisorTable(r, N, weight)
+
+
+def state_rows(states: Iterable[ComplexSeq], N: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Actions ``I[B, N]`` and weighted norms ``[B]`` of the states, one row each.
+
+    The actions on modes ``1..N`` come from :meth:`ComplexSeq.action`; the
+    norm runs over all of a state's modes, including those beyond ``N``.
+    Square the norms for :meth:`DivisorTable.margins`.
+    """
+    acts: list[list[float]] = []
+    norms: list[float] = []
+    for z in states:
+        acts.append([z.action(a) for a in range(1, N + 1)])
+        norms.append(weighted_norm(z, weight))
+    I = np.array(acts, dtype=float).reshape(-1, N)
+    if not np.isfinite(I).all():
+        raise ValueError("a state has an action that is not finite")
+    return I, np.array(norms, dtype=float)
+
+
+def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[NonResonanceReport]:
+    """:func:`is_nonresonant` of every state, scored together as one batch."""
+    table = divisor_table(params.r, params.N, params.weight)
+    I, norms = state_rows(states, params.N, params.weight)
+    m = table.margins(I, norms * norms, params.gamma)
+    reports = []
+    for i, nrm in enumerate(norms.tolist()):
+        if nrm == 0.0:
+            reports.append(NonResonanceReport(False, 0.0, None, None, 0.0, reason="zero norm"))
+            continue
+        margin = float(m.margin[i])
+        k = int(m.witness[i])
+        if k < 0:
+            reason = "" if len(table) else "no divisors at this cutoff"
+            reports.append(NonResonanceReport(margin > 1.0, margin, None, None, nrm, reason))
+        else:
+            reports.append(
+                NonResonanceReport(
+                    margin > 1.0, margin, table.vectors[k], int(m.order[i]), nrm,
+                    divisor=float(m.divisor[i]), threshold=float(m.threshold[i]),
+                )
+            )
+    return reports
+
+
 def is_nonresonant(z: ComplexSeq, params: NonResonanceParams) -> NonResonanceReport:
     """Test all irreducible divisors of ``z`` against their thresholds.
 
-    The leading-order divisor must clear ``gamma |z|_w^2 N^(-4l-2) kf`` and the
-    next-order one the same with ``kf`` replaced by ``max(kf, gamma |z|_w^2)``,
-    where ``kf`` is ``kappa^(-2s)`` for Sobolev weights and
-    ``exp(-2 rho kappa^theta)`` for Gevrey weights. Returns the worst margin
-    and the index vector attaining it. The zero sequence is never non-resonant.
-    With no divisor at the cutoff every nonzero state passes vacuously: the
-    margin is infinite, there is no witness, and ``reason`` says so.
+    The thresholds are those of :meth:`DivisorTable.margins`. Returns the
+    worst margin, the index vector attaining it, and that divisor with its
+    threshold. The zero sequence is never non-resonant. With no divisor at
+    the cutoff every nonzero state passes vacuously: the margin is infinite,
+    there is no witness, and ``reason`` says so.
     """
-    from .core import weighted_norm
-
-    nrm = weighted_norm(z, params.weight)
-    if nrm == 0.0:
-        return NonResonanceReport(False, 0.0, None, None, 0.0, reason="zero norm")
-    nz2 = nrm * nrm
-    ctx = FreqContext.from_seq(z, params.N)
-    gamma = params.gamma
-    best = math.inf
-    best_j: Optional[tuple[tuple[int, int], ...]] = None
-    best_order: Optional[int] = None
-    for j in enumerate_irr_indices(params.r, params.N):
-        l = len(j)
-        kf = _kappa_factor(kappa(j), params.weight)
-        base = gamma * nz2 * float(params.N) ** (-4 * l - 2)
-        o2 = abs(big_omega(j, ctx, 2))
-        o4 = abs(big_omega(j, ctx, 4))
-        for order, val, thr in ((2, o2, base * kf), (4, o4, base * max(kf, gamma * nz2))):
-            ratio = val / thr
-            if ratio < best:
-                best = ratio
-                best_j = j
-                best_order = order
-    ok = best > 1.0
-    reason = "no divisors at this cutoff" if best_j is None else ""
-    return NonResonanceReport(ok, best, best_j, best_order, nrm, reason)
+    return certify([z], params)[0]
 
 
 @dataclass(frozen=True)
@@ -337,8 +504,6 @@ def perturbation_stable(z: ComplexSeq, zprime: ComplexSeq, params: NonResonanceP
     ``gamma^2 |z|_w^2 / (288 (r+1) N^(4r+3))`` stays non-resonant at
     ``gamma / 2`` whenever ``z`` was non-resonant at ``gamma``.
     """
-    from .core import weighted_norm
-
     nz = weighted_norm(z, params.weight)
     npz = weighted_norm(zprime, params.weight)
     gap = 0.0

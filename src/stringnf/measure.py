@@ -32,9 +32,10 @@ from .divisors import (
     NonResonanceParams,
     _kappa_factor,
     big_omega,
+    divisor_table,
     irr,
-    is_nonresonant,
     kappa,
+    state_rows,
 )
 
 __all__ = [
@@ -210,7 +211,10 @@ def default_eps(gamma: float, r: int, N: int) -> float:
 def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) -> MeasureEstimate:
     """Monte Carlo fraction of samples ``z`` with ``eps * z`` non-resonant.
 
-    The fraction comes with a Wilson 95% interval. When ``eps`` violates
+    The scaled states are scored by the :class:`~stringnf.divisors.DivisorTable`
+    of ``params`` in batches of at most ``_CHUNK``; a state counts when its
+    margin exceeds 1, as in :func:`~stringnf.divisors.is_nonresonant`. The
+    fraction comes with a Wilson 95% interval. When ``eps`` violates
     ``eps**2 <= 2 gamma / ((r+1) N**(4r+2))`` the estimate is still computed,
     but the lower bound ``1 - lambda gamma`` on the true fraction is not
     guaranteed at that scale, so a warning is issued.
@@ -225,10 +229,12 @@ def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) 
             stacklevel=2,
         )
     batch = sample_actions(spec)
+    table = divisor_table(params.r, params.N, params.weight)
     hits = 0
-    for i in range(len(batch)):
-        if is_nonresonant(batch.state(i, eps), params).ok:
-            hits += 1
+    for start in range(0, len(batch), _CHUNK):
+        states = (batch.state(i, eps) for i in range(start, min(len(batch), start + _CHUNK)))
+        I, norms = state_rows(states, params.N, params.weight)
+        hits += int(np.count_nonzero(table.margins(I, norms * norms, params.gamma).margin > 1.0))
     lo, hi = wilson_interval(hits, len(batch))
     return MeasureEstimate(
         fraction=hits / len(batch),

@@ -213,7 +213,7 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     ``T`` is rounded to a whole number of steps. ``T = 0`` records the single
     initial sample. A non-finite state aborts with :class:`SimulationBlowup`
     stamped with the simulation time, as does a recorded energy, norm or
-    drift that overflows.
+    drift that overflows, the initial record included.
     """
     M = config.M
     u, v = _to_arrays(initial, M)
@@ -227,16 +227,22 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     def current_actions() -> np.ndarray:
         return 0.5 * (a1 * u * u + v * v / a1)
 
-    times = [0.0]
-    acts0 = current_actions()
-    acts_list = [acts0]
-    H0 = 0.5 * float(v @ v) + 0.5 * _slope2(u, a2) + 0.25 * _slope2(u, a2) ** 2
-    energies = [H0]
-    norms = [math.sqrt(float(w2 @ acts0))]
-    drifts = [0.0]
-    states = [_to_state(u, v)] if config.record_states else None
-
     with np.errstate(over="ignore", invalid="ignore"):
+        acts0 = current_actions()
+        norm2_0 = float(w2 @ acts0)
+        try:
+            H0 = 0.5 * float(v @ v) + 0.5 * _slope2(u, a2) + 0.25 * _slope2(u, a2) ** 2
+        except OverflowError:  # float ** overflows by raising, not to inf
+            H0 = math.inf
+        if not math.isfinite(H0 + norm2_0):
+            raise SimulationBlowup(0.0, "initial energy or norm is not finite")
+        times = [0.0]
+        acts_list = [acts0]
+        energies = [H0]
+        norms = [math.sqrt(norm2_0)]
+        drifts = [0.0]
+        states = [_to_state(u, v)] if config.record_states else None
+
         for k in range(1, n_steps + 1):
             u, v = step(u, v, config.dt, a1, a2, config.linear_only)
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):

@@ -8,13 +8,17 @@ Contents:
 - ``EC``: exact complex numbers over ``fractions.Fraction``,
 - ``ZPoly``: dense-exponent exact polynomials in z_1..z_M, zbar_1..zbar_M with
   differentiation, used to realize the vector-field commutator directly from
-  its defining formula (independent of the package's canonical-term engine).
+  its defining formula (independent of the package's canonical-term engine),
+- ``scalar_nonresonance``: the non-resonance test as a scalar loop over the
+  irreducible vectors, built from ``big_omega``, ``kappa`` and
+  ``_kappa_factor``; the reference for the batched ``DivisorTable``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -315,3 +319,41 @@ def oracle_commutator(X: dict[int, ZPoly], Y: dict[int, ZPoly], M: int) -> dict[
         if not p.is_zero():
             out[a] = p
     return out
+
+
+# ---------------------------------------------------------------------------
+# scalar non-resonance test
+
+def scalar_nonresonance(z, params) -> tuple[float, Optional[tuple], Optional[int]]:
+    """Worst margin, witness vector and witness order of ``z``, one divisor at a time.
+
+    Walks ``enumerate_irr_indices`` and evaluates both orders of every
+    vector with the scalar ``big_omega``; a strictly smaller ratio replaces
+    the current minimum, so ties keep the first divisor. The zero state gives
+    ``(0.0, None, None)``.
+    """
+    from stringnf.core import weighted_norm
+    from stringnf.divisors import FreqContext, _kappa_factor, big_omega, enumerate_irr_indices, kappa
+
+    nrm = weighted_norm(z, params.weight)
+    if nrm == 0.0:
+        return 0.0, None, None
+    nz2 = nrm * nrm
+    ctx = FreqContext.from_seq(z, params.N)
+    gamma = params.gamma
+    best = math.inf
+    best_j = None
+    best_order = None
+    for j in enumerate_irr_indices(params.r, params.N):
+        l = len(j)
+        kf = _kappa_factor(kappa(j), params.weight)
+        base = gamma * nz2 * float(params.N) ** (-4 * l - 2)
+        o2 = abs(big_omega(j, ctx, 2))
+        o4 = abs(big_omega(j, ctx, 4))
+        for order, val, thr in ((2, o2, base * kf), (4, o4, base * max(kf, gamma * nz2))):
+            ratio = val / thr
+            if ratio < best:
+                best = ratio
+                best_j = j
+                best_order = order
+    return best, best_j, best_order

@@ -152,6 +152,18 @@ class TestSimulateCommand:
         assert rc == EXIT_NUMERICAL
         assert "numerical abort" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude", ["1e100", "1e200"])
+    def test_overflowing_initial_record_is_numerical_abort(self, tmp_path, capsys, amplitude):
+        # the initial energy overflows before any step: at 1e100 the float
+        # power raises, at 1e200 the numpy products overflow to inf
+        out = tmp_path / "o"
+        rc = run("simulate", "--out", str(out), "--set", f'initial_u={{"1": {amplitude}}}',
+                 "--set", "T=0")
+        assert rc == EXIT_NUMERICAL
+        assert "numerical abort" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # drift sweep

@@ -12,6 +12,8 @@ from stringnf.divisors import (
     FreqContext,
     NonResonanceParams,
     big_omega,
+    certify,
+    divisor_table,
     enumerate_irr_indices,
     irr,
     is_nonresonant,
@@ -22,6 +24,7 @@ from stringnf.divisors import (
 )
 
 import numpy as np
+from helpers import scalar_nonresonance
 
 
 def make_ctx(actions, N):
@@ -364,3 +367,100 @@ def test_big_omega_defined_or_domain_error(entries):
     else:
         val = big_omega(entries, ctx, 2)
         assert math.isfinite(val)
+
+
+# ---------------------------------------------------------------------------
+# the batched divisor table against the scalar oracle
+
+_WEIGHTS = st.one_of(
+    st.builds(lambda s: WeightSpec("sobolev", s=s), st.sampled_from([0.0, 1.0, 2.5, 3.0])),
+    st.builds(
+        lambda rho, theta: WeightSpec("gevrey", rho=rho, theta=theta),
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.sampled_from([0.5, 1.0]),
+    ),
+)
+_VALUES = st.one_of(
+    st.just(0j),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def certification_cases(draw):
+    """Parameters and a few states, some with zero modes and modes beyond ``N``."""
+    N = draw(st.integers(1, 8))
+    params = NonResonanceParams(
+        r=draw(st.sampled_from([2, 3])),
+        N=N,
+        gamma=draw(st.sampled_from([1e-4, 0.02, 0.1, 0.5, 0.9])),
+        weight=draw(_WEIGHTS),
+    )
+    M = N + draw(st.integers(0, 3))
+    states = []
+    for _ in range(draw(st.integers(1, 5))):
+        scale = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.1, 1.0]))
+        values = draw(st.lists(_VALUES, min_size=M, max_size=M))
+        states.append(ComplexSeq({a: scale * v for a, v in enumerate(values, start=1)}, M))
+    return params, states
+
+
+@given(certification_cases())
+@settings(max_examples=120, deadline=None)
+def test_table_matches_scalar_oracle_bit_for_bit(case):
+    params, states = case
+    together = certify(states, params)
+    for z, rep in zip(states, together):
+        assert (rep.margin, rep.witness, rep.witness_order) == scalar_nonresonance(z, params)
+        assert rep.ok == (rep.margin > 1.0)
+        # scoring a row inside a batch equals scoring it alone
+        assert certify([z], params) == [rep]
+        assert is_nonresonant(z, params) == rep
+
+
+class TestDivisorTable:
+    W = WeightSpec("sobolev", s=3.0)
+
+    def test_cached_per_parameters_and_sized_by_enumeration(self):
+        table = divisor_table(2, 8, self.W)
+        assert table is divisor_table(2, 8, WeightSpec("sobolev", s=3.0))
+        assert len(table) == len(enumerate_irr_indices(2, 8)) == 44
+        assert divisor_table(2, 8, WeightSpec("sobolev", s=2.0)) is not table
+
+    def test_witness_divisor_over_threshold_is_the_margin(self):
+        rng = np.random.default_rng(19)
+        p = NonResonanceParams(r=3, N=5, gamma=0.05, weight=self.W)
+        for _ in range(20):
+            z = random_seq(rng, 7)
+            rep = is_nonresonant(z, p)
+            assert rep.divisor / rep.threshold == rep.margin
+            ctx = FreqContext.from_seq(z, p.N)
+            assert rep.divisor == abs(big_omega(rep.witness, ctx, rep.witness_order))
+
+    def test_zero_norm_rows_and_empty_tables(self):
+        table = divisor_table(2, 4, self.W)
+        I = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, 0.02, 0.0, 0.003]])
+        m = table.margins(I, np.array([0.0, 0.5]), 0.1)
+        assert m.margin[0] == 0.0 and m.witness[0] == -1 and m.order[0] == 0
+        assert math.isnan(m.divisor[0]) and math.isnan(m.threshold[0])
+        assert m.witness[1] >= 0 and m.order[1] in (2, 4)
+        empty = divisor_table(2, 1, self.W)
+        m = empty.margins(np.array([[0.3]]), np.array([0.09]), 0.1)
+        assert m.margin[0] == math.inf and m.witness[0] == -1
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            divisor_table(2, 4, self.W).margins(np.zeros((2, 3)), np.ones(2), 0.1)
+
+    def test_blocks_of_rows_agree_with_one_block(self, monkeypatch):
+        import stringnf.divisors as divisors
+
+        rng = np.random.default_rng(4)
+        table = divisor_table(3, 6, self.W)
+        I = rng.uniform(0.0, 1e-3, size=(9, 6))
+        nz2 = rng.uniform(1e-4, 1e-2, size=9)
+        whole = table.margins(I, nz2, 0.1)
+        monkeypatch.setattr(divisors, "_BLOCK_FLOATS", 1)
+        rowwise = table.margins(I, nz2, 0.1)
+        for a, b in zip(whole, rowwise):
+            assert np.array_equal(a, b)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from helpers import scalar_nonresonance
 from stringnf.core import WeightSpec
 from stringnf.divisors import FreqContext, NonResonanceParams, big_omega
 from stringnf.measure import (
@@ -170,6 +171,18 @@ class TestEstimateMeasure:
         a = estimate_measure(params, spec, 0.01)
         b = estimate_measure(params, spec, 0.01)
         assert a == b
+
+    def test_fraction_counts_scalar_certificates(self):
+        # the batched count equals certifying each scaled sample with the
+        # scalar oracle; truncation 3 puts a mode beyond the cutoff N = 2
+        w = WeightSpec("sobolev", s=0.0)
+        spec = MeasureSpec(w, truncation=3, sample_count=3000, seed=5)
+        params = NonResonanceParams(2, 2, 0.9, w)
+        est = estimate_measure(params, spec, 0.01)
+        batch = sample_actions(spec)
+        hits = sum(scalar_nonresonance(batch.state(i, 0.01), params)[0] > 1.0 for i in range(len(batch)))
+        assert 0 < hits < len(batch)
+        assert est.fraction == hits / len(batch)
 
     def test_complement_grows_linearly_at_small_cutoff(self):
         # At cutoff 2 only two divisors exist, so the resonant complement is
