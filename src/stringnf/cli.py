@@ -147,7 +147,10 @@ def _coerce_pair_map(key: str, v: Any) -> Dict[int, Tuple[float, float]]:
     for k, x in v.items():
         if not (isinstance(x, list) and len(x) == 2 and all(_is_real(c) for c in x)):
             raise ConfigError(f"{key}: value for mode {k!r} must be a [re, im] pair")
-        out[_mode_of(key, k)] = (float(x[0]), float(x[1]))
+        re, im = float(x[0]), float(x[1])
+        if not math.isfinite(re * re + im * im):
+            raise ConfigError(f"{key}: the action re^2 + im^2 of mode {k!r} is not finite")
+        out[_mode_of(key, k)] = (re, im)
     return out
 
 
@@ -425,31 +428,26 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
     def point(index: int) -> Dict[str, Any]:
         eps = cfg["eps"][index]
         seed_i = _point_seed(cfg["seed"], index)
-        spec = MeasureSpec(weight, cfg["M"], cfg["max_tries"], seed_i, cfg["ball_radius"])
-        batch = sample_actions(spec)
-        candidates = [batch.state(k, eps) for k in range(len(batch))]
-        reports = certify(candidates, params)
-        k = next((i for i, rep in enumerate(reports) if rep.ok), None)
-        if k is None:
-            raise SamplingFailure(
-                f"eps={eps:g}: none of {len(batch)} sampled states was non-resonant "
-                f"at gamma={cfg['gamma']:g} (raise max_tries or lower gamma)"
-            )
-        z = candidates[k]
-        horizon = cfg["T"] if cfg["T"] > 0.0 else eps**-2
-        stride = cfg["record_stride"] or max(1, int(horizon / cfg["dt"] / 512))
+        # besides bad settings, too large an eps overflows the actions or
+        # makes the mixing of the coordinate change singular
         try:
-            sim = SimConfig(
-                dt=cfg["dt"],
-                T=horizon,
-                scheme=cfg["scheme"],
-                M=cfg["M"],
-                record_stride=stride,
-                weight=weight,
-            )
+            spec = MeasureSpec(weight, cfg["M"], cfg["max_tries"], seed_i, cfg["ball_radius"])
+            batch = sample_actions(spec)
+            candidates = [batch.state(k, eps) for k in range(len(batch))]
+            k = next((i for i, rep in enumerate(certify(candidates, params)) if rep.ok), None)
+            if k is None:
+                raise SamplingFailure(
+                    f"eps={eps:g}: none of {len(batch)} sampled states was non-resonant "
+                    f"at gamma={cfg['gamma']:g} (raise max_tries or lower gamma)"
+                )
+            initial = z_to_uv(ZState(candidates[k]))
+            horizon = cfg["T"] if cfg["T"] > 0.0 else eps**-2
+            stride = cfg["record_stride"] or max(1, int(horizon / cfg["dt"] / 512))
+            sim = SimConfig(dt=cfg["dt"], T=horizon, scheme=cfg["scheme"], M=cfg["M"],
+                            record_stride=stride, weight=weight)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        traj = simulate(z_to_uv(ZState(z)), sim)
+            raise ConfigError(f"eps={eps:g}: {exc}") from None
+        traj = simulate(initial, sim)
         s = trajectory_summary(traj)
         record = {
             "eps": eps,

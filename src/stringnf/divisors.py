@@ -185,6 +185,30 @@ def kappa(jvec: Iterable[tuple[int, int]]) -> int:
     return m if d == 0 else min(m, d)
 
 
+def _reduce(jvec: Iterable[tuple[int, int]]) -> tuple[tuple, int, tuple]:
+    """Canonical form, momentum and irreducible part; negative momentum is a domain error."""
+    v = canonicalize(jvec)
+    d = delta_sum(v)
+    if d < 0:
+        raise ValueError("momentum is negative; conjugate the index vector first")
+    return v, d, irr(v, d)
+
+
+def _tail_correction(red: Sequence[tuple[int, int]], b: int, actions: Mapping, N: int):
+    """Divisor correction of ``red`` (momentum ``b``) from ``omega4`` tails over the other modes.
+
+    Over floats or action columns, as :func:`_omega4_raw`; with the excluded
+    modes absent, its self and cross terms add only signed zeros.
+    """
+    excluded = {a for _, a in red} | {b}
+    kept = {a: x for a, x in actions.items() if a not in excluded}
+
+    def tail(a: int):
+        return _omega4_raw(a, kept, N) if a else 0.0
+
+    return sum(delta * tail(a) for delta, a in red) - tail(b)
+
+
 def big_omega(jvec: Iterable[tuple[int, int]], ctx: FreqContext, order: int = 2) -> float:
     """Small divisor of an index vector at the given correction order (2 or 4).
 
@@ -194,11 +218,7 @@ def big_omega(jvec: Iterable[tuple[int, int]], ctx: FreqContext, order: int = 2)
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    v = canonicalize(jvec)
-    d = delta_sum(v)
-    if d < 0:
-        raise ValueError("momentum is negative; conjugate the index vector first")
-    red = irr(v, d)
+    _, _, red = _reduce(jvec)
     if not red:
         return 0.0
     b = delta_sum(red)
@@ -300,31 +320,51 @@ class Margins(NamedTuple):
     threshold: np.ndarray  # its threshold, nan when there is no witness
 
 
+def _thresholds(gnz2, length_factor, kappa_factor):
+    """Leading- and next-order thresholds ``gnz2 lf kf`` and ``gnz2 lf max(kf, gnz2)``.
+
+    ``gnz2`` is ``gamma |z|_w^2``, ``lf = N^(-4l-2)`` for a vector of length
+    ``l``, and ``kf`` is ``kappa^(-2s)`` (Sobolev) or ``exp(-2 rho
+    kappa^theta)`` (Gevrey).
+    """
+    base = gnz2 * length_factor
+    return base * kappa_factor, base * np.maximum(kappa_factor, gnz2)
+
+
+def _columns(I: np.ndarray, width: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """``omega2`` of rows of actions ``I[B, M]`` (zero at column 0 and past ``M``), and each mode's column."""
+    B, M = I.shape
+    w = np.zeros((B, width))
+    w[:, 1 : M + 1] = 0.25 * I
+    return w, {a: I[:, a - 1] for a in range(1, M + 1)}
+
+
 # floats gathered per block of rows (about 64 KiB), so that the divisor
 # temporaries stay small whatever the number of rows and the size of (r, N)
 _BLOCK_FLOATS = 1 << 13
 
 
 class DivisorTable:
-    """The irreducible divisors at ``(r, N)`` and their threshold factors, compiled once.
+    """Irreducible index vectors and their threshold factors at cutoff ``N``, compiled once.
 
-    For each vector of :func:`enumerate_irr_indices` the table holds its
-    entry modes and signs in canonical order (padded with mode 0 and sign 0
-    up to length ``r``), its momentum ``b``, its length factor ``N^(-4l-2)``
-    and its kappa factor. :meth:`margins` scores a batch of states with array
-    operations that repeat, element by element and in the same order, the
-    float operations of ``big_omega`` and the thresholds, so each row gets the
-    margin, witness and order that scoring it alone in scalar floats gives,
-    bit for bit. :func:`divisor_table` builds each table once and caches it.
+    For each vector the table holds its entry modes and signs in canonical
+    order (padded with mode 0 and sign 0 up to the longest vector), its
+    momentum ``b``, its length factor ``N^(-4l-2)`` and its kappa factor.
+    :meth:`margins` scores a batch of states with array operations that
+    repeat, element by element and in the same order, the float operations
+    of ``big_omega`` and the thresholds, so each row gets the margin, witness
+    and order that scoring it alone in scalar floats gives, bit for bit.
+    :func:`divisor_table` builds the table of :func:`enumerate_irr_indices`
+    once and caches it.
     """
 
-    def __init__(self, r: int, N: int, weight: WeightSpec) -> None:
-        self.r = r
+    def __init__(self, vectors: Sequence[tuple[tuple[int, int], ...]], N: int, weight: WeightSpec) -> None:
         self.N = N
-        self.vectors = enumerate_irr_indices(r, N)
+        self.vectors = tuple(vectors)
         V = len(self.vectors)
-        self._modes = np.zeros((V, r), dtype=np.intp)
-        self._signs = np.zeros((V, r))
+        width = max((len(j) for j in self.vectors), default=1)
+        self._modes = np.zeros((V, width), dtype=np.intp)
+        self._signs = np.zeros((V, width))
         for i, j in enumerate(self.vectors):
             for k, (delta, a) in enumerate(j):
                 self._modes[i, k] = a
@@ -339,21 +379,20 @@ class DivisorTable:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def _abs_divisors(self, w: np.ndarray) -> np.ndarray:
+    def _divisors(self, w: np.ndarray) -> np.ndarray:
+        """Signed divisors ``2 (sum_k delta_k w[a_k] - w[b])``, one column per vector."""
         # w[:, a] is the frequency of mode a, and w[:, 0] = 0 serves both the
         # padding and zero momentum; entries are added in canonical order
         g = w[:, self._modes]
         total = g[:, :, 0] * self._signs[:, 0]
-        for k in range(1, self.r):
+        for k in range(1, self._modes.shape[1]):
             total = total + g[:, :, k] * self._signs[:, k]
-        return np.abs(2.0 * (total - w[:, self._momentum]))
+        return 2.0 * (total - w[:, self._momentum])
 
     def _frequencies(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both orders of frequency corrections, column ``a`` for mode ``a`` and column 0 zero."""
-        B, N = I.shape
-        w2 = np.zeros((B, N + 1))
-        w2[:, 1:] = 0.25 * I
-        columns = {a: I[:, a - 1] for a in range(1, N + 1)}
+        N = I.shape[1]
+        w2, columns = _columns(I, N + 1)
         w4 = w2.copy()
         for a in range(1, N + 1):
             w4[:, a] += _omega4_raw(a, columns, N)
@@ -362,28 +401,23 @@ class DivisorTable:
     def _scores(self, w2: np.ndarray, w4: np.ndarray, gnz2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Divisors and thresholds, columns ordered (vector 0, order 2), (vector 0, order 4), ..."""
         B = w2.shape[0]
-        gnz2 = gnz2[:, None]
-        base = gnz2 * self._length_factor
         div = np.empty((B, len(self), 2))
         thr = np.empty((B, len(self), 2))
-        div[:, :, 0] = self._abs_divisors(w2)
-        div[:, :, 1] = self._abs_divisors(w4)
-        thr[:, :, 0] = base * self._kappa_factor
-        thr[:, :, 1] = base * np.maximum(self._kappa_factor, gnz2)
+        div[:, :, 0] = np.abs(self._divisors(w2))
+        div[:, :, 1] = np.abs(self._divisors(w4))
+        thr[:, :, 0], thr[:, :, 1] = _thresholds(gnz2[:, None], self._length_factor, self._kappa_factor)
         return div.reshape(B, -1), thr.reshape(B, -1)
 
     def margins(self, I: np.ndarray, nz2: np.ndarray, gamma: float) -> Margins:
         """Worst divisor margin of each row of actions ``I[B, N]`` with squared norm ``nz2[B]``.
 
-        The leading-order divisor of a vector of length ``l`` must clear
-        ``gamma nz2 N^(-4l-2) kf`` and the next-order one the same with ``kf``
-        replaced by ``max(kf, gamma nz2)``, where ``kf`` is ``kappa^(-2s)``
-        for Sobolev weights and ``exp(-2 rho kappa^theta)`` for Gevrey
-        weights. Ties go to the first divisor in the order (vector 0, order
-        2), (vector 0, order 4), (vector 1, order 2), ...; a ratio that is not
-        a number never attains the minimum. A row without a finite ratio (no
-        divisor at this cutoff) has an infinite margin and no witness; a row
-        with ``nz2 == 0`` has margin 0 and no witness.
+        Both orders of every divisor are held to the thresholds of
+        :func:`_thresholds` at ``gamma nz2``. Ties go to the first divisor in
+        the order (vector 0, order 2), (vector 0, order 4), (vector 1, order
+        2), ...; a ratio that is not a number never attains the minimum. A
+        row without a finite ratio (no divisor at this cutoff) has an
+        infinite margin and no witness; a row with ``nz2 == 0`` has margin 0
+        and no witness.
         """
         I = np.asarray(I, dtype=float)
         nz2 = np.asarray(nz2, dtype=float)
@@ -399,7 +433,7 @@ class DivisorTable:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w2, w4 = self._frequencies(I)
             gnz2 = gamma * nz2
-            rows = max(1, _BLOCK_FLOATS // max(1, len(self) * self.r))
+            rows = max(1, _BLOCK_FLOATS // max(1, self._modes.size))
             for lo in range(0, B if len(self) else 0, rows):
                 hi = min(B, lo + rows)
                 div, thr = self._scores(w2[lo:hi], w4[lo:hi], gnz2[lo:hi])
@@ -424,8 +458,28 @@ class DivisorTable:
 
 @lru_cache(maxsize=None)
 def divisor_table(r: int, N: int, weight: WeightSpec) -> DivisorTable:
-    """The :class:`DivisorTable` of ``(r, N, weight)``, built on first use."""
-    return DivisorTable(r, N, weight)
+    """The :class:`DivisorTable` of the irreducible vectors at ``(r, N)``, built on first use."""
+    return DivisorTable(enumerate_irr_indices(r, N), N, weight)
+
+
+def _tail_scores(v: tuple, params: NonResonanceParams, actions: np.ndarray, eps: float) -> tuple:
+    """Both divisors of irreducible ``v`` per row of ``eps^2 actions[B, M]``, and their thresholds.
+
+    Frequencies are cut off at ``M``, thresholds at ``params.N`` and ``gamma
+    eps^2``, the leading one halved. Rows repeat the scalar float operations.
+    """
+    table = DivisorTable((v,), params.N, params.weight)
+    M = actions.shape[1]
+    b = int(table._momentum[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        I = eps * eps * actions
+        if not np.isfinite(I).all():
+            raise ValueError(f"eps = {eps!r} scales a sampled action out of the finite range")
+        w2, columns = _columns(I, max(M, b, int(table._modes.max())) + 1)
+        leading = table._divisors(w2)[:, 0]
+        corrected = leading + 2.0 * _tail_correction(v, b, columns, M)
+    thr2, thr4 = _thresholds(params.gamma * eps * eps, table._length_factor[0], table._kappa_factor[0])
+    return leading, corrected, 0.5 * float(thr2), float(thr4)
 
 
 def state_rows(states: Iterable[ComplexSeq], N: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +528,7 @@ def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[No
 def is_nonresonant(z: ComplexSeq, params: NonResonanceParams) -> NonResonanceReport:
     """Test all irreducible divisors of ``z`` against their thresholds.
 
-    The thresholds are those of :meth:`DivisorTable.margins`. Returns the
+    The thresholds are those of :func:`_thresholds`. Returns the
     worst margin, the index vector attaining it, and that divisor with its
     threshold. The zero sequence is never non-resonant. With no divisor at
     the cutoff every nonzero state passes vacuously: the margin is infinite,

@@ -22,19 +22,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .core import ComplexSeq, WeightSpec, canonicalize, delta_sum
+from .core import ComplexSeq, WeightSpec
 from .divisors import (
     FreqContext,
     NonResonanceParams,
-    _kappa_factor,
+    _reduce,
+    _tail_correction,
+    _tail_scores,
     big_omega,
     divisor_table,
-    irr,
-    kappa,
     state_rows,
 )
 
@@ -249,18 +249,6 @@ def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) 
     )
 
 
-def _tail_only_correction(a: int, ctx: FreqContext, excluded: frozenset[int]) -> float:
-    if a == 0:
-        return 0.0
-    af = float(a)
-    total = 0.0
-    for d, Id in ctx.actions.items():
-        if d in excluded:
-            continue
-        total += Id * Id / (d * d - af * af)
-    return af / 16.0 * total
-
-
 def corrected_divisor(jvec: Iterable[tuple[int, int]], ctx: FreqContext) -> float:
     """Next-order divisor whose correction skips the vector's own actions.
 
@@ -269,17 +257,10 @@ def corrected_divisor(jvec: Iterable[tuple[int, int]], ctx: FreqContext) -> floa
     are excluded from that sum. The difference from the leading divisor is
     then independent of the actions at exactly those modes.
     """
-    v = canonicalize(jvec)
-    d = delta_sum(v)
-    if d < 0:
-        raise ValueError("momentum is negative; conjugate the index vector first")
-    red = irr(v, d)
+    v, d, red = _reduce(jvec)
     if not red:
         return 0.0
-    excluded = frozenset(a for _, a in red) | ({d} if d > 0 else frozenset())
-    corr = sum(delta * _tail_only_correction(a, ctx, excluded) for delta, a in red)
-    corr -= _tail_only_correction(d, ctx, excluded)
-    return big_omega(v, ctx, 2) + 2.0 * corr
+    return big_omega(v, ctx, 2) + 2.0 * _tail_correction(red, d, ctx.actions, ctx.N)
 
 
 @dataclass(frozen=True)
@@ -326,39 +307,22 @@ def divisor_tail(
 ) -> DivisorTailEstimate:
     """Empirical probability that one divisor sits at or below its threshold.
 
-    The leading divisor of the scaled actions is compared against
-    ``gamma eps^2 N^(-4l-2) kf / 2`` and the corrected divisor against
-    ``gamma eps^2 N^(-4l-2) max(kf, gamma eps^2)``, where ``kf`` is the
-    weight's kappa factor. The index vector must be irreducible.
+    At the scaled actions ``eps^2 I``, the leading divisor is held to half
+    the leading-order threshold at ``gamma eps^2`` (``divisors._thresholds``)
+    and the corrected divisor to the next-order one. The index vector must be
+    irreducible.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
-    v = canonicalize(jvec)
-    d = delta_sum(v)
-    if d < 0:
-        raise ValueError("momentum is negative; conjugate the index vector first")
-    red = irr(v, d)
+    v, _, red = _reduce(jvec)
     if not red:
         raise ValueError("integrable index vector has no divisor tail")
     if red != v:
         raise ValueError("index vector is reducible; pass its irreducible part")
-    l = len(v)
-    kf = _kappa_factor(kappa(v), params.weight)
-    scale = params.gamma * eps * eps * float(params.N) ** (-4 * l - 2)
-    thr_leading = 0.5 * scale * kf
-    thr_corrected = scale * max(kf, params.gamma * eps * eps)
     batch = sample_actions(spec)
-    e2 = eps * eps
-    M = spec.truncation
-    hits2 = 0
-    hits4 = 0
-    for i in range(len(batch)):
-        row = batch.actions[i]
-        ctx = FreqContext({m: e2 * row[m - 1] for m in range(1, M + 1)}, M)
-        if abs(big_omega(v, ctx, 2)) <= thr_leading:
-            hits2 += 1
-        if abs(corrected_divisor(v, ctx)) <= thr_corrected:
-            hits4 += 1
+    leading, corrected, thr_leading, thr_corrected = _tail_scores(v, params, batch.actions, eps)
+    hits2 = int(np.count_nonzero(np.abs(leading) <= thr_leading))
+    hits4 = int(np.count_nonzero(np.abs(corrected) <= thr_corrected))
     n = len(batch)
     return DivisorTailEstimate(
         jvec=v,

@@ -23,13 +23,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import WeightSpec
-from .transforms import UVState, uv_to_psi
+from .transforms import UVState
 
 __all__ = [
     "SimConfig",
     "Trajectory",
     "SimulationBlowup",
-    "rhs_uv",
     "energy",
     "actions",
     "simulate",
@@ -104,14 +103,11 @@ class Trajectory:
 def _to_arrays(state: UVState, M: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.zeros(M)
     v = np.zeros(M)
-    for a, x in state.u.items():
-        if a > M:
-            raise ValueError(f"initial data has mode {a} beyond truncation {M}")
-        u[a - 1] = x
-    for a, x in state.v.items():
-        if a > M:
-            raise ValueError(f"initial data has mode {a} beyond truncation {M}")
-        v[a - 1] = x
+    for packed, values in ((u, state.u), (v, state.v)):
+        for a, x in values.items():
+            if a > M:
+                raise ValueError(f"initial data has mode {a} beyond truncation {M}")
+            packed[a - 1] = x
     return u, v
 
 
@@ -124,30 +120,37 @@ def _to_state(u: np.ndarray, v: np.ndarray) -> UVState:
     )
 
 
-def rhs_uv(state: UVState) -> tuple[dict[int, float], dict[int, float]]:
-    """Right-hand side in the original variables, returned as sparse maps."""
-    slope2 = sum(b * b * x * x for b, x in state.u.items())
-    du = dict(state.v)
-    stiff = 1.0 + slope2
-    dv = {a: -stiff * a * a * x for a, x in state.u.items()}
-    return du, dv
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def energy(state: UVState) -> float:
     """Conserved energy ``(1/2)|v|^2 + (1/2) S + (1/4) S^2`` with ``S = sum b^2 u_b^2``."""
-    S = sum(b * b * x * x for b, x in state.u.items())
-    kin = sum(x * x for x in state.v.values())
-    return 0.5 * kin + 0.5 * S + 0.25 * S * S
+    u, v = _to_arrays(state, state.truncation)
+    a1 = np.arange(1, state.truncation + 1, dtype=float)
+    return _energy(u, v, a1 * a1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def actions(state: UVState) -> dict[int, float]:
     """Mode actions ``I_a = |psi_a|^2 = (a u_a^2 + v_a^2 / a) / 2`` for all modes up to M."""
-    psi = uv_to_psi(state)
-    return {a: psi.seq.action(a) for a in range(1, state.truncation + 1)}
+    u, v = _to_arrays(state, state.truncation)
+    acts = _actions(u, v, np.arange(1, state.truncation + 1, dtype=float))
+    return {a: float(x) for a, x in enumerate(acts, start=1)}
 
 
 # ---------------------------------------------------------------------------
-# steppers on packed arrays
+# packed arrays: u[a-1] and v[a-1] hold mode a
+
+
+def _slope2(u: np.ndarray, a2: np.ndarray) -> float:
+    return float(a2 @ (u * u))
+
+
+def _energy(u: np.ndarray, v: np.ndarray, a2: np.ndarray) -> float:
+    S = _slope2(u, a2)
+    return 0.5 * float(v @ v) + 0.5 * S + 0.25 * S * S
+
+
+def _actions(u: np.ndarray, v: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    return 0.5 * (a1 * u * u + v * v / a1)
 
 
 def _rotate(u: np.ndarray, v: np.ndarray, omega: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -156,10 +159,6 @@ def _rotate(u: np.ndarray, v: np.ndarray, omega: np.ndarray, h: float) -> tuple[
     c = np.cos(th)
     s = np.sin(th)
     return c * u + (s / omega) * v, -omega * s * u + c * v
-
-
-def _slope2(u: np.ndarray, a2: np.ndarray) -> float:
-    return float(a2 @ (u * u))
 
 
 def _step_strang(
@@ -223,58 +222,38 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     step = _step_strang if config.scheme == "strang_split" else _step_rk4
 
     n_steps = int(round(config.T / config.dt)) if config.T > 0 else 0
+    # one list per field of Trajectory, in its order
+    times, energies, acts_list, norms, drifts = [], [], [], [], []
+    states: Optional[list[UVState]] = [] if config.record_states else None
 
-    def current_actions() -> np.ndarray:
-        return 0.5 * (a1 * u * u + v * v / a1)
+    def record(t: float, u: np.ndarray, v: np.ndarray) -> None:
+        acts = _actions(u, v, a1)
+        H = _energy(u, v, a2)
+        norm2 = float(w2 @ acts)
+        drift = float(np.max(w2 * np.abs(acts - acts0)))
+        # a finite state can still overflow what is recorded; all three are
+        # sums of nonnegative terms, so one sum checks them
+        if not math.isfinite(H + norm2 + drift):
+            raise SimulationBlowup(t, f"recorded energy, norm or drift is not finite at t={t:.6g}")
+        times.append(t)
+        energies.append(H)
+        acts_list.append(acts)
+        norms.append(math.sqrt(norm2))
+        drifts.append(drift)
+        if states is not None:
+            states.append(_to_state(u, v))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        acts0 = current_actions()
-        norm2_0 = float(w2 @ acts0)
-        try:
-            H0 = 0.5 * float(v @ v) + 0.5 * _slope2(u, a2) + 0.25 * _slope2(u, a2) ** 2
-        except OverflowError:  # float ** overflows by raising, not to inf
-            H0 = math.inf
-        if not math.isfinite(H0 + norm2_0):
-            raise SimulationBlowup(0.0, "initial energy or norm is not finite")
-        times = [0.0]
-        acts_list = [acts0]
-        energies = [H0]
-        norms = [math.sqrt(norm2_0)]
-        drifts = [0.0]
-        states = [_to_state(u, v)] if config.record_states else None
-
+        acts0 = _actions(u, v, a1)
+        record(0.0, u, v)
         for k in range(1, n_steps + 1):
             u, v = step(u, v, config.dt, a1, a2, config.linear_only)
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
                 raise SimulationBlowup(k * config.dt)
             if k % config.record_stride == 0 or k == n_steps:
-                t = k * config.dt
-                acts = current_actions()
-                S = _slope2(u, a2)
-                H = 0.5 * float(v @ v) + 0.5 * S + 0.25 * S * S
-                norm2 = float(w2 @ acts)
-                drift = float(np.max(w2 * np.abs(acts - acts0)))
-                # a finite state can still overflow what is recorded; all
-                # three are sums of nonnegative terms, so one sum checks them
-                if not math.isfinite(H + norm2 + drift):
-                    raise SimulationBlowup(t)
-                times.append(t)
-                acts_list.append(acts)
-                energies.append(H)
-                norms.append(math.sqrt(norm2))
-                drifts.append(drift)
-                if states is not None:
-                    states.append(_to_state(u, v))
+                record(k * config.dt, u, v)
 
-    return Trajectory(
-        times=np.array(times),
-        energy=np.array(energies),
-        actions=np.array(acts_list),
-        norm_w=np.array(norms),
-        sup_drift=np.array(drifts),
-        config=config,
-        states=states,
-    )
+    return Trajectory(*(np.array(x) for x in (times, energies, acts_list, norms, drifts)), config, states)
 
 
 # ---------------------------------------------------------------------------

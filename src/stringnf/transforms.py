@@ -129,10 +129,13 @@ def elastic_energy(seq: ComplexSeq) -> float:
 
 
 def mixing_rho(x: float) -> float:
-    """Mixing coefficient ``x / (1 + x + sqrt(1 + 2x))``; lies in [0, 1) for x >= 0."""
+    """Mixing coefficient ``x / (1 + x + sqrt(1 + 2x))`` in [0, 1); past x ~ 1e33 it rounds to 1."""
     if x < 0:
         raise ValueError("elastic energy must be >= 0")
-    return x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
+    rho = x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
+    if not rho < 1.0:
+        raise ValueError(f"elastic energy {x!r} is too large: the mixing coefficient rounds to 1")
+    return rho
 
 
 def elastic_from_dilated(y: float) -> float:
@@ -173,7 +176,6 @@ def psi_to_eta(state: PsiState) -> EtaState:
     """Mix psi with its conjugate; the coefficients depend on the elastic energy only."""
     q = elastic_energy(state.seq)
     rho = mixing_rho(q)
-    assert rho < 1.0
     scale = 1.0 / math.sqrt(1.0 - rho * rho)
     data = {a: scale * (p + rho * p.conjugate()) for a, p in state.seq.data.items()}
     seq = ComplexSeq(data, state.seq.truncation)

@@ -11,7 +11,10 @@ Contents:
   its defining formula (independent of the package's canonical-term engine),
 - ``scalar_nonresonance``: the non-resonance test as a scalar loop over the
   irreducible vectors, built from ``big_omega``, ``kappa`` and
-  ``_kappa_factor``; the reference for the batched ``DivisorTable``.
+  ``_kappa_factor``; the reference for the batched ``DivisorTable``,
+- ``scalar_corrected_divisor`` and ``scalar_divisor_tail``: the corrected
+  divisor with its own tail sum, and the divisor tail estimator as a loop
+  over samples; the reference for the batched ``measure.divisor_tail``.
 """
 
 from __future__ import annotations
@@ -357,3 +360,73 @@ def scalar_nonresonance(z, params) -> tuple[float, Optional[tuple], Optional[int
                 best_j = j
                 best_order = order
     return best, best_j, best_order
+
+
+# ---------------------------------------------------------------------------
+# scalar divisor tail
+
+def scalar_corrected_divisor(jvec, ctx) -> float:
+    """Corrected divisor of ``jvec``: the leading one plus tail-only corrections.
+
+    Each correction ``a/16 sum_d I_d^2 / (d^2 - a^2)`` runs over the actions of
+    ``ctx`` in their stored order, skipping the modes of the irreducible part
+    and the momentum.
+    """
+    from stringnf.core import canonicalize, delta_sum
+    from stringnf.divisors import big_omega, irr
+
+    v = canonicalize(jvec)
+    d = delta_sum(v)
+    if d < 0:
+        raise ValueError("momentum is negative; conjugate the index vector first")
+    red = irr(v, d)
+    if not red:
+        return 0.0
+    excluded = frozenset(a for _, a in red) | ({d} if d > 0 else frozenset())
+
+    def tail(a: int) -> float:
+        if a == 0:
+            return 0.0
+        af = float(a)
+        total = 0.0
+        for m, Im in ctx.actions.items():
+            if m not in excluded:
+                total += Im * Im / (m * m - af * af)
+        return af / 16.0 * total
+
+    corr = sum(delta * tail(a) for delta, a in red)
+    corr -= tail(d)
+    return big_omega(v, ctx, 2) + 2.0 * corr
+
+
+def scalar_divisor_tail(jvec, params, spec, eps) -> tuple[int, int, float, float]:
+    """Hits of the leading and the corrected divisor and their thresholds, one sample at a time.
+
+    ``jvec`` must be irreducible. Each sample's scaled actions go into a
+    ``FreqContext`` cut off at the truncation; the leading divisor is
+    ``big_omega`` and is held to ``gamma eps^2 N^(-4l-2) kf / 2``, the
+    corrected one is :func:`scalar_corrected_divisor` and is held to
+    ``gamma eps^2 N^(-4l-2) max(kf, gamma eps^2)``.
+    """
+    from stringnf.core import canonicalize
+    from stringnf.divisors import FreqContext, _kappa_factor, big_omega, kappa
+    from stringnf.measure import sample_actions
+
+    v = canonicalize(jvec)
+    l = len(v)
+    kf = _kappa_factor(kappa(v), params.weight)
+    scale = params.gamma * eps * eps * float(params.N) ** (-4 * l - 2)
+    thr_leading = 0.5 * scale * kf
+    thr_corrected = scale * max(kf, params.gamma * eps * eps)
+    batch = sample_actions(spec)
+    e2 = eps * eps
+    M = spec.truncation
+    hits2 = 0
+    hits4 = 0
+    for row in batch.actions:
+        ctx = FreqContext({m: e2 * row[m - 1] for m in range(1, M + 1)}, M)
+        if abs(big_omega(v, ctx, 2)) <= thr_leading:
+            hits2 += 1
+        if abs(scalar_corrected_divisor(v, ctx)) <= thr_corrected:
+            hits4 += 1
+    return hits2, hits4, thr_leading, thr_corrected

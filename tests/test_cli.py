@@ -204,6 +204,20 @@ class TestDriftSweepCommand:
         assert rc == EXIT_SAMPLING
         assert "sampling failure" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("setting,cause", [
+        ("eps=[1e50]", "elastic energy"),  # the coordinate change's mixing rounds to singular
+        ("eps=[1e200]", "action"),  # the sampled actions overflow before certification
+        ("ball_radius=1e-9", "rejection rate"),  # the sampler rejects every draw
+    ])
+    def test_unusable_point_is_config_error(self, tmp_path, capsys, setting, cause):
+        out = tmp_path / "o"
+        rc = run("drift-sweep", "--out", str(out), "--set", setting,
+                 "--set", "M=4", "--set", "N=4", "--set", "T=0.01")
+        assert rc == EXIT_CONFIG
+        assert cause in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # measure scan
@@ -293,6 +307,16 @@ class TestResonanceCommand:
         assert payload["margin"] is None
         assert payload["reason"] == "no divisors at this cutoff"
         assert payload["worst_witness"] is None
+
+    @pytest.mark.parametrize("value", ["[1e200, 0.0]", "[0.0, 1e400]"])
+    def test_overflowing_action_is_config_error(self, tmp_path, capsys, value):
+        override = f'state={{"1": {value}}}'
+        with pytest.raises(ConfigError, match="action"):
+            resolve_config("resonance", None, [override], None)
+        out = tmp_path / "o"
+        assert run("resonance", "--out", str(out), "--set", override) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gevrey_weight_runs(self, tmp_path):
         out = tmp_path / "g"

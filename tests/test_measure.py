@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import scalar_nonresonance
+from helpers import scalar_corrected_divisor, scalar_divisor_tail, scalar_nonresonance
 from stringnf.core import WeightSpec
-from stringnf.divisors import FreqContext, NonResonanceParams, big_omega
+from stringnf.divisors import FreqContext, NonResonanceParams, _tail_scores, big_omega, enumerate_irr_indices
 from stringnf.measure import (
     DivisorTailEstimate,
     MeasureEstimate,
@@ -285,3 +285,55 @@ class TestDivisorTail:
             assert 0.5 <= p / (slope * g) <= 2.0
         assert 1.5 <= ps[1] / ps[0] <= 2.7
         assert 1.5 <= ps[2] / ps[1] <= 2.7
+
+
+# ---------------------------------------------------------------------------
+# the batched divisor tail against the scalar loop
+
+_TAIL_WEIGHTS = st.one_of(
+    st.builds(lambda s: WeightSpec("sobolev", s=s), st.sampled_from([0.0, 1.0, 2.5])),
+    st.builds(
+        lambda rho, theta: WeightSpec("gevrey", rho=rho, theta=theta),
+        st.sampled_from([0.1, 0.5, 1.0]),
+        st.sampled_from([0.5, 1.0]),
+    ),
+)
+
+
+@st.composite
+def tail_cases(draw):
+    """An irreducible vector, threshold parameters, an ensemble and an amplitude.
+
+    The threshold cutoff ``N`` is at most 3 while the vector's modes and
+    momentum reach two past the truncation, and every other case has zero
+    momentum.
+    """
+    M = draw(st.integers(1, 6))
+    vectors = enumerate_irr_indices(3, M + 2)
+    if draw(st.booleans()):
+        vectors = [j for j in vectors if sum(delta * a for delta, a in j) == 0]
+    v = draw(st.sampled_from(vectors))
+    params = NonResonanceParams(2, draw(st.integers(1, 3)), draw(st.sampled_from([0.05, 0.3, 0.9])),
+                                draw(_TAIL_WEIGHTS))
+    spec = MeasureSpec(draw(_TAIL_WEIGHTS), M, 200, draw(st.integers(0, 2**16)))
+    eps = draw(st.floats(1e-3, 3.0))
+    return v, params, spec, eps
+
+
+@given(tail_cases())
+@settings(max_examples=80, deadline=None)
+def test_divisor_tail_matches_scalar_loop_bit_for_bit(case):
+    v, params, spec, eps = case
+    est = divisor_tail(v, params, spec, eps)
+    hits2, hits4, thr_leading, thr_corrected = scalar_divisor_tail(v, params, spec, eps)
+    n = spec.sample_count
+    assert (est.p_leading, est.p_corrected) == (hits2 / n, hits4 / n)
+    assert (est.threshold_leading, est.threshold_corrected) == (thr_leading, thr_corrected)
+    # every row's divisors, not only the counts, equal the scalar ones
+    actions = sample_actions(spec).actions
+    leading, corrected, _, _ = _tail_scores(v, params, actions, eps)
+    M = spec.truncation
+    for i, row in enumerate(actions):
+        ctx = FreqContext({m: eps * eps * row[m - 1] for m in range(1, M + 1)}, M)
+        assert leading[i] == big_omega(v, ctx, 2)
+        assert corrected[i] == scalar_corrected_divisor(v, ctx) == corrected_divisor(v, ctx)

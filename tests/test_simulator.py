@@ -11,7 +11,6 @@ from stringnf.simulator import (
     SimulationBlowup,
     actions,
     energy,
-    rhs_uv,
     simulate,
     trajectory_summary,
     trajectory_to_csv,
@@ -27,11 +26,6 @@ def small_state(M=16, amp=0.05, seed=3):
 
 
 class TestPointwiseOps:
-    def test_rhs_example(self):
-        du, dv = rhs_uv(UVState({1: 1.0}, {}, 4))
-        assert du == {}
-        assert dv[1] == pytest.approx(-2.0, abs=0)
-
     def test_energy_examples(self):
         assert energy(UVState({1: 1.0}, {}, 4)) == pytest.approx(0.75)
         assert energy(UVState({}, {2: 2.0}, 4)) == pytest.approx(2.0)
@@ -43,6 +37,13 @@ class TestPointwiseOps:
         assert acts[2] == pytest.approx(2.0, rel=1e-14)
         acts = actions(UVState({1: 1.0}, {1: 1.0}, 4))
         assert acts[1] == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_energy_and_actions_are_the_initial_record(self, seed):
+        st = small_state(M=8, amp=0.4, seed=seed)
+        traj = simulate(st, SimConfig(dt=1e-3, T=0.0, M=8))
+        assert energy(st) == traj.energy[0]
+        assert list(actions(st).values()) == traj.actions[0].tolist()
 
 
 class TestConfig:

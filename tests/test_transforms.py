@@ -105,6 +105,10 @@ class TestMixing:
         for x in [0.0, 1e-6, 0.5, 3.0, 1e6]:
             r = mixing_rho(x)
             assert 0.0 <= r < 1.0
+        # past about 1e33 the coefficient rounds to 1 and the mixing is singular
+        for x in [1e40, math.inf]:
+            with pytest.raises(ValueError, match="elastic energy"):
+                mixing_rho(x)
 
     def test_dilation_identity(self):
         # elastic(eta) == q sqrt(1 + 2q) with q = elastic(psi)
