@@ -84,7 +84,8 @@ class SamplingFailure(RuntimeError):
 # configuration schemas
 
 def _is_real(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float; JSON reads ``1e400`` as inf and ``NaN`` as nan."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _coerce_int(key: str, v: Any) -> int:
@@ -145,7 +146,8 @@ def _coerce_pair_map(key: str, v: Any) -> Dict[int, Tuple[float, float]]:
         raise ConfigError(f"{key}: expected a mode/[re, im] map, got {v!r}")
     out: Dict[int, Tuple[float, float]] = {}
     for k, x in v.items():
-        if not (isinstance(x, list) and len(x) == 2 and all(_is_real(c) for c in x)):
+        # a float that is not finite is reported through its action below
+        if not (isinstance(x, list) and len(x) == 2 and all(isinstance(c, float) or _is_real(c) for c in x)):
             raise ConfigError(f"{key}: value for mode {k!r} must be a [re, im] pair")
         re, im = float(x[0]), float(x[1])
         if not math.isfinite(re * re + im * im):
@@ -417,8 +419,8 @@ def _slope_fit(points: Sequence[Tuple[float, float]]) -> Dict[str, Any]:
 def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     for e in cfg["eps"]:
-        if not (e > 0.0 and math.isfinite(e)):
-            raise ConfigError(f"eps: every entry must be finite and positive, got {e!r}")
+        if e <= 0.0:
+            raise ConfigError(f"eps: every entry must be positive, got {e!r}")
     try:
         params = NonResonanceParams(cfg["r"], cfg["N"], cfg["gamma"], weight)
     except ValueError as exc:
@@ -441,7 +443,10 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
                     f"at gamma={cfg['gamma']:g} (raise max_tries or lower gamma)"
                 )
             initial = z_to_uv(ZState(candidates[k]))
-            horizon = cfg["T"] if cfg["T"] > 0.0 else eps**-2
+            try:
+                horizon = cfg["T"] if cfg["T"] > 0.0 else eps**-2
+            except OverflowError:
+                raise ValueError("the default horizon T = eps^-2 overflows; set T") from None
             stride = cfg["record_stride"] or max(1, int(horizon / cfg["dt"] / 512))
             sim = SimConfig(dt=cfg["dt"], T=horizon, scheme=cfg["scheme"], M=cfg["M"],
                             record_stride=stride, weight=weight)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,14 +26,11 @@ from .core import ComplexSeq, WeightSpec, canonicalize, delta_sum, mu_min, weigh
 
 __all__ = [
     "DivisorTable",
-    "FreqContext",
     "Margins",
     "NonResonanceParams",
     "NonResonanceReport",
     "PerturbationReport",
-    "omega2",
-    "omega4",
-    "big_omega",
+    "divisor_evaluator",
     "irr",
     "kappa",
     "enumerate_irr_indices",
@@ -45,58 +42,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FreqContext:
-    """Nonnegative actions on modes ``1..N``; the source of all divisor values."""
-
-    actions: Mapping[int, float]
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError("cutoff N must be >= 1")
-        clean: dict[int, float] = {}
-        for a, x in self.actions.items():
-            if not isinstance(a, int) or a < 1:
-                raise ValueError(f"mode {a!r} is not a positive integer")
-            if a > self.N:
-                raise ValueError(f"action mode {a} exceeds cutoff N={self.N}")
-            x = float(x)
-            if x < 0 or not math.isfinite(x):
-                raise ValueError(f"action I_{a} = {x!r} must be finite and >= 0")
-            if x != 0.0:
-                clean[a] = x
-        object.__setattr__(self, "actions", clean)
-
-    @classmethod
-    def from_seq(cls, z: ComplexSeq, N: int) -> "FreqContext":
-        acts = {a: z.action(a) for a in z.modes() if a <= N}
-        return cls(acts, N)
-
-    def I(self, a: int) -> float:
-        return self.actions.get(a, 0.0)
-
-    @cached_property
-    def _omega4_table(self) -> dict[int, float]:
-        return {a: _omega4_raw(a, self.actions, self.N) for a in range(1, self.N + 1)}
-
-
-def omega2(a: int, ctx: FreqContext) -> float:
-    """Leading frequency correction ``I_a / 4`` inside the cutoff, else 0."""
-    if a < 0:
-        raise ValueError("mode must be >= 0")
-    if a == 0 or a > ctx.N:
-        return 0.0
-    return 0.25 * ctx.I(a)
-
-
 def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
     """The quartic correction over the number type of ``one`` (float or Fraction).
 
-    ``actions`` maps modes to actions, with absent modes at zero.  Floats give
-    the divisor values; Fractions give the exact oracle of
-    ``nf_engine.rational.evaluate_exact``; float arrays (one action column per
-    mode) give a whole batch of states at once for :class:`DivisorTable`.
+    ``actions`` maps modes to actions, with absent modes at zero.  Floats and
+    Fractions give the values of :func:`divisor_evaluator`; float arrays (one
+    action column per mode) give a whole batch of states at once for
+    :class:`DivisorTable`.
     Integer constants enter through ``one``, so the float operations are the
     same whichever type is used.  A zero action adds a signed zero to each
     sum, which leaves the sum unchanged, so a column that is zero in some rows
@@ -122,20 +74,38 @@ def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
     return a_f / 16 * tail
 
 
-def omega4(a: int, ctx: FreqContext) -> float:
-    """Second frequency correction, quadratic in the actions.
+def divisor_evaluator(actions: Mapping, N: int, one=1.0) -> Callable[[Sequence[tuple[int, int]], int], Any]:
+    """``divisor(v, order)``: the small divisor ``2 (sum_k delta_k w(a_k) - w(b))`` of ``v``, momentum ``b``.
 
-    Inside the cutoff it has a self part and two cross sums; beyond the cutoff
-    only the tail sum survives. The ``d = a`` term is excluded exactly, never
-    regularized.
+    At order 2, ``w(a)`` is ``I_a / 4`` for ``1 <= a <= N`` and 0 otherwise;
+    order 4 adds :func:`_omega4_raw`. Numbers are of the type of ``one``
+    (float or Fraction). ``v`` is not reduced: pass it irreducible with ``b
+    >= 0``, as a rational field stores it or as :func:`_reduce` returns it.
+    Values are cached per evaluator, and over floats a zero action gives the
+    same bits as an absent one.
     """
-    if a < 0:
-        raise ValueError("mode must be >= 0")
-    if a == 0:
-        return 0.0
-    if a <= ctx.N:
-        return ctx._omega4_table[a]
-    return _omega4_raw(a, ctx.actions, ctx.N)
+    zero = one * 0
+    freqs: dict = {}
+    values: dict = {}
+
+    def w(a: int, order: int):
+        f = freqs.get((a, order))
+        if f is None:
+            if order == 2:
+                f = actions.get(a, zero) / 4 if 1 <= a <= N else zero
+            else:
+                f = w(a, 2) + _omega4_raw(a, actions, N, one) if a else zero
+            freqs[(a, order)] = f
+        return f
+
+    def divisor(v: Sequence[tuple[int, int]], order: int):
+        val = values.get((v, order))
+        if val is None:
+            total = sum(delta * w(a, order) for delta, a in v)
+            val = values[(v, order)] = 2 * (total - w(delta_sum(v), order))
+        return val
+
+    return divisor
 
 
 def irr(jvec: Iterable[tuple[int, int]], delta_target: int) -> tuple[tuple[int, int], ...]:
@@ -207,27 +177,6 @@ def _tail_correction(red: Sequence[tuple[int, int]], b: int, actions: Mapping, N
         return _omega4_raw(a, kept, N) if a else 0.0
 
     return sum(delta * tail(a) for delta, a in red) - tail(b)
-
-
-def big_omega(jvec: Iterable[tuple[int, int]], ctx: FreqContext, order: int = 2) -> float:
-    """Small divisor of an index vector at the given correction order (2 or 4).
-
-    Computed on the irreducible part, so integrable vectors give exactly 0.0
-    and ``big_omega(j) == big_omega(irr(j))`` holds by construction. Negative
-    momentum is a domain error; conjugate the vector instead.
-    """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    _, _, red = _reduce(jvec)
-    if not red:
-        return 0.0
-    b = delta_sum(red)
-
-    def w(a: int) -> float:
-        return omega2(a, ctx) if order == 2 else omega2(a, ctx) + omega4(a, ctx)
-
-    total = sum(delta * w(a) for delta, a in red)
-    return 2.0 * (total - w(b))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +301,9 @@ class DivisorTable:
     momentum ``b``, its length factor ``N^(-4l-2)`` and its kappa factor.
     :meth:`margins` scores a batch of states with array operations that
     repeat, element by element and in the same order, the float operations
-    of ``big_omega`` and the thresholds, so each row gets the margin, witness
-    and order that scoring it alone in scalar floats gives, bit for bit.
+    of :func:`divisor_evaluator` and the thresholds, so each row gets the
+    margin, witness and order that scoring it alone in scalar floats gives,
+    bit for bit.
     :func:`divisor_table` builds the table of :func:`enumerate_irr_indices`
     once and caches it.
     """

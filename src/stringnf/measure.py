@@ -22,18 +22,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .core import ComplexSeq, WeightSpec
 from .divisors import (
-    FreqContext,
     NonResonanceParams,
     _reduce,
     _tail_correction,
     _tail_scores,
-    big_omega,
+    divisor_evaluator,
     divisor_table,
     state_rows,
 )
@@ -249,18 +248,19 @@ def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) 
     )
 
 
-def corrected_divisor(jvec: Iterable[tuple[int, int]], ctx: FreqContext) -> float:
+def corrected_divisor(jvec: Iterable[tuple[int, int]], actions: Mapping[int, float], N: int) -> float:
     """Next-order divisor whose correction skips the vector's own actions.
 
-    Each frequency correction is reduced to its pure tail sum, and the modes
-    of the (irreducible part of the) index vector together with its momentum
-    are excluded from that sum. The difference from the leading divisor is
-    then independent of the actions at exactly those modes.
+    ``actions`` maps modes to actions (absent modes at zero), cut off at
+    ``N``. Each frequency correction is reduced to its pure tail sum, and the
+    modes of the (irreducible part of the) index vector together with its
+    momentum are excluded from that sum. The difference from the leading
+    divisor is then independent of the actions at exactly those modes.
     """
-    v, d, red = _reduce(jvec)
+    _, d, red = _reduce(jvec)
     if not red:
         return 0.0
-    return big_omega(v, ctx, 2) + 2.0 * _tail_correction(red, d, ctx.actions, ctx.N)
+    return divisor_evaluator(actions, N)(red, 2) + 2.0 * _tail_correction(red, d, actions, N)
 
 
 @dataclass(frozen=True)

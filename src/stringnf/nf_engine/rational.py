@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core import ComplexSeq, canonicalize, delta_sum, zeta_product
-from ..divisors import FreqContext, _omega4_raw, big_omega, irr, kappa
+from ..divisors import divisor_evaluator, irr, kappa
 
 __all__ = [
     "ANTI",
@@ -393,8 +393,8 @@ class RationalVF:
     def is_symmetric_parity(self) -> bool:
         return all(c.im == 0 for c in self.terms.values())
 
-    def evaluate(self, z: ComplexSeq, ctx: Optional[FreqContext] = None) -> Dict[int, complex]:
-        return evaluate_vf(self, z, ctx)
+    def evaluate(self, z: ComplexSeq) -> Dict[int, complex]:
+        return evaluate_vf(self, z)
 
     def __repr__(self) -> str:
         return f"RationalVF({len(self.terms)} terms, orders {sorted(self.orders())})"
@@ -480,30 +480,17 @@ def validate_class(
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _divisor_value(v: Divisor, order: int, ctx: FreqContext, cache: dict) -> float:
-    key = (v, order)
-    val = cache.get(key)
-    if val is None:
-        val = big_omega(v, ctx, order)
-        cache[key] = val
-    return val
-
-
-def evaluate_vf(
-    q: RationalVF,
-    z: ComplexSeq,
-    ctx: Optional[FreqContext] = None,
-) -> Dict[int, complex]:
+def evaluate_vf(q: RationalVF, z: ComplexSeq) -> Dict[int, complex]:
     """Component values ``d/dz_a`` of a field at a state.
 
-    Divisors are evaluated at the state's actions; the frequency context is
-    built on the first divisor needed, so divisor-free fields never build
-    one.  Any divisor actually needed (terms whose numerator vanishes at the
-    state are skipped) whose magnitude falls below ``1e-12 * ||z||^2``,
-    floored at 1e-300, aborts with :class:`DivisorRefusal` naming the vector.
+    Divisors are evaluated at the state's actions, cut off at its
+    truncation, by :func:`~stringnf.divisors.divisor_evaluator`, built on the
+    first divisor needed, so divisor-free fields never build one.  Any
+    divisor actually needed (terms whose numerator vanishes at the state are
+    skipped) whose magnitude falls below ``1e-12 * ||z||^2``, floored at
+    1e-300, aborts with :class:`DivisorRefusal` naming the vector.
     """
-    threshold = None
-    cache: dict = {}
+    divisor = None
     out: Dict[int, complex] = {}
     for key, c in q.terms.items():
         a, kind, j, h2, h4, kk = key
@@ -516,13 +503,14 @@ def evaluate_vf(
             continue
         denom = 1.0
         if h2 or h4 or kk:
-            if threshold is None:
+            if divisor is None:
                 threshold = max(1e-12 * z.norm2_unweighted(), 1e-300)
-                if ctx is None:
-                    ctx = FreqContext.from_seq(z, z.truncation)
+                if not math.isfinite(threshold):
+                    raise ValueError("the squared norm of the state is not finite")
+                divisor = divisor_evaluator(z.actions(), z.truncation)
             for order, sec in ((2, h2), (4, h4), (4, kk)):
                 for v in sec:
-                    val = _divisor_value(v, order, ctx, cache)
+                    val = divisor(v, order)
                     if abs(val) < threshold:
                         raise DivisorRefusal(v, order, val, threshold)
                     denom *= val
@@ -554,30 +542,7 @@ def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
     refusal path.
     """
     acts = {m: (v * v.conj()).re for m, v in z.items() if not v.is_zero()}
-    w2: Dict[int, Fraction] = {}
-    w4: Dict[int, Fraction] = {}
-
-    def freq(m: int, order: int) -> Fraction:
-        val = w2.get(m)
-        if val is None:
-            val = w2[m] = acts.get(m, _F0) / 4 if m <= N else _F0
-        if order == 2:
-            return val
-        val4 = w4.get(m)
-        if val4 is None:
-            val4 = w4[m] = _omega4_raw(m, acts, N, _F1)
-        return val + val4
-
-    dcache: Dict[Tuple[Divisor, int], Fraction] = {}
-
-    def divisor(v: Divisor, order: int) -> Fraction:
-        key = (v, order)
-        val = dcache.get(key)
-        if val is None:
-            val = 2 * sum((delta * freq(m, order) for delta, m in v), _F0)
-            dcache[key] = val
-        return val
-
+    divisor = divisor_evaluator(acts, N, _F1)
     out: Dict[int, QC] = {}
     for key, c in q.terms.items():
         a, kind, j, h2, h4, kk = key
@@ -601,18 +566,13 @@ def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
     return out
 
 
-def di_functional(
-    a: int,
-    chi: RationalVF,
-    z: ComplexSeq,
-    ctx: Optional[FreqContext] = None,
-) -> complex:
+def di_functional(a: int, chi: RationalVF, z: ComplexSeq) -> complex:
     """Derivative of the action ``I_a`` along a field, evaluated at a state.
 
     For conjugation-closed fields this is ``2 Re(conj(z_a) X_a)``; it comes
     back as a complex number whose imaginary part is zero up to rounding.
     """
-    comps = evaluate_vf(chi, z, ctx)
+    comps = evaluate_vf(chi, z)
     x = comps.get(a, 0j)
     za = z[a]
     return za.conjugate() * x + za * x.conjugate()

@@ -13,6 +13,8 @@ documents:
 ``h``
     single-weight divisor vectors; the first ``n`` are divided at the
     quadratic frequency corrections, the rest at the fully corrected ones.
+    Every divisor vector must be in the storage form of
+    :func:`~stringnf.nf_engine.rational.divisor_zero_form`.
 ``k``
     double-weight corrected divisors.
 ``n``
@@ -31,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List
 
-from .rational import QC, RationalVF, RKey
+from .rational import QC, RationalVF, RKey, divisor_zero_form
 
 __all__ = ["FORMAT", "field_from_json", "field_to_json", "dump_field", "load_field"]
 
@@ -73,16 +75,14 @@ def field_from_json(doc: Dict) -> RationalVF:
     for rec in doc["terms"]:
         n = int(rec["n"])
         h = [_vec_in(v) for v in rec["h"]]
+        k = [_vec_in(v) for v in rec["k"]]
         if not 0 <= n <= len(h):
             raise ValueError(f"record claims {n} leading-order divisors of {len(h)}")
-        key = (
-            int(rec["a"]),
-            rec["kind"],
-            _vec_in(rec["j"]),
-            tuple(h[:n]),
-            tuple(h[n:]),
-            tuple(_vec_in(v) for v in rec["k"]),
-        )
+        for v in h + k:
+            # the evaluators take stored divisors as they are
+            if divisor_zero_form(v) != (v, 1):
+                raise ValueError(f"divisor {_vec_out(v)} is not in storage form")
+        key = (int(rec["a"]), rec["kind"], _vec_in(rec["j"]), tuple(h[:n]), tuple(h[n:]), tuple(k))
         re, im = rec["coefficient"]
         c = QC(Fraction(re), Fraction(im))
         prev = terms.get(key)

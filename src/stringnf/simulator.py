@@ -66,10 +66,10 @@ class SimConfig:
     allow_large_dt: bool = False
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        if not (self.T >= 0 and math.isfinite(self.T)):
+            raise ValueError(f"T must be finite and >= 0, got {self.T!r}")
         if self.scheme not in ("strang_split", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.M < 1:

@@ -9,6 +9,9 @@ Contents:
 - ``ZPoly``: dense-exponent exact polynomials in z_1..z_M, zbar_1..zbar_M with
   differentiation, used to realize the vector-field commutator directly from
   its defining formula (independent of the package's canonical-term engine),
+- ``FreqContext``, ``omega2``, ``omega4`` and ``big_omega``: the scalar
+  divisor, one vector at one state, reduced to its irreducible part first;
+  the reference for ``divisors.divisor_evaluator``,
 - ``scalar_nonresonance``: the non-resonance test as a scalar loop over the
   irreducible vectors, built from ``big_omega``, ``kappa`` and
   ``_kappa_factor``; the reference for the batched ``DivisorTable``,
@@ -20,11 +23,17 @@ Contents:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm
+from stringnf.divisors import _kappa_factor, _omega4_raw, _reduce, enumerate_irr_indices, irr, kappa
+from stringnf.measure import sample_actions
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +334,91 @@ def oracle_commutator(X: dict[int, ZPoly], Y: dict[int, ZPoly], M: int) -> dict[
 
 
 # ---------------------------------------------------------------------------
+# scalar divisors
+
+@dataclass(frozen=True)
+class FreqContext:
+    """Nonnegative actions on modes ``1..N``; the source of all divisor values."""
+
+    actions: Mapping[int, float]
+    N: int
+
+    def __post_init__(self) -> None:
+        if self.N < 1:
+            raise ValueError("cutoff N must be >= 1")
+        clean: dict[int, float] = {}
+        for a, x in self.actions.items():
+            if not isinstance(a, int) or a < 1:
+                raise ValueError(f"mode {a!r} is not a positive integer")
+            if a > self.N:
+                raise ValueError(f"action mode {a} exceeds cutoff N={self.N}")
+            x = float(x)
+            if x < 0 or not math.isfinite(x):
+                raise ValueError(f"action I_{a} = {x!r} must be finite and >= 0")
+            if x != 0.0:
+                clean[a] = x
+        object.__setattr__(self, "actions", clean)
+
+    @classmethod
+    def from_seq(cls, z: ComplexSeq, N: int) -> "FreqContext":
+        acts = {a: z.action(a) for a in z.modes() if a <= N}
+        return cls(acts, N)
+
+    def I(self, a: int) -> float:
+        return self.actions.get(a, 0.0)
+
+    @cached_property
+    def _omega4_table(self) -> dict[int, float]:
+        return {a: _omega4_raw(a, self.actions, self.N) for a in range(1, self.N + 1)}
+
+
+def omega2(a: int, ctx: FreqContext) -> float:
+    """Leading frequency correction ``I_a / 4`` inside the cutoff, else 0."""
+    if a < 0:
+        raise ValueError("mode must be >= 0")
+    if a == 0 or a > ctx.N:
+        return 0.0
+    return 0.25 * ctx.I(a)
+
+
+def omega4(a: int, ctx: FreqContext) -> float:
+    """Second frequency correction, quadratic in the actions.
+
+    Inside the cutoff it has a self part and two cross sums; beyond the cutoff
+    only the tail sum survives. The ``d = a`` term is excluded exactly, never
+    regularized.
+    """
+    if a < 0:
+        raise ValueError("mode must be >= 0")
+    if a == 0:
+        return 0.0
+    if a <= ctx.N:
+        return ctx._omega4_table[a]
+    return _omega4_raw(a, ctx.actions, ctx.N)
+
+
+def big_omega(jvec: Iterable[tuple[int, int]], ctx: FreqContext, order: int = 2) -> float:
+    """Small divisor of an index vector at the given correction order (2 or 4).
+
+    Computed on the irreducible part, so integrable vectors give exactly 0.0
+    and ``big_omega(j) == big_omega(irr(j))`` holds by construction. Negative
+    momentum is a domain error; conjugate the vector instead.
+    """
+    if order not in (2, 4):
+        raise ValueError("order must be 2 or 4")
+    _, _, red = _reduce(jvec)
+    if not red:
+        return 0.0
+    b = delta_sum(red)
+
+    def w(a: int) -> float:
+        return omega2(a, ctx) if order == 2 else omega2(a, ctx) + omega4(a, ctx)
+
+    total = sum(delta * w(a) for delta, a in red)
+    return 2.0 * (total - w(b))
+
+
+# ---------------------------------------------------------------------------
 # scalar non-resonance test
 
 def scalar_nonresonance(z, params) -> tuple[float, Optional[tuple], Optional[int]]:
@@ -335,9 +429,6 @@ def scalar_nonresonance(z, params) -> tuple[float, Optional[tuple], Optional[int
     the current minimum, so ties keep the first divisor. The zero state gives
     ``(0.0, None, None)``.
     """
-    from stringnf.core import weighted_norm
-    from stringnf.divisors import FreqContext, _kappa_factor, big_omega, enumerate_irr_indices, kappa
-
     nrm = weighted_norm(z, params.weight)
     if nrm == 0.0:
         return 0.0, None, None
@@ -372,9 +463,6 @@ def scalar_corrected_divisor(jvec, ctx) -> float:
     ``ctx`` in their stored order, skipping the modes of the irreducible part
     and the momentum.
     """
-    from stringnf.core import canonicalize, delta_sum
-    from stringnf.divisors import big_omega, irr
-
     v = canonicalize(jvec)
     d = delta_sum(v)
     if d < 0:
@@ -408,10 +496,6 @@ def scalar_divisor_tail(jvec, params, spec, eps) -> tuple[int, int, float, float
     corrected one is :func:`scalar_corrected_divisor` and is held to
     ``gamma eps^2 N^(-4l-2) max(kf, gamma eps^2)``.
     """
-    from stringnf.core import canonicalize
-    from stringnf.divisors import FreqContext, _kappa_factor, big_omega, kappa
-    from stringnf.measure import sample_actions
-
     v = canonicalize(jvec)
     l = len(v)
     kf = _kappa_factor(kappa(v), params.weight)

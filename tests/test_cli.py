@@ -85,6 +85,16 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="re, im"):
             resolve_config("resonance", None, ['state={"1": [1.0]}'], None)
 
+    @pytest.mark.parametrize("setting", [
+        "T=1e400", "T=Infinity", "dt=NaN", "T=NaN", "weight_s=NaN", pytest.param("T=1" + "0" * 400, id="T=10**400"),
+        'initial_u={"1": NaN}',
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, setting):
+        out = tmp_path / "o"
+        assert run("simulate", "--out", str(out), "--set", setting) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert run("simulate", "--config", "/nonexistent.cfg") == EXIT_CONFIG
         assert "config file not found" in capsys.readouterr().err
@@ -209,11 +219,12 @@ class TestDriftSweepCommand:
         ("eps=[1e50]", "elastic energy"),  # the coordinate change's mixing rounds to singular
         ("eps=[1e200]", "action"),  # the sampled actions overflow before certification
         ("ball_radius=1e-9", "rejection rate"),  # the sampler rejects every draw
+        ("eps=[1e-160] T=0", "horizon"),  # a state certifies, but the default T = eps^-2 overflows
     ])
     def test_unusable_point_is_config_error(self, tmp_path, capsys, setting, cause):
         out = tmp_path / "o"
-        rc = run("drift-sweep", "--out", str(out), "--set", setting,
-                 "--set", "M=4", "--set", "N=4", "--set", "T=0.01")
+        overrides = [arg for item in ("M=4", "N=4", "T=0.01", *setting.split()) for arg in ("--set", item)]
+        rc = run("drift-sweep", "--out", str(out), *overrides)
         assert rc == EXIT_CONFIG
         assert cause in capsys.readouterr().err
         assert not (out / "sweep.json").exists()

@@ -9,26 +9,41 @@ from hypothesis import strategies as st
 
 from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum, weighted_norm
 from stringnf.divisors import (
-    FreqContext,
     NonResonanceParams,
-    big_omega,
     certify,
+    divisor_evaluator,
     divisor_table,
     enumerate_irr_indices,
     irr,
     is_nonresonant,
     kappa,
-    omega2,
-    omega4,
     perturbation_stable,
 )
 
 import numpy as np
-from helpers import scalar_nonresonance
+from helpers import FreqContext, big_omega, omega2, omega4, scalar_nonresonance
 
 
 def make_ctx(actions, N):
     return FreqContext(actions, N)
+
+
+def _omega4_exact(a, I, N):
+    """The displayed ``omega4`` expression in exact rationals, actions ``I`` on modes 1..N."""
+    Ia = I.get(a, Fraction(0))
+    cross = sum(
+        (Fraction(3, d) + Fraction(d, d * d - a * a)) * I.get(d, Fraction(0))
+        for d in range(1, N + 1)
+        if d != a
+    )
+    tail = sum(
+        I.get(d, Fraction(0)) ** 2 / Fraction(d * d - a * a)
+        for d in range(1, N + 1)
+        if d != a
+    )
+    if a <= N:
+        return -Fraction(27, 64 * a) * Ia * Ia - Fraction(1, 8) * Ia * cross + Fraction(a, 16) * tail
+    return Fraction(a, 16) * tail
 
 
 class TestFrequencies:
@@ -56,21 +71,7 @@ class TestFrequencies:
         N = 3
         ctx = make_ctx({k: float(v) for k, v in I.items()}, N)
         for a in range(1, 6):
-            Ia = I.get(a, Fraction(0))
-            cross = sum(
-                (Fraction(3, d) + Fraction(d, d * d - a * a)) * I.get(d, Fraction(0))
-                for d in range(1, N + 1)
-                if d != a
-            )
-            tail = sum(
-                I.get(d, Fraction(0)) ** 2 / Fraction(d * d - a * a)
-                for d in range(1, N + 1)
-                if d != a
-            )
-            if a <= N:
-                want = -Fraction(27, 64 * a) * Ia * Ia - Fraction(1, 8) * Ia * cross + Fraction(a, 16) * tail
-            else:
-                want = Fraction(a, 16) * tail
+            want = _omega4_exact(a, I, N)
             assert omega4(a, ctx) == pytest.approx(float(want), rel=1e-13, abs=1e-18)
 
     def test_context_rejects_bad_actions(self):
@@ -367,6 +368,56 @@ def test_big_omega_defined_or_domain_error(entries):
     else:
         val = big_omega(entries, ctx, 2)
         assert math.isfinite(val)
+
+
+# ---------------------------------------------------------------------------
+# the divisor evaluator against the scalar oracle
+
+@st.composite
+def evaluator_cases(draw):
+    """Actions on modes 1..N, some zero and some absent, and irreducible vectors reaching past N."""
+    N = draw(st.integers(1, 6))
+    s = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0]))
+    actions = {}
+    for a in range(1, N + 1):
+        kind = draw(st.sampled_from(["absent", "zero", "amplitude"]))
+        if kind == "zero":
+            actions[a] = 0.0
+        elif kind == "amplitude":
+            amplitude = 10.0 ** draw(st.floats(-9.0, 0.0)) * float(a) ** -s
+            actions[a] = amplitude * amplitude
+    entries = st.tuples(st.sampled_from([-1, 1]), st.integers(1, N + 3))
+    vectors = []
+    for raw in draw(st.lists(st.lists(entries, min_size=1, max_size=5), min_size=1, max_size=8)):
+        v = canonicalize(raw)
+        if delta_sum(v) < 0:
+            v = canonicalize([(-delta, a) for delta, a in v])
+        vectors.append(irr(v, delta_sum(v)))
+    return actions, N, vectors
+
+
+def _exact_divisor(v, I, N, order):
+    def w(a):
+        if a == 0:
+            return Fraction(0)
+        w2 = I.get(a, Fraction(0)) / 4 if a <= N else Fraction(0)
+        return w2 if order == 2 else w2 + _omega4_exact(a, I, N)
+
+    return 2 * (sum(delta * w(a) for delta, a in v) - w(delta_sum(v)))
+
+
+@given(evaluator_cases())
+@settings(max_examples=200, deadline=None)
+def test_divisor_evaluator_matches_scalar_oracle(case):
+    actions, N, vectors = case
+    divisor = divisor_evaluator(actions, N)
+    ctx = FreqContext(actions, N)
+    exact = divisor_evaluator({a: Fraction(x) for a, x in actions.items()}, N, Fraction(1))
+    I = {a: Fraction(x) for a, x in actions.items() if x}
+    for v in vectors:
+        for order in (2, 4):
+            assert divisor(v, order) == big_omega(v, ctx, order)
+            assert exact(v, order) == _exact_divisor(v, I, N, order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import scalar_corrected_divisor, scalar_divisor_tail, scalar_nonresonance
+from helpers import FreqContext, big_omega, scalar_corrected_divisor, scalar_divisor_tail, scalar_nonresonance
 from stringnf.core import WeightSpec
-from stringnf.divisors import FreqContext, NonResonanceParams, _tail_scores, big_omega, enumerate_irr_indices
+from stringnf.divisors import NonResonanceParams, _tail_scores, enumerate_irr_indices
 from stringnf.measure import (
     DivisorTailEstimate,
     MeasureEstimate,
@@ -205,33 +205,33 @@ class TestEstimateMeasure:
 class TestCorrectedDivisor:
     def test_integrable_vector_gives_zero(self):
         ctx = FreqContext({1: 0.2, 2: 0.1}, 4)
-        assert corrected_divisor(((1, 2), (-1, 2)), ctx) == 0.0
+        assert corrected_divisor(((1, 2), (-1, 2)), ctx.actions, ctx.N) == 0.0
 
     def test_difference_from_leading_ignores_indexed_actions(self):
         j = ((1, 2), (1, 3))  # momentum 5: modes 2, 3, 5 are excluded
         ctx = FreqContext({1: 0.3, 2: 0.11, 3: 0.07, 4: 0.05, 5: 0.02, 6: 0.013}, 6)
-        base = corrected_divisor(j, ctx) - big_omega(j, ctx, 2)
+        base = corrected_divisor(j, ctx.actions, ctx.N) - big_omega(j, ctx, 2)
         bumped = dict(ctx.actions)
         bumped.update({2: 1.7, 3: 0.9, 5: 2.2})
         ctx2 = FreqContext(bumped, 6)
-        pert = corrected_divisor(j, ctx2) - big_omega(j, ctx2, 2)
+        pert = corrected_divisor(j, ctx2.actions, ctx2.N) - big_omega(j, ctx2, 2)
         assert pert == pytest.approx(base, rel=1e-10)
 
     def test_difference_responds_to_other_actions(self):
         j = ((1, 2), (1, 3))
         ctx = FreqContext({1: 0.3, 2: 0.11, 3: 0.07, 4: 0.05, 5: 0.02, 6: 0.013}, 6)
-        base = corrected_divisor(j, ctx) - big_omega(j, ctx, 2)
+        base = corrected_divisor(j, ctx.actions, ctx.N) - big_omega(j, ctx, 2)
         bumped = dict(ctx.actions)
         bumped[4] = 0.5
         ctx2 = FreqContext(bumped, 6)
-        assert corrected_divisor(j, ctx2) - big_omega(j, ctx2, 2) != pytest.approx(base, rel=1e-6)
+        assert corrected_divisor(j, ctx2.actions, ctx2.N) - big_omega(j, ctx2, 2) != pytest.approx(base, rel=1e-6)
 
     def test_matches_hand_sum(self):
         # j = ((1,2),): irreducible with momentum 2, so modes {2} are excluded
         ctx = FreqContext({1: 0.4, 2: 0.25, 3: 0.09}, 3)
         j = ((1, 2),)
         # combination 2(omega~(2) - omega~(2)) vanishes; leading term survives
-        assert corrected_divisor(j, ctx) == pytest.approx(big_omega(j, ctx, 2), abs=0)
+        assert corrected_divisor(j, ctx.actions, ctx.N) == pytest.approx(big_omega(j, ctx, 2), abs=0)
         j2 = ((1, 3), (1, 3))  # momentum 6 beyond the cutoff
         excl = {3}
         tails = {}
@@ -240,7 +240,7 @@ class TestCorrectedDivisor:
                 ctx.I(d) ** 2 / (d * d - a * a) for d in (1, 2) if d not in excl
             )
         expected = big_omega(j2, ctx, 2) + 2 * (2 * tails[3] - tails[6])
-        assert corrected_divisor(j2, ctx) == pytest.approx(expected, rel=1e-14)
+        assert corrected_divisor(j2, ctx.actions, ctx.N) == pytest.approx(expected, rel=1e-14)
 
 
 class TestDivisorTail:
@@ -336,4 +336,4 @@ def test_divisor_tail_matches_scalar_loop_bit_for_bit(case):
     for i, row in enumerate(actions):
         ctx = FreqContext({m: eps * eps * row[m - 1] for m in range(1, M + 1)}, M)
         assert leading[i] == big_omega(v, ctx, 2)
-        assert corrected[i] == scalar_corrected_divisor(v, ctx) == corrected_divisor(v, ctx)
+        assert corrected[i] == scalar_corrected_divisor(v, ctx) == corrected_divisor(v, ctx.actions, ctx.N)

@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum
-from stringnf.divisors import FreqContext, big_omega, irr, kappa
+from helpers import FreqContext, big_omega
+from stringnf.divisors import irr, kappa
 from stringnf.nf_engine import (
     ANTI,
     DIAG,

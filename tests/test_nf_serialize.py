@@ -10,6 +10,7 @@ homological identity checked in the solver tests.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,16 @@ def test_rejects_malformed_documents():
     doc["terms"][0]["n"] = 5
     with pytest.raises(ValueError, match="divisors"):
         field_from_json(doc)
+
+
+@pytest.mark.parametrize("divisor", [[[1, 1], [1, 2]], [[-1, 1], [-1, 2]]])
+def test_rejects_divisor_not_in_storage_form(divisor):
+    # momentum 3 and momentum -3: the float and the exact evaluator would
+    # read either one differently, so the loader refuses it
+    rec = {"a": 3, "kind": "anti", "j": [[1, 1], [1, 2]], "h": [divisor], "k": [], "n": 1,
+           "coefficient": ["3/16", "0"]}
+    with pytest.raises(ValueError, match=re.escape(f"divisor {divisor!r} is not in storage form")):
+        field_from_json({"format": "stringnf-vf/1", "terms": [rec]})
 
 
 # ---------------------------------------------------------------------------

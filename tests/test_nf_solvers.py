@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import FreqContext, big_omega
 from stringnf.core import ComplexSeq, canonicalize, zeta_product
-from stringnf.divisors import FreqContext, big_omega
 from stringnf.nf_engine import (
     ANTI,
     DIAG,

@@ -60,6 +60,9 @@ class TestConfig:
             SimConfig(dt=1e-3, T=1.0, scheme="leapfrog")
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, T=1.0, record_stride=0)
+        for dt, T in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(dt=dt, T=T, allow_large_dt=True)
 
 
 class TestSingleMode:
