@@ -11,6 +11,16 @@ exactly solvable frozen-stiffness rotation: the first half freezes the
 stiffness at the step's initial state, the second freezes it at the final
 state (resolved by a short fixed-point iteration), which makes the step
 symmetric and time reversible. ``rk4`` is the classical fourth-order scheme.
+
+Between steps the split scheme carries one complex variable per mode,
+``w_a = a u_a + i v_a / sqrt(c)``, where ``c`` is the stiffness of the frame
+it was last rotated in. Then ``S = sum_a (Re w_a)^2``, a rotation at frozen
+stiffness ``c`` over time ``h`` is the product ``w_a exp(-i a sqrt(c) h)``,
+and a change of frame from ``c`` to ``c'`` scales ``Im w`` by
+``sqrt(c / c')``. The fixed point for the end stiffness is seeded by
+extrapolating the stiffness linearly over the step, ``2 c_mid - c_left``
+(at least 1), and a rotation whose stiffness reproduces itself exactly is
+the step's result. ``(u, v)`` is rebuilt only where a sample is recorded.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +36,7 @@ from .core import WeightSpec
 from .transforms import UVState
 
 __all__ = [
+    "MAX_STEPS",
     "SimConfig",
     "Trajectory",
     "SimulationBlowup",
@@ -35,6 +46,10 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_summary",
 ]
+
+
+# the most steps one run may ask for, round(T / dt); several hours of stepping
+MAX_STEPS = 10**9
 
 
 class SimulationBlowup(RuntimeError):
@@ -52,7 +67,8 @@ class SimConfig:
     ``dt`` must resolve the fastest linear mode; the guard ``dt <= 0.1 / M``
     is enforced unless ``allow_large_dt`` is set. ``record_stride`` thins the
     stored samples. ``linear_only`` freezes the stiffness at 1 (debugging aid:
-    the split scheme then conserves every action to rounding).
+    the split scheme then conserves every action to rounding). A run may ask
+    for at most ``MAX_STEPS`` steps, ``round(T / dt)``.
     """
 
     dt: float
@@ -70,6 +86,12 @@ class SimConfig:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if not (self.T >= 0 and math.isfinite(self.T)):
             raise ValueError(f"T must be finite and >= 0, got {self.T!r}")
+        # round(T / dt) > MAX_STEPS, without rounding an infinite quotient
+        if self.T / self.dt > MAX_STEPS + 0.5:
+            raise ValueError(
+                f"T / dt = {self.T / self.dt:.12g} steps is more than the cap of {MAX_STEPS}; "
+                "lower T or raise dt"
+            )
         if self.scheme not in ("strang_split", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.M < 1:
@@ -153,57 +175,95 @@ def _actions(u: np.ndarray, v: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return 0.5 * (a1 * u * u + v * v / a1)
 
 
-def _rotate(u: np.ndarray, v: np.ndarray, omega: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    # exact flow of  u' = v,  v' = -omega^2 u  over time h
-    th = omega * h
-    c = np.cos(th)
-    s = np.sin(th)
-    return c * u + (s / omega) * v, -omega * s * u + c * v
+def _stiffness(w: np.ndarray) -> float:
+    # 1 + S with S = sum_a a^2 u_a^2 = sum_a (Re w_a)^2
+    x = w.real
+    return 1.0 + float(x @ x)
 
 
-def _step_strang(
-    u: np.ndarray,
-    v: np.ndarray,
-    dt: float,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    linear_only: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    if linear_only:
-        return _rotate(u, v, a1, dt)
-    c_left = 1.0 + _slope2(u, a2)
-    uh, vh = _rotate(u, v, a1 * math.sqrt(c_left), 0.5 * dt)
-    # second half freezes the stiffness at the step's end state
-    c = 1.0 + _slope2(uh, a2)
-    for _ in range(12):
-        un, vn = _rotate(uh, vh, a1 * math.sqrt(c), 0.5 * dt)
-        c_new = 1.0 + _slope2(un, a2)
-        if abs(c_new - c) <= 1e-15 * c:
+def _rotate(w: np.ndarray, minus_ih_a: np.ndarray, c: float) -> np.ndarray:
+    # exact flow over time h at frozen stiffness c, with minus_ih_a = -i h a:
+    # w_a -> w_a exp(-i a sqrt(c) h)
+    return w * np.exp(minus_ih_a * math.sqrt(c))
+
+
+def _reframe(w: np.ndarray, ratio: float) -> np.ndarray:
+    # the same (u, v) in the frame of another stiffness: Im w = v / sqrt(c)
+    # is scaled by sqrt(c_old / c_new), with ratio = c_old / c_new
+    out = w.copy()
+    out.imag *= math.sqrt(ratio)
+    return out
+
+
+# A scheme is what ``simulate`` drives: ``(start, step, unpack, finite)``.
+# ``start(u, v)`` makes the scheme's state, ``step`` advances it by dt,
+# ``unpack`` gives ``(u, v)`` back and ``finite`` checks it; the loop never
+# looks inside the state.
+_Scheme = tuple[Callable, Callable, Callable, Callable]
+
+
+def _strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) -> _Scheme:
+    # state (w, c, c_w): w = a u + i v / sqrt(c) in the frame of stiffness c,
+    # and c_w = 1 + S of w itself (equal to c when the fixed point closed exactly)
+    half = (-0.5j * dt) * a1
+    full = (-1j * dt) * a1
+
+    def start(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
+        w = a1 * u + 1j * v
+        return w, 1.0, _stiffness(w)
+
+    def step(state: tuple[np.ndarray, float, float]) -> tuple[np.ndarray, float, float]:
+        w, c, c_left = state
+        if linear_only:
+            return _rotate(w, full, 1.0), 1.0, 1.0
+        if c_left != c:
+            w = _reframe(w, c / c_left)
+        wh = _rotate(w, half, c_left)
+        # second half freezes the stiffness at the step's end state; the
+        # stiffness moves about as much over each half, so extrapolate the
+        # seed (clamped, since c >= 1 and the line can cross it for large data)
+        c_mid = _stiffness(wh)
+        c = max(1.0, 2.0 * c_mid - c_left)
+        for _ in range(12):
+            wn = _rotate(_reframe(wh, c_left / c), half, c)
+            c_new = _stiffness(wn)
+            if c_new == c:
+                return wn, c, c  # the closing rotation would repeat this one
+            converged = abs(c_new - c) <= 1e-15 * c
             c = c_new
-            break
-        c = c_new
-    return _rotate(uh, vh, a1 * math.sqrt(c), 0.5 * dt)
+            if converged:
+                break
+        wn = _rotate(_reframe(wh, c_left / c), half, c)
+        return wn, c, _stiffness(wn)
+
+    def unpack(state: tuple[np.ndarray, float, float]) -> tuple[np.ndarray, np.ndarray]:
+        w, c, _ = state
+        return w.real / a1, w.imag * math.sqrt(c)
+
+    return start, step, unpack, lambda state: bool(np.isfinite(state[0]).all())
 
 
-def _step_rk4(
-    u: np.ndarray,
-    v: np.ndarray,
-    dt: float,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    linear_only: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+def _rk4(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) -> _Scheme:
+    # state (u, v)
     def f(uu: np.ndarray, vv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         stiff = 1.0 if linear_only else 1.0 + _slope2(uu, a2)
         return vv, -stiff * a2 * uu
 
-    k1u, k1v = f(u, v)
-    k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-    k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-    k4u, k4v = f(u + dt * k3u, v + dt * k3v)
-    un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return un, vn
+    def step(state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        u, v = state
+        k1u, k1v = f(u, v)
+        k2u, k2v = f(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = f(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = f(u + dt * k3u, v + dt * k3v)
+        un = u + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
+        vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        return un, vn
+
+    def finite(state: tuple[np.ndarray, np.ndarray]) -> bool:
+        u, v = state
+        return bool(np.all(np.isfinite(u)) and np.all(np.isfinite(v)))
+
+    return (lambda u, v: (u, v)), step, (lambda state: state), finite
 
 
 def simulate(initial: UVState, config: SimConfig) -> Trajectory:
@@ -219,7 +279,8 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     a1 = np.arange(1, M + 1, dtype=float)
     a2 = a1 * a1
     w2 = np.array([config.weight.weight_sq(a) for a in range(1, M + 1)])
-    step = _step_strang if config.scheme == "strang_split" else _step_rk4
+    scheme = _strang_split if config.scheme == "strang_split" else _rk4
+    start, step, unpack, finite = scheme(config.dt, a1, a2, config.linear_only)
 
     n_steps = int(round(config.T / config.dt)) if config.T > 0 else 0
     # one list per field of Trajectory, in its order
@@ -246,12 +307,13 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         acts0 = _actions(u, v, a1)
         record(0.0, u, v)
+        state = start(u, v)
         for k in range(1, n_steps + 1):
-            u, v = step(u, v, config.dt, a1, a2, config.linear_only)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            state = step(state)
+            if not finite(state):
                 raise SimulationBlowup(k * config.dt)
             if k % config.record_stride == 0 or k == n_steps:
-                record(k * config.dt, u, v)
+                record(k * config.dt, *unpack(state))
 
     return Trajectory(*(np.array(x) for x in (times, energies, acts_list, norms, drifts)), config, states)
 
@@ -270,9 +332,9 @@ def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase, header_lines: Seq
         stream.write(f"# {line}\n")
     cols = ["t", "H", "sup_drift"] + [f"I_{a}" for a in range(1, traj.M + 1)]
     stream.write(",".join(cols) + "\n")
-    for i in range(len(traj.times)):
-        row = [traj.times[i], traj.energy[i], traj.sup_drift[i]] + list(traj.actions[i])
-        stream.write(",".join(repr(float(x)) for x in row) + "\n")
+    rows = zip(traj.times.tolist(), traj.energy.tolist(), traj.sup_drift.tolist(), traj.actions)
+    for t, H, drift, acts in rows:
+        stream.write(",".join(map(repr, [t, H, drift, *acts.tolist()])) + "\n")
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

@@ -17,7 +17,11 @@ Contents:
   ``_kappa_factor``; the reference for the batched ``DivisorTable``,
 - ``scalar_corrected_divisor`` and ``scalar_divisor_tail``: the corrected
   divisor with its own tail sum, and the divisor tail estimator as a loop
-  over samples; the reference for the batched ``measure.divisor_tail``.
+  over samples; the reference for the batched ``measure.divisor_tail``,
+- ``_rotate`` and ``_step_strang``: the split step on the real pair
+  ``(u, v)``, with a cosine/sine rotation per half step and the fixed point
+  seeded at the midpoint stiffness; the reference for the complex-variable
+  stepper behind ``simulator.simulate``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from scipy.integrate import solve_ivp
 from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm
 from stringnf.divisors import _kappa_factor, _omega4_raw, _reduce, enumerate_irr_indices, irr, kappa
 from stringnf.measure import sample_actions
+from stringnf.simulator import _slope2
 
 
 # ---------------------------------------------------------------------------
@@ -514,3 +519,39 @@ def scalar_divisor_tail(jvec, params, spec, eps) -> tuple[int, int, float, float
         if abs(scalar_corrected_divisor(v, ctx)) <= thr_corrected:
             hits4 += 1
     return hits2, hits4, thr_leading, thr_corrected
+
+
+# ---------------------------------------------------------------------------
+# real-pair Strang step
+
+
+def _rotate(u: np.ndarray, v: np.ndarray, omega: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    # exact flow of  u' = v,  v' = -omega^2 u  over time h
+    th = omega * h
+    c = np.cos(th)
+    s = np.sin(th)
+    return c * u + (s / omega) * v, -omega * s * u + c * v
+
+
+def _step_strang(
+    u: np.ndarray,
+    v: np.ndarray,
+    dt: float,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    linear_only: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    if linear_only:
+        return _rotate(u, v, a1, dt)
+    c_left = 1.0 + _slope2(u, a2)
+    uh, vh = _rotate(u, v, a1 * math.sqrt(c_left), 0.5 * dt)
+    # second half freezes the stiffness at the step's end state
+    c = 1.0 + _slope2(uh, a2)
+    for _ in range(12):
+        un, vn = _rotate(uh, vh, a1 * math.sqrt(c), 0.5 * dt)
+        c_new = 1.0 + _slope2(un, a2)
+        if abs(c_new - c) <= 1e-15 * c:
+            c = c_new
+            break
+        c = c_new
+    return _rotate(uh, vh, a1 * math.sqrt(c), 0.5 * dt)

@@ -220,6 +220,7 @@ class TestDriftSweepCommand:
         ("eps=[1e200]", "action"),  # the sampled actions overflow before certification
         ("ball_radius=1e-9", "rejection rate"),  # the sampler rejects every draw
         ("eps=[1e-160] T=0", "horizon"),  # a state certifies, but the default T = eps^-2 overflows
+        ("eps=[1e-100] T=0", "steps"),  # T = eps^-2 is finite but asks for 2e202 steps
     ])
     def test_unusable_point_is_config_error(self, tmp_path, capsys, setting, cause):
         out = tmp_path / "o"

@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import helpers
 from helpers import duffing_reference
+from stringnf import simulator
 from stringnf.core import WeightSpec
 from stringnf.simulator import (
+    MAX_STEPS,
     SimConfig,
     SimulationBlowup,
     actions,
@@ -62,6 +67,11 @@ class TestConfig:
             SimConfig(dt=1e-3, T=1.0, record_stride=0)
         for dt, T in ((math.nan, 1.0), (math.inf, 1.0), (1e-3, math.nan), (1e-3, math.inf)):
             with pytest.raises(ValueError, match="finite"):
+                SimConfig(dt=dt, T=T, allow_large_dt=True)
+        # a step budget of round(T / dt) <= MAX_STEPS, an infinite quotient included
+        SimConfig(dt=1e-3, T=MAX_STEPS * 1e-3)
+        for dt, T in ((1e-3, (MAX_STEPS + 1) * 1e-3), (5e-3, 1e200), (1e-300, 1e300)):
+            with pytest.raises(ValueError, match="steps"):
                 SimConfig(dt=dt, T=T, allow_large_dt=True)
 
 
@@ -150,6 +160,68 @@ class TestActionDriftBand:
         )
         traj = simulate(st, cfg)
         assert float(np.max(traj.sup_drift)) < eps**2.5
+
+
+class TestComplexStepper:
+    """The split step on ``w = a u + i v / sqrt(c)`` against the real-pair oracle."""
+
+    # relative agreement in the energy norm sqrt(sum_a a^2 u_a^2 + v_a^2)
+    REL_BOUND = 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        M=hst.integers(1, 16),
+        dt_frac=hst.floats(0.01, 1.0),
+        log_amp=hst.floats(math.log(1e-6), math.log(0.3)),
+        s=hst.floats(0.0, 3.0),
+        coeffs=hst.lists(hst.floats(-1.0, 1.0), min_size=32, max_size=32),
+        linear_only=hst.booleans(),
+    )
+    def test_matches_real_pair_oracle(self, M, dt_frac, log_amp, s, coeffs, linear_only):
+        amp = math.exp(log_amp)
+        dt = dt_frac * 0.1 / M
+        n_steps, stride = 2000, 250
+        # Sobolev-like decay: sum_a a^2 u_a^2 + v_a^2 is dominated by the low modes
+        u0 = np.array([amp * coeffs[a - 1] * a ** -(s + 1.0) for a in range(1, M + 1)])
+        v0 = np.array([amp * coeffs[16 + a - 1] * a**-s for a in range(1, M + 1)])
+        st = UVState({a: float(x) for a, x in enumerate(u0, 1)}, {a: float(x) for a, x in enumerate(v0, 1)}, M)
+        cfg = SimConfig(dt=dt, T=n_steps * dt, M=M, record_stride=stride, record_states=True,
+                        linear_only=linear_only)
+        traj = simulate(st, cfg)
+        assert len(traj.states) == n_steps // stride + 1
+
+        a1 = np.arange(1, M + 1, dtype=float)
+        a2 = a1 * a1
+        u, v = u0, v0
+        for k in range(1, n_steps + 1):
+            u, v = helpers._step_strang(u, v, dt, a1, a2, linear_only)
+            if k % stride == 0:
+                got = traj.states[k // stride]
+                gu = np.array([got.u.get(a, 0.0) for a in range(1, M + 1)])
+                gv = np.array([got.v.get(a, 0.0) for a in range(1, M + 1)])
+                err = math.sqrt(float(a2 @ (gu - u) ** 2 + (gv - v) @ (gv - v)))
+                scale = math.sqrt(float(a2 @ (u * u) + v @ v))
+                assert err <= self.REL_BOUND * scale, (k, err, scale)
+
+    def test_rotations_per_step(self, monkeypatch):
+        # criterion 5's 16-mode state: the extrapolated seed and the reuse of
+        # a converged rotation hold the count near three (one per half step
+        # and one to confirm the fixed point)
+        calls = 0
+        rotate = simulator._rotate
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return rotate(*args)
+
+        monkeypatch.setattr(simulator, "_rotate", counting)
+        rng = np.random.default_rng(3)
+        u = {a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
+        v = {a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
+        n_steps = 2000
+        simulate(UVState(u, v, 16), SimConfig(dt=1e-3, T=n_steps * 1e-3, M=16, record_stride=10**9))
+        assert calls <= 3.2 * n_steps
 
 
 class TestSimulateMechanics:
