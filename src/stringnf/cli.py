@@ -24,9 +24,10 @@ import json
 import math
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +81,17 @@ class SamplingFailure(RuntimeError):
     """No admissible sample was found within the configured budget."""
 
 
+@contextmanager
+def _config_errors(prefix: str = "") -> Iterator[None]:
+    """Report a ``ValueError`` raised while building from the config as a config error."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # configuration schemas
 
@@ -92,6 +104,16 @@ def _coerce_int(key: str, v: Any) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
     return v
+
+
+def _int_at_least(low: int) -> Callable[[str, Any], int]:
+    def coerce(key: str, v: Any) -> int:
+        n = _coerce_int(key, v)
+        if n < low:
+            raise ConfigError(f"{key}: expected an integer >= {low}, got {n}")
+        return n
+
+    return coerce
 
 
 def _coerce_num(key: str, v: Any) -> float:
@@ -158,6 +180,8 @@ def _coerce_pair_map(key: str, v: Any) -> Dict[int, Tuple[float, float]]:
 
 _COERCE: Dict[str, Callable[[str, Any], Any]] = {
     "int": _coerce_int,
+    "nat": _int_at_least(0),  # seeds, and settings where 0 selects a default
+    "count": _int_at_least(1),  # sizes and sample counts
     "num": _coerce_num,
     "bool": _coerce_bool,
     "str": _coerce_str,
@@ -175,73 +199,73 @@ _WEIGHT_SCHEMA = {
 
 SCHEMAS: Dict[str, Dict[str, Tuple[str, Any]]] = {
     "simulate": {
-        "M": ("int", 16),
+        "M": ("count", 16),
         "dt": ("num", 1e-3),
         "T": ("num", 10.0),
         "scheme": ("str", "strang_split"),
-        "record_stride": ("int", 1),
+        "record_stride": ("count", 1),
         "linear_only": ("bool", False),
         "allow_large_dt": ("bool", False),
         "initial_u": ("mode_map", {}),
         "initial_v": ("mode_map", {}),
-        "seed": ("int", 0),
+        "seed": ("nat", 0),
         **_WEIGHT_SCHEMA,
     },
     "drift-sweep": {
         "eps": ("num_list", [0.2, 0.1, 0.05]),
-        "M": ("int", 16),
-        "N": ("int", 16),
+        "M": ("count", 16),
+        "N": ("count", 16),
         "r": ("int", 2),
         "gamma": ("num", 0.1),
         "dt": ("num", 5e-3),
         "T": ("num", 0.0),  # 0 selects T = eps^-2 per point
         "scheme": ("str", "strang_split"),
-        "record_stride": ("int", 0),  # 0 selects roughly 512 records
-        "max_tries": ("int", 64),
+        "record_stride": ("nat", 0),  # 0 selects roughly 512 records
+        "max_tries": ("count", 64),
         "ball_radius": ("num", 0.5),
-        "seed": ("int", 0),
+        "seed": ("nat", 0),
         **_WEIGHT_SCHEMA,
     },
     "measure": {
         "gamma_grid": ("num_list", [0.02, 0.05, 0.1, 0.2]),
         "r": ("int", 2),
-        "N": ("int", 8),
-        "truncation": ("int", 0),  # 0 selects N
-        "samples": ("int", 1000),
+        "N": ("count", 8),
+        "truncation": ("nat", 0),  # 0 selects N
+        "samples": ("count", 1000),
         "eps": ("num", 0.0),  # 0 selects the largest amplitude the small-data hypothesis allows
         "ball_radius": ("num", 0.5),
-        "seed": ("int", 0),
+        "seed": ("nat", 0),
         **_WEIGHT_SCHEMA,
     },
     "resonance": {
         "state": ("pair_map", {}),
-        "truncation": ("int", 0),  # 0 selects max(N, highest excited mode)
+        "truncation": ("nat", 0),  # 0 selects max(N, highest excited mode)
         "r": ("int", 2),
-        "N": ("int", 8),
+        "N": ("count", 8),
         "gamma": ("num", 0.1),
-        "seed": ("int", 0),
+        "seed": ("nat", 0),
         **_WEIGHT_SCHEMA,
     },
     "nf-verify": {
-        "N": ("int", 8),
-        "quintic_N": ("int", 6),
-        "quintic_samples": ("int", 50),
+        "N": ("count", 8),
+        "quintic_N": ("count", 6),
+        "quintic_samples": ("count", 50),
         "quintic_gamma": ("num", 1e-3),
         "quintic_s": ("num", 3.0),
-        "solver_N": ("int", 4),
-        "solver_samples": ("int", 50),
+        "solver_N": ("count", 4),
+        "solver_samples": ("count", 50),
         "tol_quintic": ("num", 1e-10),
         "tol_solver": ("num", 1e-9),
         "golden_dir": ("str", ""),
-        "seed": ("int", 0),
+        "seed": ("nat", 0),
     },
     "roundtrip": {
-        "samples": ("int", 1000),
-        "M": ("int", 8),
+        "samples": ("count", 1000),
+        "M": ("count", 8),
         "scale": ("num", 0.3),
         "tol": ("num", 1e-12),
         "identity_tol": ("num", 1e-12),
-        "seed": ("int", 0),
+        "seed": ("nat", 0),
     },
 }
 
@@ -304,15 +328,13 @@ def resolve_config(
 # shared helpers
 
 def _weight_from(cfg: Dict[str, Any]) -> WeightSpec:
-    try:
+    with _config_errors():
         return WeightSpec(
             kind=cfg["weight_kind"],
             s=cfg["weight_s"],
             rho=cfg["weight_rho"],
             theta=cfg["weight_theta"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _jsonable(value: Any) -> Any:
@@ -368,7 +390,7 @@ def _uv_from_maps(
 def cmd_simulate(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     initial = _uv_from_maps(cfg["initial_u"], cfg["initial_v"], cfg["M"])
-    try:
+    with _config_errors():
         sim = SimConfig(
             dt=cfg["dt"],
             T=cfg["T"],
@@ -379,8 +401,6 @@ def cmd_simulate(cfg: Dict[str, Any], out: Path) -> int:
             linear_only=cfg["linear_only"],
             allow_large_dt=cfg["allow_large_dt"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     traj = simulate(initial, sim)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trajectory.csv", "w") as fh:
@@ -421,10 +441,8 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
     for e in cfg["eps"]:
         if e <= 0.0:
             raise ConfigError(f"eps: every entry must be positive, got {e!r}")
-    try:
+    with _config_errors():
         params = NonResonanceParams(cfg["r"], cfg["N"], cfg["gamma"], weight)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     out.mkdir(parents=True, exist_ok=True)
 
     def point(index: int) -> Dict[str, Any]:
@@ -432,7 +450,7 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
         seed_i = _point_seed(cfg["seed"], index)
         # besides bad settings, too large an eps overflows the actions or
         # makes the mixing of the coordinate change singular
-        try:
+        with _config_errors(f"eps={eps:g}: "):
             spec = MeasureSpec(weight, cfg["M"], cfg["max_tries"], seed_i, cfg["ball_radius"])
             batch = sample_actions(spec)
             candidates = [batch.state(k, eps) for k in range(len(batch))]
@@ -450,8 +468,6 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
             stride = cfg["record_stride"] or max(1, int(horizon / cfg["dt"] / 512))
             sim = SimConfig(dt=cfg["dt"], T=horizon, scheme=cfg["scheme"], M=cfg["M"],
                             record_stride=stride, weight=weight)
-        except ValueError as exc:
-            raise ConfigError(f"eps={eps:g}: {exc}") from None
         traj = simulate(initial, sim)
         s = trajectory_summary(traj)
         record = {
@@ -491,25 +507,17 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
 def cmd_measure(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     grid = cfg["gamma_grid"]
-    try:
+    with _config_errors():
         params = [NonResonanceParams(cfg["r"], cfg["N"], g, weight) for g in grid]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     truncation = cfg["truncation"] or cfg["N"]
     r, n = cfg["r"], cfg["N"]
     eps = cfg["eps"]
     if eps <= 0.0:
         # largest amplitude for which the sparsity hypothesis holds on the whole grid
         eps = default_eps(min(grid), r, n)
-    try:
+    with _config_errors():
         spec = MeasureSpec(weight, truncation, cfg["samples"], cfg["seed"], cfg["ball_radius"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    try:
         records = [estimate_measure(p, spec, eps).record() for p in params]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     _write_json(
         out / "measure.json",
         {**_resolved("measure", cfg), "eps_resolved": eps, "records": records},
@@ -533,10 +541,8 @@ def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
         if mode > truncation:
             raise ConfigError(f"state: mode {mode} exceeds truncation {truncation}")
     z = ComplexSeq({m: complex(re, im) for m, (re, im) in state.items()}, truncation)
-    try:
+    with _config_errors():
         params = NonResonanceParams(cfg["r"], cfg["N"], cfg["gamma"], weight)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     rep = is_nonresonant(z, params)
     witness: Optional[Dict[str, Any]] = None
     if rep.witness is not None:
@@ -569,13 +575,8 @@ def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
 # ---------------------------------------------------------------------------
 # normal form verification
 
-def _ensemble_states(
-    n: int, modes: int, gamma: float, s: float, seed: int
-) -> List[ComplexSeq]:
-    """Random non-resonant states drawn from the weighted action ensemble."""
-    weight = WeightSpec("sobolev", s=s)
-    params = NonResonanceParams(2, modes, gamma, weight)
-    spec = MeasureSpec(weight, modes, max(4 * n, 64), seed)
+def _ensemble_states(n: int, params: NonResonanceParams, spec: MeasureSpec) -> List[ComplexSeq]:
+    """The first ``n`` non-resonant states drawn from the weighted action ensemble."""
     batch = sample_actions(spec)
     candidates = [batch.state(i) for i in range(len(batch))]
     states = [z for z, rep in zip(candidates, certify(candidates, params)) if rep.ok]
@@ -583,7 +584,7 @@ def _ensemble_states(
         return states[:n]
     raise SamplingFailure(
         f"only {len(states)} of the requested {n} states were non-resonant "
-        f"at gamma={gamma:g}"
+        f"at gamma={params.gamma:g}"
     )
 
 
@@ -618,7 +619,11 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
         suffix = f"  ({detail})" if detail else ""
         print(f"{'PASS' if ok else 'FAIL'}  {name}{suffix}")
 
-    n = cfg["N"]
+    n, nq = cfg["N"], cfg["quintic_N"]
+    with _config_errors("quintic ensemble: "):
+        weight_q = WeightSpec("sobolev", s=cfg["quintic_s"])
+        params_q = NonResonanceParams(2, nq, cfg["quintic_gamma"], weight_q)
+        spec_q = MeasureSpec(weight_q, nq, max(4 * cfg["quintic_samples"], 64), cfg["seed"])
     nf = resonant_normal_form(2, n)
     chi3 = chi3_explicit(n)
     z1 = z1_field(n)
@@ -637,12 +642,9 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
 
     # quintic cascade: bracket against the cubic rotation kills the resonant
     # non-integrable part, checked numerically at ensemble states
-    nq = cfg["quintic_N"]
     nfq = nf if nq == n else resonant_normal_form(2, nq)
     s_gen, m_gen = quintic_rational_solve(nfq.k5, nq)
-    states_q = _ensemble_states(
-        cfg["quintic_samples"], nq, cfg["quintic_gamma"], cfg["quintic_s"], cfg["seed"]
-    )
+    states_q = _ensemble_states(cfg["quintic_samples"], params_q, spec_q)
     total_q = commutator(nfq.z3, s_gen + m_gen, nq) + nfq.k5
     rq = _rel_residual(total_q, nfq.k5, states_q)
     record(
@@ -707,21 +709,24 @@ def cmd_roundtrip(cfg: Dict[str, Any], out: Path) -> int:
     max_rt = 0.0
     max_ident = 0.0
     for _ in range(cfg["samples"]):
-        state = UVState(
-            {a: scale * rng.standard_normal() / a**2 for a in modes},
-            {a: scale * rng.standard_normal() / a for a in modes},
-            cfg["M"],
-        )
-        back = z_to_uv(uv_to_z(state))
+        # too large a scale overflows the state or makes the mixing of the
+        # coordinate change singular
+        with _config_errors(f"scale={scale:g}: "):
+            state = UVState(
+                {a: scale * rng.standard_normal() / a**2 for a in modes},
+                {a: scale * rng.standard_normal() / a for a in modes},
+                cfg["M"],
+            )
+            back = z_to_uv(uv_to_z(state))
+            psi = uv_to_psi(state)
+            eta = psi_to_eta(psi)
         for a in modes:
             max_rt = max(
                 max_rt,
                 abs(back.u.get(a, 0.0) - state.u.get(a, 0.0)),
                 abs(back.v.get(a, 0.0) - state.v.get(a, 0.0)),
             )
-        psi = uv_to_psi(state)
         x = elastic_energy(psi.seq)
-        eta = psi_to_eta(psi)
         max_ident = max(max_ident, abs(eta.elastic - x * math.sqrt(1.0 + 2.0 * x)))
     ok = max_rt <= cfg["tol"] and max_ident <= cfg["identity_tol"]
     _write_json(

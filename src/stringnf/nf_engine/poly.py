@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from ..core import delta_sum
-from .rational import DIAG, NO_DIVISORS, QC, RationalVF, RKey, canonical_from_exponents, commutator
+from .rational import DIAG, NO_DIVISORS, QC, RationalVF, RKey, _accumulate, commutator, product_key
 
 __all__ = [
     "taylor_vf",
@@ -100,13 +100,8 @@ def taylor_vf(l: int, M: int) -> RationalVF:
     acc: Dict[RKey, QC] = {}
     for a in range(1, M + 1):
         for mon, c in sym.items():
-            alphas = {m: e[0] for m, e in mon}
-            betas = {m: e[1] for m, e in mon}
-            betas[a] = betas.get(a, 0) + 1
-            key = canonical_from_exponents(a, alphas, betas) + NO_DIVISORS
-            term = pref * c
-            prev = acc.get(key)
-            acc[key] = term if prev is None else prev + term
+            # the symbol's monomial times zbar_a
+            _accumulate(acc, product_key(a, dict(mon), {}, False, ((a, 0, 1),)) + NO_DIVISORS, pref * c)
     return RationalVF(acc)
 
 

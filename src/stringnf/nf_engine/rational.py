@@ -69,6 +69,8 @@ __all__ = [
     "key_order",
     "multiplicity",
     "omega4_hessian",
+    "product_key",
+    "transport",
     "validate_class",
 ]
 
@@ -154,8 +156,9 @@ RKey = Tuple[int, str, IndexVector, Section, Section, Section]
 NO_DIVISORS: Tuple[Section, Section, Section] = ((), (), ())
 
 
-def canonical_from_exponents(a: int, alphas: Mapping[int, int], betas: Mapping[int, int]) -> TermKey:
-    """Fold raw exponents of a ``d/dz_a`` component monomial onto the basis.
+def canonical_from_exponents(a: int, exps: Mapping[int, Tuple[int, int]]) -> TermKey:
+    """Fold raw exponents ``{mode: (alpha, beta)}`` of a ``d/dz_a`` component
+    monomial onto the basis; the inverse of :func:`key_exponents`.
 
     Exponent differences must be even away from mode ``a`` and odd at it; the
     surplus at ``a`` supplies the prefix (its sign picks diag versus anti), and
@@ -163,22 +166,17 @@ def canonical_from_exponents(a: int, alphas: Mapping[int, int], betas: Mapping[i
     squares. This also performs the boundary bookkeeping: for example
     ``zbar_a^3`` folds to an anti term with index entry ``(-1, a)``.
     """
-    modes = set(alphas) | set(betas)
-    al = dict(alphas)
-    be = dict(betas)
-    da = al.get(a, 0) - be.get(a, 0)
-    if da % 2 == 0:
+    alpha, beta = exps.get(a, (0, 0))
+    if (alpha - beta) % 2 == 0:
         raise ParityError(f"exponent difference at derivative mode {a} must be odd")
-    if da > 0:
-        kind = DIAG
-        al[a] = al.get(a, 0) - 1
-    else:
-        kind = ANTI
-        be[a] = be.get(a, 0) - 1
+    kind = DIAG if alpha > beta else ANTI
     entries = []
-    for m in modes:
-        x = al.get(m, 0)
-        y = be.get(m, 0)
+    for m, (x, y) in exps.items():
+        if m == a:
+            if kind == DIAG:
+                x -= 1
+            else:
+                y -= 1
         if x < 0 or y < 0:
             raise ParityError(f"negative exponent at mode {m}")
         p = min(x, y)
@@ -209,6 +207,37 @@ def key_exponents(key: TermKey) -> Dict[int, list]:
             e[0] += 1
             e[1] += 1
     return exp
+
+
+def product_key(
+    a: int,
+    x: Mapping[int, Tuple[int, int]],
+    y: Mapping[int, Tuple[int, int]],
+    conj_y: bool,
+    extra: Tuple[Tuple[int, int, int], ...] = (),
+) -> TermKey:
+    """Key of the ``d/dz_a`` monomial ``x * y`` (``x * conj(y)`` with
+    ``conj_y``) times the factors ``z_m^da zbar_m^db`` of ``extra``.
+
+    ``x`` and ``y`` are exponent maps as :func:`key_exponents` returns them.
+    A negative factor lowers the exponent of the whole product, which is the
+    monomial part of a derivative; the caller supplies its coefficient.
+    """
+    merged = {m: [e[0], e[1]] for m, e in x.items()}
+    for m, (p, q) in y.items():
+        if conj_y:
+            p, q = q, p
+        t = merged.get(m)
+        if t is None:
+            merged[m] = [p, q]
+        else:
+            t[0] += p
+            t[1] += q
+    for m, da, db in extra:
+        t = merged.setdefault(m, [0, 0])
+        t[0] += da
+        t[1] += db
+    return canonical_from_exponents(a, merged)
 
 
 def multiplicity(j: IndexVector) -> int:
@@ -608,46 +637,42 @@ def _accumulate(acc: Dict, key, c: QC) -> None:
     acc[key] = c if prev is None else prev + c
 
 
-def _by_mode(triples):
+def _actors(terms) -> Dict[int, list]:
+    """``(key, c, exponents)`` triples grouped by field mode as
+    ``(c, exponents, divisor sections)`` actors."""
     out: Dict[int, list] = {}
-    for a, c, exp in triples:
-        out.setdefault(a, []).append((c, exp))
+    for key, c, exp in terms:
+        out.setdefault(key[0], []).append((c, exp, key[3:]))
     return out
 
 
-def _directional(acc: Dict[TermKey, QC], x_by_mode, y_triples, sign: int) -> None:
+def transport(acc: Dict, a: int, x, actors, d: int, extra, fac: QC, sections) -> None:
+    """Add ``fac * x * extra * dI_d[Y]`` to the ``d/dz_a`` terms in ``acc``.
+
+    ``dI_d[Y] = zbar_d Y_d + z_d conj(Y_d)`` is the derivative of the action
+    ``I_d`` along ``Y``, whose ``d/dz_d`` terms are ``actors``; ``x`` is an
+    exponent map and ``extra`` a tuple of :func:`product_key` factors.  Each
+    product carries ``sections`` merged with its actor's divisor sections.
+    """
+    for c, ey, dy in actors:
+        secs = _merge_sections(sections, dy)
+        _accumulate(acc, product_key(a, x, ey, False, ((d, 0, 1),) + extra) + secs, fac * c)
+        _accumulate(acc, product_key(a, x, ey, True, ((d, 1, 0),) + extra) + secs, fac * c.conj())
+
+
+def _directional(acc: Dict[TermKey, QC], x_by_mode, y_terms, sign: int) -> None:
     # sign * sum_b [ X^{z_b} d/dz_b + conj(X^{z_b}) d/dzbar_b ] Y^{z_a}
-    for a, cY, expY in y_triples:
+    for key, cY, expY in y_terms:
+        a = key[0]
         for b, (alpha, beta) in expY.items():
-            actors = x_by_mode.get(b)
-            if not actors:
-                continue
-            for cX, expX in actors:
+            for cX, expX, _ in x_by_mode.get(b, ()):
                 if alpha:
-                    c = cX * cY * (sign * alpha)
-                    merged = {m: [e[0], e[1]] for m, e in expY.items()}
-                    merged[b][0] -= 1
-                    for m, e in expX.items():
-                        t = merged.setdefault(m, [0, 0])
-                        t[0] += e[0]
-                        t[1] += e[1]
-                    key = canonical_from_exponents(
-                        a, {m: e[0] for m, e in merged.items()}, {m: e[1] for m, e in merged.items()}
-                    )
-                    _accumulate(acc, key, c)
+                    prod = product_key(a, expY, expX, False, ((b, -1, 0),))
+                    _accumulate(acc, prod, cX * cY * (sign * alpha))
                 if beta:
                     # conjugate actor: swap its exponents, conjugate its coefficient
-                    c = cX.conj() * cY * (sign * beta)
-                    merged = {m: [e[0], e[1]] for m, e in expY.items()}
-                    merged[b][1] -= 1
-                    for m, e in expX.items():
-                        t = merged.setdefault(m, [0, 0])
-                        t[0] += e[1]
-                        t[1] += e[0]
-                    key = canonical_from_exponents(
-                        a, {m: e[0] for m, e in merged.items()}, {m: e[1] for m, e in merged.items()}
-                    )
-                    _accumulate(acc, key, c)
+                    prod = product_key(a, expY, expX, True, ((b, 0, -1),))
+                    _accumulate(acc, prod, cX.conj() * cY * (sign * beta))
 
 
 _LIN_CACHE: Dict[Divisor, Tuple[Tuple[int, Fraction], ...]] = {}
@@ -719,42 +744,9 @@ def _divisor_part(acc: Dict[RKey, QC], xt, yt, sign: int, N: Optional[int]) -> N
     divided = [(key, cx, ex) for key, cx, ex in xt if key[3] or key[4] or key[5]]
     if not divided:
         return
-    ymode: Dict[int, list] = {}
-    for key, c, ey in yt:
-        ymode.setdefault(key[0], []).append((c, ey, key[3:]))
+    ymode = _actors(yt)
     if not ymode:
         return
-
-    def emit(a, ex, cx_fac, d, actors, extra_actions, x_sections):
-        # contract the action-derivative pieces of every actor at the hit mode
-        for cy, ey, dy in actors:
-            sections = _merge_sections(x_sections, dy)
-            for pc, swap, bar in ((cy, False, True), (cy.conj(), True, False)):
-                merged: Dict[int, list] = {m: [e[0], e[1]] for m, e in ex.items()}
-                for m, e in ey.items():
-                    t = merged.setdefault(m, [0, 0])
-                    if swap:
-                        t[0] += e[1]
-                        t[1] += e[0]
-                    else:
-                        t[0] += e[0]
-                        t[1] += e[1]
-                t = merged.setdefault(d, [0, 0])
-                if bar:
-                    t[1] += 1
-                else:
-                    t[0] += 1
-                for m in extra_actions:
-                    t = merged.setdefault(m, [0, 0])
-                    t[0] += 1
-                    t[1] += 1
-                newkey = canonical_from_exponents(
-                    a,
-                    {m: e[0] for m, e in merged.items()},
-                    {m: e[1] for m, e in merged.items()},
-                )
-                _accumulate(acc, newkey + sections, cx_fac * pc)
-
     for key, cx, ex in divided:
         a, kind, j, h2, h4, kk = key
         for sec_idx, sec in ((0, h2), (1, h4), (2, kk)):
@@ -768,7 +760,7 @@ def _divisor_part(acc: Dict[RKey, QC], xt, yt, sign: int, N: Optional[int]) -> N
                     if not actors:
                         continue
                     fac = cx * QC(Fraction(-count * sign) * lam)
-                    emit(a, ex, fac, d, actors, (), routed)
+                    transport(acc, a, ex, actors, d, (), fac, routed)
                 if sec_idx == 0:
                     continue
                 routed_q = (h2, h4, kk + (v,))
@@ -777,17 +769,17 @@ def _divisor_part(acc: Dict[RKey, QC], xt, yt, sign: int, N: Optional[int]) -> N
                     if not actors:
                         continue
                     fac = cx * QC(Fraction(-count * sign) * cde)
-                    emit(a, ex, fac, d, actors, (e,), routed_q)
+                    transport(acc, a, ex, actors, d, ((e, 1, 1),), fac, routed_q)
 
 
 def _signature_groups(terms, N: Optional[int]):
     """Terms grouped by divisor signature, each group with its by-mode index."""
     grouped: Dict[Tuple[Section, Section, Section], list] = {}
-    for key, c, exp in terms:
-        grouped.setdefault(key[3:], []).append((key[0], c, exp))
+    for term in terms:
+        grouped.setdefault(term[0][3:], []).append(term)
     if N is None and any(sig[1] or sig[2] for sig in grouped):
         raise ValueError("fields with corrected-frequency divisors need the cutoff N")
-    return [(sig, t, _by_mode(t)) for sig, t in grouped.items()]
+    return [(sig, t, _actors(t)) for sig, t in grouped.items()]
 
 
 def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> RationalVF:

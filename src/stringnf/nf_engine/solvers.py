@@ -29,11 +29,12 @@ from .rational import (
     QC,
     RKey,
     RationalVF,
-    canonical_from_exponents,
+    _actors,
     commutator,
     divisor_zero_form,
     key_exponents,
     omega4_hessian,
+    transport,
     validate_class,
 )
 
@@ -116,11 +117,6 @@ def _divide_keys(field: RationalVF, section: str) -> RationalVF:
     return RationalVF(out)
 
 
-def _acc(acc: Dict[RKey, QC], key: RKey, c: QC) -> None:
-    prev = acc.get(key)
-    acc[key] = c if prev is None else prev + c
-
-
 def _action_coupling(field: RationalVF) -> RationalVF:
     """The field ``-(i/4) sum_a z_a (action derivative along the input)``.
 
@@ -132,24 +128,7 @@ def _action_coupling(field: RationalVF) -> RationalVF:
     acc: Dict[RKey, QC] = {}
     for key, c in field.terms.items():
         a = key[0]
-        ey = key_exponents(key)
-        secs = key[3:]
-        for pc, swap in ((c, False), (c.conj(), True)):
-            merged: Dict[int, list] = {}
-            for m, e in ey.items():
-                merged[m] = [e[1], e[0]] if swap else [e[0], e[1]]
-            t = merged.setdefault(a, [0, 0])
-            if swap:
-                t[0] += 1  # z_a times the conjugated component
-            else:
-                t[1] += 1  # zbar_a times the component
-            t[0] += 1  # leading z_a
-            newkey = canonical_from_exponents(
-                a,
-                {m: e[0] for m, e in merged.items()},
-                {m: e[1] for m, e in merged.items()},
-            )
-            _acc(acc, newkey + secs, pref * pc)
+        transport(acc, a, {a: (1, 0)}, [(c, key_exponents(key), key[3:])], a, (), pref, NO_DIVISORS)
     return RationalVF(acc)
 
 
@@ -162,37 +141,13 @@ def _frequency_coupling(field: RationalVF, N: int) -> RationalVF:
     one transport factor into the numerator.
     """
     neg_i = QC(0, -1)
-    by_mode: Dict[int, list] = {}
-    for key, c in field.terms.items():
-        by_mode.setdefault(key[0], []).append((c, key_exponents(key), key[3:]))
+    by_mode = _actors((key, c, key_exponents(key)) for key, c in field.terms.items())
     acc: Dict[RKey, QC] = {}
     for a in range(1, N + 1):
         for d, e, h in omega4_hessian(a, N):
             actors = by_mode.get(d)
-            if not actors:
-                continue
-            fac = neg_i * QC(h)
-            for cy, ey, dy in actors:
-                for pc, swap in ((cy, False), (cy.conj(), True)):
-                    merged: Dict[int, list] = {}
-                    for m, ee in ey.items():
-                        merged[m] = [ee[1], ee[0]] if swap else [ee[0], ee[1]]
-                    t = merged.setdefault(d, [0, 0])
-                    if swap:
-                        t[0] += 1
-                    else:
-                        t[1] += 1
-                    t = merged.setdefault(e, [0, 0])
-                    t[0] += 1
-                    t[1] += 1
-                    t = merged.setdefault(a, [0, 0])
-                    t[0] += 1
-                    newkey = canonical_from_exponents(
-                        a,
-                        {m: ee[0] for m, ee in merged.items()},
-                        {m: ee[1] for m, ee in merged.items()},
-                    )
-                    _acc(acc, newkey + dy, fac * pc)
+            if actors:
+                transport(acc, a, {a: (1, 0)}, actors, d, ((e, 1, 1),), neg_i * QC(h), NO_DIVISORS)
     return RationalVF(acc)
 
 

@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 
 from helpers import duffing_reference
+from stringnf import cli
 from stringnf.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SAMPLING,
     EXIT_VERIFY,
+    SCHEMAS,
     ConfigError,
     main,
     parse_config_text,
@@ -106,6 +108,53 @@ class TestConfigResolution:
         assert rc == EXIT_CONFIG
         assert "allow_large_dt" in capsys.readouterr().err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# integer settings, driven by the schemas so that new keys are covered
+
+INT_KEYS = [
+    (command, key)
+    for command, schema in SCHEMAS.items()
+    for key, (_, default) in schema.items()
+    if type(default) is int
+]
+
+# Integer keys where 0 is a valid value.  The number keys drift-sweep T and
+# measure eps also select a default at 0; they are not integers.
+ZERO_ALLOWED = {
+    ("drift-sweep", "record_stride"): "0 selects roughly 512 records per point",
+    ("measure", "truncation"): "0 selects N",
+    ("resonance", "truncation"): "0 selects max(N, highest excited mode)",
+    **{(command, "seed"): "0 is a seed" for command in SCHEMAS},
+}
+
+
+@pytest.mark.parametrize("command,key", INT_KEYS, ids=[f"{c}-{k}" for c, k in INT_KEYS])
+def test_negative_integer_is_config_error(tmp_path, capsys, command, key):
+    out = tmp_path / "o"
+    assert run(command, "--out", str(out), "--set", f"{key}=-1") == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+ZERO_REJECTED = [case for case in INT_KEYS if case not in ZERO_ALLOWED]
+
+
+@pytest.mark.parametrize("command,key", ZERO_REJECTED, ids=[f"{c}-{k}" for c, k in ZERO_REJECTED])
+def test_zero_size_or_count_is_config_error(tmp_path, capsys, command, key):
+    out = tmp_path / "o"
+    assert run(command, "--out", str(out), "--set", f"{key}=0") == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SCHEMAS))
+def test_negative_seed_flag_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run(command, "--out", str(out), "--seed", "-1") == EXIT_CONFIG
+    assert "config error: seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +424,21 @@ class TestNfVerifyCommand:
         assert rc == EXIT_VERIFY
         assert "FAIL  golden table k3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("setting,cause", [
+        ("quintic_gamma=2", "gamma"),
+        ("quintic_s=-1", "sobolev exponent"),
+    ])
+    def test_bad_ensemble_rejected_before_algebra(self, tmp_path, capsys, monkeypatch, setting, cause):
+        def no_algebra(*args):
+            raise AssertionError("the normal form ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "resonant_normal_form", no_algebra)
+        out = tmp_path / "v"
+        assert run("nf-verify", "--out", str(out), "--set", setting) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and cause in err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # coordinate roundtrip
@@ -395,6 +459,15 @@ class TestRoundtripCommand:
                  "--set", "tol=1e-30")
         assert rc == EXIT_VERIFY
         assert "FAIL" in capsys.readouterr().out
+
+    def test_overflowing_scale_is_config_error(self, tmp_path, capsys):
+        # the sampled elastic energy overflows, so the mixing of the
+        # coordinate change rounds to singular
+        out = tmp_path / "rt"
+        rc = run("roundtrip", "--out", str(out), "--set", "scale=1e200", "--set", "samples=2")
+        assert rc == EXIT_CONFIG
+        assert "config error: scale=1e+200" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

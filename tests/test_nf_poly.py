@@ -28,6 +28,7 @@ from stringnf.nf_engine import (
     commutator,
     key_exponents,
     multiplicity,
+    product_key,
     resonant_normal_form,
     solve_homological_z1,
     split_integrable,
@@ -137,9 +138,8 @@ def from_zpoly_components(comps: dict[int, ZPoly]) -> RationalVF:
     acc: dict = {}
     for a, poly in comps.items():
         for (al, be), c in poly.terms.items():
-            alphas = {i + 1: e for i, e in enumerate(al) if e}
-            betas = {i + 1: e for i, e in enumerate(be) if e}
-            key = canonical_from_exponents(a, alphas, betas) + NO_DIVISORS
+            exps = {i + 1: (x, y) for i, (x, y) in enumerate(zip(al, be)) if x or y}
+            key = canonical_from_exponents(a, exps) + NO_DIVISORS
             q = QC(c.re, c.im)
             prev = acc.get(key)
             acc[key] = q if prev is None else prev + q
@@ -150,13 +150,13 @@ def from_zpoly_components(comps: dict[int, ZPoly]) -> RationalVF:
 # funnel
 
 def test_funnel_examples():
-    assert canonical_from_exponents(2, {3: 2}, {2: 1}) == (2, ANTI, ((1, 3),))
-    assert canonical_from_exponents(2, {2: 1, 3: 1}, {3: 1}) == (2, DIAG, ((0, 3),))
+    assert canonical_from_exponents(2, {3: (2, 0), 2: (0, 1)}) == (2, ANTI, ((1, 3),))
+    assert canonical_from_exponents(2, {2: (1, 0), 3: (1, 1)}) == (2, DIAG, ((0, 3),))
     # zbar_a^3 folds onto the anti side with one conjugate-square entry
-    assert canonical_from_exponents(1, {}, {1: 3}) == (1, ANTI, ((-1, 1),))
-    assert canonical_from_exponents(1, {1: 3}, {}) == (1, DIAG, ((1, 1),))
+    assert canonical_from_exponents(1, {1: (0, 3)}) == (1, ANTI, ((-1, 1),))
+    assert canonical_from_exponents(1, {1: (3, 0)}) == (1, DIAG, ((1, 1),))
     # mixed same-mode powers pair into actions first
-    assert canonical_from_exponents(1, {1: 3, 2: 2}, {1: 2, 2: 2}) == (
+    assert canonical_from_exponents(1, {1: (3, 2), 2: (2, 2)}) == (
         1,
         DIAG,
         ((0, 1), (0, 1), (0, 2), (0, 2)),
@@ -165,19 +165,16 @@ def test_funnel_examples():
 
 def test_funnel_rejects_bad_parity():
     with pytest.raises(ParityError):
-        canonical_from_exponents(1, {1: 2}, {1: 0})
+        canonical_from_exponents(1, {1: (2, 0)})
     with pytest.raises(ParityError):
-        canonical_from_exponents(1, {1: 1, 2: 1}, {2: 0})
+        canonical_from_exponents(1, {1: (1, 0), 2: (1, 0)})
     with pytest.raises(ParityError):
-        canonical_from_exponents(1, {}, {1: -1})
+        canonical_from_exponents(1, {1: (0, -1)})
 
 
 def normalize_key(a: int, kind: str, entries) -> tuple:
     """Send a draft term through the funnel to land on the canonical basis."""
-    exp = key_exponents((a, kind, canonicalize(entries)))
-    alphas = {m: e[0] for m, e in exp.items() if e[0]}
-    betas = {m: e[1] for m, e in exp.items() if e[1]}
-    return canonical_from_exponents(a, alphas, betas)
+    return canonical_from_exponents(a, key_exponents((a, kind, canonicalize(entries))))
 
 
 @st.composite
@@ -196,10 +193,68 @@ def term_keys(draw):
 @given(term_keys())
 @settings(max_examples=200, deadline=None)
 def test_funnel_roundtrip(key):
-    exp = key_exponents(key)
-    alphas = {m: e[0] for m, e in exp.items() if e[0]}
-    betas = {m: e[1] for m, e in exp.items() if e[1]}
-    assert canonical_from_exponents(key[0], alphas, betas) == key
+    assert canonical_from_exponents(key[0], key_exponents(key)) == key
+
+
+def monomial_zpoly(exps, M: int) -> ZPoly:
+    al = [0] * M
+    be = [0] * M
+    for m, (x, y) in exps.items():
+        al[m - 1], be[m - 1] = x, y
+    return ZPoly(M, {(tuple(al), tuple(be)): EC(1)})
+
+
+# product_key factors: derivatives d/dz_m and d/dzbar_m, the variables, and I_m
+FACTORS = [(-1, 0), (0, -1), (1, 0), (0, 1), (1, 1)]
+
+
+@st.composite
+def product_factors(draw, b: int):
+    """A derivative or variable at ``b`` (which mends the parity of a product
+    with a second ``d/dz_b`` term), actions, and now and then a stray factor
+    that breaks the parity."""
+    extra = [(b, draw(st.sampled_from(FACTORS[:4])))]
+    extra += [(m, (1, 1)) for m in draw(st.lists(st.integers(1, 4), max_size=2))]
+    if draw(st.integers(0, 3)) == 0:
+        extra.append((draw(st.integers(1, 4)), draw(st.sampled_from(FACTORS))))
+    return extra
+
+
+@given(term_keys(), term_keys(), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_product_key_matches_dense_oracle(xkey, ykey, conj_y, data):
+    M = 4
+    extra = data.draw(product_factors(ykey[0]))
+    a = xkey[0]
+    x, y = key_exponents(xkey), key_exponents(ykey)
+    prod = monomial_zpoly(x, M) * (monomial_zpoly(y, M).conj() if conj_y else monomial_zpoly(y, M))
+    # multiply first, then differentiate: a negative factor lowers the
+    # exponent of the whole product
+    for m, (da, db) in extra:
+        for bar, e in ((False, da), (True, db)):
+            if e > 0:
+                prod = prod * ZPoly.var(M, m, bar)
+    for m, (da, db) in extra:
+        for bar, e in ((False, da), (True, db)):
+            if e < 0:
+                prod = prod.diff(m, bar)
+    factors = tuple((m, da, db) for m, (da, db) in extra)
+    if prod.is_zero():  # a derivative of a variable that is absent
+        with pytest.raises(ParityError):
+            product_key(a, x, y, conj_y, factors)
+        return
+    [(al, be)] = prod.terms
+    exps = {m: (al[m - 1], be[m - 1]) for m in range(1, M + 1) if al[m - 1] or be[m - 1]}
+    parity_ok = (al[a - 1] - be[a - 1]) % 2 == 1 and all(
+        (al[m - 1] - be[m - 1]) % 2 == 0 for m in range(1, M + 1) if m != a
+    )
+    if not parity_ok:
+        with pytest.raises(ParityError):
+            product_key(a, x, y, conj_y, factors)
+        return
+    key = product_key(a, x, y, conj_y, factors)
+    assert key == canonical_from_exponents(a, exps)
+    assert {m: tuple(e) for m, e in key_exponents(key).items() if any(e)} == exps
 
 
 def test_multiplicity_counts_orderings():
