@@ -620,6 +620,10 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}{suffix}")
 
     n, nq = cfg["N"], cfg["quintic_N"]
+    if nq < 2:
+        # at one mode the non-integrable quintic is the zero field, so its
+        # cascade check would compare a zero residual with a zero reference
+        raise ConfigError(f"quintic_N must be at least 2, got {nq}")
     with _config_errors("quintic ensemble: "):
         weight_q = WeightSpec("sobolev", s=cfg["quintic_s"])
         params_q = NonResonanceParams(2, nq, cfg["quintic_gamma"], weight_q)

@@ -79,67 +79,122 @@ ANTI = "anti"
 
 
 class QC:
-    """Gaussian rational ``re + i*im`` with exact Fraction parts."""
+    """Gaussian rational ``(n + i*m) / d`` held as three ints.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: ``d > 0`` and ``gcd(n, m, d) == 1``, so zero is
+    ``(0, 0, 1)`` and equal values have equal triples. Arithmetic stays in
+    ints and restores the form with one gcd; ``re`` and ``im`` give the parts
+    as Fractions for the API edge.
+    """
+
+    __slots__ = ("n", "m", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        x, y = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators the triple is already coprime
+        d = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
+        self.n = x.numerator * (d // x.denominator)
+        self.m = y.numerator * (d // y.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.m, self.d)
 
     def __add__(self, other: "QC") -> "QC":
-        return QC(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        return _reduced(self.n * e + other.n * d, self.m * e + other.m * d, d * e)
 
     def __sub__(self, other: "QC") -> "QC":
-        return QC(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "QC":
-        return QC(-self.re, -self.im)
+        return _qc(-self.n, -self.m, self.d)
 
     def __mul__(self, other):
+        n, m = self.n, self.m
         if isinstance(other, QC):
-            return QC(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return QC(self.re * other, self.im * other)
+            p, r = other.n, other.m
+            return _reduced(n * p - m * r, n * r + m * p, self.d * other.d)
+        if type(other) is int:
+            return _reduced(n * other, m * other, self.d)
+        other = Fraction(other)
+        return _reduced(n * other.numerator, m * other.numerator, self.d * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        n, m = self.n, self.m
         if isinstance(other, QC):
-            d = other.re * other.re + other.im * other.im
-            if d == 0:
+            p, r = other.n, other.m
+            den = p * p + r * r
+            if den == 0:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return QC(
-                (self.re * other.re + self.im * other.im) / d,
-                (self.im * other.re - self.re * other.im) / d,
-            )
-        return QC(self.re / Fraction(other), self.im / Fraction(other))
+            e = other.d
+            return _reduced((n * p + m * r) * e, (m * p - n * r) * e, self.d * den)
+        other = Fraction(other)
+        p, q = other.numerator, other.denominator
+        if p == 0:
+            raise ZeroDivisionError("division of a Gaussian rational by zero")
+        if p < 0:
+            p, q = -p, -q
+        return _reduced(n * q, m * q, self.d * p)
 
     def conj(self) -> "QC":
-        return QC(self.re, -self.im)
+        return _qc(self.n, -self.m, self.d)
 
     def times_i(self) -> "QC":
-        return QC(-self.im, self.re)
+        return _qc(-self.m, self.n, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.n and not self.m
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division is correctly rounded, so these equal float(re), float(im)
+        d = self.d
+        return complex(self.n / d) + 1j * complex(self.m / d)
 
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        d = self.d
+        return math.hypot(self.n / d, self.m / d)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QC) and self.re == other.re and self.im == other.im
+        return (
+            isinstance(other, QC)
+            and self.n == other.n
+            and self.m == other.m
+            and self.d == other.d
+        )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.n, self.m, self.d))
 
     def __repr__(self):
         return f"QC({self.re}, {self.im})"
+
+
+_new = object.__new__
+
+
+def _qc(n: int, m: int, d: int) -> QC:
+    """A QC from a triple already in canonical form, skipping ``__init__``."""
+    q = _new(QC)
+    q.n = n
+    q.m = m
+    q.d = d
+    return q
+
+
+def _reduced(n: int, m: int, d: int) -> QC:
+    """A QC from a triple with ``d > 0``, divided through by its gcd."""
+    g = math.gcd(n, m, d)
+    if g != 1:
+        return _qc(n // g, m // g, d // g)
+    return _qc(n, m, d)
 
 
 class ParityError(ValueError):
@@ -417,10 +472,10 @@ class RationalVF:
         return best
 
     def is_reversible_parity(self) -> bool:
-        return all(c.re == 0 for c in self.terms.values())
+        return all(not c.n for c in self.terms.values())
 
     def is_symmetric_parity(self) -> bool:
-        return all(c.im == 0 for c in self.terms.values())
+        return all(not c.m for c in self.terms.values())
 
     def evaluate(self, z: ComplexSeq) -> Dict[int, complex]:
         return evaluate_vf(self, z)
@@ -570,7 +625,7 @@ def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
     exactly raise ``ZeroDivisionError`` instead of going through the float
     refusal path.
     """
-    acts = {m: (v * v.conj()).re for m, v in z.items() if not v.is_zero()}
+    acts = {m: Fraction(v.n * v.n + v.m * v.m, v.d * v.d) for m, v in z.items() if not v.is_zero()}
     divisor = divisor_evaluator(acts, N, _F1)
     out: Dict[int, QC] = {}
     for key, c in q.terms.items():
@@ -617,7 +672,7 @@ def is_rational_normal_form(q: RationalVF) -> bool:
     """
     for key, c in q.terms.items():
         a, kind, j = key[:3]
-        if kind != DIAG or c.re != 0:
+        if kind != DIAG or c.n:
             return False
         partner = (a, DIAG, conj_index_vector(j)) + key[3:]
         if q.terms.get(partner) != c:

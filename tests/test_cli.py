@@ -439,6 +439,18 @@ class TestNfVerifyCommand:
         assert "config error:" in err and cause in err
         assert not out.exists()
 
+    def test_single_mode_quintic_rejected_before_algebra(self, tmp_path, capsys, monkeypatch):
+        # at one mode k5 is the zero field and the cascade check would pass vacuously
+        def no_algebra(*args):
+            raise AssertionError("the normal form ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "resonant_normal_form", no_algebra)
+        out = tmp_path / "v"
+        assert run("nf-verify", "--out", str(out), "--set", "quintic_N=1") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "quintic_N" in err
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # coordinate roundtrip

@@ -312,7 +312,9 @@ def test_interaction_evaluation_matches_formula():
 # ---------------------------------------------------------------------------
 # commutator against the dense-polynomial oracle
 
-def random_poly_vf(rng: random.Random, M: int = 3, nterms: int = 3) -> RationalVF:
+def random_poly_vf(rng: random.Random, M: int = 3, nterms: int = 3, coeff=None) -> RationalVF:
+    """Random canonical polynomial field; ``coeff(rng)`` draws each coefficient
+    (by default small Gaussian integers)."""
     terms = {}
     for _ in range(nterms):
         a = rng.randint(1, M)
@@ -322,7 +324,10 @@ def random_poly_vf(rng: random.Random, M: int = 3, nterms: int = 3) -> RationalV
             for _ in range(rng.randint(0, 2))
         ]
         key = normalize_key(a, kind, j) + NO_DIVISORS
-        terms[key] = QC(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
+        if coeff is None:
+            terms[key] = QC(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
+        else:
+            terms[key] = coeff(rng)
     return RationalVF({k: c for k, c in terms.items() if not c.is_zero()})
 
 
@@ -332,6 +337,30 @@ def test_commutator_matches_oracle_on_random_fields():
     for _ in range(40):
         x = random_poly_vf(rng, M)
         y = random_poly_vf(rng, M)
+        got = commutator(x, y)
+        expect = from_zpoly_components(
+            oracle_commutator(to_zpoly_components(x, M), to_zpoly_components(y, M), M)
+        )
+        assert got == expect
+
+
+def mixed_parity_coeff(rng: random.Random) -> QC:
+    """A real, imaginary or mixed coefficient whose parts have non-unit denominators."""
+
+    def part() -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    parity = rng.choice(["re", "im", "both"])
+    return QC(part() if parity != "im" else 0, part() if parity != "re" else 0)
+
+
+def test_commutator_matches_oracle_on_fractional_fields():
+    # cross-denominator sums and gcd reductions, which integer coefficients never reach
+    rng = random.Random(40917)
+    M = 3
+    for _ in range(40):
+        x = random_poly_vf(rng, M, 4, mixed_parity_coeff)
+        y = random_poly_vf(rng, M, 4, mixed_parity_coeff)
         got = commutator(x, y)
         expect = from_zpoly_components(
             oracle_commutator(to_zpoly_components(x, M), to_zpoly_components(y, M), M)
