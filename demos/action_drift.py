@@ -11,8 +11,10 @@ runs as `stringnf drift-sweep`.
 
 import math
 
+import numpy as np
+
 from stringnf.core import WeightSpec
-from stringnf.divisors import NonResonanceParams, certify
+from stringnf.divisors import NonResonanceParams
 from stringnf.measure import MeasureSpec, sample_actions
 from stringnf.simulator import SimConfig, simulate, trajectory_summary
 from stringnf.transforms import ZState, z_to_uv
@@ -25,8 +27,7 @@ def main():
     weight = WeightSpec("sobolev", s=3.0)
     params = NonResonanceParams(2, M, 0.1, weight)
     batch = sample_actions(MeasureSpec(weight, M, 32, seed=7))
-    candidates = [batch.state(i) for i in range(len(batch))]
-    z = next(c for c, rep in zip(candidates, certify(candidates, params)) if rep.ok)
+    z = batch.state(np.flatnonzero(batch.nonresonant(1.0, params))[0])
     print(f"base state on {M} modes, non-resonant at gamma=0.1")
 
     drifts = []

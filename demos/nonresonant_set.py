@@ -10,6 +10,8 @@ with a Monte Carlo estimate of the non-resonant fraction.
 import math
 import warnings
 
+import numpy as np
+
 from stringnf.core import WeightSpec
 from stringnf.divisors import NonResonanceParams, is_nonresonant
 from stringnf.measure import MeasureSpec, estimate_measure, sample_actions
@@ -40,12 +42,11 @@ def main():
     loose = NonResonanceParams(2, 2, 0.9, WeightSpec("sobolev", s=0.0))
     big = MeasureSpec(WeightSpec("sobolev", s=0.0), 2, 400, seed=11, ball_radius=8.0)
     hits = sample_actions(big)
-    for i in range(len(hits)):
-        report = is_nonresonant(hits.state(i), loose)
-        if not report.ok:
-            print(f"  draw {i}:")
-            describe(report)
-            break
+    # score every draw as arrays, then report the first failure in full
+    failures = np.flatnonzero(~hits.nonresonant(1.0, loose))
+    if len(failures):
+        print(f"  draw {failures[0]}:")
+        describe(is_nonresonant(hits.state(failures[0]), loose))
     else:
         print("  no failure in 400 draws")
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .core import ComplexSeq, WeightSpec
-from .divisors import NonResonanceParams, certify, is_nonresonant, kappa
+from .divisors import NonResonanceParams, is_nonresonant, kappa
 from .measure import MeasureSpec, default_eps, estimate_measure, sample_actions
 from .nf_engine import (
     RationalVF,
@@ -106,20 +106,20 @@ def _coerce_int(key: str, v: Any) -> int:
     return v
 
 
-def _int_at_least(low: int) -> Callable[[str, Any], int]:
-    def coerce(key: str, v: Any) -> int:
-        n = _coerce_int(key, v)
-        if n < low:
-            raise ConfigError(f"{key}: expected an integer >= {low}, got {n}")
-        return n
-
-    return coerce
-
-
 def _coerce_num(key: str, v: Any) -> float:
     if not _is_real(v):
         raise ConfigError(f"{key}: expected a number, got {v!r}")
     return float(v)
+
+
+def _at_least(coerce_kind: Callable[[str, Any], Any], low: int, what: str) -> Callable[[str, Any], Any]:
+    def coerce(key: str, v: Any) -> Any:
+        x = coerce_kind(key, v)
+        if x < low:
+            raise ConfigError(f"{key}: expected {what} >= {low}, got {x}")
+        return x
+
+    return coerce
 
 
 def _coerce_bool(key: str, v: Any) -> bool:
@@ -180,9 +180,10 @@ def _coerce_pair_map(key: str, v: Any) -> Dict[int, Tuple[float, float]]:
 
 _COERCE: Dict[str, Callable[[str, Any], Any]] = {
     "int": _coerce_int,
-    "nat": _int_at_least(0),  # seeds, and settings where 0 selects a default
-    "count": _int_at_least(1),  # sizes and sample counts
+    "nat": _at_least(_coerce_int, 0, "an integer"),  # seeds, and settings where 0 selects a default
+    "count": _at_least(_coerce_int, 1, "an integer"),  # sizes and sample counts
     "num": _coerce_num,
+    "nonneg": _at_least(_coerce_num, 0, "a number"),  # amplitudes and horizons where 0 selects a default
     "bool": _coerce_bool,
     "str": _coerce_str,
     "num_list": _coerce_num_list,
@@ -218,7 +219,7 @@ SCHEMAS: Dict[str, Dict[str, Tuple[str, Any]]] = {
         "r": ("int", 2),
         "gamma": ("num", 0.1),
         "dt": ("num", 5e-3),
-        "T": ("num", 0.0),  # 0 selects T = eps^-2 per point
+        "T": ("nonneg", 0.0),  # 0 selects T = eps^-2 per point
         "scheme": ("str", "strang_split"),
         "record_stride": ("nat", 0),  # 0 selects roughly 512 records
         "max_tries": ("count", 64),
@@ -232,7 +233,7 @@ SCHEMAS: Dict[str, Dict[str, Tuple[str, Any]]] = {
         "N": ("count", 8),
         "truncation": ("nat", 0),  # 0 selects N
         "samples": ("count", 1000),
-        "eps": ("num", 0.0),  # 0 selects the largest amplitude the small-data hypothesis allows
+        "eps": ("nonneg", 0.0),  # 0 selects the largest amplitude the small-data hypothesis allows
         "ball_radius": ("num", 0.5),
         "seed": ("nat", 0),
         **_WEIGHT_SCHEMA,
@@ -453,14 +454,15 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
         with _config_errors(f"eps={eps:g}: "):
             spec = MeasureSpec(weight, cfg["M"], cfg["max_tries"], seed_i, cfg["ball_radius"])
             batch = sample_actions(spec)
-            candidates = [batch.state(k, eps) for k in range(len(batch))]
-            k = next((i for i, rep in enumerate(certify(candidates, params)) if rep.ok), None)
-            if k is None:
+            # samples are scored as arrays; only the one kept becomes a state
+            ok = batch.nonresonant(eps, params)
+            if not ok.any():
                 raise SamplingFailure(
                     f"eps={eps:g}: none of {len(batch)} sampled states was non-resonant "
                     f"at gamma={cfg['gamma']:g} (raise max_tries or lower gamma)"
                 )
-            initial = z_to_uv(ZState(candidates[k]))
+            k = int(ok.argmax())  # the first non-resonant sample
+            initial = z_to_uv(ZState(batch.state(k, eps)))
             try:
                 horizon = cfg["T"] if cfg["T"] > 0.0 else eps**-2
             except OverflowError:
@@ -511,10 +513,8 @@ def cmd_measure(cfg: Dict[str, Any], out: Path) -> int:
         params = [NonResonanceParams(cfg["r"], cfg["N"], g, weight) for g in grid]
     truncation = cfg["truncation"] or cfg["N"]
     r, n = cfg["r"], cfg["N"]
-    eps = cfg["eps"]
-    if eps <= 0.0:
-        # largest amplitude for which the sparsity hypothesis holds on the whole grid
-        eps = default_eps(min(grid), r, n)
+    # 0 selects the largest amplitude for which the sparsity hypothesis holds on the whole grid
+    eps = cfg["eps"] or default_eps(min(grid), r, n)
     with _config_errors():
         spec = MeasureSpec(weight, truncation, cfg["samples"], cfg["seed"], cfg["ball_radius"])
         records = [estimate_measure(p, spec, eps).record() for p in params]
@@ -578,12 +578,11 @@ def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
 def _ensemble_states(n: int, params: NonResonanceParams, spec: MeasureSpec) -> List[ComplexSeq]:
     """The first ``n`` non-resonant states drawn from the weighted action ensemble."""
     batch = sample_actions(spec)
-    candidates = [batch.state(i) for i in range(len(batch))]
-    states = [z for z, rep in zip(candidates, certify(candidates, params)) if rep.ok]
-    if len(states) >= n:
-        return states[:n]
+    kept = np.flatnonzero(batch.nonresonant(1.0, params))
+    if len(kept) >= n:
+        return [batch.state(i) for i in kept[:n]]
     raise SamplingFailure(
-        f"only {len(states)} of the requested {n} states were non-resonant "
+        f"only {len(kept)} of the requested {n} states were non-resonant "
         f"at gamma={params.gamma:g}"
     )
 

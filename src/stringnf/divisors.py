@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -35,7 +35,6 @@ __all__ = [
     "kappa",
     "enumerate_irr_indices",
     "divisor_table",
-    "state_rows",
     "certify",
     "is_nonresonant",
     "perturbation_stable",
@@ -182,10 +181,10 @@ def _tail_correction(red: Sequence[tuple[int, int]], b: int, actions: Mapping, N
 # ---------------------------------------------------------------------------
 # enumeration of irreducible vectors
 
-_ENUM_CACHE: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], ...]] = {}
 _ENUM_GUARD = 10**7
 
 
+@cache
 def enumerate_irr_indices(r: int, N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All irreducible index vectors with ``2 <= #j <= r``, modes and momentum in 1..N.
 
@@ -197,9 +196,6 @@ def enumerate_irr_indices(r: int, N: int) -> tuple[tuple[tuple[int, int], ...], 
         raise ValueError("r must be >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
-    key = (r, N)
-    if key in _ENUM_CACHE:
-        return _ENUM_CACHE[key]
     bound = sum(math.comb(2 * N + l - 1, l) for l in range(2, r + 1))
     if bound > _ENUM_GUARD:
         raise ValueError(f"enumeration would scan {bound} candidate vectors (limit {_ENUM_GUARD})")
@@ -217,9 +213,7 @@ def enumerate_irr_indices(r: int, N: int) -> tuple[tuple[tuple[int, int], ...], 
             if d > 0 and d in pos:
                 continue
             out.append(canonicalize(combo))
-    result = tuple(sorted(set(out)))
-    _ENUM_CACHE[key] = result
-    return result
+    return tuple(sorted(set(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +400,7 @@ class DivisorTable:
         return Margins(margin, witness, order, divisor, threshold)
 
 
-@lru_cache(maxsize=None)
+@cache
 def divisor_table(r: int, N: int, weight: WeightSpec) -> DivisorTable:
     """The :class:`DivisorTable` of the irreducible vectors at ``(r, N)``, built on first use."""
     return DivisorTable(enumerate_irr_indices(r, N), N, weight)
@@ -432,28 +426,19 @@ def _tail_scores(v: tuple, params: NonResonanceParams, actions: np.ndarray, eps:
     return leading, corrected, 0.5 * float(thr2), float(thr4)
 
 
-def state_rows(states: Iterable[ComplexSeq], N: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Actions ``I[B, N]`` and weighted norms ``[B]`` of the states, one row each.
+def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[NonResonanceReport]:
+    """:func:`is_nonresonant` of every state, scored together as one batch.
 
-    The actions on modes ``1..N`` come from :meth:`ComplexSeq.action`; the
-    norm runs over all of a state's modes, including those beyond ``N``.
-    Square the norms for :meth:`DivisorTable.margins`.
+    A state's row holds its actions on modes ``1..N`` and its weighted norm,
+    which runs over all of its modes, including those beyond ``N``. Sampled
+    states are scored without being built by
+    :meth:`~stringnf.measure.SampleBatch.nonresonant`.
     """
-    acts: list[list[float]] = []
-    norms: list[float] = []
-    for z in states:
-        acts.append([z.action(a) for a in range(1, N + 1)])
-        norms.append(weighted_norm(z, weight))
-    I = np.array(acts, dtype=float).reshape(-1, N)
+    table = divisor_table(params.r, params.N, params.weight)
+    I = np.array([[z.action(a) for a in range(1, params.N + 1)] for z in states]).reshape(-1, params.N)
     if not np.isfinite(I).all():
         raise ValueError("a state has an action that is not finite")
-    return I, np.array(norms, dtype=float)
-
-
-def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[NonResonanceReport]:
-    """:func:`is_nonresonant` of every state, scored together as one batch."""
-    table = divisor_table(params.r, params.N, params.weight)
-    I, norms = state_rows(states, params.N, params.weight)
+    norms = np.array([weighted_norm(z, params.weight) for z in states], dtype=float)
     m = table.margins(I, norms * norms, params.gamma)
     reports = []
     for i, nrm in enumerate(norms.tolist()):

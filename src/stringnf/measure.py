@@ -34,7 +34,6 @@ from .divisors import (
     _tail_scores,
     divisor_evaluator,
     divisor_table,
-    state_rows,
 )
 
 __all__ = [
@@ -106,12 +105,41 @@ class SampleBatch:
     def acceptance_rate(self) -> float:
         return len(self) / self.attempts
 
+    def _amplitudes(self, eps: float, which=slice(None)) -> np.ndarray:
+        """Complex coordinates ``(eps sqrt(I_m)) exp(i phase_m)`` of the selected samples."""
+        return (eps * np.sqrt(self.actions[which])) * np.exp(1j * self.phases[which])
+
     def state(self, i: int, eps: float = 1.0) -> ComplexSeq:
         """Complex state of sample ``i`` scaled by ``eps``."""
-        M = self.spec.truncation
-        amp = eps * np.sqrt(self.actions[i])
-        data = {m: complex(amp[m - 1] * np.exp(1j * self.phases[i, m - 1])) for m in range(1, M + 1)}
-        return ComplexSeq(data, M)
+        return ComplexSeq(dict(enumerate(self._amplitudes(eps, i).tolist(), start=1)), self.spec.truncation)
+
+    def rows(self, eps: float, N: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Actions ``I[B, N]`` and weighted norms ``[B]`` of every ``state(i, eps)``, bit for bit.
+
+        Row ``i`` holds ``state(i, eps).action(a)`` for ``a = 1..N`` (zero past
+        the truncation) and ``weighted_norm(state(i, eps), weight)``, which runs
+        over every sampled mode, including those beyond ``N``; no state is
+        built. An action that overflows raises ``ValueError``.
+        """
+        z = self._amplitudes(eps)
+        B, M = z.shape
+        w2 = np.array([weight.weight_sq(a) for a in range(1, M + 1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            acts = z.real * z.real + z.imag * z.imag
+            if not np.isfinite(acts).all():
+                raise ValueError("a state has an action that is not finite")
+            # a state leaves out its zero modes, and so does its norm
+            terms = np.where(z != 0, w2 * acts, 0.0)
+        I = np.zeros((B, N))
+        I[:, : min(M, N)] = acts[:, :N]
+        # a running sum adds in mode order, as weighted_norm does
+        return I, np.sqrt(np.cumsum(terms, axis=1)[:, -1])
+
+    def nonresonant(self, eps: float, params: NonResonanceParams) -> np.ndarray:
+        """Mask of the samples whose ``state(i, eps)`` :func:`~stringnf.divisors.certify` passes."""
+        I, norms = self.rows(eps, params.N, params.weight)
+        table = divisor_table(params.r, params.N, params.weight)
+        return table.margins(I, norms * norms, params.gamma).margin > 1.0
 
 
 def sample_actions(spec: MeasureSpec) -> SampleBatch:
@@ -210,10 +238,10 @@ def default_eps(gamma: float, r: int, N: int) -> float:
 def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) -> MeasureEstimate:
     """Monte Carlo fraction of samples ``z`` with ``eps * z`` non-resonant.
 
-    The scaled states are scored by the :class:`~stringnf.divisors.DivisorTable`
-    of ``params`` in batches of at most ``_CHUNK``; a state counts when its
-    margin exceeds 1, as in :func:`~stringnf.divisors.is_nonresonant`. The
-    fraction comes with a Wilson 95% interval. When ``eps`` violates
+    The scaled samples are scored as one batch by
+    :meth:`SampleBatch.nonresonant`, which gives each the verdict of
+    :func:`~stringnf.divisors.is_nonresonant` without building its state.
+    The fraction comes with a Wilson 95% interval. When ``eps`` violates
     ``eps**2 <= 2 gamma / ((r+1) N**(4r+2))`` the estimate is still computed,
     but the lower bound ``1 - lambda gamma`` on the true fraction is not
     guaranteed at that scale, so a warning is issued.
@@ -228,12 +256,7 @@ def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) 
             stacklevel=2,
         )
     batch = sample_actions(spec)
-    table = divisor_table(params.r, params.N, params.weight)
-    hits = 0
-    for start in range(0, len(batch), _CHUNK):
-        states = (batch.state(i, eps) for i in range(start, min(len(batch), start + _CHUNK)))
-        I, norms = state_rows(states, params.N, params.weight)
-        hits += int(np.count_nonzero(table.margins(I, norms * norms, params.gamma).margin > 1.0))
+    hits = int(np.count_nonzero(batch.nonresonant(eps, params)))
     lo, hi = wilson_interval(hits, len(batch))
     return MeasureEstimate(
         fraction=hits / len(batch),

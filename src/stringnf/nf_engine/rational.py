@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core import ComplexSeq, canonicalize, delta_sum, zeta_product
@@ -226,7 +227,11 @@ def canonical_from_exponents(a: int, exps: Mapping[int, Tuple[int, int]]) -> Ter
         raise ParityError(f"exponent difference at derivative mode {a} must be odd")
     kind = DIAG if alpha > beta else ANTI
     entries = []
-    for m, (x, y) in exps.items():
+    # modes in increasing order, and at each mode actions, then conjugate
+    # squares, then squares: the canonical order of an index vector
+    for m, (x, y) in sorted(exps.items()):
+        if m < 1:
+            raise ValueError(f"mode must be a positive integer, got {m!r}")
         if m == a:
             if kind == DIAG:
                 x -= 1
@@ -235,14 +240,12 @@ def canonical_from_exponents(a: int, exps: Mapping[int, Tuple[int, int]]) -> Ter
         if x < 0 or y < 0:
             raise ParityError(f"negative exponent at mode {m}")
         p = min(x, y)
-        entries.extend([(0, m)] * p)
         x -= p
         y -= p
         if x % 2 or y % 2:
             raise ParityError(f"exponent difference at mode {m} must be even")
-        entries.extend([(1, m)] * (x // 2))
-        entries.extend([(-1, m)] * (y // 2))
-    return (a, kind, canonicalize(entries))
+        entries += [(0, m)] * p + [(-1, m)] * (y // 2) + [(1, m)] * (x // 2)
+    return (a, kind, tuple(entries))
 
 
 def key_exponents(key: TermKey) -> Dict[int, list]:
@@ -730,26 +733,17 @@ def _directional(acc: Dict[TermKey, QC], x_by_mode, y_terms, sign: int) -> None:
                     _accumulate(acc, prod, cX.conj() * cY * (sign * beta))
 
 
-_LIN_CACHE: Dict[Divisor, Tuple[Tuple[int, Fraction], ...]] = {}
-_QUAD_CACHE: Dict[Tuple[Divisor, int], Tuple[Tuple[int, int, Fraction], ...]] = {}
-
-
+@cache
 def _linear_derivative(v: Divisor) -> Tuple[Tuple[int, Fraction], ...]:
     """Action gradient of the quadratic-frequency combination of ``v``."""
-    out = _LIN_CACHE.get(v)
-    if out is None:
-        grad: Dict[int, Fraction] = {}
-        for delta, m in v:
-            if delta:
-                grad[m] = grad.get(m, _F0) + Fraction(delta, 2)
-        out = tuple(sorted((m, g) for m, g in grad.items() if g))
-        _LIN_CACHE[v] = out
-    return out
+    grad: Dict[int, Fraction] = {}
+    for delta, m in v:
+        if delta:
+            grad[m] = grad.get(m, _F0) + Fraction(delta, 2)
+    return tuple(sorted((m, g) for m, g in grad.items() if g))
 
 
-_HESS_CACHE: Dict[Tuple[int, int], Tuple[Tuple[int, int, Fraction], ...]] = {}
-
-
+@cache
 def omega4_hessian(m: int, N: int) -> Tuple[Tuple[int, int, Fraction], ...]:
     """Constant action Hessian of the quartic frequency correction at mode m.
 
@@ -759,36 +753,28 @@ def omega4_hessian(m: int, N: int) -> Tuple[Tuple[int, int, Fraction], ...]:
     """
     if not 1 <= m <= N:
         raise ValueError(f"mode {m} outside cutoff 1..{N}")
-    out = _HESS_CACHE.get((m, N))
-    if out is None:
-        entries: List[Tuple[int, int, Fraction]] = [(m, m, Fraction(-27, 32 * m))]
-        for e in range(1, N + 1):
-            if e == m:
-                continue
-            cross = -(Fraction(3, e) + Fraction(e, e * e - m * m)) / 8
-            entries.append((m, e, cross))
-            entries.append((e, m, cross))
-            entries.append((e, e, Fraction(m, 8 * (e * e - m * m))))
-        out = tuple(sorted(entries))
-        _HESS_CACHE[(m, N)] = out
-    return out
+    entries: List[Tuple[int, int, Fraction]] = [(m, m, Fraction(-27, 32 * m))]
+    for e in range(1, N + 1):
+        if e == m:
+            continue
+        cross = -(Fraction(3, e) + Fraction(e, e * e - m * m)) / 8
+        entries.append((m, e, cross))
+        entries.append((e, m, cross))
+        entries.append((e, e, Fraction(m, 8 * (e * e - m * m))))
+    return tuple(sorted(entries))
 
 
+@cache
 def _quadratic_derivative(v: Divisor, N: int) -> Tuple[Tuple[int, int, Fraction], ...]:
     """Action Hessian of the corrected-minus-quadratic combination of ``v``."""
-    out = _QUAD_CACHE.get((v, N))
-    if out is None:
-        hess: Dict[Tuple[int, int], Fraction] = {}
-        for delta, m in v:
-            if not delta:
-                continue
-            f = Fraction(2 * delta)
-            for d, e, val in omega4_hessian(m, N):
-                cur = hess.get((d, e), _F0) + f * val
-                hess[(d, e)] = cur
-        out = tuple(sorted((d, e, c) for (d, e), c in hess.items() if c))
-        _QUAD_CACHE[(v, N)] = out
-    return out
+    hess: Dict[Tuple[int, int], Fraction] = {}
+    for delta, m in v:
+        if not delta:
+            continue
+        f = Fraction(2 * delta)
+        for d, e, val in omega4_hessian(m, N):
+            hess[(d, e)] = hess.get((d, e), _F0) + f * val
+    return tuple(sorted((d, e, c) for (d, e), c in hess.items() if c))
 
 
 def _divisor_part(acc: Dict[RKey, QC], xt, yt, sign: int, N: Optional[int]) -> None:

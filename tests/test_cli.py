@@ -26,6 +26,9 @@ from stringnf.cli import (
     parse_config_text,
     resolve_config,
 )
+from stringnf.core import WeightSpec
+from stringnf.divisors import NonResonanceParams, certify
+from stringnf.measure import MeasureSpec, SampleBatch, sample_actions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -36,6 +39,19 @@ def read_json(path):
 
 def run(*args):
     return main(list(args))
+
+
+def count_states(monkeypatch):
+    """Record the sample index of every state a ``SampleBatch`` builds."""
+    built = []
+    state = SampleBatch.state
+
+    def counting(self, i, eps=1.0):
+        built.append(int(i))
+        return state(self, i, eps)
+
+    monkeypatch.setattr(SampleBatch, "state", counting)
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +263,12 @@ class TestDriftSweepCommand:
         for i, point in enumerate(merged["points"]):
             assert read_json(out / f"sweep_point_{i}.json")["point"] == point
 
+    def test_only_the_kept_sample_becomes_a_state(self, tmp_path, monkeypatch):
+        built = count_states(monkeypatch)
+        out = tmp_path / "sweep"
+        assert run(*self.sweep_args(out)) == EXIT_OK
+        assert built == [p["tries"] - 1 for p in read_json(out / "sweep.json")["points"]]
+
     def test_thread_count_does_not_change_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(*self.sweep_args(a)) == EXIT_OK
@@ -270,6 +292,7 @@ class TestDriftSweepCommand:
         ("ball_radius=1e-9", "rejection rate"),  # the sampler rejects every draw
         ("eps=[1e-160] T=0", "horizon"),  # a state certifies, but the default T = eps^-2 overflows
         ("eps=[1e-100] T=0", "steps"),  # T = eps^-2 is finite but asks for 2e202 steps
+        ("eps=[0.4] T=-5", "T: expected a number >= 0"),  # only 0 selects the default horizon
     ])
     def test_unusable_point_is_config_error(self, tmp_path, capsys, setting, cause):
         out = tmp_path / "o"
@@ -314,6 +337,18 @@ class TestMeasureCommand:
         rc = run("measure", "--out", str(out), "--set", "samples=5")
         assert rc == EXIT_OK
         assert read_json(out / "measure.json")["eps_resolved"] > 0.0
+
+    # eps = 1e200 also draws the small-data warning; a RuntimeWarning still fails the test
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("setting,cause", [
+        ("eps=-0.5", "eps: expected a number >= 0"),  # only 0 selects the default amplitude
+        ("eps=1e200", "a state has an action that is not finite"),
+    ])
+    def test_unusable_amplitude_is_config_error(self, tmp_path, capsys, setting, cause):
+        out = tmp_path / "o"
+        assert run("measure", "--out", str(out), "--set", "samples=10", "--set", setting) == EXIT_CONFIG
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
 
     def test_impossible_conditioning_is_config_error(self, tmp_path, capsys):
         rc = run("measure", "--out", str(tmp_path / "o"), "--set", "gamma_grid=[0.1]",
@@ -415,6 +450,19 @@ class TestNfVerifyCommand:
         for name in ("k3", "k5", "z5", "chi3", "s", "m"):
             assert filecmp.cmp(out / f"{name}.json", GOLDEN_DIR / f"{name}.json",
                                shallow=False)
+
+    def test_ensemble_builds_only_the_kept_states(self, monkeypatch):
+        # two modes at order-one amplitude, where a few draws are resonant
+        w = WeightSpec("sobolev", s=0.0)
+        params = NonResonanceParams(2, 2, 0.9, w)
+        spec = MeasureSpec(w, 2, 200, 3, ball_radius=8.0)
+        batch = sample_actions(spec)
+        candidates = [batch.state(i) for i in range(len(batch))]
+        certified = [z for z, rep in zip(candidates, certify(candidates, params)) if rep.ok]
+        assert 0 < len(certified) < len(batch)
+        built = count_states(monkeypatch)
+        assert cli._ensemble_states(len(certified), params, spec) == certified
+        assert len(built) == len(certified)
 
     def test_missing_golden_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -215,8 +215,10 @@ class TestEnumeration:
         assert enumerate_irr_indices(2, 4) is enumerate_irr_indices(2, 4)
 
     def test_guard_rejects_huge_requests(self):
-        with pytest.raises(ValueError):
-            enumerate_irr_indices(6, 40)
+        # a refusal is not cached: every call checks again
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                enumerate_irr_indices(6, 40)
 
 
 def random_seq(rng, M, scale=0.1):

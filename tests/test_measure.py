@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import FreqContext, big_omega, scalar_corrected_divisor, scalar_divisor_tail, scalar_nonresonance
-from stringnf.core import WeightSpec
-from stringnf.divisors import NonResonanceParams, _tail_scores, enumerate_irr_indices
+from stringnf.core import WeightSpec, weighted_norm
+from stringnf.divisors import NonResonanceParams, _tail_scores, certify, enumerate_irr_indices
 from stringnf.measure import (
     DivisorTailEstimate,
     MeasureEstimate,
     MeasureSpec,
+    SampleBatch,
     corrected_divisor,
     divisor_tail,
     estimate_measure,
@@ -172,13 +173,16 @@ class TestEstimateMeasure:
         b = estimate_measure(params, spec, 0.01)
         assert a == b
 
-    def test_fraction_counts_scalar_certificates(self):
+    def test_fraction_counts_scalar_certificates(self, monkeypatch):
         # the batched count equals certifying each scaled sample with the
         # scalar oracle; truncation 3 puts a mode beyond the cutoff N = 2
         w = WeightSpec("sobolev", s=0.0)
         spec = MeasureSpec(w, truncation=3, sample_count=3000, seed=5)
         params = NonResonanceParams(2, 2, 0.9, w)
-        est = estimate_measure(params, spec, 0.01)
+        with monkeypatch.context() as patch:
+            # the estimate scores the samples as arrays and builds no state
+            patch.setattr(SampleBatch, "state", _no_state)
+            est = estimate_measure(params, spec, 0.01)
         batch = sample_actions(spec)
         hits = sum(scalar_nonresonance(batch.state(i, 0.01), params)[0] > 1.0 for i in range(len(batch)))
         assert 0 < hits < len(batch)
@@ -200,6 +204,50 @@ class TestEstimateMeasure:
         comp = [1.0 - f for f in fractions]
         assert 0 < comp[0] <= comp[1] <= comp[2] < 0.01
         assert 2.0 <= comp[2] / comp[0] <= 8.0
+
+
+def _no_state(self, i, eps=1.0):
+    raise AssertionError("a sampled state was built")
+
+
+_ROW_WEIGHTS = st.one_of(
+    st.builds(lambda s: WeightSpec("sobolev", s=s), st.sampled_from([0.0, 1.0, 3.0])),
+    st.builds(
+        lambda rho, theta: WeightSpec("gevrey", rho=rho, theta=theta),
+        st.sampled_from([0.1, 0.5, 2.0]),
+        st.sampled_from([0.5, 1.0]),
+    ),
+)
+
+
+@given(
+    weight=_ROW_WEIGHTS,
+    M=st.integers(1, 9),
+    offset=st.integers(-2, 2),
+    log_eps=st.floats(-9.0, 150.0),
+    seed=st.integers(0, 2**16),
+    gamma=st.sampled_from([1e-3, 0.1, 0.9]),
+)
+@settings(max_examples=120, deadline=None)
+def test_rows_match_states_bit_for_bit(weight, M, offset, log_eps, seed, gamma):
+    # the cutoff N lies below, at or above the truncation M
+    N = max(1, M + offset)
+    eps = 10.0**log_eps
+    batch = sample_actions(MeasureSpec(weight, M, 12, seed))
+    states = [batch.state(i, eps) for i in range(len(batch))]
+    I, norms = batch.rows(eps, N, weight)
+    expected_I = np.array([[z.action(a) for a in range(1, N + 1)] for z in states])
+    expected_norms = np.array([weighted_norm(z, weight) for z in states])
+    assert np.array_equal(I.view(np.int64), expected_I.view(np.int64))
+    assert np.array_equal(norms.view(np.int64), expected_norms.view(np.int64))
+    params = NonResonanceParams(2, N, gamma, weight)
+    assert batch.nonresonant(eps, params).tolist() == [rep.ok for rep in certify(states, params)]
+    # overflowing actions are the same error on both paths, with no RuntimeWarning
+    huge = [batch.state(i, 1e200) for i in range(len(batch))]
+    with pytest.raises(ValueError, match="a state has an action that is not finite"):
+        certify(huge, params)
+    with pytest.raises(ValueError, match="a state has an action that is not finite"):
+        batch.rows(1e200, N, weight)
 
 
 class TestCorrectedDivisor:

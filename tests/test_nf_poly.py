@@ -170,6 +170,9 @@ def test_funnel_rejects_bad_parity():
         canonical_from_exponents(1, {1: (1, 0), 2: (1, 0)})
     with pytest.raises(ParityError):
         canonical_from_exponents(1, {1: (0, -1)})
+    # a mode below 1 is not a Fourier mode
+    with pytest.raises(ValueError, match="positive integer"):
+        canonical_from_exponents(1, {1: (1, 0), 0: (2, 0)})
 
 
 def normalize_key(a: int, kind: str, entries) -> tuple:
@@ -194,6 +197,8 @@ def term_keys(draw):
 @settings(max_examples=200, deadline=None)
 def test_funnel_roundtrip(key):
     assert canonical_from_exponents(key[0], key_exponents(key)) == key
+    # the fold emits its entries already in canonical order
+    assert key[2] == canonicalize(key[2])
 
 
 def monomial_zpoly(exps, M: int) -> ZPoly:
