@@ -517,7 +517,8 @@ def cmd_measure(cfg: Dict[str, Any], out: Path) -> int:
     eps = cfg["eps"] or default_eps(min(grid), r, n)
     with _config_errors():
         spec = MeasureSpec(weight, truncation, cfg["samples"], cfg["seed"], cfg["ball_radius"])
-        records = [estimate_measure(p, spec, eps).record() for p in params]
+        batch = sample_actions(spec)  # one draw scored at every gamma
+        records = [estimate_measure(p, batch, eps).record() for p in params]
     _write_json(
         out / "measure.json",
         {**_resolved("measure", cfg), "eps_resolved": eps, "records": records},
@@ -542,6 +543,8 @@ def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
             raise ConfigError(f"state: mode {mode} exceeds truncation {truncation}")
     z = ComplexSeq({m: complex(re, im) for m, (re, im) in state.items()}, truncation)
     with _config_errors():
+        # the weighted norm runs over every mode of the state
+        weight.check_modes(truncation)
         params = NonResonanceParams(cfg["r"], cfg["N"], cfg["gamma"], weight)
     rep = is_nonresonant(z, params)
     witness: Optional[Dict[str, Any]] = None
@@ -645,11 +648,17 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
 
     # quintic cascade: bracket against the cubic rotation kills the resonant
     # non-integrable part, checked numerically at ensemble states
-    nfq = nf if nq == n else resonant_normal_form(2, nq)
-    s_gen, m_gen = quintic_rational_solve(nfq.k5, nq)
+    s8, m8 = quintic_rational_solve(nf.k5, n)
+    if nq <= n:
+        # the normal form and its solve on fewer modes are these, truncated
+        z3q, k5q, s_gen, m_gen = (f.truncate(nq) for f in (nf.z3, nf.k5, s8, m8))
+    else:
+        nfq = resonant_normal_form(2, nq)
+        z3q, k5q = nfq.z3, nfq.k5
+        s_gen, m_gen = quintic_rational_solve(k5q, nq)
     states_q = _ensemble_states(cfg["quintic_samples"], params_q, spec_q)
-    total_q = commutator(nfq.z3, s_gen + m_gen, nq) + nfq.k5
-    rq = _rel_residual(total_q, nfq.k5, states_q)
+    total_q = commutator(z3q, s_gen + m_gen, nq) + k5q
+    rq = _rel_residual(total_q, k5q, states_q)
     record(
         "quintic cascade identity",
         rq <= cfg["tol_quintic"],
@@ -670,7 +679,6 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
         f"max relative residual {rs:.3e} over {len(states_s)} states, tol {cfg['tol_solver']:g}",
     )
 
-    s8, m8 = (s_gen, m_gen) if nq == n else quintic_rational_solve(nf.k5, n)
     fields = {
         "k3": nf.z3,
         "k5": nf.k5,

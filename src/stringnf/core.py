@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -31,6 +32,9 @@ __all__ = [
     "modes_decreasing",
     "mu_min",
 ]
+
+# log of the largest finite float
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,30 @@ class WeightSpec:
             if not 0 < self.theta <= 1:
                 raise ValueError("gevrey index theta must lie in (0, 1]")
 
+    def log_weight(self, a):
+        """``log w(a)`` of a mode; Gevrey weights also take an array of modes."""
+        if self.kind == "sobolev":
+            return self.s * math.log(a)
+        return self.rho * a**self.theta
+
+    def check_modes(self, M: int) -> None:
+        """Raise ``ValueError`` unless ``w(M)^2 M^2`` is a finite float.
+
+        Every mode up to ``M`` then has a finite squared weight and a finite
+        sampling rate ``w(m)^2 m^2``, since both grow with the mode.
+        """
+        if 2.0 * (self.log_weight(M) + math.log(M)) >= _LOG_MAX:
+            raise ValueError(
+                f"the {self.kind} weight overflows at mode {M}: w(M)^2 M^2 is not a finite float; "
+                "lower the truncation or the weight"
+            )
+
     def weight(self, a: int) -> float:
         if a < 1:
             raise ValueError("modes are positive integers")
         if self.kind == "sobolev":
             return float(a) ** self.s
-        return math.exp(self.rho * float(a) ** self.theta)
+        return math.exp(self.log_weight(float(a)))
 
     def weight_sq(self, a: int) -> float:
         w = self.weight(a)

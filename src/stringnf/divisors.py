@@ -233,6 +233,7 @@ class NonResonanceParams:
             raise ValueError("N must be >= 1")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
+        self.weight.check_modes(self.N)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -81,12 +81,13 @@ class MeasureSpec:
             raise ValueError("seed must be a nonnegative integer")
         if not (math.isfinite(self.ball_radius) and self.ball_radius > 0):
             raise ValueError("ball_radius must be finite and > 0")
+        self.weight.check_modes(self.truncation)
 
 
 def _ball_coefficients(w: WeightSpec, modes: np.ndarray) -> np.ndarray:
     if w.kind == "sobolev":
         return modes ** (2.0 * w.s - 2.0)
-    return np.exp(2.0 * w.rho * modes**w.theta)
+    return np.exp(2.0 * w.log_weight(modes))
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,8 @@ class SampleBatch:
     phases: np.ndarray
     spec: MeasureSpec
     attempts: int
+    # rows per (eps, N, weight), built once for every gamma scored
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.actions.shape[0]
@@ -137,7 +140,10 @@ class SampleBatch:
 
     def nonresonant(self, eps: float, params: NonResonanceParams) -> np.ndarray:
         """Mask of the samples whose ``state(i, eps)`` :func:`~stringnf.divisors.certify` passes."""
-        I, norms = self.rows(eps, params.N, params.weight)
+        key = (eps, params.N, params.weight)
+        if key not in self._rows:
+            self._rows[key] = self.rows(*key)
+        I, norms = self._rows[key]
         table = divisor_table(params.r, params.N, params.weight)
         return table.margins(I, norms * norms, params.gamma).margin > 1.0
 
@@ -235,12 +241,16 @@ def default_eps(gamma: float, r: int, N: int) -> float:
     return eps
 
 
-def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) -> MeasureEstimate:
+def estimate_measure(
+    params: NonResonanceParams, spec: MeasureSpec | SampleBatch, eps: float
+) -> MeasureEstimate:
     """Monte Carlo fraction of samples ``z`` with ``eps * z`` non-resonant.
 
-    The scaled samples are scored as one batch by
-    :meth:`SampleBatch.nonresonant`, which gives each the verdict of
-    :func:`~stringnf.divisors.is_nonresonant` without building its state.
+    ``spec`` is drawn by :func:`sample_actions`, or is a batch already drawn,
+    so that a scan over gamma scores one draw. The scaled samples are scored
+    as one batch by :meth:`SampleBatch.nonresonant`, which gives each the
+    verdict of :func:`~stringnf.divisors.is_nonresonant` without building
+    its state.
     The fraction comes with a Wilson 95% interval. When ``eps`` violates
     ``eps**2 <= 2 gamma / ((r+1) N**(4r+2))`` the estimate is still computed,
     but the lower bound ``1 - lambda gamma`` on the true fraction is not
@@ -255,7 +265,7 @@ def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) 
             "the non-resonant fraction bound does not apply at this scale",
             stacklevel=2,
         )
-    batch = sample_actions(spec)
+    batch = spec if isinstance(spec, SampleBatch) else sample_actions(spec)
     hits = int(np.count_nonzero(batch.nonresonant(eps, params)))
     lo, hi = wilson_interval(hits, len(batch))
     return MeasureEstimate(
@@ -263,7 +273,7 @@ def estimate_measure(params: NonResonanceParams, spec: MeasureSpec, eps: float) 
         ci_low=lo,
         ci_high=hi,
         samples=len(batch),
-        seed=spec.seed,
+        seed=batch.spec.seed,
         gamma=params.gamma,
         N=params.N,
         r=params.r,

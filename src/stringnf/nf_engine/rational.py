@@ -35,6 +35,12 @@ entry, and the lexicographically smaller of the vector/conjugate pair kept
 (conjugation flips the combination's sign, which moves into the coefficient).
 The storage form of a divisor is therefore independent of the route that
 produced it, and cancellations between routes happen at the level of keys.
+
+The bracket packs the exponents of each term once into one int, a fixed-width
+field per (mode, z or zbar): a product of monomials is then a sum of ints, and
+a conjugate swaps the two fields of each mode. It interns the divisor
+signatures of a call as small ints, accumulates on ``(mode, packed, signature
+id)``, and folds each distinct key onto the basis once, in first-seen order.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ __all__ = [
     "ParityError",
     "RKey",
     "RationalVF",
+    "action_transport",
     "canonical_from_exponents",
     "commutator",
     "conj_index_vector",
@@ -71,7 +78,6 @@ __all__ = [
     "multiplicity",
     "omega4_hessian",
     "product_key",
-    "transport",
     "validate_class",
 ]
 
@@ -267,6 +273,51 @@ def key_exponents(key: TermKey) -> Dict[int, list]:
     return exp
 
 
+# A packed monomial holds the exponents of a monomial in one int, one
+# _WIDTH-bit field per (mode, z or zbar): z_m at bit _WIDTH * (2m - 2) and
+# zbar_m in the field above it. A product is a sum of packed ints, and the
+# conjugate swaps the two fields of each mode. Packed inputs stay at or below
+# _MAX_EXP, so two of them plus two unit factors never carry between fields.
+_WIDTH = 8
+_MASK = (1 << _WIDTH) - 1
+_MAX_EXP = (1 << (_WIDTH - 2)) - 1
+
+
+def _factor(m: int, da: int, db: int) -> int:
+    """Packed ``z_m^da zbar_m^db``."""
+    if m < 1:
+        raise ValueError(f"mode must be a positive integer, got {m!r}")
+    return (da + (db << _WIDTH)) << (2 * _WIDTH * (m - 1))
+
+
+def _pack(exps: Mapping[int, Tuple[int, int]]) -> Tuple[int, int]:
+    """Packed monomial of an exponent map, and packed conjugate."""
+    p = q = 0
+    for m, (x, y) in exps.items():
+        if not (0 <= x <= _MAX_EXP and 0 <= y <= _MAX_EXP):
+            raise ValueError(f"exponents {x, y} at mode {m} outside the packed range 0..{_MAX_EXP}")
+        p += _factor(m, x, y)
+        q += _factor(m, y, x)
+    return p, q
+
+
+@cache
+def _fold(a: int, p: int) -> TermKey:
+    """Key of the ``d/dz_a`` monomial with packed exponents ``p``.
+
+    Memoised, so each distinct monomial folds once and equal keys share one
+    tuple across fields.
+    """
+    exps = {}
+    m = 1
+    while p:
+        if p & _MASK or (p >> _WIDTH) & _MASK:
+            exps[m] = (p & _MASK, (p >> _WIDTH) & _MASK)
+        p >>= 2 * _WIDTH
+        m += 1
+    return canonical_from_exponents(a, exps)
+
+
 def product_key(
     a: int,
     x: Mapping[int, Tuple[int, int]],
@@ -280,22 +331,22 @@ def product_key(
     ``x`` and ``y`` are exponent maps as :func:`key_exponents` returns them.
     A negative factor lowers the exponent of the whole product, which is the
     monomial part of a derivative; the caller supplies its coefficient.
+    Exponents of ``x`` and ``y`` may not pass 63. The bracket forms the same
+    packed sums without this per-factor range check.
     """
-    merged = {m: [e[0], e[1]] for m, e in x.items()}
-    for m, (p, q) in y.items():
-        if conj_y:
-            p, q = q, p
-        t = merged.get(m)
-        if t is None:
-            merged[m] = [p, q]
-        else:
-            t[0] += p
-            t[1] += q
+    q = p = _pack(x)[0] + _pack(y)[conj_y]
+    net: Counter = Counter()  # bit offset of a field -> change of its exponent
     for m, da, db in extra:
-        t = merged.setdefault(m, [0, 0])
-        t[0] += da
-        t[1] += db
-    return canonical_from_exponents(a, merged)
+        q += _factor(m, da, db)
+        net[2 * _WIDTH * (m - 1)] += da
+        net[2 * _WIDTH * (m - 1) + _WIDTH] += db
+    for s, e in net.items():
+        e += (p >> s) & _MASK
+        if e < 0:
+            raise ParityError(f"negative exponent at mode {s // (2 * _WIDTH) + 1}")
+        if e > _MASK:
+            raise ValueError(f"exponent at mode {s // (2 * _WIDTH) + 1} overflows its packed field")
+    return _fold(a, q)
 
 
 def multiplicity(j: IndexVector) -> int:
@@ -686,51 +737,112 @@ def is_rational_normal_form(q: RationalVF) -> bool:
 # ---------------------------------------------------------------------------
 # commutator
 
-def _merge_sections(d1: Tuple[Section, Section, Section], d2: Tuple[Section, Section, Section]):
-    return tuple(tuple(sorted(s1 + s2)) for s1, s2 in zip(d1, d2))
-
-
 def _accumulate(acc: Dict, key, c: QC) -> None:
     prev = acc.get(key)
     acc[key] = c if prev is None else prev + c
 
 
+class _Tables:
+    """Tables of one bracket: divisor signatures interned as small ints,
+    their merges cached per id pair, and the terms of its fields packed.
+
+    A bracket accumulates into dicts keyed by ``(a, packed, signature id)``;
+    :meth:`field` turns one into a field, keeping its first-seen order.
+    """
+
+    def __init__(self):
+        self.ids: Dict[Tuple[Section, Section, Section], int] = {}
+        self.sigs: List[Tuple[Section, Section, Section]] = []
+        self.merged: Dict[Tuple[int, int], int] = {}
+
+    def sig(self, sections: Tuple[Section, Section, Section]) -> int:
+        i = self.ids.get(sections)
+        if i is None:
+            i = self.ids[sections] = len(self.sigs)
+            self.sigs.append(sections)
+        return i
+
+    def merge(self, i: int, j: int) -> int:
+        k = self.merged.get((i, j))
+        if k is None:
+            k = self.merged[i, j] = self.sig(
+                tuple(tuple(sorted(s + t)) for s, t in zip(self.sigs[i], self.sigs[j]))
+            )
+        return k
+
+    def terms(self, vf: RationalVF) -> list:
+        """``(a, actor, exponents, key)`` per term, where the actor is
+        ``(c, conj(c), packed, packed conjugate, signature id)``."""
+        out = []
+        for key, c in vf.terms.items():
+            exps = key_exponents(key)
+            out.append((key[0], (c, c.conj()) + _pack(exps) + (self.sig(key[3:]),), exps, key))
+        return out
+
+    def field(self, acc: Dict[Tuple[int, int, int], QC]) -> RationalVF:
+        return RationalVF({_fold(a, p) + self.sigs[i]: c for (a, p, i), c in acc.items()})
+
+
 def _actors(terms) -> Dict[int, list]:
-    """``(key, c, exponents)`` triples grouped by field mode as
-    ``(c, exponents, divisor sections)`` actors."""
+    """Actors of :meth:`_Tables.terms` grouped by field mode."""
     out: Dict[int, list] = {}
-    for key, c, exp in terms:
-        out.setdefault(key[0], []).append((c, exp, key[3:]))
+    for a, actor, _, _ in terms:
+        out.setdefault(a, []).append(actor)
     return out
 
 
-def transport(acc: Dict, a: int, x, actors, d: int, extra, fac: QC, sections) -> None:
+def _transport(tables: _Tables, acc, a: int, x: int, actors, d: int, extra: int, fac: QC, sid: int):
     """Add ``fac * x * extra * dI_d[Y]`` to the ``d/dz_a`` terms in ``acc``.
 
     ``dI_d[Y] = zbar_d Y_d + z_d conj(Y_d)`` is the derivative of the action
-    ``I_d`` along ``Y``, whose ``d/dz_d`` terms are ``actors``; ``x`` is an
-    exponent map and ``extra`` a tuple of :func:`product_key` factors.  Each
-    product carries ``sections`` merged with its actor's divisor sections.
+    ``I_d`` along ``Y``, whose ``d/dz_d`` terms are ``actors``; ``x`` and
+    ``extra`` are packed monomials. Each product carries the signature ``sid``
+    merged with its actor's.
     """
-    for c, ey, dy in actors:
-        secs = _merge_sections(sections, dy)
-        _accumulate(acc, product_key(a, x, ey, False, ((d, 0, 1),) + extra) + secs, fac * c)
-        _accumulate(acc, product_key(a, x, ey, True, ((d, 1, 0),) + extra) + secs, fac * c.conj())
+    x_zbar = x + extra + _factor(d, 0, 1)
+    x_z = x + extra + _factor(d, 1, 0)
+    merge = tables.merge
+    for c, cbar, p, q, s in actors:
+        k = merge(sid, s)
+        _accumulate(acc, (a, x_zbar + p, k), fac * c)
+        _accumulate(acc, (a, x_z + q, k), fac * cbar)
 
 
-def _directional(acc: Dict[TermKey, QC], x_by_mode, y_terms, sign: int) -> None:
-    # sign * sum_b [ X^{z_b} d/dz_b + conj(X^{z_b}) d/dzbar_b ] Y^{z_a}
-    for key, cY, expY in y_terms:
-        a = key[0]
+def action_transport(field: RationalVF, couplings) -> RationalVF:
+    """The field ``sum fac * z_a * I_e * dI_d[Y]`` over ``couplings``.
+
+    Each coupling ``(a, d, e, fac, keys)`` adds that product to the
+    ``d/dz_a`` component, with ``Y`` the terms ``keys`` of ``field`` (all of
+    field mode ``d``) and no action factor when ``e`` is 0. The products keep
+    the divisors of ``Y`` and come out in first-seen order.
+    """
+    tables = _Tables()
+    actors = {key: actor for _, actor, _, key in tables.terms(field)}
+    no_divisors = tables.sig(NO_DIVISORS)
+    acc: Dict[Tuple[int, int, int], QC] = {}
+    for a, d, e, fac, keys in couplings:
+        extra = _factor(e, 1, 1) if e else 0
+        part = [actors[key] for key in keys]
+        _transport(tables, acc, a, _factor(a, 1, 0), part, d, extra, fac, no_divisors)
+    return tables.field(acc)
+
+
+def _directional(part: Dict[Tuple[int, int], QC], x_by_mode, y_terms, sign: int) -> None:
+    # sign * sum_b [ X^{z_b} d/dz_b + conj(X^{z_b}) d/dzbar_b ] Y^{z_a}; the
+    # derivative lowers a positive exponent of Y, so it never borrows
+    for a, (cY, _, py, _, _), expY, _ in y_terms:
         for b, (alpha, beta) in expY.items():
-            for cX, expX, _ in x_by_mode.get(b, ()):
+            actors = x_by_mode.get(b)
+            if not actors:
+                continue
+            ca, pa = cY * (sign * alpha), py - _factor(b, 1, 0)
+            cb, pb = cY * (sign * beta), py - _factor(b, 0, 1)
+            for cX, cXbar, px, qx, _ in actors:
                 if alpha:
-                    prod = product_key(a, expY, expX, False, ((b, -1, 0),))
-                    _accumulate(acc, prod, cX * cY * (sign * alpha))
+                    _accumulate(part, (a, pa + px), cX * ca)
                 if beta:
                     # conjugate actor: swap its exponents, conjugate its coefficient
-                    prod = product_key(a, expY, expX, True, ((b, 0, -1),))
-                    _accumulate(acc, prod, cX.conj() * cY * (sign * beta))
+                    _accumulate(part, (a, pb + qx), cXbar * cb)
 
 
 @cache
@@ -777,50 +889,37 @@ def _quadratic_derivative(v: Divisor, N: int) -> Tuple[Tuple[int, int, Fraction]
     return tuple(sorted((d, e, c) for (d, e), c in hess.items() if c))
 
 
-def _divisor_part(acc: Dict[RKey, QC], xt, yt, sign: int, N: Optional[int]) -> None:
+def _divisor_part(tables: _Tables, acc: Dict, xt, ymode, sign: int, N: Optional[int]) -> None:
     # derivative of x's divisors along y; the extra divisor copy goes to h2
     # when a quadratic-frequency divisor was hit, to h4 for the gradient part
     # of a corrected one, and to kk for its Hessian part (which also brings
     # an action factor into the numerator)
-    divided = [(key, cx, ex) for key, cx, ex in xt if key[3] or key[4] or key[5]]
-    if not divided:
-        return
-    ymode = _actors(yt)
-    if not ymode:
-        return
-    for key, cx, ex in divided:
-        a, kind, j, h2, h4, kk = key
+    for a, (cx, _, px, _, _), _, key in xt:
+        h2, h4, kk = key[3:]
+        if not (h2 or h4 or kk):
+            continue
         for sec_idx, sec in ((0, h2), (1, h4), (2, kk)):
             for v, count in Counter(sec).items():
-                target = 0 if sec_idx == 0 else 1
-                routed = tuple(
-                    s + (v,) if i == target else s for i, s in enumerate((h2, h4, kk))
-                )
-                for d, lam in _linear_derivative(v):
+                routed = (h2 + (v,), h4, kk) if sec_idx == 0 else (h2, h4 + (v,), kk)
+                hits = [(d, 0, lam, routed) for d, lam in _linear_derivative(v)]
+                if sec_idx:
+                    routed = (h2, h4, kk + (v,))
+                    hits += [
+                        (d, _factor(e, 1, 1), h, routed) for d, e, h in _quadratic_derivative(v, N)
+                    ]
+                for d, extra, lam, sections in hits:
                     actors = ymode.get(d)
-                    if not actors:
-                        continue
-                    fac = cx * QC(Fraction(-count * sign) * lam)
-                    transport(acc, a, ex, actors, d, (), fac, routed)
-                if sec_idx == 0:
-                    continue
-                routed_q = (h2, h4, kk + (v,))
-                for d, e, cde in _quadratic_derivative(v, N):
-                    actors = ymode.get(d)
-                    if not actors:
-                        continue
-                    fac = cx * QC(Fraction(-count * sign) * cde)
-                    transport(acc, a, ex, actors, d, ((e, 1, 1),), fac, routed_q)
+                    if actors:
+                        fac = cx * QC(Fraction(-count * sign) * lam)
+                        _transport(tables, acc, a, px, actors, d, extra, fac, tables.sig(sections))
 
 
-def _signature_groups(terms, N: Optional[int]):
-    """Terms grouped by divisor signature, each group with its by-mode index."""
-    grouped: Dict[Tuple[Section, Section, Section], list] = {}
+def _signature_groups(terms):
+    """Terms grouped by signature id, each group with its by-mode actors."""
+    grouped: Dict[int, list] = {}
     for term in terms:
-        grouped.setdefault(term[0][3:], []).append(term)
-    if N is None and any(sig[1] or sig[2] for sig in grouped):
-        raise ValueError("fields with corrected-frequency divisors need the cutoff N")
-    return [(sig, t, _actors(t)) for sig, t in grouped.items()]
+        grouped.setdefault(term[1][4], []).append(term)
+    return [(i, t, _actors(t)) for i, t in grouped.items()]
 
 
 def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> RationalVF:
@@ -836,20 +935,24 @@ def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> Rationa
     corrected frequencies; it is required when either field carries ``h4``
     or ``kk`` divisors and unused otherwise.
     """
-    xt = [(key, c, key_exponents(key)) for key, c in x.terms.items()]
-    yt = [(key, c, key_exponents(key)) for key, c in y.terms.items()]
-    gx = _signature_groups(xt, N)
-    gy = _signature_groups(yt, N)
-    acc: Dict[RKey, QC] = {}
+    tables = _Tables()
+    xt = tables.terms(x)
+    yt = tables.terms(y)
+    if N is None and any(sig[1] or sig[2] for sig in tables.sigs):
+        raise ValueError("fields with corrected-frequency divisors need the cutoff N")
+    gx = _signature_groups(xt)
+    gy = _signature_groups(yt)
+    acc: Dict[Tuple[int, int, int], QC] = {}
     for sx, tx, mx in gx:
         for sy, ty, my in gy:
-            part: Dict[TermKey, QC] = {}
+            part: Dict[Tuple[int, int], QC] = {}
             _directional(part, my, tx, +1)
             _directional(part, mx, ty, -1)
-            sections = _merge_sections(sx, sy)
-            for k, c in part.items():
+            sid = tables.merge(sx, sy)
+            for (a, p), c in part.items():
                 if not c.is_zero():
-                    _accumulate(acc, k + sections, c)
-    _divisor_part(acc, xt, yt, +1, N)
-    _divisor_part(acc, yt, xt, -1, N)
-    return RationalVF(acc)
+                    _accumulate(acc, (a, p, sid), c)
+    _divisor_part(tables, acc, xt, _actors(yt), +1, N)
+    _divisor_part(tables, acc, yt, _actors(xt), -1, N)
+    return tables.field(acc)
+

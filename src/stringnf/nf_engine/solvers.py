@@ -29,12 +29,10 @@ from .rational import (
     QC,
     RKey,
     RationalVF,
-    _actors,
+    action_transport,
     commutator,
     divisor_zero_form,
-    key_exponents,
     omega4_hessian,
-    transport,
     validate_class,
 )
 
@@ -125,11 +123,7 @@ def _action_coupling(field: RationalVF) -> RationalVF:
     transport with a single leading factor.
     """
     pref = QC(0, Fraction(-1, 4))
-    acc: Dict[RKey, QC] = {}
-    for key, c in field.terms.items():
-        a = key[0]
-        transport(acc, a, {a: (1, 0)}, [(c, key_exponents(key), key[3:])], a, (), pref, NO_DIVISORS)
-    return RationalVF(acc)
+    return action_transport(field, [(key[0], key[0], 0, pref, [key]) for key in field.terms])
 
 
 def _frequency_coupling(field: RationalVF, N: int) -> RationalVF:
@@ -141,14 +135,16 @@ def _frequency_coupling(field: RationalVF, N: int) -> RationalVF:
     one transport factor into the numerator.
     """
     neg_i = QC(0, -1)
-    by_mode = _actors((key, c, key_exponents(key)) for key, c in field.terms.items())
-    acc: Dict[RKey, QC] = {}
-    for a in range(1, N + 1):
-        for d, e, h in omega4_hessian(a, N):
-            actors = by_mode.get(d)
-            if actors:
-                transport(acc, a, {a: (1, 0)}, actors, d, ((e, 1, 1),), neg_i * QC(h), NO_DIVISORS)
-    return RationalVF(acc)
+    by_mode: Dict[int, list] = {}
+    for key in field.terms:
+        by_mode.setdefault(key[0], []).append(key)
+    couplings = [
+        (a, d, e, neg_i * QC(h), by_mode[d])
+        for a in range(1, N + 1)
+        for d, e, h in omega4_hessian(a, N)
+        if d in by_mode
+    ]
+    return action_transport(field, couplings)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.M < 1:
             raise ValueError("M must be >= 1")
+        self.weight.check_modes(self.M)
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
         if not self.allow_large_dt and self.dt > 0.1 / self.M:

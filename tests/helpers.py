@@ -9,6 +9,12 @@ Contents:
 - ``ZPoly``: dense-exponent exact polynomials in z_1..z_M, zbar_1..zbar_M with
   differentiation, used to realize the vector-field commutator directly from
   its defining formula (independent of the package's canonical-term engine),
+- ``dict_product_key`` and ``product_key_commutator``: one product folded
+  from exponent maps merged as dicts, and the divisor-carrying bracket with
+  every product folded that way and signatures merged per term; the
+  references for the packed, interned ``nf_engine.rational.commutator`` and
+  its coupling fields, term order included, sharing no packing code with
+  them,
 - ``FreqContext``, ``omega2``, ``omega4`` and ``big_omega``: the scalar
   divisor, one vector at one state, reduced to its irreducible part first;
   the reference for ``divisors.divisor_evaluator``,
@@ -27,6 +33,7 @@ Contents:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +45,14 @@ from scipy.integrate import solve_ivp
 from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm
 from stringnf.divisors import _kappa_factor, _omega4_raw, _reduce, enumerate_irr_indices, irr, kappa
 from stringnf.measure import sample_actions
+from stringnf.nf_engine.rational import (
+    QC,
+    RationalVF,
+    _linear_derivative,
+    _quadratic_derivative,
+    canonical_from_exponents,
+    key_exponents,
+)
 from stringnf.simulator import _slope2
 
 
@@ -336,6 +351,103 @@ def oracle_commutator(X: dict[int, ZPoly], Y: dict[int, ZPoly], M: int) -> dict[
         if not p.is_zero():
             out[a] = p
     return out
+
+
+def dict_product_key(a: int, x, y, conj_y: bool, extra=()):
+    """Key of the ``d/dz_a`` monomial ``x * y`` (``x * conj(y)`` with
+    ``conj_y``) times the factors ``(m, da, db)`` of ``extra``, with the
+    exponent maps merged as dicts: ``product_key`` without the packing."""
+    merged = {m: list(e) for m, e in x.items()}
+    for m, (p, q) in y.items():
+        t = merged.setdefault(m, [0, 0])
+        t[0] += q if conj_y else p
+        t[1] += p if conj_y else q
+    for m, da, db in extra:
+        t = merged.setdefault(m, [0, 0])
+        t[0] += da
+        t[1] += db
+    return canonical_from_exponents(a, merged)
+
+
+def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> RationalVF:
+    """[X, Y] of divisor-carrying fields, one exponent-map fold per product.
+
+    The same sums in the same order as the package's bracket: per pair of
+    divisor signatures the numerator bracket, then the chain rule on each
+    divisor of ``x`` along ``y`` and of ``y`` along ``x``.
+    """
+
+    def merge(d1, d2):
+        return tuple(tuple(sorted(s1 + s2)) for s1, s2 in zip(d1, d2))
+
+    def add(acc, key, c):
+        prev = acc.get(key)
+        acc[key] = c if prev is None else prev + c
+
+    def actors(terms):
+        out = {}
+        for key, c, exp in terms:
+            out.setdefault(key[0], []).append((c, exp, key[3:]))
+        return out
+
+    def transport(acc, a, xe, acts, d, extra, fac, sections):
+        for c, ey, dy in acts:
+            secs = merge(sections, dy)
+            add(acc, dict_product_key(a, xe, ey, False, ((d, 0, 1),) + extra) + secs, fac * c)
+            add(acc, dict_product_key(a, xe, ey, True, ((d, 1, 0),) + extra) + secs, fac * c.conj())
+
+    def directional(part, x_by_mode, y_terms, sign):
+        for key, cY, expY in y_terms:
+            a = key[0]
+            for b, (alpha, beta) in expY.items():
+                for cX, expX, _ in x_by_mode.get(b, ()):
+                    if alpha:
+                        add(part, dict_product_key(a, expY, expX, False, ((b, -1, 0),)), cX * cY * (sign * alpha))
+                    if beta:
+                        add(part, dict_product_key(a, expY, expX, True, ((b, 0, -1),)), cX.conj() * cY * (sign * beta))
+
+    def divisor_part(acc, xt, yt, sign):
+        ymode = actors(yt)
+        for key, cx, ex in xt:
+            a, _, _, h2, h4, kk = key
+            for sec_idx, sec in ((0, h2), (1, h4), (2, kk)):
+                for v, count in Counter(sec).items():
+                    target = 0 if sec_idx == 0 else 1
+                    routed = tuple(s + (v,) if i == target else s for i, s in enumerate((h2, h4, kk)))
+                    for d, lam in _linear_derivative(v):
+                        if ymode.get(d):
+                            fac = cx * QC(Fraction(-count * sign) * lam)
+                            transport(acc, a, ex, ymode[d], d, (), fac, routed)
+                    if sec_idx == 0:
+                        continue
+                    for d, e, cde in _quadratic_derivative(v, N):
+                        if ymode.get(d):
+                            fac = cx * QC(Fraction(-count * sign) * cde)
+                            transport(acc, a, ex, ymode[d], d, ((e, 1, 1),), fac, (h2, h4, kk + (v,)))
+
+    def groups(terms):
+        grouped = {}
+        for term in terms:
+            grouped.setdefault(term[0][3:], []).append(term)
+        if N is None and any(sig[1] or sig[2] for sig in grouped):
+            raise ValueError("fields with corrected-frequency divisors need the cutoff N")
+        return [(sig, t, actors(t)) for sig, t in grouped.items()]
+
+    xt = [(key, c, key_exponents(key)) for key, c in x.terms.items()]
+    yt = [(key, c, key_exponents(key)) for key, c in y.terms.items()]
+    gx, gy = groups(xt), groups(yt)
+    acc = {}
+    for sx, tx, mx in gx:
+        for sy, ty, my in gy:
+            part = {}
+            directional(part, my, tx, +1)
+            directional(part, mx, ty, -1)
+            for k, c in part.items():
+                if not c.is_zero():
+                    add(acc, k + merge(sx, sy), c)
+    divisor_part(acc, xt, yt, +1)
+    divisor_part(acc, yt, xt, -1)
+    return RationalVF(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import duffing_reference
-from stringnf import cli
+from stringnf import cli, measure
 from stringnf.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -350,6 +350,38 @@ class TestMeasureCommand:
         assert cause in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scan_draws_and_builds_rows_once(self, tmp_path, monkeypatch):
+        draws, rows = [], []
+        draw, build = measure.sample_actions, SampleBatch.rows
+
+        def counting_draw(spec):
+            draws.append(spec)
+            return draw(spec)
+
+        def counting_rows(self, *args):
+            rows.append(args)
+            return build(self, *args)
+
+        monkeypatch.setattr(cli, "sample_actions", counting_draw)
+        monkeypatch.setattr(measure, "sample_actions", counting_draw)
+        monkeypatch.setattr(SampleBatch, "rows", counting_rows)
+        # an eps over the small-data cap, which still warns once per gamma
+        with pytest.warns(UserWarning, match="exceeds") as caught:
+            rc = run("measure", "--out", str(tmp_path / "m"), "--set", "N=2", "--set", "eps=0.3",
+                     "--set", "gamma_grid=[0.02, 0.05, 0.1, 0.2]", "--set", "samples=50")
+        assert rc == EXIT_OK
+        assert len(draws) == 1 and len(rows) == 1
+        assert len([w for w in caught if "exceeds" in str(w.message)]) == 4
+
+    def test_overflowing_gevrey_weight_is_config_error(self, tmp_path, capsys):
+        # exp(2 rho M) passes the float range at M = 400; RuntimeWarnings fail the test
+        out = tmp_path / "o"
+        rc = run("measure", "--out", str(out), "--set", "weight_kind=gevrey", "--set", "weight_rho=2",
+                 "--set", "truncation=400", "--set", "samples=5")
+        assert rc == EXIT_CONFIG
+        assert "gevrey weight overflows at mode 400" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_impossible_conditioning_is_config_error(self, tmp_path, capsys):
         rc = run("measure", "--out", str(tmp_path / "o"), "--set", "gamma_grid=[0.1]",
                  "--set", "N=4", "--set", "samples=10", "--set", "ball_radius=1e-9")
@@ -414,6 +446,14 @@ class TestResonanceCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_gevrey_weight_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run("resonance", "--out", str(out), "--set", "weight_kind=gevrey", "--set", "weight_rho=2",
+                 "--set", 'state={"400": [0.1, 0]}')
+        assert rc == EXIT_CONFIG
+        assert "gevrey weight overflows at mode 400" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gevrey_weight_runs(self, tmp_path):
         out = tmp_path / "g"
         rc = run("resonance", "--out", str(out),
@@ -463,6 +503,28 @@ class TestNfVerifyCommand:
         built = count_states(monkeypatch)
         assert cli._ensemble_states(len(certified), params, spec) == certified
         assert len(built) == len(certified)
+
+    @pytest.mark.parametrize("n, built", [
+        ("6", [(2, 6), (3, 3)]),  # quintic_N 5 <= N: the N-mode results are truncated
+        ("4", [(2, 4), (2, 5), (3, 3)]),  # quintic_N 5 > N needs its own normal form
+    ])
+    def test_each_normal_form_is_built_once(self, tmp_path, monkeypatch, n, built):
+        calls, solves = [], []
+        normal_form, solve = cli.resonant_normal_form, cli.quintic_rational_solve
+
+        def counting_normal_form(r, N):
+            calls.append((r, N))
+            return normal_form(r, N)
+
+        def counting_solve(k5, N):
+            solves.append(N)
+            return solve(k5, N)
+
+        monkeypatch.setattr(cli, "resonant_normal_form", counting_normal_form)
+        monkeypatch.setattr(cli, "quintic_rational_solve", counting_solve)
+        assert run("nf-verify", "--out", str(tmp_path / "v"), "--set", f"N={n}", *self.SMALL) == EXIT_OK
+        assert calls == built
+        assert solves == [int(n)] + ([5] if int(n) < 5 else [])
 
     def test_missing_golden_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -68,6 +68,26 @@ class TestWeightedNorm:
         with pytest.raises(ValueError):
             WeightSpec(kind="banach")
 
+    @pytest.mark.parametrize("w", [
+        WeightSpec(kind="gevrey", rho=2.0),
+        WeightSpec(kind="gevrey", rho=0.5, theta=0.5),
+        WeightSpec(kind="sobolev", s=40.0),
+    ])
+    def test_mode_range_check_matches_the_float_range(self, w):
+        # the last mode check_modes accepts has a finite w(M)^2 M^2, the next
+        # one's overflows, and the weight agrees with its log on the way
+        M = 1
+        while True:
+            assert math.log(w.weight(M)) == pytest.approx(w.log_weight(M), rel=1e-12, abs=1e-300)
+            try:
+                w.check_modes(M + 1)
+            except ValueError as err:
+                assert f"overflows at mode {M + 1}" in str(err)
+                break
+            M += 1
+        assert math.isfinite(w.weight_sq(M) * M * M)
+        assert math.isinf(w.weight_sq(M + 1) * (M + 1) ** 2)
+
 
 class TestComplexSeq:
     def test_absent_modes_are_zero(self):

@@ -14,9 +14,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum
-from helpers import FreqContext, big_omega
+from helpers import FreqContext, big_omega, product_key_commutator
 from stringnf.divisors import irr, kappa
 from stringnf.nf_engine import (
     ANTI,
@@ -33,6 +35,10 @@ from stringnf.nf_engine import (
     evaluate_vf,
     is_rational_normal_form,
     key_order,
+    product_key,
+    resonant_normal_form,
+    septic_stage_input,
+    solve_homological_z3z5,
     validate_class,
 )
 from stringnf.nf_engine.rational import _linear_derivative, _quadratic_derivative
@@ -196,6 +202,74 @@ def test_bracket_bilinearity_formal():
     joint = commutator(x, y1 + y2, N)
     split = commutator(x, y1, N) + commutator(x, y2, N)
     assert joint == split
+
+
+# ---------------------------------------------------------------------------
+# the packed bracket against the per-product fold
+
+def _entries(N: int, min_size: int, max_size: int):
+    entry = st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, N))
+    return st.lists(entry, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def bracket_fields(draw, N: int, divisors: bool) -> RationalVF:
+    """A few canonical terms on modes 1..N, each section holding up to two
+    divisors in storage form on those modes when ``divisors`` is set."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        a = draw(st.integers(1, N))
+        key = (a, draw(st.sampled_from([DIAG, ANTI])), canonicalize(draw(_entries(N, 0, 3))))
+        sections = []
+        for _ in range(3):
+            vectors = draw(st.lists(_entries(N, 2, 3), max_size=2 if divisors else 0))
+            stored = (divisor_zero_form(tuple(v))[0] for v in vectors)
+            sections.append(tuple(w for w in stored if w and max(m for _, m in w) <= N))
+        part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+        terms[key + tuple(sections)] = QC(draw(part), draw(part))
+    return RationalVF(terms)
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_packed_bracket_matches_per_product_fold(data, divisors):
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(bracket_fields(n, divisors))
+    y = data.draw(bracket_fields(n, divisors))
+    fast, oracle = commutator(x, y, n), product_key_commutator(x, y, n)
+    # equal values in the same term order
+    assert list(fast.terms.items()) == list(oracle.terms.items())
+    if not divisors:
+        assert list(commutator(x, y).terms.items()) == list(oracle.terms.items())
+
+
+def test_packed_bracket_matches_per_product_fold_on_the_septic_solve():
+    n = 3
+    nf = resonant_normal_form(3, n)
+    chi = solve_homological_z3z5(septic_stage_input(nf), n)[0]
+    # chi carries h2 and kk divisors; differentiating a kk divisor adds an h4 one
+    assert any(key[3] for key in chi.terms) and any(key[5] for key in chi.terms)
+    head = RationalVF(dict(list(chi.terms.items())[:30]))
+    for x, y in ((nf.z3 + nf.z5, chi), (chi, nf.z3), (head, head.scale(QC(0, 1)) + nf.z5)):
+        fast, oracle = commutator(x, y, n), product_key_commutator(x, y, n)
+        assert list(fast.terms.items()) == list(oracle.terms.items())
+    assert any(key[4] for key in fast.terms)
+
+
+def test_packed_exponent_range_is_checked():
+    y = RationalVF({(1, ANTI, ((1, 2),)) + NO_DIVISORS: QC(1)})
+    # 63 is the largest exponent a packed field takes in
+    at_bound = RationalVF({(2, DIAG, ((0, 1),) * 63) + NO_DIVISORS: QC(1)})
+    fast, oracle = commutator(at_bound, y), product_key_commutator(at_bound, y)
+    assert not fast.is_zero()
+    assert list(fast.terms.items()) == list(oracle.terms.items())
+    over = RationalVF({(2, DIAG, ((0, 1),) * 64) + NO_DIVISORS: QC(1)})
+    for args in ((over, y), (y, over)):
+        with pytest.raises(ValueError, match="packed range"):
+            commutator(*args)
+    # the public fold refuses a product past the field width instead of carrying
+    with pytest.raises(ValueError, match="overflows"):
+        product_key(1, {1: (1, 0)}, {2: (63, 0)}, False, ((2, 200, 0),))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FreqContext, big_omega
+from helpers import FreqContext, big_omega, dict_product_key
 from stringnf.core import ComplexSeq, canonicalize, zeta_product
 from stringnf.nf_engine import (
     ANTI,
@@ -30,6 +30,7 @@ from stringnf.nf_engine import (
     divisor_zero_form,
     evaluate_vf,
     is_rational_normal_form,
+    key_exponents,
     omega4_hessian,
     quintic_rational_solve,
     resonant_normal_form,
@@ -160,6 +161,26 @@ def test_quintic_solve_input_guards():
         quintic_rational_solve(k5_reference(6), 4)
 
 
+def _same_terms(x, y) -> bool:
+    return list(x.terms.items()) == list(y.terms.items())
+
+
+@pytest.mark.parametrize("r, n", [(2, n) for n in range(2, 6)] + [(3, n) for n in range(2, 5)])
+def test_normal_form_on_fewer_modes_is_a_truncation(r, n):
+    # the normal form and quintic solve on modes 1..m are those on 1..n cut
+    # to m modes, term order included; nf-verify relies on this
+    big = resonant_normal_form(r, n)
+    s, m_gen = quintic_rational_solve(big.k5, n)
+    for m in range(1, n):
+        small = resonant_normal_form(r, m)
+        for name in ("z3", "z5", "k5", "k7"):
+            assert _same_terms(getattr(big, name).truncate(m), getattr(small, name)), name
+        for k, g in small.generators.items():
+            assert _same_terms(big.generators[k].truncate(m), g), k
+        for f, g in zip((s, m_gen), quintic_rational_solve(small.k5, m)):
+            assert _same_terms(f.truncate(m), g)
+
+
 # ---------------------------------------------------------------------------
 # the coupling fields against independent oracles
 
@@ -250,6 +271,32 @@ def septic_solution(septic):
 def septic_states():
     rng = random.Random(5107)
     return [rstate(rng, NS, scale=0.35) for _ in range(10)]
+
+
+def _transport_by_fold(acc, field, keys, a, d, extra, fac):
+    # fac * z_a * extra * dI_d[Y] for the terms keys of field, one dict fold
+    # per product
+    for key in keys:
+        c, ey = field.terms[key], key_exponents(key)
+        for conj, factor, coef in ((False, (d, 0, 1), c), (True, (d, 1, 0), c.conj())):
+            k = dict_product_key(a, {a: (1, 0)}, ey, conj, (factor,) + extra) + key[3:]
+            prev = acc.get(k)
+            acc[k] = fac * coef if prev is None else prev + fac * coef
+
+
+def test_coupling_fields_match_per_product_fold(quintic_pair, septic_solution):
+    head = RationalVF(dict(list(septic_solution[0].terms.items())[:200]))
+    for field, n in ((quintic_pair[0], NQ), (head, NS)):
+        acc: dict = {}
+        for key in field.terms:
+            _transport_by_fold(acc, field, [key], key[0], key[0], (), QC(0, Fraction(-1, 4)))
+        assert list(_action_coupling(field).terms.items()) == list(RationalVF(acc).terms.items())
+        acc = {}
+        for a in range(1, n + 1):
+            for d, e, h in omega4_hessian(a, n):
+                keys = [key for key in field.terms if key[0] == d]
+                _transport_by_fold(acc, field, keys, a, d, ((e, 1, 1),), QC(0, -1) * QC(h))
+        assert list(_frequency_coupling(field, n).terms.items()) == list(RationalVF(acc).terms.items())
 
 
 def test_septic_input_structure(septic):

@@ -1,0 +1,220 @@
+"""Write a ``BENCH_<pr>.json`` snapshot: a parent and a change, side by side.
+
+    python tools/bench_snapshot.py --parent DIR --change DIR --pr N --note TEXT \\
+        [--pairs nf_verify=10,measure_scan=5,drift_sweep=3,simulate_record=3] \\
+        [--extra FILE] [--out PATH]
+
+``--parent`` and ``--change`` are two source checkouts, each a plain copy of
+one commit (``git archive`` into its own directory, say). Nothing is built;
+every run imports the program from the ``src/`` of its checkout.
+
+The snapshot holds:
+
+- ``environment``: ``nproc`` and the Python, numpy and platform strings.
+- ``src_lines``: the lines of every ``.py`` file under ``src/``, per side.
+- ``perfbench``: for each workload, ``perfbench/run.py --workload W --seed P
+  --seconds S --trace 0`` in both checkouts for P = 1..pairs, with S the
+  ``run_seconds`` of the change's ``BENCHMARK.json``. Pair P uses seed P on
+  both sides, and the side that runs first alternates from pair to pair. Per
+  end-to-end metric of ``BENCHMARK.json`` it records each run's median,
+  their quartiles per side, and how many pairs the change wins.
+- ``traced``: the same for one pair of ``--trace 1`` runs of ``nf_verify``,
+  keeping the ``nf_engine.*`` per-layer medians, which show where the exact
+  algebra's time goes.
+- ``layers``: raw seconds in fresh interpreters, three rounds with the sides
+  alternating, of layers no perfbench workload times by itself: the bracket
+  ``commutator(z3 + z5, chi, 4)`` at (r, N) = (3, 4), and the default
+  ``nf-verify`` (``solver_N`` 4) as a subprocess, interpreter start included.
+
+``--extra`` names a JSON file whose top-level keys are copied into the
+snapshot as they are, for results measured by other means (the tier-1 run,
+exactness checks).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Any, Dict, List
+
+SIDES = ("parent", "change")
+DEFAULT_PAIRS = "nf_verify=10,measure_scan=5,drift_sweep=3,simulate_record=3"
+TRACE_PREFIX = "nf_engine."
+TRACED_PAIRS = 1
+LAYER_ROUNDS = 3
+
+BRACKET_34 = """
+import time
+from stringnf.nf_engine import commutator, resonant_normal_form
+from stringnf.nf_engine.solvers import septic_stage_input, solve_homological_z3z5
+nfs = resonant_normal_form(3, 4)
+chi = solve_homological_z3z5(septic_stage_input(nfs), 4)[0]
+x = nfs.z3 + nfs.z5
+t = time.perf_counter()
+out = commutator(x, chi, 4)
+print(time.perf_counter() - t, len(out.terms))
+"""
+
+
+def src_lines(tree: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
+
+
+def quartiles(values: List[float]) -> Dict[str, float]:
+    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return dict(zip(("q1", "median", "q3"), (round(v, 4) for v in q)))
+
+
+def perfbench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
+    """The summary line of one ``perfbench/run.py`` run in ``tree``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def paired_runs(trees: Dict[str, Path], workload: str, pairs: int, seconds: float, trace: int):
+    """Per side, the summary of each run, pair P at seed P, first side alternating."""
+    runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
+    first: List[str] = []
+    for pair in range(1, pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            runs[side].append(perfbench_run(trees[side], workload, pair, seconds, trace))
+            print(f"{workload} pair {pair} {side} done", file=sys.stderr, flush=True)
+    return runs, first
+
+
+def compare(runs: Dict[str, List[Dict[str, Any]]], name: str, better: str) -> Dict[str, Any]:
+    per_run = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+    out: Dict[str, Any] = {side: quartiles(per_run[side]) for side in SIDES}
+    base = out["parent"]["median"]
+    out["relative_change"] = round((out["change"]["median"] - base) / base, 4) if base else None
+    sign = 1 if better == "lower" else -1
+    out["change_better_pairs"] = sum(
+        1 for p, c in zip(per_run["parent"], per_run["change"]) if sign * (c - p) < 0
+    )
+    out["per_run_medians"] = {side: [round(v, 4) for v in per_run[side]] for side in SIDES}
+    return out
+
+
+def perfbench_section(trees, benchmark, pairs: Dict[str, int], seconds: float) -> Dict[str, Any]:
+    workloads: Dict[str, Any] = {}
+    for workload, n in pairs.items():
+        runs, first = paired_runs(trees, workload, n, seconds, 0)
+        metrics = {}
+        for m in benchmark["end_to_end"]:
+            metrics[m["name"]] = {"better": m["better"], "bound": m["bound"],
+                                  **compare(runs, m["name"], m["better"])}
+        workloads[workload] = {
+            "pairs": n,
+            "first_side": first,
+            "calls": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+            "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+            "metrics": metrics,
+        }
+    return {
+        "command": f"python3 perfbench/run.py --workload W --seed P --seconds {seconds:g} --trace 0",
+        "method": "parent and change each run from their own checkout; pair P uses seed P on both "
+                  "sides, and the side that runs first alternates (first_side). Per run, run.py "
+                  "reports the median over its calls; q1/median/q3 are taken over those per-run "
+                  "medians. change_better_pairs counts pairs in which the change's run median is "
+                  "better than the parent's.",
+        "workloads": workloads,
+    }
+
+
+def traced_section(trees, seconds: float) -> Dict[str, Any]:
+    runs, first = paired_runs(trees, "nf_verify", TRACED_PAIRS, seconds, 1)
+    names = sorted(n for n in runs["parent"][0]["metrics"] if n.startswith(TRACE_PREFIX))
+    return {
+        "command": f"python3 perfbench/run.py --workload nf_verify --seed P --seconds {seconds:g} --trace 1",
+        "first_side": first,
+        "metrics": {n: {side: [r["metrics"][n]["value"] for r in runs[side]] for side in SIDES}
+                    for n in names},
+    }
+
+
+def timed_layer(tree: Path, kind: str) -> float:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    if kind == "bracket_34":
+        proc = subprocess.run([sys.executable, "-c", BRACKET_34], env=env, capture_output=True,
+                              text=True, check=True)
+        return float(proc.stdout.split()[0])
+    with tempfile.TemporaryDirectory() as out:
+        t = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "stringnf.cli", "nf-verify", "--set",
+                        "golden_dir=tests/golden", "--out", out], cwd=tree, env=env,
+                       capture_output=True, check=True)
+        return time.perf_counter() - t
+
+
+def layers_section(trees) -> Dict[str, Any]:
+    names = {
+        "bracket_34": "commutator(z3 + z5, chi, 4) at (r, N) = (3, 4)",
+        "nf_verify_default": "stringnf nf-verify --set golden_dir=tests/golden (solver_N 4), subprocess",
+    }
+    timings = {label: {side: [] for side in SIDES} for label in names.values()}
+    for kind, label in names.items():
+        for rnd in range(LAYER_ROUNDS):
+            for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
+                timings[label][side].append(round(timed_layer(trees[side], kind), 3))
+    return {
+        "method": f"raw seconds (time.perf_counter, not calibrated), one fresh interpreter per side "
+                  f"and round, {LAYER_ROUNDS} rounds alternating which side runs first.",
+        "timings_s": timings,
+    }
+
+
+def environment() -> Dict[str, Any]:
+    import numpy
+
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--pr", type=int, required=True)
+    parser.add_argument("--note", required=True, help="one line naming the change")
+    parser.add_argument("--pairs", default=DEFAULT_PAIRS, help="workload=pairs, comma separated")
+    parser.add_argument("--extra", type=Path, help="JSON object whose keys are copied in")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in the change checkout")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = {w: int(n) for w, n in (item.split("=") for item in args.pairs.split(","))}
+    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    snapshot: Dict[str, Any] = {
+        "change": args.note,
+        "environment": environment(),
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+        "perfbench": perfbench_section(trees, benchmark, pairs, seconds),
+        "traced": traced_section(trees, seconds),
+        "layers": layers_section(trees),
+    }
+    if args.extra:
+        snapshot.update(json.loads(args.extra.read_text()))
+    out = args.out or trees["change"] / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(snapshot, indent=2) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
