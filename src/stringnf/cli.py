@@ -13,8 +13,8 @@ valid JSON is taken as a literal string, so ``scheme = rk4`` and
 e.g. ``eps = [0.2, 0.1, 0.05]`` or ``initial_u = {"1": 0.3}``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical abort (state left
-the finite range), 4 sampling failure (no admissible initial data found),
-5 verification failure.
+the finite range, or a small divisor refused), 4 sampling failure (no
+admissible initial data found), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .core import ComplexSeq, WeightSpec
 from .divisors import NonResonanceParams, is_nonresonant, kappa
 from .measure import MeasureSpec, default_eps, estimate_measure, sample_actions
 from .nf_engine import (
+    DivisorRefusal,
     RationalVF,
     chi3_explicit,
     commutator,
@@ -605,8 +606,8 @@ def _plain_states(n: int, modes: int, seed: int, scale: float = 0.35) -> List[Co
 
 def _rel_residual(total: RationalVF, reference: RationalVF, states: Sequence[ComplexSeq]) -> float:
     worst = 0.0
-    for z in states:
-        worst = max(worst, _sup(evaluate_vf(total, z)) / max(_sup(evaluate_vf(reference, z)), 1e-300))
+    for t, r in zip(evaluate_vf(total, states), evaluate_vf(reference, states)):
+        worst = max(worst, _sup(t) / max(_sup(r), 1e-300))
     return worst
 
 
@@ -810,7 +811,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationBlowup as exc:
+    except (SimulationBlowup, DivisorRefusal) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except SamplingFailure as exc:

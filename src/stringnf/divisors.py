@@ -300,10 +300,13 @@ class DivisorTable:
     margin, witness and order that scoring it alone in scalar floats gives,
     bit for bit.
     :func:`divisor_table` builds the table of :func:`enumerate_irr_indices`
-    once and caches it.
+    once and caches it. A table built without a weight has no thresholds and
+    serves divisor values only, of any vectors with momentum ``b >= 0``.
     """
 
-    def __init__(self, vectors: Sequence[tuple[tuple[int, int], ...]], N: int, weight: WeightSpec) -> None:
+    def __init__(
+        self, vectors: Sequence[tuple[tuple[int, int], ...]], N: int, weight: Optional[WeightSpec] = None
+    ) -> None:
         self.N = N
         self.vectors = tuple(vectors)
         V = len(self.vectors)
@@ -315,10 +318,15 @@ class DivisorTable:
                 self._modes[i, k] = a
                 self._signs[i, k] = delta
         self._momentum = np.array([delta_sum(j) for j in self.vectors], dtype=np.intp)
-        self._length_factor = np.array([float(N) ** (-4 * len(j) - 2) for j in self.vectors])
-        self._kappa_factor = np.array([_kappa_factor(kappa(j), weight) for j in self.vectors])
+        if (self._momentum < 0).any():
+            raise ValueError("a divisor vector has negative momentum; conjugate it first")
+        arrays = [self._modes, self._signs, self._momentum]
+        if weight is not None:
+            self._length_factor = np.array([float(N) ** (-4 * len(j) - 2) for j in self.vectors])
+            self._kappa_factor = np.array([_kappa_factor(kappa(j), weight) for j in self.vectors])
+            arrays += [self._length_factor, self._kappa_factor]
         # one cached table serves every caller
-        for arr in (self._modes, self._signs, self._momentum, self._length_factor, self._kappa_factor):
+        for arr in arrays:
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -335,11 +343,17 @@ class DivisorTable:
         return 2.0 * (total - w[:, self._momentum])
 
     def _frequencies(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both orders of frequency corrections, column ``a`` for mode ``a`` and column 0 zero."""
+        """Both orders of frequency corrections, column ``a`` for mode ``a`` and column 0 zero.
+
+        Columns run to the table's largest mode or momentum when that passes
+        the cutoff ``N = I.shape[1]``; past it, as in :func:`divisor_evaluator`,
+        order 2 is zero and order 4 keeps the tail of :func:`_omega4_raw`.
+        """
         N = I.shape[1]
-        w2, columns = _columns(I, N + 1)
+        top = max(N, int(self._modes.max(initial=0)), int(self._momentum.max(initial=0)))
+        w2, columns = _columns(I, top + 1)
         w4 = w2.copy()
-        for a in range(1, N + 1):
+        for a in range(1, top + 1):
             w4[:, a] += _omega4_raw(a, columns, N)
         return w2, w4
 

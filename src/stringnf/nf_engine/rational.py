@@ -49,10 +49,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core import ComplexSeq, canonicalize, delta_sum, zeta_product
-from ..divisors import divisor_evaluator, irr, kappa
+import numpy as np
+
+from ..core import ComplexSeq, canonicalize, delta_sum
+from ..divisors import DivisorTable, divisor_evaluator, irr, kappa
 
 __all__ = [
     "ANTI",
@@ -446,7 +448,7 @@ class RationalVF:
     equal fields compare equal as dictionaries.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_compiled_at")
 
     def __init__(self, terms: Optional[Mapping[RKey, QC]] = None):
         clean: Dict[RKey, QC] = {}
@@ -465,6 +467,7 @@ class RationalVF:
                             continue
                 clean[key] = c
         self.terms = clean
+        self._compiled_at: Dict[int, "_CompiledVF"] = {}
 
     # -- algebra ---------------------------------------------------------
 
@@ -534,12 +537,41 @@ class RationalVF:
     def evaluate(self, z: ComplexSeq) -> Dict[int, complex]:
         return evaluate_vf(self, z)
 
+    def _compiled(self, N: int) -> "_CompiledVF":
+        # terms are only assigned in __init__, so the compiled form stays valid
+        c = self._compiled_at.get(N)
+        if c is None:
+            c = self._compiled_at[N] = _CompiledVF(self, N)
+        return c
+
     def __repr__(self) -> str:
         return f"RationalVF({len(self.terms)} terms, orders {sorted(self.orders())})"
 
 
 # ---------------------------------------------------------------------------
 # class membership
+
+@cache
+def _divisor_faults(v: Divisor, N: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """What is wrong with a stored divisor vector at cutoff ``N``, term aside.
+
+    Two groups of reasons, the first reported before the term's size check
+    and the second after it.
+    """
+    head, tail = [], []
+    if delta_sum(v) != 0:
+        head.append(f"divisor {v} has momentum {delta_sum(v)}")
+    elif irr(v, 0) != v:
+        head.append(f"divisor {v} is not irreducible")
+    if any(m > N for _, m in v):
+        tail.append(f"divisor {v} has a mode beyond cutoff {N}")
+    if conj_index_vector(v) < v:
+        tail.append(f"divisor {v} is not flip-canonical")
+    return tuple(head), tuple(tail)
+
+
+_kappa = cache(kappa)
+
 
 def validate_class(
     vf: RationalVF,
@@ -557,103 +589,247 @@ def validate_class(
     single-weight sections.  ``strict_control`` drops the largest index mode
     from the right-hand side, the stronger variant the last solver stage
     needs on its inputs.  A Gevrey ``weight`` swaps the product condition for
-    the corresponding sum condition with exponent ``theta``.
+    the corresponding sum condition with exponent ``theta``.  Each distinct
+    divisor vector is checked once per cutoff.
     """
     bad: List[str] = []
     for key in vf.terms:
         a, kind, j, h2, h4, kk = key
-        where = f"term {key}"
+        why: List[str] = []
         if kind == DIAG:
             if delta_sum(j) != 0:
-                bad.append(f"{where}: diag term with momentum {delta_sum(j)}")
+                why.append(f"diag term with momentum {delta_sum(j)}")
         elif kind == ANTI:
             if delta_sum(j) != a:
-                bad.append(f"{where}: anti term with momentum {delta_sum(j)} != {a}")
+                why.append(f"anti term with momentum {delta_sum(j)} != {a}")
         else:
-            bad.append(f"{where}: unknown kind {kind!r}")
+            bad.append(f"term {key}: unknown kind {kind!r}")
             continue
         if not 1 <= a <= N:
-            bad.append(f"{where}: field mode {a} outside 1..{N}")
+            why.append(f"field mode {a} outside 1..{N}")
         if any(m > N for _, m in j):
-            bad.append(f"{where}: index mode beyond cutoff {N}")
+            why.append(f"index mode beyond cutoff {N}")
         divs = h2 + h4 + kk
-        if not divs:
-            continue
-        if len(j) < 2:
-            bad.append(f"{where}: divisor-carrying term needs at least 2 indices")
-        for v in divs:
-            if delta_sum(v) != 0:
-                bad.append(f"{where}: divisor {v} has momentum {delta_sum(v)}")
-            elif irr(v, 0) != v:
-                bad.append(f"{where}: divisor {v} is not irreducible")
-            if not 2 <= len(v) <= len(j) + 1:
-                bad.append(f"{where}: divisor {v} has size {len(v)}, allowed 2..{len(j) + 1}")
-            if any(m > N for _, m in v):
-                bad.append(f"{where}: divisor {v} has a mode beyond cutoff {N}")
-            if conj_index_vector(v) < v:
-                bad.append(f"{where}: divisor {v} is not flip-canonical")
-        hvec = h2 + h4
-        if hvec:
-            modes = sorted((m for _, m in j), reverse=True)
-            rhs_modes = modes[1:] if strict_control else modes
-            if weight is not None and weight.kind == "gevrey":
-                lhs_s = sum(kappa(v) ** weight.theta for v in hvec)
-                rhs_s = sum(m ** weight.theta for m in rhs_modes)
-                if lhs_s > rhs_s + 1e-9:
-                    bad.append(
-                        f"{where}: weight-sum control fails ({lhs_s:.6f} > {rhs_s:.6f})"
-                    )
-            else:
-                lhs = 1
-                for v in hvec:
-                    lhs *= kappa(v)
-                rhs = 1
-                for m in rhs_modes:
-                    rhs *= m
-                if lhs > rhs:
-                    bad.append(f"{where}: weight-product control fails ({lhs} > {rhs})")
+        if divs:
+            if len(j) < 2:
+                why.append("divisor-carrying term needs at least 2 indices")
+            for v in divs:
+                head, tail = _divisor_faults(v, N)
+                why += head
+                if not 2 <= len(v) <= len(j) + 1:
+                    why.append(f"divisor {v} has size {len(v)}, allowed 2..{len(j) + 1}")
+                why += tail
+            hvec = h2 + h4
+            if hvec:
+                modes = sorted((m for _, m in j), reverse=True)
+                rhs_modes = modes[1:] if strict_control else modes
+                if weight is not None and weight.kind == "gevrey":
+                    lhs_s = sum(_kappa(v) ** weight.theta for v in hvec)
+                    rhs_s = sum(m ** weight.theta for m in rhs_modes)
+                    if lhs_s > rhs_s + 1e-9:
+                        why.append(f"weight-sum control fails ({lhs_s:.6f} > {rhs_s:.6f})")
+                else:
+                    lhs = math.prod(_kappa(v) for v in hvec)
+                    rhs = math.prod(rhs_modes)
+                    if lhs > rhs:
+                        why.append(f"weight-product control fails ({lhs} > {rhs})")
+        if why:
+            where = f"term {key}"
+            bad += [f"{where}: {m}" for m in why]
     return bad
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate_vf(q: RationalVF, z: ComplexSeq) -> Dict[int, complex]:
-    """Component values ``d/dz_a`` of a field at a state.
+def _mul(ar, ai, br, bi):
+    """Complex product on real pairs, in the operations of Python's ``complex * complex``.
 
-    Divisors are evaluated at the state's actions, cut off at its
-    truncation, by :func:`~stringnf.divisors.divisor_evaluator`, built on the
-    first divisor needed, so divisor-free fields never build one.  Any
-    divisor actually needed (terms whose numerator vanishes at the state are
-    skipped) whose magnitude falls below ``1e-12 * ||z||^2``, floored at
-    1e-300, aborts with :class:`DivisorRefusal` naming the vector.
+    numpy's complex ``*`` and ``/`` may round differently (fused multiply-adds),
+    so every complex operation of the evaluator is spelled out on real pairs.
     """
-    divisor = None
-    out: Dict[int, complex] = {}
-    for key, c in q.terms.items():
-        a, kind, j, h2, h4, kk = key
-        za = z[a]
-        pref = za if kind == DIAG else za.conjugate()
-        if pref == 0:
-            continue
-        num = c.to_complex() * pref * zeta_product(j, z)
-        if num == 0:
-            continue
-        denom = 1.0
-        if h2 or h4 or kk:
-            if divisor is None:
-                threshold = max(1e-12 * z.norm2_unweighted(), 1e-300)
-                if not math.isfinite(threshold):
-                    raise ValueError("the squared norm of the state is not finite")
-                divisor = divisor_evaluator(z.actions(), z.truncation)
-            for order, sec in ((2, h2), (4, h4), (4, kk)):
-                for v in sec:
-                    val = divisor(v, order)
-                    if abs(val) < threshold:
-                        raise DivisorRefusal(v, order, val, threshold)
-                    denom *= val
-        out[a] = out.get(a, 0j) + num / denom
-    return out
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _by_length(rows: List[List[int]]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Row indices grouped by row length: ``(indices[T_L], stacked rows[T_L, L])`` per length."""
+    groups: Dict[int, List[int]] = {}
+    for t, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(t)
+    return [
+        (np.array(idx, dtype=np.intp), np.array([rows[t] for t in idx], dtype=np.intp).reshape(len(idx), L))
+        for L, idx in groups.items()
+    ]
+
+
+# floats per term-by-state array of one block of states (512 KiB)
+_BLOCK_FLOATS = 1 << 16
+
+
+class _CompiledVF:
+    """A field compiled at truncation ``N``, evaluated at a batch of states at once.
+
+    Per term it holds the component, the prefix mode and its conjugation sign,
+    the coefficient as two floats, the index vector as rows of a table of
+    quadratic blocks and the divisor sections as columns of the divisor values
+    of the field's own vectors, both grouped by length. :meth:`evaluate`
+    repeats, element by element and in the same order, the float operations of
+    a per-term loop over Python complex numbers, so each state gets the values,
+    the components and the refusal that evaluating it alone in that loop
+    gives, bit for bit.
+    """
+
+    def __init__(self, q: RationalVF, N: int):
+        self.N = N
+        comps: Dict[int, int] = {}
+        vectors: Dict[Divisor, int] = {}
+        width = N
+        mode, sign, comp, coef, blocks, sections = [], [], [], [], [], []
+        for key, c in q.terms.items():
+            a, kind, j, h2, h4, kk = key
+            if a < 1 or any(m < 1 or delta not in (-1, 0, 1) for delta, m in j):
+                raise ValueError(f"term {key}: modes must be positive and deltas -1, 0 or +1")
+            mode.append(a)
+            sign.append(1.0 if kind == DIAG else -1.0)
+            comp.append(comps.setdefault(a, len(comps)))
+            coef.append(c.to_complex())
+            # block of (delta, m) at row 3 m + delta + 1
+            blocks.append([3 * m + delta + 1 for delta, m in j])
+            sections.append([(order, vectors.setdefault(v, len(vectors))) for order, sec in
+                             ((2, h2), (4, h4), (4, kk)) for v in sec])
+            width = max(width, a, max((m for _, m in j), default=0))
+        self.components = list(comps)
+        self.table = DivisorTable(list(vectors), N)
+        V = len(vectors)
+        self.width = width
+        self.mode = np.array(mode, dtype=np.intp)
+        self.sign = np.array(sign)[:, None]
+        self.comp = np.array(comp, dtype=np.intp)
+        self.coef = (np.array([c.real for c in coef])[:, None], np.array([c.imag for c in coef])[:, None])
+        self.blocks = _by_length(blocks)
+        # column of a divisor value: vector index, plus V at order 4
+        self.divisors = [g for g in _by_length([[i + V * (o == 4) for o, i in sec] for sec in sections])
+                         if g[1].shape[1]]
+        self.sections = sections
+
+    def evaluate(self, states: Sequence[ComplexSeq]) -> List[Dict[int, complex]]:
+        """The component values of each state, or the first state's refusal.
+
+        A term is skipped in a state where its prefix or its numerator is
+        zero; the others need every divisor of their sections at least
+        ``max(1e-12 ||z||^2, 1e-300)`` in magnitude, or the evaluation stops
+        with :class:`DivisorRefusal`, naming the first term's first failing
+        vector in the first state that has one.
+        """
+        if any(z.truncation != self.N for z in states):
+            raise ValueError(f"every state of the batch must have truncation {self.N}")
+        # states go through in blocks, earliest first, so the temporaries stay
+        # small and the first fault met is the first state's
+        rows = max(1, _BLOCK_FLOATS // max(1, len(self.mode)))
+        return [v for lo in range(0, len(states), rows) for v in self._evaluate(states[lo : lo + rows])]
+
+    def _evaluate(self, states: Sequence[ComplexSeq]) -> List[Dict[int, complex]]:
+        N, B, T = self.N, len(states), len(self.mode)
+        zr = np.zeros((self.width + 1, B))
+        zi = np.zeros((self.width + 1, B))
+        for b, z in enumerate(states):
+            for a, v in z.data.items():
+                zr[a, b] = v.real
+                zi[a, b] = v.imag
+        # Python's float arithmetic passes overflow silently, and the invalid
+        # operations on the infinities that overflow leaves
+        with np.errstate(over="ignore", invalid="ignore"):
+            blk_r = np.empty((3 * (self.width + 1), B))
+            blk_i = np.empty_like(blk_r)
+            blk_r[0::3], blk_i[0::3] = _mul(zr, -zi, zr, -zi)  # zbar^2
+            blk_r[1::3], blk_i[1::3] = _mul(zr, zi, zr, -zi)  # I = z zbar
+            blk_r[2::3], blk_i[2::3] = _mul(zr, zi, zr, zi)  # z^2
+            pr = zr[self.mode]
+            pi = zi[self.mode] * self.sign
+            needed = (pr != 0) | (pi != 0)
+            cr, ci = _mul(*self.coef, pr, pi)
+            nr = np.empty((T, B))
+            ni = np.empty((T, B))
+            for idx, rows in self.blocks:
+                qr = np.ones((len(idx), B))
+                qi = np.zeros((len(idx), B))
+                for k in range(rows.shape[1]):
+                    qr, qi = _mul(qr, qi, blk_r[rows[:, k]], blk_i[rows[:, k]])
+                nr[idx], ni[idx] = _mul(cr[idx], ci[idx], qr, qi)
+            needed &= (nr != 0) | (ni != 0)
+            den = np.ones((T, B))
+            if self.divisors:
+                thr = np.array([max(1e-12 * z.norm2_unweighted(), 1e-300) for z in states])
+                fault = np.zeros((T, B), dtype=bool)
+                w2, w4 = self.table._frequencies(blk_r[4 : 3 * N + 4 : 3].T)
+                values = np.concatenate((self.table._divisors(w2), self.table._divisors(w4)), axis=1).T.copy()
+                for idx, cols in self.divisors:
+                    vals = values[cols]
+                    d = vals[:, 0]
+                    for k in range(1, cols.shape[1]):
+                        d = d * vals[:, k]
+                    den[idx] = d
+                    fault[idx] = (np.abs(vals) < thr).any(axis=1) | (d == 0) | ~np.isfinite(thr)
+                fault &= needed
+                if fault.any():
+                    b = int(np.argmax(fault.any(axis=0)))
+                    self._raise(int(np.argmax(fault[:, b])), thr[b], values[:, b])
+        # a skipped term takes no part in the arithmetic below, so an invalid
+        # operation here can only come from an operand that overflowed
+        nr = np.where(needed, nr, 0.0)
+        ni = np.where(needed, ni, 0.0)
+        finite = (np.isfinite(nr) & np.isfinite(ni) & np.isfinite(den))[needed].all()
+        with np.errstate(over="ignore", invalid=np.geterr()["invalid"] if finite else "ignore"):
+            # Python divides by complex(den, 0.0): Smith's quotient with ratio 0 / den
+            ratio = np.divide(0.0, den, out=np.zeros((T, B)), where=needed)
+            xr = np.divide(nr + ni * ratio, den, out=np.zeros((T, B)), where=needed)
+            xi = np.divide(ni - nr * ratio, den, out=np.zeros((T, B)), where=needed)
+        # sums per component in term order from +0.0, so adding the +0.0 of a
+        # skipped term leaves a sum unchanged
+        A = len(self.components)
+        sr = np.zeros((A, B))
+        si = np.zeros((A, B))
+        np.add.at(sr, self.comp, xr)
+        np.add.at(si, self.comp, xi)
+        first = np.full((A, B), T)
+        np.minimum.at(first, self.comp, np.where(needed, np.arange(T)[:, None], T))
+        out = []
+        for b, (fb, rb, ib) in enumerate(zip(first.T.tolist(), sr.T.tolist(), si.T.tolist())):
+            order = sorted((f, k) for k, f in enumerate(fb) if f < T)
+            out.append({self.components[k]: complex(rb[k], ib[k]) for _, k in order})
+        return out
+
+    def _raise(self, t: int, threshold: float, values: np.ndarray):
+        """Raise the fault of term ``t`` at a state with these divisor values."""
+        if not math.isfinite(threshold):
+            raise ValueError("the squared norm of the state is not finite")
+        V = len(self.table)
+        for order, i in self.sections[t]:
+            val = float(values[i + V * (order == 4)])
+            if abs(val) < threshold:
+                raise DivisorRefusal(self.table.vectors[i], order, val, float(threshold))
+        raise ZeroDivisionError("complex division by zero")
+
+
+def evaluate_vf(q: RationalVF, z):
+    """Component values ``d/dz_a`` of a field at a state, or at each state of a sequence.
+
+    A :class:`~stringnf.core.ComplexSeq` gives one dict, a sequence of states
+    of one truncation gives a list of them, and a mapping of modes to values
+    is the state truncated at its largest mode. Divisors are evaluated at each
+    state's actions, cut off at its truncation, as
+    :func:`~stringnf.divisors.divisor_evaluator` evaluates them. Any divisor
+    actually needed (terms whose numerator vanishes at the state are skipped)
+    whose magnitude falls below ``1e-12 * ||z||^2``, floored at 1e-300,
+    aborts with :class:`DivisorRefusal` naming the vector. The field is
+    compiled once per truncation and kept on it.
+    """
+    if isinstance(z, Mapping):
+        z = ComplexSeq(z, max(z, default=1))
+    if isinstance(z, ComplexSeq):
+        return q._compiled(z.truncation).evaluate([z])[0]
+    states = list(z)
+    return q._compiled(states[0].truncation).evaluate(states) if states else []
 
 
 def _zeta_exact(j: IndexVector, z: Mapping[int, QC]) -> QC:

@@ -24,6 +24,13 @@ Contents:
 - ``scalar_corrected_divisor`` and ``scalar_divisor_tail``: the corrected
   divisor with its own tail sum, and the divisor tail estimator as a loop
   over samples; the reference for the batched ``measure.divisor_tail``,
+- ``scalar_evaluate_vf``: a rational field at one state as a loop over its
+  terms in Python complex numbers, with ``divisor_evaluator`` as the
+  divisor; the reference for the compiled batch evaluator behind
+  ``nf_engine.rational.evaluate_vf``, compared through ``value_bits``,
+- ``scalar_validate_class``: class validation checking every divisor of
+  every term afresh; the reference for ``nf_engine.rational.validate_class``,
+  which checks each distinct divisor vector once,
 - ``_rotate`` and ``_step_strang``: the split step on the real pair
   ``(u, v)``, with a cosine/sine rotation per half step and the fixed point
   seeded at the midpoint stiffness; the reference for the complex-variable
@@ -42,15 +49,27 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm
-from stringnf.divisors import _kappa_factor, _omega4_raw, _reduce, enumerate_irr_indices, irr, kappa
+from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm, zeta_product
+from stringnf.divisors import (
+    _kappa_factor,
+    _omega4_raw,
+    _reduce,
+    divisor_evaluator,
+    enumerate_irr_indices,
+    irr,
+    kappa,
+)
 from stringnf.measure import sample_actions
 from stringnf.nf_engine.rational import (
+    ANTI,
+    DIAG,
     QC,
+    DivisorRefusal,
     RationalVF,
     _linear_derivative,
     _quadratic_derivative,
     canonical_from_exponents,
+    conj_index_vector,
     key_exponents,
 )
 from stringnf.simulator import _slope2
@@ -448,6 +467,104 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
     divisor_part(acc, xt, yt, +1)
     divisor_part(acc, yt, xt, -1)
     return RationalVF(acc)
+
+
+# ---------------------------------------------------------------------------
+# scalar evaluation and class validation of rational fields
+
+def scalar_evaluate_vf(q: RationalVF, z: ComplexSeq) -> dict:
+    """Component values ``d/dz_a`` of a field at one state, term by term.
+
+    Terms whose prefix or numerator is zero are skipped; any other term's
+    divisor below ``max(1e-12 ||z||^2, 1e-300)`` raises ``DivisorRefusal``.
+    """
+    divisor = None
+    out: dict = {}
+    for key, c in q.terms.items():
+        a, kind, j, h2, h4, kk = key
+        za = z[a]
+        pref = za if kind == DIAG else za.conjugate()
+        if pref == 0:
+            continue
+        num = c.to_complex() * pref * zeta_product(j, z)
+        if num == 0:
+            continue
+        denom = 1.0
+        if h2 or h4 or kk:
+            if divisor is None:
+                threshold = max(1e-12 * z.norm2_unweighted(), 1e-300)
+                if not math.isfinite(threshold):
+                    raise ValueError("the squared norm of the state is not finite")
+                divisor = divisor_evaluator(z.actions(), z.truncation)
+            for order, sec in ((2, h2), (4, h4), (4, kk)):
+                for v in sec:
+                    val = divisor(v, order)
+                    if abs(val) < threshold:
+                        raise DivisorRefusal(v, order, val, threshold)
+                    denom *= val
+        out[a] = out.get(a, 0j) + num / denom
+    return out
+
+
+def value_bits(values: dict) -> list:
+    """Components of an evaluation in their order, each part as its exact bits."""
+    return [(a, v.real.hex(), v.imag.hex()) for a, v in values.items()]
+
+
+def scalar_validate_class(vf: RationalVF, N: int, weight=None, strict_control: bool = False) -> list:
+    """Structural violations of a field, every divisor of every term checked afresh."""
+    bad = []
+    for key in vf.terms:
+        a, kind, j, h2, h4, kk = key
+        where = f"term {key}"
+        if kind == DIAG:
+            if delta_sum(j) != 0:
+                bad.append(f"{where}: diag term with momentum {delta_sum(j)}")
+        elif kind == ANTI:
+            if delta_sum(j) != a:
+                bad.append(f"{where}: anti term with momentum {delta_sum(j)} != {a}")
+        else:
+            bad.append(f"{where}: unknown kind {kind!r}")
+            continue
+        if not 1 <= a <= N:
+            bad.append(f"{where}: field mode {a} outside 1..{N}")
+        if any(m > N for _, m in j):
+            bad.append(f"{where}: index mode beyond cutoff {N}")
+        divs = h2 + h4 + kk
+        if not divs:
+            continue
+        if len(j) < 2:
+            bad.append(f"{where}: divisor-carrying term needs at least 2 indices")
+        for v in divs:
+            if delta_sum(v) != 0:
+                bad.append(f"{where}: divisor {v} has momentum {delta_sum(v)}")
+            elif irr(v, 0) != v:
+                bad.append(f"{where}: divisor {v} is not irreducible")
+            if not 2 <= len(v) <= len(j) + 1:
+                bad.append(f"{where}: divisor {v} has size {len(v)}, allowed 2..{len(j) + 1}")
+            if any(m > N for _, m in v):
+                bad.append(f"{where}: divisor {v} has a mode beyond cutoff {N}")
+            if conj_index_vector(v) < v:
+                bad.append(f"{where}: divisor {v} is not flip-canonical")
+        hvec = h2 + h4
+        if hvec:
+            modes = sorted((m for _, m in j), reverse=True)
+            rhs_modes = modes[1:] if strict_control else modes
+            if weight is not None and weight.kind == "gevrey":
+                lhs_s = sum(kappa(v) ** weight.theta for v in hvec)
+                rhs_s = sum(m ** weight.theta for m in rhs_modes)
+                if lhs_s > rhs_s + 1e-9:
+                    bad.append(f"{where}: weight-sum control fails ({lhs_s:.6f} > {rhs_s:.6f})")
+            else:
+                lhs = 1
+                for v in hvec:
+                    lhs *= kappa(v)
+                rhs = 1
+                for m in rhs_modes:
+                    rhs *= m
+                if lhs > rhs:
+                    bad.append(f"{where}: weight-product control fails ({lhs} > {rhs})")
+    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from stringnf.cli import (
 from stringnf.core import WeightSpec
 from stringnf.divisors import NonResonanceParams, certify
 from stringnf.measure import MeasureSpec, SampleBatch, sample_actions
+from stringnf.nf_engine import DivisorRefusal
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -525,6 +526,16 @@ class TestNfVerifyCommand:
         assert run("nf-verify", "--out", str(tmp_path / "v"), "--set", f"N={n}", *self.SMALL) == EXIT_OK
         assert calls == built
         assert solves == [int(n)] + ([5] if int(n) < 5 else [])
+
+    def test_divisor_refusal_is_a_numerical_abort(self, tmp_path, capsys, monkeypatch):
+        refusal = DivisorRefusal(((-1, 1), (1, 2)), 4, 0.0, 1e-12)
+
+        def refusing_evaluator(field, states):
+            raise refusal
+
+        monkeypatch.setattr(cli, "evaluate_vf", refusing_evaluator)
+        assert run("nf-verify", "--out", str(tmp_path / "v"), *self.SMALL) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical abort: {refusal}\n"
 
     def test_missing_golden_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

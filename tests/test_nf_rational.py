@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum
-from helpers import FreqContext, big_omega, product_key_commutator
+from helpers import (
+    FreqContext,
+    big_omega,
+    product_key_commutator,
+    scalar_evaluate_vf,
+    scalar_validate_class,
+    value_bits,
+)
 from stringnf.divisors import irr, kappa
 from stringnf.nf_engine import (
     ANTI,
@@ -41,6 +49,7 @@ from stringnf.nf_engine import (
     solve_homological_z3z5,
     validate_class,
 )
+from stringnf.nf_engine import rational
 from stringnf.nf_engine.rational import _linear_derivative, _quadratic_derivative
 
 N = 4
@@ -508,6 +517,132 @@ def test_evaluate_passthrough_for_polynomials():
     assert evaluate_vf(p, z) == p.evaluate(z)
 
 
+def _outcome(run):
+    """What an evaluation gives: its value, or its exception with every field exact."""
+    try:
+        return "ok", run()
+    except DivisorRefusal as exc:
+        return "refusal", (exc.vector, exc.order, exc.value.hex(), exc.threshold.hex())
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# modes run past every truncation drawn below. A state's values come from a
+# small pool, which makes zero prefixes and vanishing numerators common, or
+# are random floats, whose products round, or are zero or of one magnitude,
+# where zero-momentum divisors over the zero modes vanish at order 2
+_MODES = st.integers(1, 6)
+_VALUES = (
+    st.builds(complex, *[st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 0.3, -0.7]) | st.floats(-1.5, 1.5)] * 2),
+    st.builds(complex, *[st.integers(0, 2**32).map(lambda seed: random.Random(seed).uniform(-1.5, 1.5))] * 2),
+    st.sampled_from([0, 0.5, -0.5j]),
+)
+
+
+@st.composite
+def _vectors(draw, lo, hi):
+    entries = draw(st.lists(st.tuples(st.sampled_from((-1, 0, 1)), _MODES), min_size=lo, max_size=hi))
+    return canonicalize(entries)
+
+
+@st.composite
+def _divisors(draw):
+    # storage forms, and irreducible vectors of any momentum b >= 0: the
+    # vectors divisor_evaluator takes
+    v = draw(_vectors(1, 4))
+    if delta_sum(v) < 0:
+        v = conj_index_vector(v)
+    if draw(st.booleans()):
+        v = irr(v, delta_sum(v))
+    else:
+        v = divisor_zero_form(v)[0]
+    return v or ((-1, 1), (1, 2))
+
+
+@st.composite
+def _fields(draw):
+    terms = {}
+    for _ in range(draw(st.integers(1, 10))):
+        sections = tuple(tuple(sorted(draw(st.lists(_divisors(), max_size=2)))) for _ in range(3))
+        key = (draw(_MODES), draw(st.sampled_from((DIAG, ANTI))), draw(_vectors(0, 4))) + sections
+        re, im = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        terms[key] = QC(Fraction(re, draw(st.integers(1, 7))), Fraction(im, draw(st.integers(1, 7))))
+    return RationalVF(terms)
+
+
+@st.composite
+def _batches(draw):
+    # a batch of 1, 2 or 50 states drawn from a pool of up to four
+    n = draw(st.integers(3, 5))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.sampled_from(_VALUES))
+        pool.append(ComplexSeq({a: draw(values) for a in range(1, n + 1)}, n))
+    size = draw(st.sampled_from((1, 2, 50)))
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))]
+
+
+@given(_fields(), _batches(), st.sampled_from([1, 16, rational._BLOCK_FLOATS]))
+@settings(max_examples=100, deadline=None)
+def test_compiled_evaluation_matches_scalar_loop_bit_for_bit(field, states, block):
+    # the batch, in blocks of states of any size, gives the first state's fault
+    # that the scalar loop meets, or else every state's components, key order
+    # and bits included
+    want = None
+    for z in states:
+        kind, value = _outcome(lambda: scalar_evaluate_vf(field, z))
+        if kind != "ok":
+            want = (kind, value)
+            break
+    with mock.patch.object(rational, "_BLOCK_FLOATS", block):
+        kind, value = _outcome(lambda: evaluate_vf(field, states))
+    if want is not None:
+        assert (kind, value) == want
+    else:
+        assert kind == "ok"
+        assert [value_bits(v) for v in value] == [value_bits(scalar_evaluate_vf(field, z)) for z in states]
+    for z in states[:3]:
+        kind, value = _outcome(lambda: evaluate_vf(field, z))
+        one = _outcome(lambda: scalar_evaluate_vf(field, z))
+        if kind == "ok":
+            assert one[0] == "ok" and value_bits(value) == value_bits(one[1])
+        else:
+            assert (kind, value) == one
+
+
+def test_batch_refusal_names_the_first_refusing_state():
+    f = field_h2() + probe_poly()
+    good = random_state(random.Random(7010))
+    resonant = ComplexSeq({1: 0.1, 2: 0.2, 3: complex(0.0, (0.01 + 0.04) ** 0.5)}, N)
+    other = ComplexSeq({1: 0.3, 2: 0.4, 3: complex(0.0, 0.5)}, N)
+    with pytest.raises(DivisorRefusal) as want:
+        scalar_evaluate_vf(f, resonant)
+    with pytest.raises(DivisorRefusal) as have:
+        evaluate_vf(f, [good, good, resonant, other])
+    got = (have.value.vector, have.value.order, have.value.value, have.value.threshold)
+    assert got == (want.value.vector, want.value.order, want.value.value, want.value.threshold)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_skipped_term_with_vanishing_divisor_is_never_divided():
+    # mode 1 is zero, so the divisor term's numerator vanishes, and its
+    # divisor I_1 + I_2 - I_3 vanishes exactly; the polynomial terms still count
+    f = field_h2() + probe_poly()
+    z = ComplexSeq({2: 0.2, 3: complex(0.0, 0.2)}, N)
+    have = evaluate_vf(f, [z, z])
+    assert [value_bits(v) for v in have] == [value_bits(scalar_evaluate_vf(f, z))] * 2
+    assert 3 not in have[0]
+
+
+def test_compiled_form_is_built_once_per_truncation():
+    f = field_h4()
+    assert f._compiled(N) is f._compiled(N)
+    assert f._compiled(N + 1) is not f._compiled(N)
+    assert evaluate_vf(f, []) == []
+    with pytest.raises(ValueError, match="truncation"):
+        evaluate_vf(f, [random_state(random.Random(1)), ComplexSeq({1: 0.1}, N + 1)])
+
+
 def test_di_functional_matches_manual():
     rng = random.Random(7005)
     f = field_h4() + field_h2()
@@ -586,6 +721,33 @@ def test_validate_class_catches_violations():
 
     beyond = RationalVF({(3, ANTI, ((1, 1), (1, 2)), (w,), (), ()): QC(0, 1)})
     assert validate_class(beyond, 2) != []
+
+
+def test_validate_class_messages_match_per_term_checks():
+    # each divisor vector is checked once per cutoff; the messages, their
+    # order and their prefixes stay those of checking every term afresh
+    w, _ = _stored(((1, 1), (1, 2)))
+    w3, _ = _stored(((1, 3), (1, 4)))
+    j = ((1, 2), (1, 2))
+    reducible = canonicalize(((0, 1), (1, 2), (-1, 2)))
+    big = canonicalize(((1, 1), (1, 1), (-1, 3), (1, 2), (-1, 1)))
+    fields = [
+        RationalVF({(2, ANTI, ((1, 1), (1, 2)), (), (), ()): QC(0, 1)}),
+        RationalVF({(3, ANTI, ((1, 1), (1, 2)), (reducible,), (), ()): QC(0, 1)}),
+        RationalVF({(3, ANTI, ((1, 1), (1, 2)), (conj_index_vector(w),), (), ()): QC(0, 1)}),
+        RationalVF({(3, ANTI, ((1, 1), (1, 2)), (), (big,), ()): QC(0, 1)}),
+        RationalVF({(3, ANTI, ((1, 1), (1, 2)), (w,), (), ()): QC(0, 1)}),
+        RationalVF({(4, ANTI, j, (w3,), (), ()): QC(0, 1), (4, ANTI, j, (w3, w3), (), ()): QC(0, 1)}),
+        RationalVF({(5, DIAG, ((1, 5),), (w, w3), (big,), (reducible,)): QC(1)}),
+        field_h2() + field_h4() + field_kk(),
+    ]
+    gev = WeightSpec(kind="gevrey", rho=0.5, theta=0.5)
+    for f in fields:
+        for n in (2, N, 8):
+            for weight in (None, gev):
+                for strict in (False, True):
+                    want = scalar_validate_class(f, n, weight=weight, strict_control=strict)
+                    assert validate_class(f, n, weight=weight, strict_control=strict) == want
 
 
 def test_validate_control_variants():

@@ -16,8 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FreqContext, big_omega, dict_product_key
-from stringnf.core import ComplexSeq, canonicalize, zeta_product
+from helpers import (
+    FreqContext,
+    big_omega,
+    dict_product_key,
+    scalar_evaluate_vf,
+    scalar_validate_class,
+    value_bits,
+)
+from stringnf.core import ComplexSeq, WeightSpec, canonicalize, zeta_product
 from stringnf.nf_engine import (
     ANTI,
     DIAG,
@@ -333,6 +340,22 @@ def test_solver_identity_numeric(septic, septic_solution, septic_states):
     bracket = commutator(rot, chi, NS)
     total = bracket + septic - z_int - r2 - r1
     assert rel_residual(total, septic, septic_states) <= 1e-12
+
+
+def test_compiled_evaluation_of_septic_fields_matches_scalar_loop(septic, septic_solution, septic_states):
+    states = septic_states[:3]
+    for f in (septic,) + tuple(septic_solution):
+        assert [value_bits(v) for v in evaluate_vf(f, states)] == [
+            value_bits(scalar_evaluate_vf(f, z)) for z in states
+        ]
+
+
+def test_validate_class_matches_per_term_checks_on_septic_fields(septic, septic_solution):
+    gev = WeightSpec(kind="gevrey", rho=0.5, theta=0.5)
+    for f in (septic,) + tuple(septic_solution):
+        for n, weight, strict in ((NS - 1, None, False), (NS, None, True), (NS, gev, False)):
+            want = scalar_validate_class(f, n, weight=weight, strict_control=strict)
+            assert validate_class(f, n, weight=weight, strict_control=strict) == want
 
 
 def test_solver_norm_bounds(septic, septic_solution):

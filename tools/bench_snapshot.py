@@ -23,7 +23,10 @@ The snapshot holds:
   algebra's time goes.
 - ``layers``: raw seconds in fresh interpreters, three rounds with the sides
   alternating, of layers no perfbench workload times by itself: the bracket
-  ``commutator(z3 + z5, chi, 4)`` at (r, N) = (3, 4), and the default
+  ``commutator(z3 + z5, chi, 4)`` at (r, N) = (3, 4); the residual check
+  ``stringnf.cli._rel_residual`` of the septic identity at (3, 4) against
+  ``q`` over ``_plain_states(50, 4, 1)``, which evaluates the 8,492-term
+  residual and the 959-term ``q`` at 50 states; and the default
   ``nf-verify`` (``solver_N`` 4) as a subprocess, interpreter start included.
 
 ``--extra`` names a JSON file whose top-level keys are copied into the
@@ -62,6 +65,23 @@ t = time.perf_counter()
 out = commutator(x, chi, 4)
 print(time.perf_counter() - t, len(out.terms))
 """
+
+REL_RESIDUAL_34 = """
+import time
+from stringnf.cli import _plain_states, _rel_residual
+from stringnf.nf_engine import commutator, resonant_normal_form
+from stringnf.nf_engine.solvers import septic_stage_input, solve_homological_z3z5
+nfs = resonant_normal_form(3, 4)
+q = septic_stage_input(nfs)
+chi, z_int, echo_same, echo_down = solve_homological_z3z5(q, 4)
+total = commutator(nfs.z3 + nfs.z5, chi, 4) + q - z_int - echo_same - echo_down
+states = _plain_states(50, 4, 1)
+t = time.perf_counter()
+worst = _rel_residual(total, q, states)
+print(time.perf_counter() - t, len(total.terms), len(q.terms), worst.hex())
+"""
+
+LAYER_SCRIPTS = {"bracket_34": BRACKET_34, "rel_residual_34": REL_RESIDUAL_34}
 
 
 def src_lines(tree: Path) -> int:
@@ -146,8 +166,8 @@ def traced_section(trees, seconds: float) -> Dict[str, Any]:
 
 def timed_layer(tree: Path, kind: str) -> float:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    if kind == "bracket_34":
-        proc = subprocess.run([sys.executable, "-c", BRACKET_34], env=env, capture_output=True,
+    if kind in LAYER_SCRIPTS:
+        proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPTS[kind]], env=env, capture_output=True,
                               text=True, check=True)
         return float(proc.stdout.split()[0])
     with tempfile.TemporaryDirectory() as out:
@@ -161,6 +181,7 @@ def timed_layer(tree: Path, kind: str) -> float:
 def layers_section(trees) -> Dict[str, Any]:
     names = {
         "bracket_34": "commutator(z3 + z5, chi, 4) at (r, N) = (3, 4)",
+        "rel_residual_34": "cli._rel_residual(septic residual, q, _plain_states(50, 4, 1)) at (r, N) = (3, 4)",
         "nf_verify_default": "stringnf nf-verify --set golden_dir=tests/golden (solver_N 4), subprocess",
     }
     timings = {label: {side: [] for side in SIDES} for label in names.values()}
