@@ -12,9 +12,11 @@ valid JSON is taken as a literal string, so ``scheme = rk4`` and
 ``scheme = "rk4"`` mean the same thing.  Lists and maps use JSON syntax,
 e.g. ``eps = [0.2, 0.1, 0.05]`` or ``initial_u = {"1": 0.3}``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort (state left
-the finite range, or a small divisor refused), 4 sampling failure (no
-admissible initial data found), 5 verification failure.
+Exit codes: 0 success, 2 configuration error (a config file that is not
+UTF-8 or an ``--out`` path through an existing file included), 3 numerical
+abort (state left the finite range, or a small divisor refused), 4 sampling
+failure (no admissible initial data found), 5 verification failure (a
+missing or unreadable golden table included).
 """
 
 from __future__ import annotations
@@ -309,7 +311,11 @@ def resolve_config(
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
-        merged.update(parse_config_text(path.read_text(), config_path))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {config_path} is not UTF-8: {exc}") from None
+        merged.update(parse_config_text(text, config_path))
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep or not key.strip():
@@ -698,7 +704,11 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
             if not path.is_file():
                 record(f"golden table {name}", False, f"missing {path}")
                 continue
-            stored = json.loads(path.read_text())
+            try:
+                stored = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                record(f"golden table {name}", False, f"unreadable {path}: {exc}")
+                continue
             record(f"golden table {name}", field_to_json(fields[name]) == stored, "exact coefficient match")
 
     ok = all(c["pass"] for c in checks)
@@ -807,7 +817,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.command, args.config, args.overrides, args.seed)
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        out = Path(args.out)
+        # the nearest existing ancestor must be a directory, or mkdir fails late
+        for p in (out, *out.parents):
+            if p.exists():
+                if not p.is_dir():
+                    raise ConfigError(f"--out: {p} exists and is not a directory")
+                break
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

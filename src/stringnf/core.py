@@ -17,19 +17,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 __all__ = [
     "WeightSpec",
     "ComplexSeq",
     "weighted_norm",
-    "conj_index",
-    "zeta_value",
-    "zeta_product",
     "canonicalize",
     "delta_sum",
-    "modes_decreasing",
     "mu_min",
 ]
 
@@ -177,34 +173,6 @@ def _check_index(j: tuple[int, int]) -> None:
         raise ValueError(f"mode must be a positive integer, got {a!r}")
 
 
-def conj_index(j: tuple[int, int]) -> tuple[int, int]:
-    """Conjugate index: flips the sign of delta, fixes the mode."""
-    _check_index(j)
-    delta, a = j
-    return (-delta, a)
-
-
-def zeta_value(j: tuple[int, int], z: ComplexSeq) -> complex:
-    """Value of the quadratic block selected by ``j`` at ``z``."""
-    _check_index(j)
-    delta, a = j
-    v = z[a]
-    if delta == 1:
-        return v * v
-    if delta == -1:
-        vb = v.conjugate()
-        return vb * vb
-    return v * v.conjugate()
-
-
-def zeta_product(jvec: Iterable[tuple[int, int]], z: ComplexSeq) -> complex:
-    """Product of the quadratic blocks of an index vector (1 for the empty one)."""
-    out: complex = 1.0 + 0j
-    for j in jvec:
-        out *= zeta_value(j, z)
-    return out
-
-
 def canonicalize(jvec: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Sort an index vector into canonical order.
 
@@ -221,11 +189,6 @@ def canonicalize(jvec: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]
 def delta_sum(jvec: Iterable[tuple[int, int]]) -> int:
     """Momentum ``Delta_j = sum_k delta_k * a_k`` of an index vector."""
     return sum(delta * a for delta, a in jvec)
-
-
-def modes_decreasing(jvec: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Modes of the vector sorted decreasingly (``j_1^* >= j_2^* >= ...``)."""
-    return tuple(sorted((a for _, a in jvec), reverse=True))
 
 
 def mu_min(jvec: Iterable[tuple[int, int]]) -> int:

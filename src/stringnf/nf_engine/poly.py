@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from ..core import delta_sum
-from .rational import DIAG, NO_DIVISORS, QC, RationalVF, RKey, _accumulate, commutator, product_key
+from .rational import DIAG, NO_DIVISORS, QC, RationalVF, RKey, _factor, _fold, commutator
 
 __all__ = [
     "taylor_vf",
@@ -45,40 +45,18 @@ def stiffness_taylor_coeff(k: int) -> Fraction:
     return _STIFFNESS_TAYLOR[k]
 
 
-ScalarMon = Tuple[Tuple[int, Tuple[int, int]], ...]  # sorted ((mode, (alpha, beta)), ...)
-
-
-def _scalar_mul(p: Dict[ScalarMon, Fraction], q: Dict[ScalarMon, Fraction]) -> Dict[ScalarMon, Fraction]:
-    out: Dict[ScalarMon, Fraction] = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            exp = {m: [e[0], e[1]] for m, e in m1}
-            for m, e in m2:
-                t = exp.setdefault(m, [0, 0])
-                t[0] += e[0]
-                t[1] += e[1]
-            key = tuple(sorted((m, (e[0], e[1])) for m, e in exp.items()))
-            out[key] = out.get(key, _R0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _elastic_symbol(M: int) -> Dict[ScalarMon, Fraction]:
-    """The combination sum_b (z_b^2 + zbar_b^2 + 2 I_b) / b."""
-    out: Dict[ScalarMon, Fraction] = {}
+def _symbols(M: int) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
+    """The chiral ``B = sum_b z_b^2 - zbar_b^2`` and the elastic
+    ``A = sum_b (z_b^2 + zbar_b^2 + 2 I_b) / b``, keyed by packed monomials."""
+    B: Dict[int, Fraction] = {}
+    A: Dict[int, Fraction] = {}
     for b in range(1, M + 1):
-        out[((b, (2, 0)),)] = Fraction(1, b)
-        out[((b, (0, 2)),)] = Fraction(1, b)
-        out[((b, (1, 1)),)] = Fraction(2, b)
-    return out
-
-
-def _chirality_symbol(M: int) -> Dict[ScalarMon, Fraction]:
-    """The combination sum_b (z_b^2 - zbar_b^2)."""
-    out: Dict[ScalarMon, Fraction] = {}
-    for b in range(1, M + 1):
-        out[((b, (2, 0)),)] = _R1
-        out[((b, (0, 2)),)] = Fraction(-1)
-    return out
+        B[_factor(b, 2, 0)] = _R1
+        B[_factor(b, 0, 2)] = -_R1
+        A[_factor(b, 2, 0)] = Fraction(1, b)
+        A[_factor(b, 0, 2)] = Fraction(1, b)
+        A[_factor(b, 1, 1)] = Fraction(2, b)
+    return B, A
 
 
 def taylor_vf(l: int, M: int) -> RationalVF:
@@ -93,16 +71,21 @@ def taylor_vf(l: int, M: int) -> RationalVF:
     if l - 1 >= len(_STIFFNESS_TAYLOR):
         raise ValueError("interaction fields are tabulated through l = 4 only")
     pref = QC(0, -stiffness_taylor_coeff(l - 1) / (4**l)) / math.factorial(l - 1)
-    sym = _chirality_symbol(M)
-    A = _elastic_symbol(M)
+    sym, A = _symbols(M)
     for _ in range(l - 1):
-        sym = _scalar_mul(sym, A)
-    acc: Dict[RKey, QC] = {}
-    for a in range(1, M + 1):
-        for mon, c in sym.items():
-            # the symbol's monomial times zbar_a
-            _accumulate(acc, product_key(a, dict(mon), {}, False, ((a, 0, 1),)) + NO_DIVISORS, pref * c)
-    return RationalVF(acc)
+        prod: Dict[int, Fraction] = {}
+        for p, c in sym.items():
+            for q, d in A.items():
+                prod[p + q] = prod.get(p + q, _R0) + c * d
+        # dropping cancelled monomials before the next product keeps their
+        # keys out of the first-seen order
+        sym = {p: c for p, c in prod.items() if c}
+    # each monomial of the symbol times zbar_a, a distinct key per (a, p)
+    return RationalVF({
+        _fold(a, p + _factor(a, 0, 1)) + NO_DIVISORS: pref * c
+        for a in range(1, M + 1)
+        for p, c in sym.items()
+    })
 
 
 def z1_field(M: int) -> RationalVF:

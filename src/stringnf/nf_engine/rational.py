@@ -79,7 +79,6 @@ __all__ = [
     "key_order",
     "multiplicity",
     "omega4_hessian",
-    "product_key",
     "validate_class",
 ]
 
@@ -318,37 +317,6 @@ def _fold(a: int, p: int) -> TermKey:
         p >>= 2 * _WIDTH
         m += 1
     return canonical_from_exponents(a, exps)
-
-
-def product_key(
-    a: int,
-    x: Mapping[int, Tuple[int, int]],
-    y: Mapping[int, Tuple[int, int]],
-    conj_y: bool,
-    extra: Tuple[Tuple[int, int, int], ...] = (),
-) -> TermKey:
-    """Key of the ``d/dz_a`` monomial ``x * y`` (``x * conj(y)`` with
-    ``conj_y``) times the factors ``z_m^da zbar_m^db`` of ``extra``.
-
-    ``x`` and ``y`` are exponent maps as :func:`key_exponents` returns them.
-    A negative factor lowers the exponent of the whole product, which is the
-    monomial part of a derivative; the caller supplies its coefficient.
-    Exponents of ``x`` and ``y`` may not pass 63. The bracket forms the same
-    packed sums without this per-factor range check.
-    """
-    q = p = _pack(x)[0] + _pack(y)[conj_y]
-    net: Counter = Counter()  # bit offset of a field -> change of its exponent
-    for m, da, db in extra:
-        q += _factor(m, da, db)
-        net[2 * _WIDTH * (m - 1)] += da
-        net[2 * _WIDTH * (m - 1) + _WIDTH] += db
-    for s, e in net.items():
-        e += (p >> s) & _MASK
-        if e < 0:
-            raise ParityError(f"negative exponent at mode {s // (2 * _WIDTH) + 1}")
-        if e > _MASK:
-            raise ValueError(f"exponent at mode {s // (2 * _WIDTH) + 1} overflows its packed field")
-    return _fold(a, q)
 
 
 def multiplicity(j: IndexVector) -> int:

@@ -15,6 +15,10 @@ Contents:
   references for the packed, interned ``nf_engine.rational.commutator`` and
   its coupling fields, term order included, sharing no packing code with
   them,
+- ``tuple_taylor_vf``: the interaction fields with their symbols multiplied
+  on sorted exponent tuples and folded by ``dict_product_key``; the
+  reference for the packed ``nf_engine.poly.taylor_vf``, term order
+  included,
 - ``FreqContext``, ``omega2``, ``omega4`` and ``big_omega``: the scalar
   divisor, one vector at one state, reduced to its irreducible part first;
   the reference for ``divisors.divisor_evaluator``,
@@ -24,6 +28,8 @@ Contents:
 - ``scalar_corrected_divisor`` and ``scalar_divisor_tail``: the corrected
   divisor with its own tail sum, and the divisor tail estimator as a loop
   over samples; the reference for the batched ``measure.divisor_tail``,
+- ``zeta_value`` and ``zeta_product``: the quadratic blocks of an index
+  vector at one state,
 - ``scalar_evaluate_vf``: a rational field at one state as a loop over its
   terms in Python complex numbers, with ``divisor_evaluator`` as the
   divisor; the reference for the compiled batch evaluator behind
@@ -49,7 +55,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm, zeta_product
+from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm
 from stringnf.divisors import (
     _kappa_factor,
     _omega4_raw,
@@ -388,6 +394,44 @@ def dict_product_key(a: int, x, y, conj_y: bool, extra=()):
     return canonical_from_exponents(a, merged)
 
 
+def tuple_taylor_vf(l: int, M: int) -> RationalVF:
+    """The interaction field ``taylor_vf(l, M)`` with its symbols on sorted
+    ``((mode, (alpha, beta)), ...)`` tuples and every term folded by
+    ``dict_product_key``; the reference for the packed construction, term
+    order included."""
+
+    def mul(p, q):
+        out = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                exp = {m: [e[0], e[1]] for m, e in m1}
+                for m, e in m2:
+                    t = exp.setdefault(m, [0, 0])
+                    t[0] += e[0]
+                    t[1] += e[1]
+                key = tuple(sorted((m, (e[0], e[1])) for m, e in exp.items()))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2
+        return {k: v for k, v in out.items() if v != 0}
+
+    sym, A = {}, {}
+    for b in range(1, M + 1):
+        sym[((b, (2, 0)),)] = Fraction(1)
+        sym[((b, (0, 2)),)] = Fraction(-1)
+        A[((b, (2, 0)),)] = Fraction(1, b)
+        A[((b, (0, 2)),)] = Fraction(1, b)
+        A[((b, (1, 1)),)] = Fraction(2, b)
+    for _ in range(l - 1):
+        sym = mul(sym, A)
+    pref = QC(0, -stiffness_response_series(l)[l - 1] / (4**l)) / math.factorial(l - 1)
+    acc = {}
+    for a in range(1, M + 1):
+        for mon, c in sym.items():
+            key = dict_product_key(a, dict(mon), {}, False, ((a, 0, 1),)) + ((), (), ())
+            prev = acc.get(key)
+            acc[key] = pref * c if prev is None else prev + pref * c
+    return RationalVF(acc)
+
+
 def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> RationalVF:
     """[X, Y] of divisor-carrying fields, one exponent-map fold per product.
 
@@ -471,6 +515,26 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
 
 # ---------------------------------------------------------------------------
 # scalar evaluation and class validation of rational fields
+
+def zeta_value(j: tuple[int, int], z: ComplexSeq) -> complex:
+    """Value of the quadratic block selected by ``j = (delta, a)`` at ``z``."""
+    delta, a = j
+    v = z[a]
+    if delta == 1:
+        return v * v
+    if delta == -1:
+        vb = v.conjugate()
+        return vb * vb
+    return v * v.conjugate()
+
+
+def zeta_product(jvec: Iterable[tuple[int, int]], z: ComplexSeq) -> complex:
+    """Product of the quadratic blocks of an index vector (1 for the empty one)."""
+    out: complex = 1.0 + 0j
+    for j in jvec:
+        out *= zeta_value(j, z)
+    return out
+
 
 def scalar_evaluate_vf(q: RationalVF, z: ComplexSeq) -> dict:
     """Component values ``d/dz_a`` of a field at one state, term by term.

@@ -118,6 +118,24 @@ class TestConfigResolution:
         assert run("simulate", "--config", "/nonexistent.cfg") == EXIT_CONFIG
         assert "config file not found" in capsys.readouterr().err
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"T = 1\n# \x80\n")
+        assert run("simulate", "--config", str(path), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "not UTF-8" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_through_an_existing_file(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        assert run("roundtrip", "--out", str(out), "--set", "samples=2") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "not a directory" in err
+        assert blocker.read_text() == ""
+
     def test_validation_happens_before_computation(self, tmp_path, capsys):
         # dt violates the stiffness guard; nothing is written
         out = tmp_path / "o"
@@ -544,6 +562,22 @@ class TestNfVerifyCommand:
                  "--set", f"golden_dir={empty}", "--set", "N=4", *self.SMALL)
         assert rc == EXIT_VERIFY
         assert "FAIL  golden table k3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\x80{}"])
+    def test_unreadable_golden_table_fails(self, tmp_path, capsys, content):
+        golden = tmp_path / "golden"
+        golden.mkdir()
+        for name in ("k3", "k5", "z5", "chi3", "s", "m"):
+            (golden / f"{name}.json").write_bytes((GOLDEN_DIR / f"{name}.json").read_bytes())
+        (golden / "k3.json").write_bytes(content)
+        out = tmp_path / "v"
+        rc = run("nf-verify", "--out", str(out), "--set", f"golden_dir={golden}", *self.SMALL)
+        assert rc == EXIT_VERIFY
+        assert "FAIL  golden table k3  (unreadable" in capsys.readouterr().out
+        payload = read_json(out / "verify.json")
+        assert payload["pass"] is False
+        failed = [c["name"] for c in payload["checks"] if not c["pass"]]
+        assert failed == ["golden table k3"]
 
     @pytest.mark.parametrize("setting,cause", [
         ("quintic_gamma=2", "gamma"),

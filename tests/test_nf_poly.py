@@ -8,6 +8,7 @@ literally, coefficient by coefficient, with no tolerance.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from stringnf.nf_engine import (
     commutator,
     key_exponents,
     multiplicity,
-    product_key,
     resonant_normal_form,
     solve_homological_z1,
     split_integrable,
@@ -37,7 +37,7 @@ from stringnf.nf_engine import (
     z1_field,
 )
 
-from helpers import EC, ZPoly, oracle_commutator, stiffness_response_series
+from helpers import EC, ZPoly, dict_product_key, oracle_commutator, stiffness_response_series, tuple_taylor_vf
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +129,8 @@ def to_zpoly_components(vf: RationalVF, M: int) -> dict[int, ZPoly]:
         for m, (x, y) in exp.items():
             al[m - 1] = x
             be[m - 1] = y
-        term = ZPoly(M, {(tuple(al), tuple(be)): EC(c.re, c.im)})
-        out[a] = out.get(a, ZPoly(M)) + term
+        # in place: adding a one-term ZPoly would copy the component per term
+        out.setdefault(a, ZPoly(M))._add_term((tuple(al), tuple(be)), EC(c.re, c.im))
     return {a: p for a, p in out.items() if not p.is_zero()}
 
 
@@ -209,7 +209,7 @@ def monomial_zpoly(exps, M: int) -> ZPoly:
     return ZPoly(M, {(tuple(al), tuple(be)): EC(1)})
 
 
-# product_key factors: derivatives d/dz_m and d/dzbar_m, the variables, and I_m
+# dict_product_key factors: derivatives d/dz_m and d/dzbar_m, the variables, and I_m
 FACTORS = [(-1, 0), (0, -1), (1, 0), (0, 1), (1, 1)]
 
 
@@ -246,7 +246,7 @@ def test_product_key_matches_dense_oracle(xkey, ykey, conj_y, data):
     factors = tuple((m, da, db) for m, (da, db) in extra)
     if prod.is_zero():  # a derivative of a variable that is absent
         with pytest.raises(ParityError):
-            product_key(a, x, y, conj_y, factors)
+            dict_product_key(a, x, y, conj_y, factors)
         return
     [(al, be)] = prod.terms
     exps = {m: (al[m - 1], be[m - 1]) for m in range(1, M + 1) if al[m - 1] or be[m - 1]}
@@ -255,9 +255,9 @@ def test_product_key_matches_dense_oracle(xkey, ykey, conj_y, data):
     )
     if not parity_ok:
         with pytest.raises(ParityError):
-            product_key(a, x, y, conj_y, factors)
+            dict_product_key(a, x, y, conj_y, factors)
         return
-    key = product_key(a, x, y, conj_y, factors)
+    key = dict_product_key(a, x, y, conj_y, factors)
     assert key == canonical_from_exponents(a, exps)
     assert {m: tuple(e) for m, e in key_exponents(key).items() if any(e)} == exps
 
@@ -296,6 +296,26 @@ def test_quintic_interaction_samples():
     # opposite chirality flips the sign of the 1/b weight
     key = (4, ANTI, canonicalize([(1, 2), (-1, 3)])) + NO_DIVISORS
     assert vf.terms[key] == QC(0, pref * (Fraction(1, 3) - Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_interaction_fields_match_dense_expansion(l):
+    """``taylor_vf(l, M)`` is ``pref * A^(l-1) B * zbar_a d/dz_a + conj``,
+    expanded here densely, with the term order of the sorted-tuple build."""
+    pref = EC(0, -stiffness_response_series(4)[l - 1] / (4**l * math.factorial(l - 1)))
+    for M in range(1, 6):
+        A, B = ZPoly(M), ZPoly(M)
+        for b in range(1, M + 1):
+            z, zbar = ZPoly.var(M, b), ZPoly.var(M, b, bar=True)
+            A = A + (z * z + zbar * zbar + (z * zbar).scale(2)).scale(Fraction(1, b))
+            B = B + z * z - zbar * zbar
+        sym = B
+        for _ in range(l - 1):
+            sym = sym * A
+        dense = {a: (sym * ZPoly.var(M, a, bar=True)).scale(pref) for a in range(1, M + 1)}
+        vf = taylor_vf(l, M)
+        assert to_zpoly_components(vf, M) == {a: p for a, p in dense.items() if not p.is_zero()}
+        assert list(vf.terms.items()) == list(tuple_taylor_vf(l, M).terms.items())
 
 
 def test_interaction_parity_is_reversible():

@@ -43,7 +43,6 @@ from stringnf.nf_engine import (
     evaluate_vf,
     is_rational_normal_form,
     key_order,
-    product_key,
     resonant_normal_form,
     septic_stage_input,
     solve_homological_z3z5,
@@ -276,9 +275,6 @@ def test_packed_exponent_range_is_checked():
     for args in ((over, y), (y, over)):
         with pytest.raises(ValueError, match="packed range"):
             commutator(*args)
-    # the public fold refuses a product past the field width instead of carrying
-    with pytest.raises(ValueError, match="overflows"):
-        product_key(1, {1: (1, 0)}, {2: (63, 0)}, False, ((2, 200, 0),))
 
 
 # ---------------------------------------------------------------------------

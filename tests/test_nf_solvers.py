@@ -23,8 +23,9 @@ from helpers import (
     scalar_evaluate_vf,
     scalar_validate_class,
     value_bits,
+    zeta_product,
 )
-from stringnf.core import ComplexSeq, WeightSpec, canonicalize, zeta_product
+from stringnf.core import ComplexSeq, WeightSpec, canonicalize
 from stringnf.nf_engine import (
     ANTI,
     DIAG,

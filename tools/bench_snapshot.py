@@ -26,8 +26,11 @@ The snapshot holds:
   ``commutator(z3 + z5, chi, 4)`` at (r, N) = (3, 4); the residual check
   ``stringnf.cli._rel_residual`` of the septic identity at (3, 4) against
   ``q`` over ``_plain_states(50, 4, 1)``, which evaluates the 8,492-term
-  residual and the 959-term ``q`` at 50 states; and the default
-  ``nf-verify`` (``solver_N`` 4) as a subprocess, interpreter start included.
+  residual and the 959-term ``q`` at 50 states; the interaction fields
+  ``taylor_vf`` at (l, M) = (2, 8) and (3, 6); the polynomial normal form
+  ``resonant_normal_form`` at (r, N) = (2, 8), (3, 5) and (3, 6); and the
+  default ``nf-verify`` (``solver_N`` 4) as a subprocess, interpreter start
+  included.
 
 ``--extra`` names a JSON file whose top-level keys are copied into the
 snapshot as they are, for results measured by other means (the tier-1 run,
@@ -81,7 +84,28 @@ worst = _rel_residual(total, q, states)
 print(time.perf_counter() - t, len(total.terms), len(q.terms), worst.hex())
 """
 
-LAYER_SCRIPTS = {"bracket_34": BRACKET_34, "rel_residual_34": REL_RESIDUAL_34}
+TIMED_CALL = """
+import time
+from stringnf.nf_engine import resonant_normal_form, taylor_vf
+t = time.perf_counter()
+{call}
+print(time.perf_counter() - t)
+"""
+
+# one fresh interpreter per call, so the fold memo starts empty each time
+CALLS = {
+    "taylor_vf_28": "taylor_vf(2, 8)",
+    "taylor_vf_36": "taylor_vf(3, 6)",
+    "normal_form_28": "resonant_normal_form(2, 8)",
+    "normal_form_35": "resonant_normal_form(3, 5)",
+    "normal_form_36": "resonant_normal_form(3, 6)",
+}
+
+LAYER_SCRIPTS = {
+    "bracket_34": BRACKET_34,
+    "rel_residual_34": REL_RESIDUAL_34,
+    **{kind: TIMED_CALL.format(call=call) for kind, call in CALLS.items()},
+}
 
 
 def src_lines(tree: Path) -> int:
@@ -182,6 +206,7 @@ def layers_section(trees) -> Dict[str, Any]:
     names = {
         "bracket_34": "commutator(z3 + z5, chi, 4) at (r, N) = (3, 4)",
         "rel_residual_34": "cli._rel_residual(septic residual, q, _plain_states(50, 4, 1)) at (r, N) = (3, 4)",
+        **CALLS,
         "nf_verify_default": "stringnf nf-verify --set golden_dir=tests/golden (solver_N 4), subprocess",
     }
     timings = {label: {side: [] for side in SIDES} for label in names.values()}
