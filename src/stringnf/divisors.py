@@ -2,8 +2,8 @@
 
 The linearized frequencies acquire action-dependent corrections once the cubic
 and quintic normal form steps are done: the leading correction is
-``omega2(a) = I_a / 4`` and the next one, ``omega4``, is quadratic in the
-actions. Combinations
+``omega2(a) = OMEGA2_RATE I_a``, rate 1/4, and the next one, ``omega4``, is
+quadratic in the actions; the exact algebra takes both from here. Combinations
 
     Omega(j) = 2 ( sum_k delta_k omega(a_k) - omega(Delta_j) )
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -29,8 +30,10 @@ __all__ = [
     "Margins",
     "NonResonanceParams",
     "NonResonanceReport",
+    "OMEGA2_RATE",
     "PerturbationReport",
     "divisor_evaluator",
+    "omega4_hessian",
     "irr",
     "kappa",
     "enumerate_irr_indices",
@@ -40,12 +43,15 @@ __all__ = [
     "perturbation_stable",
 ]
 
+OMEGA2_RATE = Fraction(1, 4)
+
 
 def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
     """The quartic correction over the number type of ``one`` (float or Fraction).
 
     ``actions`` maps modes to actions, with absent modes at zero.  Floats and
-    Fractions give the values of :func:`divisor_evaluator`; float arrays (one
+    Fractions give the values of :func:`divisor_evaluator`, and Fractions at
+    unit actions the entries of :func:`omega4_hessian`; float arrays (one
     action column per mode) give a whole batch of states at once for
     :class:`DivisorTable`.
     Integer constants enter through ``one``, so the float operations are the
@@ -73,10 +79,31 @@ def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
     return a_f / 16 * tail
 
 
+@cache
+def omega4_hessian(m: int, N: int) -> tuple[tuple[int, int, Fraction], ...]:
+    """Exact action Hessian of ``omega4`` at mode ``m``, as ``(d, e, value)`` entries.
+
+    ``omega4`` is exactly quadratic in the actions, so :func:`_omega4_raw`
+    over Fractions at unit actions gives it by polarization: ``H_dd = 2
+    omega4(e_d)``, ``H_de = omega4(e_d + e_e) - omega4(e_d) - omega4(e_e)``.
+    Entries are sorted and nonzero, with both orders of each off-diagonal pair.
+    """
+    if not 1 <= m <= N:
+        raise ValueError(f"mode {m} outside cutoff 1..{N}")
+    one = Fraction(1)
+
+    def at(*modes: int) -> Fraction:
+        return _omega4_raw(m, dict.fromkeys(modes, one), N, one)
+
+    unit = {d: at(d) for d in range(1, N + 1)}
+    hess = ((d, e, 2 * unit[d] if d == e else at(d, e) - unit[d] - unit[e]) for d in unit for e in unit)
+    return tuple(x for x in hess if x[2])
+
+
 def divisor_evaluator(actions: Mapping, N: int, one=1.0) -> Callable[[Sequence[tuple[int, int]], int], Any]:
     """``divisor(v, order)``: the small divisor ``2 (sum_k delta_k w(a_k) - w(b))`` of ``v``, momentum ``b``.
 
-    At order 2, ``w(a)`` is ``I_a / 4`` for ``1 <= a <= N`` and 0 otherwise;
+    At order 2, ``w(a)`` is ``OMEGA2_RATE I_a`` for ``1 <= a <= N`` and 0 otherwise;
     order 4 adds :func:`_omega4_raw`. Numbers are of the type of ``one``
     (float or Fraction). ``v`` is not reduced: pass it irreducible with ``b
     >= 0``, as a rational field stores it or as :func:`_reduce` returns it.
@@ -91,7 +118,7 @@ def divisor_evaluator(actions: Mapping, N: int, one=1.0) -> Callable[[Sequence[t
         f = freqs.get((a, order))
         if f is None:
             if order == 2:
-                f = actions.get(a, zero) / 4 if 1 <= a <= N else zero
+                f = actions.get(a, zero) * (one * OMEGA2_RATE) if 1 <= a <= N else zero
             else:
                 f = w(a, 2) + _omega4_raw(a, actions, N, one) if a else zero
             freqs[(a, order)] = f
@@ -184,6 +211,24 @@ def _tail_correction(red: Sequence[tuple[int, int]], b: int, actions: Mapping, N
 _ENUM_GUARD = 10**7
 
 
+def _check_enumeration(r: int, N: int) -> None:
+    """Raise unless ``r >= 2``, ``N >= 1`` and enumerating scans at most ``_ENUM_GUARD`` candidates.
+
+    The ``C(2N + l - 1, l)`` candidates of each length ``l`` are counted up to
+    the guard only, so even a huge ``r`` is refused at once.
+    """
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    scanned = 0
+    for l in range(2, r + 1):
+        scanned += math.comb(2 * N + l - 1, l)
+        if scanned > _ENUM_GUARD:
+            raise ValueError(f"enumeration at (r, N) = ({r}, {N}) would scan more than {_ENUM_GUARD} "
+                             "candidate vectors")
+
+
 @cache
 def enumerate_irr_indices(r: int, N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All irreducible index vectors with ``2 <= #j <= r``, modes and momentum in 1..N.
@@ -192,13 +237,7 @@ def enumerate_irr_indices(r: int, N: int) -> tuple[tuple[tuple[int, int], ...], 
     ``(r, N)``. Raises if the enumeration would materialize more than 1e7
     vectors.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    bound = sum(math.comb(2 * N + l - 1, l) for l in range(2, r + 1))
-    if bound > _ENUM_GUARD:
-        raise ValueError(f"enumeration would scan {bound} candidate vectors (limit {_ENUM_GUARD})")
+    _check_enumeration(r, N)
     symbols = [(delta, a) for a in range(1, N + 1) for delta in (-1, 1)]
     out: list[tuple[tuple[int, int], ...]] = []
     for l in range(2, r + 1):
@@ -227,10 +266,7 @@ class NonResonanceParams:
     weight: WeightSpec
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError("r must be >= 2")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        _check_enumeration(self.r, self.N)
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         self.weight.check_modes(self.N)
@@ -279,7 +315,7 @@ def _columns(I: np.ndarray, width: int) -> tuple[np.ndarray, dict[int, np.ndarra
     """``omega2`` of rows of actions ``I[B, M]`` (zero at column 0 and past ``M``), and each mode's column."""
     B, M = I.shape
     w = np.zeros((B, width))
-    w[:, 1 : M + 1] = 0.25 * I
+    w[:, 1 : M + 1] = float(OMEGA2_RATE) * I
     return w, {a: I[:, a - 1] for a in range(1, M + 1)}
 
 
@@ -441,6 +477,14 @@ def _tail_scores(v: tuple, params: NonResonanceParams, actions: np.ndarray, eps:
     return leading, corrected, 0.5 * float(thr2), float(thr4)
 
 
+def _check_rows(I: np.ndarray, norms: np.ndarray) -> None:
+    """Raise unless every action and every weighted norm of a batch of states is finite."""
+    if not np.isfinite(I).all():
+        raise ValueError("a state has an action that is not finite")
+    if not np.isfinite(norms).all():
+        raise ValueError("a state has a weighted norm that is not finite")
+
+
 def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[NonResonanceReport]:
     """:func:`is_nonresonant` of every state, scored together as one batch.
 
@@ -451,9 +495,8 @@ def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[No
     """
     table = divisor_table(params.r, params.N, params.weight)
     I = np.array([[z.action(a) for a in range(1, params.N + 1)] for z in states]).reshape(-1, params.N)
-    if not np.isfinite(I).all():
-        raise ValueError("a state has an action that is not finite")
     norms = np.array([weighted_norm(z, params.weight) for z in states], dtype=float)
+    _check_rows(I, norms)
     m = table.margins(I, norms * norms, params.gamma)
     reports = []
     for i, nrm in enumerate(norms.tolist()):

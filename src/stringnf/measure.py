@@ -29,6 +29,7 @@ import numpy as np
 from .core import ComplexSeq, WeightSpec
 from .divisors import (
     NonResonanceParams,
+    _check_rows,
     _reduce,
     _tail_correction,
     _tail_scores,
@@ -122,21 +123,22 @@ class SampleBatch:
         Row ``i`` holds ``state(i, eps).action(a)`` for ``a = 1..N`` (zero past
         the truncation) and ``weighted_norm(state(i, eps), weight)``, which runs
         over every sampled mode, including those beyond ``N``; no state is
-        built. An action that overflows raises ``ValueError``.
+        built. An action or a weighted norm that overflows raises
+        ``ValueError``, as in :func:`~stringnf.divisors.certify`.
         """
         z = self._amplitudes(eps)
         B, M = z.shape
         w2 = np.array([weight.weight_sq(a) for a in range(1, M + 1)])
         with np.errstate(over="ignore", invalid="ignore"):
             acts = z.real * z.real + z.imag * z.imag
-            if not np.isfinite(acts).all():
-                raise ValueError("a state has an action that is not finite")
             # a state leaves out its zero modes, and so does its norm
             terms = np.where(z != 0, w2 * acts, 0.0)
+            # a running sum adds in mode order, as weighted_norm does
+            norms = np.sqrt(np.cumsum(terms, axis=1)[:, -1])
+        _check_rows(acts, norms)
         I = np.zeros((B, N))
         I[:, : min(M, N)] = acts[:, :N]
-        # a running sum adds in mode order, as weighted_norm does
-        return I, np.sqrt(np.cumsum(terms, axis=1)[:, -1])
+        return I, norms
 
     def nonresonant(self, eps: float, params: NonResonanceParams) -> np.ndarray:
         """Mask of the samples whose ``state(i, eps)`` :func:`~stringnf.divisors.certify` passes."""

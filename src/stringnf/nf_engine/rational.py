@@ -48,13 +48,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core import ComplexSeq, canonicalize, delta_sum
-from ..divisors import DivisorTable, divisor_evaluator, irr, kappa
+from ..divisors import OMEGA2_RATE, DivisorTable, divisor_evaluator, irr, kappa, omega4_hessian
 
 __all__ = [
     "ANTI",
@@ -78,7 +78,6 @@ __all__ = [
     "key_exponents",
     "key_order",
     "multiplicity",
-    "omega4_hessian",
     "validate_class",
 ]
 
@@ -302,12 +301,14 @@ def _pack(exps: Mapping[int, Tuple[int, int]]) -> Tuple[int, int]:
     return p, q
 
 
-@cache
+# the default nf-verify folds about 23,000 keys, under the bound; a process
+# that folds far more keeps only the latest
+@lru_cache(maxsize=2**15)
 def _fold(a: int, p: int) -> TermKey:
     """Key of the ``d/dz_a`` monomial with packed exponents ``p``.
 
-    Memoised, so each distinct monomial folds once and equal keys share one
-    tuple across fields.
+    Memoised up to a bound, so each distinct monomial of a computation folds
+    once and equal keys share one tuple across fields.
     """
     exps = {}
     m = 1
@@ -995,29 +996,8 @@ def _linear_derivative(v: Divisor) -> Tuple[Tuple[int, Fraction], ...]:
     grad: Dict[int, Fraction] = {}
     for delta, m in v:
         if delta:
-            grad[m] = grad.get(m, _F0) + Fraction(delta, 2)
+            grad[m] = grad.get(m, _F0) + 2 * delta * OMEGA2_RATE
     return tuple(sorted((m, g) for m, g in grad.items() if g))
-
-
-@cache
-def omega4_hessian(m: int, N: int) -> Tuple[Tuple[int, int, Fraction], ...]:
-    """Constant action Hessian of the quartic frequency correction at mode m.
-
-    The correction is exactly quadratic in the actions, so second derivatives
-    are numbers; entries come back as ``(d, e, value)`` with both orders of
-    each off-diagonal pair present.
-    """
-    if not 1 <= m <= N:
-        raise ValueError(f"mode {m} outside cutoff 1..{N}")
-    entries: List[Tuple[int, int, Fraction]] = [(m, m, Fraction(-27, 32 * m))]
-    for e in range(1, N + 1):
-        if e == m:
-            continue
-        cross = -(Fraction(3, e) + Fraction(e, e * e - m * m)) / 8
-        entries.append((m, e, cross))
-        entries.append((e, m, cross))
-        entries.append((e, e, Fraction(m, 8 * (e * e - m * m))))
-    return tuple(sorted(entries))
 
 
 @cache

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from ..core import delta_sum
-from ..divisors import irr
+from ..divisors import OMEGA2_RATE, irr, omega4_hessian
 from .poly import NFResult
 from .rational import (
     ANTI,
@@ -32,7 +32,6 @@ from .rational import (
     action_transport,
     commutator,
     divisor_zero_form,
-    omega4_hessian,
     validate_class,
 )
 
@@ -119,10 +118,10 @@ def _action_coupling(field: RationalVF) -> RationalVF:
     """The field ``-(i/4) sum_a z_a (action derivative along the input)``.
 
     This is the echo of dividing at the cubic rotation: its rates are the
-    actions over four, so the rate derivative contracts the input's action
-    transport with a single leading factor.
+    actions times ``OMEGA2_RATE``, so the rate derivative contracts the
+    input's action transport with a single leading factor.
     """
-    pref = QC(0, Fraction(-1, 4))
+    pref = QC(0, -OMEGA2_RATE)
     return action_transport(field, [(key[0], key[0], 0, pref, [key]) for key in field.terms])
 
 

@@ -22,6 +22,9 @@ Contents:
 - ``FreqContext``, ``omega2``, ``omega4`` and ``big_omega``: the scalar
   divisor, one vector at one state, reduced to its irreducible part first;
   the reference for ``divisors.divisor_evaluator``,
+- ``closed_form_omega4_hessian``: the action Hessian of ``omega4`` written
+  out by hand from its three sums; the exact reference for
+  ``divisors.omega4_hessian``, which polarizes ``omega4`` itself,
 - ``scalar_nonresonance``: the non-resonance test as a scalar loop over the
   irreducible vectors, built from ``big_omega``, ``kappa`` and
   ``_kappa_factor``; the reference for the batched ``DivisorTable``,
@@ -693,6 +696,26 @@ def omega4(a: int, ctx: FreqContext) -> float:
     if a <= ctx.N:
         return ctx._omega4_table[a]
     return _omega4_raw(a, ctx.actions, ctx.N)
+
+
+def closed_form_omega4_hessian(m: int, N: int) -> tuple[tuple[int, int, Fraction], ...]:
+    """Constant action Hessian of ``omega4`` at mode ``m``, differentiated by hand.
+
+    ``omega4(m) = -27/(64 m) I_m^2 - I_m/8 sum_e (3/e + e/(e^2 - m^2)) I_e
+    + m/16 sum_e I_e^2/(e^2 - m^2)`` over ``e != m``; entries are ``(d, e,
+    value)``, sorted, with both orders of each off-diagonal pair.
+    """
+    if not 1 <= m <= N:
+        raise ValueError(f"mode {m} outside cutoff 1..{N}")
+    entries = [(m, m, Fraction(-27, 32 * m))]
+    for e in range(1, N + 1):
+        if e == m:
+            continue
+        cross = -(Fraction(3, e) + Fraction(e, e * e - m * m)) / 8
+        entries.append((m, e, cross))
+        entries.append((e, m, cross))
+        entries.append((e, e, Fraction(m, 8 * (e * e - m * m))))
+    return tuple(sorted(entries))
 
 
 def big_omega(jvec: Iterable[tuple[int, int]], ctx: FreqContext, order: int = 2) -> float:

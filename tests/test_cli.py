@@ -294,6 +294,11 @@ class TestDriftSweepCommand:
         assert run(*self.sweep_args(b)) == EXIT_OK
         assert filecmp.cmp(a / "sweep.json", b / "sweep.json", shallow=False)
 
+    @pytest.mark.parametrize("eps", ["[0.1, -0.2]", "[0]"])
+    def test_non_positive_eps_rejected_when_read(self, eps):
+        with pytest.raises(ConfigError, match="eps: expected a non-empty list of positive numbers"):
+            resolve_config("drift-sweep", None, [f"eps={eps}"], None)
+
     def test_insufficient_nonresonant_samples(self, tmp_path, capsys):
         # first draw of this seed is resonant at these params; budget of one
         rc = run("drift-sweep", "--out", str(tmp_path / "o"), "--seed", "222",
@@ -401,6 +406,16 @@ class TestMeasureCommand:
         assert "gevrey weight overflows at mode 400" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", [None, "1e-3"])
+    def test_enumeration_guard_is_config_error(self, tmp_path, capsys, eps):
+        # at r = 300 the small-data cap 8^1202 overflows; the guard refuses first
+        out = tmp_path / "o"
+        extra = ("--set", f"eps={eps}") if eps else ()
+        rc = run("measure", "--out", str(out), "--set", "r=300", "--set", "samples=5", *extra)
+        assert rc == EXIT_CONFIG
+        assert "would scan more than 10000000 candidate vectors" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_impossible_conditioning_is_config_error(self, tmp_path, capsys):
         rc = run("measure", "--out", str(tmp_path / "o"), "--set", "gamma_grid=[0.1]",
                  "--set", "N=4", "--set", "samples=10", "--set", "ball_radius=1e-9")
@@ -471,6 +486,28 @@ class TestResonanceCommand:
                  "--set", 'state={"400": [0.1, 0]}')
         assert rc == EXIT_CONFIG
         assert "gevrey weight overflows at mode 400" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_enumeration_guard_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run("resonance", "--out", str(out), "--set", "r=100", "--set", 'state={"1": [0.1, 0]}')
+        assert rc == EXIT_CONFIG
+        assert "enumeration at (r, N) = (100, 8) would scan more than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_weighted_norm_is_config_error(self, tmp_path, capsys):
+        # the action 1e306 is finite, but 8^6 times it is not
+        out = tmp_path / "o"
+        rc = run("resonance", "--out", str(out), "--set", "weight_s=3", "--set", 'state={"8": [1e153, 0]}')
+        assert rc == EXIT_CONFIG
+        assert "weighted norm that is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mode_past_truncation_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = run("resonance", "--out", str(out), "--set", "truncation=8", "--set", 'state={"9": [0.1, 0]}')
+        assert rc == EXIT_CONFIG
+        assert "config error: state: mode 9 exceeds truncation 8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gevrey_weight_runs(self, tmp_path):
@@ -604,6 +641,18 @@ class TestNfVerifyCommand:
         assert run("nf-verify", "--out", str(out), "--set", "quintic_N=1") == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error:" in err and "quintic_N" in err
+        assert not out.exists()
+
+    def test_single_mode_solver_rejected_before_algebra(self, tmp_path, capsys, monkeypatch):
+        # at one mode the septic input is integrable: the generator and both
+        # echoes are empty, so the rotation solver identity would pass vacuously
+        def no_algebra(*args):
+            raise AssertionError("the normal form ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "resonant_normal_form", no_algebra)
+        out = tmp_path / "v"
+        assert run("nf-verify", "--out", str(out), "--set", "solver_N=1") == EXIT_CONFIG
+        assert "config error: solver_N: expected an integer >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
 

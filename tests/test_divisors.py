@@ -220,6 +220,15 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 enumerate_irr_indices(6, 40)
 
+    @pytest.mark.parametrize("refused,accepted,N", [(11, 10, 8), (122, 121, 2), (10**9, 10, 8)])
+    def test_guard_rejects_parameters_when_built(self, refused, accepted, N):
+        # the first r past the guard at N = 8 and N = 2, and an r whose full
+        # count would take long: the count stops at the guard
+        w = WeightSpec("sobolev", s=1.0)
+        with pytest.raises(ValueError, match="would scan more than 10000000 candidate vectors"):
+            NonResonanceParams(refused, N, 0.1, w)
+        NonResonanceParams(accepted, N, 0.1, w)
+
 
 def random_seq(rng, M, scale=0.1):
     data = {}
@@ -237,6 +246,12 @@ class TestNonResonance:
         rep = is_nonresonant(ComplexSeq({}, truncation=4), self.params())
         assert not rep.ok
         assert rep.reason == "zero norm"
+
+    def test_overflowing_weighted_norm_rejected(self):
+        # a finite action whose weighted norm is not finite
+        z = ComplexSeq({8: 1e153 + 0j}, truncation=8)
+        with pytest.raises(ValueError, match="weighted norm that is not finite"):
+            certify([z], self.params(N=8, s=3.0))
 
     def test_empty_index_set_is_vacuously_ok(self):
         p = NonResonanceParams(r=2, N=1, gamma=0.5, weight=WeightSpec("sobolev", s=2.0))

@@ -250,6 +250,19 @@ def test_rows_match_states_bit_for_bit(weight, M, offset, log_eps, seed, gamma):
         batch.rows(1e200, N, weight)
 
 
+def test_overflowing_norm_is_the_same_error_on_both_paths():
+    # at this eps every action is finite, but the weighted norm of sample 2
+    # is not; the batch path used to warn and score it as resonant
+    weight = WeightSpec("sobolev", s=3.0)
+    batch = sample_actions(MeasureSpec(weight, 8, 50, 1))
+    params = NonResonanceParams(2, 8, 0.1, weight)
+    eps = 5.6234132519034904e153
+    with pytest.raises(ValueError, match="a state has a weighted norm that is not finite"):
+        certify([batch.state(2, eps)], params)
+    with pytest.raises(ValueError, match="a state has a weighted norm that is not finite"):
+        batch.nonresonant(eps, params)
+
+
 class TestCorrectedDivisor:
     def test_integrable_vector_gives_zero(self):
         ctx = FreqContext({1: 0.2, 2: 0.1}, 4)

@@ -22,6 +22,7 @@ from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum
 from helpers import (
     FreqContext,
     big_omega,
+    closed_form_omega4_hessian,
     product_key_commutator,
     scalar_evaluate_vf,
     scalar_validate_class,
@@ -35,6 +36,7 @@ from stringnf.nf_engine import (
     DivisorRefusal,
     QC,
     RationalVF,
+    canonical_from_exponents,
     commutator,
     conj_index_vector,
     di_functional,
@@ -43,6 +45,7 @@ from stringnf.nf_engine import (
     evaluate_vf,
     is_rational_normal_form,
     key_order,
+    omega4_hessian,
     resonant_normal_form,
     septic_stage_input,
     solve_homological_z3z5,
@@ -466,6 +469,37 @@ def test_hessian_table_matches_numeric_gradient():
             grad = (quart(up) - quart(dn)) / (2 * h)
             want = sum(float(c) * base[e] for (dd, e), c in hess.items() if dd == d)
             assert grad == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_hessian_table_matches_closed_form():
+    # the table polarizes omega4 over Fractions; the hand-derived closed form
+    # pins every entry exactly, zero entries and ordering included
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            assert omega4_hessian(m, n) == closed_form_omega4_hessian(m, n)
+
+
+def test_fold_memo_is_bounded():
+    # folding more distinct monomials than the bound keeps the memo at the
+    # bound, and every fold, an evicted one included, gives the plain fold's key
+    fold = rational._fold
+    bound = fold.cache_info().maxsize
+    assert bound == 2**15
+    fold.cache_clear()
+
+    def monomial(i):
+        # d/dz_1 of z_1 times even powers of z_2..z_5 spelling i in base 32
+        exps = {1: (1, 0), **{k + 2: (2 * ((i >> (5 * k)) & 31), 0) for k in range(4)}}
+        return sum(rational._factor(m, x, y) for m, (x, y) in exps.items()), exps
+
+    for i in range(bound + 1000):
+        p, exps = monomial(i)
+        assert fold(1, p) == canonical_from_exponents(1, exps)
+    assert fold.cache_info().currsize == bound
+    p, exps = monomial(0)  # evicted by now
+    assert fold(1, p) == canonical_from_exponents(1, exps)
+    assert fold.cache_info().currsize == bound
+    fold.cache_clear()
 
 
 # ---------------------------------------------------------------------------

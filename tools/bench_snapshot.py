@@ -28,9 +28,13 @@ The snapshot holds:
   ``q`` over ``_plain_states(50, 4, 1)``, which evaluates the 8,492-term
   residual and the 959-term ``q`` at 50 states; the interaction fields
   ``taylor_vf`` at (l, M) = (2, 8) and (3, 6); the polynomial normal form
-  ``resonant_normal_form`` at (r, N) = (2, 8), (3, 5) and (3, 6); and the
-  default ``nf-verify`` (``solver_N`` 4) as a subprocess, interpreter start
-  included.
+  ``resonant_normal_form`` at (r, N) = (2, 8), (3, 5) and (3, 6); the
+  non-resonance certificate ``divisors.certify`` of B = 1 and of B = 250
+  states from ``_plain_states(B, 8, 1)`` at (r, N) = (2, 8), seconds per
+  call once the divisor table is built; one step of ``simulate`` at M = 1,
+  Strang split and rk4, as seconds per step over 20,000 steps without
+  records; and the default ``nf-verify`` (``solver_N`` 4) as a subprocess,
+  interpreter start included.
 
 ``--extra`` names a JSON file whose top-level keys are copied into the
 snapshot as they are, for results measured by other means (the tier-1 run,
@@ -101,10 +105,38 @@ CALLS = {
     "normal_form_36": "resonant_normal_form(3, 6)",
 }
 
+CERTIFY = """
+import time
+from stringnf.cli import _plain_states
+from stringnf.core import WeightSpec
+from stringnf.divisors import NonResonanceParams, certify
+params = NonResonanceParams(2, 8, 0.02, WeightSpec("sobolev", s=3.0))
+states = _plain_states({B}, 8, 1)
+certify(states, params)  # builds the cached divisor table
+t = time.perf_counter()
+for _ in range({reps}):
+    certify(states, params)
+print((time.perf_counter() - t) / {reps})
+"""
+
+STEP = """
+import time
+from stringnf.simulator import SimConfig, simulate
+from stringnf.transforms import UVState
+cfg = SimConfig(dt=5e-4, T=10.0, scheme="{scheme}", M=1, record_stride=10**9)
+t = time.perf_counter()
+simulate(UVState({{1: 0.25}}, {{}}, 1), cfg)
+print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
+"""
+
 LAYER_SCRIPTS = {
     "bracket_34": BRACKET_34,
     "rel_residual_34": REL_RESIDUAL_34,
     **{kind: TIMED_CALL.format(call=call) for kind, call in CALLS.items()},
+    "certify_1": CERTIFY.format(B=1, reps=2000),
+    "certify_250": CERTIFY.format(B=250, reps=20),
+    "strang_step_1": STEP.format(scheme="strang_split"),
+    "rk4_step_1": STEP.format(scheme="rk4"),
 }
 
 
@@ -207,13 +239,17 @@ def layers_section(trees) -> Dict[str, Any]:
         "bracket_34": "commutator(z3 + z5, chi, 4) at (r, N) = (3, 4)",
         "rel_residual_34": "cli._rel_residual(septic residual, q, _plain_states(50, 4, 1)) at (r, N) = (3, 4)",
         **CALLS,
+        "certify_1": "divisors.certify of _plain_states(1, 8, 1) at (r, N) = (2, 8), seconds per call",
+        "certify_250": "divisors.certify of _plain_states(250, 8, 1) at (r, N) = (2, 8), seconds per call",
+        "strang_step_1": "simulate, strang_split at M = 1, seconds per step over 20,000 steps",
+        "rk4_step_1": "simulate, rk4 at M = 1, seconds per step over 20,000 steps",
         "nf_verify_default": "stringnf nf-verify --set golden_dir=tests/golden (solver_N 4), subprocess",
     }
     timings = {label: {side: [] for side in SIDES} for label in names.values()}
     for kind, label in names.items():
         for rnd in range(LAYER_ROUNDS):
             for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
-                timings[label][side].append(round(timed_layer(trees[side], kind), 3))
+                timings[label][side].append(float(f"{timed_layer(trees[side], kind):.4g}"))
     return {
         "method": f"raw seconds (time.perf_counter, not calibrated), one fresh interpreter per side "
                   f"and round, {LAYER_ROUNDS} rounds alternating which side runs first.",
