@@ -36,11 +36,14 @@ entry, and the lexicographically smaller of the vector/conjugate pair kept
 The storage form of a divisor is therefore independent of the route that
 produced it, and cancellations between routes happen at the level of keys.
 
-The bracket packs the exponents of each term once into one int, a fixed-width
-field per (mode, z or zbar): a product of monomials is then a sum of ints, and
-a conjugate swaps the two fields of each mode. It interns the divisor
-signatures of a call as small ints, accumulates on ``(mode, packed, signature
-id)``, and folds each distinct key onto the basis once, in first-seen order.
+A field packs each term's exponents once into one int, a fixed-width field per
+(mode, z or zbar): a product of monomials is a sum of ints, and a conjugate
+swaps the two fields of each mode. The bracket is fraction-free: coefficients
+enter as Gaussian integers over their field's lcm denominator, and int pairs
+over one common denominator accumulate on ``(mode, packed, signature id)``,
+with the divisor signatures of the call interned as small ints. Each distinct
+key with a nonzero total is folded onto the basis and its coefficient reduced
+once, in first-seen order; most keys of a deep bracket cancel exactly.
 """
 
 from __future__ import annotations
@@ -290,10 +293,10 @@ def _factor(m: int, da: int, db: int) -> int:
     return (da + (db << _WIDTH)) << (2 * _WIDTH * (m - 1))
 
 
-def _pack(exps: Mapping[int, Tuple[int, int]]) -> Tuple[int, int]:
-    """Packed monomial of an exponent map, and packed conjugate."""
+def _pack(exps: Sequence[Tuple[int, int, int]]) -> Tuple[int, int]:
+    """Packed monomial of ``(mode, alpha, beta)`` exponents, and packed conjugate."""
     p = q = 0
-    for m, (x, y) in exps.items():
+    for m, x, y in exps:
         if not (0 <= x <= _MAX_EXP and 0 <= y <= _MAX_EXP):
             raise ValueError(f"exponents {x, y} at mode {m} outside the packed range 0..{_MAX_EXP}")
         p += _factor(m, x, y)
@@ -405,8 +408,6 @@ def key_order(key: RKey) -> int:
     return len(key[2]) - len(key[3]) - len(key[4]) - 2 * len(key[5])
 
 
-
-
 class RationalVF:
     """Conjugation-closed vector field with exact coefficients.
 
@@ -417,7 +418,7 @@ class RationalVF:
     equal fields compare equal as dictionaries.
     """
 
-    __slots__ = ("terms", "_compiled_at")
+    __slots__ = ("terms", "_compiled_at", "_rows")
 
     def __init__(self, terms: Optional[Mapping[RKey, QC]] = None):
         clean: Dict[RKey, QC] = {}
@@ -437,18 +438,21 @@ class RationalVF:
                 clean[key] = c
         self.terms = clean
         self._compiled_at: Dict[int, "_CompiledVF"] = {}
+        self._rows: Optional[Tuple[int, list]] = None
 
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "RationalVF") -> "RationalVF":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
+            out[key] = c if (prev := out.get(key)) is None else prev + c
         return RationalVF(out)
 
     def __sub__(self, other: "RationalVF") -> "RationalVF":
-        return self + other.scale(QC(-1))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = -c if (prev := out.get(key)) is None else prev - c
+        return RationalVF(out)
 
     def scale(self, factor) -> "RationalVF":
         if not isinstance(factor, QC):
@@ -512,6 +516,18 @@ class RationalVF:
         if c is None:
             c = self._compiled_at[N] = _CompiledVF(self, N)
         return c
+
+    def _packed(self) -> Tuple[int, list]:
+        """The lcm ``D`` of the coefficient denominators, and per term ``(n, m, packed, packed conjugate,
+        sections, exponents, key)``: coefficient ``(n + i m) / D``, exponents ``(mode, alpha, beta)``."""
+        if self._rows is None:
+            D = math.lcm(*(c.d for c in self.terms.values()))
+            rows = []
+            for key, c in self.terms.items():
+                exps = tuple((m, x, y) for m, (x, y) in key_exponents(key).items())
+                rows.append((c.n * (D // c.d), c.m * (D // c.d)) + _pack(exps) + (key[3:], exps, key))
+            self._rows = (D, rows)
+        return self._rows
 
     def __repr__(self) -> str:
         return f"RationalVF({len(self.terms)} terms, orders {sorted(self.orders())})"
@@ -882,23 +898,15 @@ def is_rational_normal_form(q: RationalVF) -> bool:
 # ---------------------------------------------------------------------------
 # commutator
 
-def _accumulate(acc: Dict, key, c: QC) -> None:
-    prev = acc.get(key)
-    acc[key] = c if prev is None else prev + c
-
-
 class _Tables:
-    """Tables of one bracket: divisor signatures interned as small ints,
-    their merges cached per id pair, and the terms of its fields packed.
-
-    A bracket accumulates into dicts keyed by ``(a, packed, signature id)``;
-    :meth:`field` turns one into a field, keeping its first-seen order.
-    """
+    """Tables of one bracket: divisor signatures interned as small ints, their
+    merges cached per id pair, and :meth:`field`, which drops each int pair
+    ``(re, im)`` that cancelled to zero and reduces the others once, in order."""
 
     def __init__(self):
         self.ids: Dict[Tuple[Section, Section, Section], int] = {}
         self.sigs: List[Tuple[Section, Section, Section]] = []
-        self.merged: Dict[Tuple[int, int], int] = {}
+        self.merged: Dict[int, Dict[int, int]] = {}
 
     def sig(self, sections: Tuple[Section, Section, Section]) -> int:
         i = self.ids.get(sections)
@@ -908,24 +916,22 @@ class _Tables:
         return i
 
     def merge(self, i: int, j: int) -> int:
-        k = self.merged.get((i, j))
+        k = self.merged.setdefault(i, {}).get(j)
         if k is None:
-            k = self.merged[i, j] = self.sig(
+            k = self.merged[i][j] = self.sig(
                 tuple(tuple(sorted(s + t)) for s, t in zip(self.sigs[i], self.sigs[j]))
             )
         return k
 
-    def terms(self, vf: RationalVF) -> list:
-        """``(a, actor, exponents, key)`` per term, where the actor is
-        ``(c, conj(c), packed, packed conjugate, signature id)``."""
-        out = []
-        for key, c in vf.terms.items():
-            exps = key_exponents(key)
-            out.append((key[0], (c, c.conj()) + _pack(exps) + (self.sig(key[3:]),), exps, key))
-        return out
+    def terms(self, vf: RationalVF) -> Tuple[int, list]:
+        """The field's denominator ``D`` and ``(a, actor, exponents, key)`` per term, the actor
+        ``(n, m, packed, packed conjugate, signature id)`` with coefficient ``(n + i m) / D``."""
+        D, rows = vf._packed()
+        return D, [(key[0], (n, m, p, q, self.sig(s)), exps, key) for n, m, p, q, s, exps, key in rows]
 
-    def field(self, acc: Dict[Tuple[int, int, int], QC]) -> RationalVF:
-        return RationalVF({_fold(a, p) + self.sigs[i]: c for (a, p, i), c in acc.items()})
+    def field(self, acc: Dict[Tuple[int, int, int], tuple], G: int) -> RationalVF:
+        return RationalVF({_fold(a, p) + self.sigs[i]: _reduced(n, m, G)
+                           for (a, p, i), (n, m) in acc.items() if n or m})
 
 
 def _actors(terms) -> Dict[int, list]:
@@ -936,8 +942,8 @@ def _actors(terms) -> Dict[int, list]:
     return out
 
 
-def _transport(tables: _Tables, acc, a: int, x: int, actors, d: int, extra: int, fac: QC, sid: int):
-    """Add ``fac * x * extra * dI_d[Y]`` to the ``d/dz_a`` terms in ``acc``.
+def _transport(tables: _Tables, acc, a: int, x: int, actors, d: int, extra: int, fn: int, fm: int, sid: int):
+    """Add ``(fn + i fm) * x * extra * dI_d[Y]`` to the ``d/dz_a`` numerators in ``acc``.
 
     ``dI_d[Y] = zbar_d Y_d + z_d conj(Y_d)`` is the derivative of the action
     ``I_d`` along ``Y``, whose ``d/dz_d`` terms are ``actors``; ``x`` and
@@ -946,11 +952,13 @@ def _transport(tables: _Tables, acc, a: int, x: int, actors, d: int, extra: int,
     """
     x_zbar = x + extra + _factor(d, 0, 1)
     x_z = x + extra + _factor(d, 1, 0)
-    merge = tables.merge
-    for c, cbar, p, q, s in actors:
-        k = merge(sid, s)
-        _accumulate(acc, (a, x_zbar + p, k), fac * c)
-        _accumulate(acc, (a, x_z + q, k), fac * cbar)
+    merged = tables.merged.setdefault(sid, {})
+    for n, m, p, q, s in actors:
+        k = merged[s] if s in merged else tables.merge(sid, s)
+        key, re, im = (a, x_zbar + p, k), fn * n - fm * m, fn * m + fm * n
+        acc[key] = (re, im) if (v := acc.get(key)) is None else (v[0] + re, v[1] + im)
+        key, re, im = (a, x_z + q, k), fn * n + fm * m, fm * n - fn * m
+        acc[key] = (re, im) if (v := acc.get(key)) is None else (v[0] + re, v[1] + im)
 
 
 def action_transport(field: RationalVF, couplings) -> RationalVF:
@@ -962,32 +970,38 @@ def action_transport(field: RationalVF, couplings) -> RationalVF:
     the divisors of ``Y`` and come out in first-seen order.
     """
     tables = _Tables()
-    actors = {key: actor for _, actor, _, key in tables.terms(field)}
-    no_divisors = tables.sig(NO_DIVISORS)
-    acc: Dict[Tuple[int, int, int], QC] = {}
+    D, terms = tables.terms(field)
+    actors = {key: actor for _, actor, _, key in terms}
+    # every product over D * L, L the lcm of the factors' denominators
+    L = math.lcm(*(fac.d for _, _, _, fac, _ in couplings))
+    acc: Dict[Tuple[int, int, int], tuple] = {}
     for a, d, e, fac, keys in couplings:
         extra = _factor(e, 1, 1) if e else 0
-        part = [actors[key] for key in keys]
-        _transport(tables, acc, a, _factor(a, 1, 0), part, d, extra, fac, no_divisors)
-    return tables.field(acc)
+        f = L // fac.d
+        _transport(tables, acc, a, _factor(a, 1, 0), [actors[key] for key in keys], d, extra,
+                   fac.n * f, fac.m * f, tables.sig(NO_DIVISORS))
+    return tables.field(acc, D * L)
 
 
-def _directional(part: Dict[Tuple[int, int], QC], x_by_mode, y_terms, sign: int) -> None:
-    # sign * sum_b [ X^{z_b} d/dz_b + conj(X^{z_b}) d/dzbar_b ] Y^{z_a}; the
-    # derivative lowers a positive exponent of Y, so it never borrows
-    for a, (cY, _, py, _, _), expY, _ in y_terms:
-        for b, (alpha, beta) in expY.items():
+def _directional(part: Dict[Tuple[int, int], tuple], x_by_mode, y_terms, sign: int) -> None:
+    # sign * sum_b [ X^{z_b} d/dz_b + conj(X^{z_b}) d/dzbar_b ] Y^{z_a} on numerators;
+    # the derivative lowers a positive exponent of Y, so it never borrows
+    for a, (yn, ym, py, _, _), expY, _ in y_terms:
+        for b, alpha, beta in expY:
             actors = x_by_mode.get(b)
             if not actors:
                 continue
-            ca, pa = cY * (sign * alpha), py - _factor(b, 1, 0)
-            cb, pb = cY * (sign * beta), py - _factor(b, 0, 1)
-            for cX, cXbar, px, qx, _ in actors:
+            unit = 1 << 2 * _WIDTH * (b - 1)  # packed z_b
+            an, am, pa = yn * sign * alpha, ym * sign * alpha, py - unit
+            bn, bm, pb = yn * sign * beta, ym * sign * beta, py - (unit << _WIDTH)
+            for xn, xm, px, qx, _ in actors:
                 if alpha:
-                    _accumulate(part, (a, pa + px), cX * ca)
+                    k, re, im = (a, pa + px), xn * an - xm * am, xn * am + xm * an
+                    part[k] = (re, im) if (v := part.get(k)) is None else (v[0] + re, v[1] + im)
                 if beta:
                     # conjugate actor: swap its exponents, conjugate its coefficient
-                    _accumulate(part, (a, pb + qx), cXbar * cb)
+                    k, re, im = (a, pb + qx), xn * bn + xm * bm, xn * bm - xm * bn
+                    part[k] = (re, im) if (v := part.get(k)) is None else (v[0] + re, v[1] + im)
 
 
 @cache
@@ -1013,13 +1027,12 @@ def _quadratic_derivative(v: Divisor, N: int) -> Tuple[Tuple[int, int, Fraction]
     return tuple(sorted((d, e, c) for (d, e), c in hess.items() if c))
 
 
-def _divisor_part(tables: _Tables, acc: Dict, xt, ymode, sign: int, N: Optional[int]) -> None:
+def _divisor_part(tables: _Tables, acc: Dict, xt, ymode, sign: int, N: Optional[int], L: int) -> None:
     # derivative of x's divisors along y; the extra divisor copy goes to h2
     # when a quadratic-frequency divisor was hit, to h4 for the gradient part
     # of a corrected one, and to kk for its Hessian part (which also brings
-    # an action factor into the numerator)
-    for a, (cx, _, px, _, _), _, key in xt:
-        h2, h4, kk = key[3:]
+    # an action factor into the numerator); a factor lam enters as lam * L
+    for a, (xn, xm, px, _, _), _, (*_, h2, h4, kk) in xt:
         if not (h2 or h4 or kk):
             continue
         for sec_idx, sec in ((0, h2), (1, h4), (2, kk)):
@@ -1027,15 +1040,20 @@ def _divisor_part(tables: _Tables, acc: Dict, xt, ymode, sign: int, N: Optional[
                 routed = (h2 + (v,), h4, kk) if sec_idx == 0 else (h2, h4 + (v,), kk)
                 hits = [(d, 0, lam, routed) for d, lam in _linear_derivative(v)]
                 if sec_idx:
-                    routed = (h2, h4, kk + (v,))
-                    hits += [
-                        (d, _factor(e, 1, 1), h, routed) for d, e, h in _quadratic_derivative(v, N)
-                    ]
+                    hits += [(d, _factor(e, 1, 1), h, (h2, h4, kk + (v,)))
+                             for d, e, h in _quadratic_derivative(v, N)]
                 for d, extra, lam, sections in hits:
                     actors = ymode.get(d)
                     if actors:
-                        fac = cx * QC(Fraction(-count * sign) * lam)
-                        _transport(tables, acc, a, px, actors, d, extra, fac, tables.sig(sections))
+                        f = -count * sign * lam.numerator * (L // lam.denominator)
+                        _transport(tables, acc, a, px, actors, d, extra, xn * f, xm * f, tables.sig(sections))
+
+
+def _derivative_lcm(sigs, N: Optional[int]) -> int:
+    """The lcm of the denominators of the frequency derivatives of the divisors in ``sigs``."""
+    lams = [lam for h2, h4, kk in sigs for v in h2 + h4 + kk for _, lam in _linear_derivative(v)]
+    lams += [h for _, h4, kk in sigs for v in h4 + kk for _, _, h in _quadratic_derivative(v, N)]
+    return math.lcm(*{lam.denominator for lam in lams})
 
 
 def _signature_groups(terms):
@@ -1060,23 +1078,24 @@ def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> Rationa
     or ``kk`` divisors and unused otherwise.
     """
     tables = _Tables()
-    xt = tables.terms(x)
-    yt = tables.terms(y)
+    dx, xt = tables.terms(x)
+    dy, yt = tables.terms(y)
     if N is None and any(sig[1] or sig[2] for sig in tables.sigs):
         raise ValueError("fields with corrected-frequency divisors need the cutoff N")
-    gx = _signature_groups(xt)
     gy = _signature_groups(yt)
-    acc: Dict[Tuple[int, int, int], QC] = {}
-    for sx, tx, mx in gx:
+    # every product over G = dx * dy * L
+    L = _derivative_lcm(tables.sigs, N)
+    acc: Dict[Tuple[int, int, int], tuple] = {}
+    for sx, tx, mx in _signature_groups(xt):
         for sy, ty, my in gy:
-            part: Dict[Tuple[int, int], QC] = {}
+            part: Dict[Tuple[int, int], tuple] = {}
             _directional(part, my, tx, +1)
             _directional(part, mx, ty, -1)
             sid = tables.merge(sx, sy)
-            for (a, p), c in part.items():
-                if not c.is_zero():
-                    _accumulate(acc, (a, p, sid), c)
-    _divisor_part(tables, acc, xt, _actors(yt), +1, N)
-    _divisor_part(tables, acc, yt, _actors(xt), -1, N)
-    return tables.field(acc)
-
+            for (a, p), (re, im) in part.items():
+                if re or im:
+                    k, re, im = (a, p, sid), re * L, im * L
+                    acc[k] = (re, im) if (v := acc.get(k)) is None else (v[0] + re, v[1] + im)
+    _divisor_part(tables, acc, xt, _actors(yt), +1, N, L)
+    _divisor_part(tables, acc, yt, _actors(xt), -1, N, L)
+    return tables.field(acc, dx * dy * L)

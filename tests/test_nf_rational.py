@@ -223,10 +223,19 @@ def _entries(N: int, min_size: int, max_size: int):
     return st.lists(entry, min_size=min_size, max_size=max_size)
 
 
+# small and large coprime denominators, large primes among them, so that the
+# bracket's common denominator is large and its one reduction per term matters
+_DENOMINATORS = st.one_of(
+    st.integers(1, 6), st.sampled_from([999907, 999953, 999983]), st.integers(1, 10**6)
+)
+_NUMERATORS = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(10**6), 10**6))
+
+
 @st.composite
 def bracket_fields(draw, N: int, divisors: bool) -> RationalVF:
     """A few canonical terms on modes 1..N, each section holding up to two
-    divisors in storage form on those modes when ``divisors`` is set."""
+    divisors in storage form on those modes when ``divisors`` is set. Real and
+    imaginary parts have small or large denominators, and either may be zero."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         a = draw(st.integers(1, N))
@@ -236,7 +245,7 @@ def bracket_fields(draw, N: int, divisors: bool) -> RationalVF:
             vectors = draw(st.lists(_entries(N, 2, 3), max_size=2 if divisors else 0))
             stored = (divisor_zero_form(tuple(v))[0] for v in vectors)
             sections.append(tuple(w for w in stored if w and max(m for _, m in w) <= N))
-        part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+        part = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
         terms[key + tuple(sections)] = QC(draw(part), draw(part))
     return RationalVF(terms)
 
@@ -265,6 +274,35 @@ def test_packed_bracket_matches_per_product_fold_on_the_septic_solve():
         fast, oracle = commutator(x, y, n), product_key_commutator(x, y, n)
         assert list(fast.terms.items()) == list(oracle.terms.items())
     assert any(key[4] for key in fast.terms)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_bracket_routes_cancel_exactly(data):
+    # [cY, Y] = 0 for a real c: each product of DX[Y] meets its negative in
+    # DY[X], and each divisor-part route meets its partner, key by key
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(bracket_fields(n, True))
+    y = data.draw(bracket_fields(n, True))
+    cy = y.scale(Fraction(data.draw(st.integers(1, 10**6)), data.draw(_DENOMINATORS)))
+    assert commutator(cy, y, n).is_zero()
+    assert commutator(y, cy, n).is_zero()
+    # the cancelled keys drop out and the others keep the oracle's order
+    fast = commutator(x + cy, y, n)
+    assert list(fast.terms.items()) == list(product_key_commutator(x + cy, y, n).terms.items())
+    assert fast == commutator(x, y, n)
+    # subtraction entry by entry, in the order of adding the negative
+    assert list((x - y).terms.items()) == list((x + y.scale(QC(-1))).terms.items())
+    assert (y - y).is_zero()
+
+
+def test_fields_are_packed_once():
+    x, y = field_h2(), probe_poly()
+    first = commutator(x, y)
+    with mock.patch.object(rational, "_pack", side_effect=AssertionError("packed again")):
+        again = commutator(x, y)
+        assert list(again.terms.items()) == list(first.terms.items())
+        assert commutator(y, x) == first.scale(QC(-1))
 
 
 def test_packed_exponent_range_is_checked():

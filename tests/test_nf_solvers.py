@@ -48,6 +48,7 @@ from stringnf.nf_engine import (
     validate_class,
     z1_field,
 )
+from stringnf.nf_engine.rational import action_transport
 from stringnf.nf_engine.solvers import _action_coupling, _frequency_coupling
 
 from test_nf_poly import (
@@ -305,6 +306,36 @@ def test_coupling_fields_match_per_product_fold(quintic_pair, septic_solution):
                 keys = [key for key in field.terms if key[0] == d]
                 _transport_by_fold(acc, field, keys, a, d, ((e, 1, 1),), QC(0, -1) * QC(h))
         assert list(_frequency_coupling(field, n).terms.items()) == list(RationalVF(acc).terms.items())
+
+
+def test_action_transport_matches_per_product_qc_loop(septic_solution):
+    # coefficients and coupling factors over coprime denominators, large
+    # primes among them, so the common denominator is a product of several
+    rng = random.Random(5115)
+    dens = (1, 2, 3, 7, 999907, 999953, 999983)
+
+    def big() -> Fraction:
+        return Fraction(rng.randint(-(10**6), 10**6), rng.choice(dens))
+
+    head = list(septic_solution[0].terms.items())[:120]
+    field = RationalVF({key: c * QC(big(), big()) for key, c in head})
+    by_mode: dict = {}
+    for key in field.terms:
+        by_mode.setdefault(key[0], []).append(key)
+    couplings = []
+    for _ in range(16):
+        d = rng.choice(sorted(by_mode))
+        keys = rng.sample(by_mode[d], min(5, len(by_mode[d])))
+        couplings.append((rng.randint(1, NS), d, rng.randint(0, NS), QC(big(), big()), keys))
+    acc: dict = {}
+    for a, d, e, fac, keys in couplings:
+        _transport_by_fold(acc, field, keys, a, d, ((e, 1, 1),) if e else (), fac)
+    got = action_transport(field, couplings)
+    assert not got.is_zero()
+    assert list(got.terms.items()) == list(RationalVF(acc).terms.items())
+    # a coupling and its negative cancel exactly, route by route
+    negated = [(a, d, e, -fac, keys) for a, d, e, fac, keys in couplings]
+    assert action_transport(field, couplings + negated).is_zero()
 
 
 def test_septic_input_structure(septic):

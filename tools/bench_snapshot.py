@@ -35,6 +35,9 @@ The snapshot holds:
   Strang split and rk4, as seconds per step over 20,000 steps without
   records; and the default ``nf-verify`` (``solver_N`` 4) as a subprocess,
   interpreter start included.
+- ``slowest_tests``: the call phase of the three slowest tier-1 tests, as
+  ``pytest --durations`` reports it, once per side with the side that runs
+  first alternating from test to test.
 
 ``--extra`` names a JSON file whose top-level keys are copied into the
 snapshot as they are, for results measured by other means (the tier-1 run,
@@ -47,6 +50,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -60,6 +64,14 @@ DEFAULT_PAIRS = "nf_verify=10,measure_scan=5,drift_sweep=3,simulate_record=3"
 TRACE_PREFIX = "nf_engine."
 TRACED_PAIRS = 1
 LAYER_ROUNDS = 3
+
+# the three slowest tests of the tier-1 suite by `pytest --durations` (2 cores,
+# Python 3.11.7): 37.9 s, 5.4 s and 4.6 s of a 112 s run
+SLOWEST_TESTS = (
+    "tests/test_acceptance.py::test_criterion_5_simulator_oracles",
+    "tests/test_simulator.py::TestSingleMode::test_matches_duffing_reference_t10[strang_split-0.0001]",
+    "tests/test_nf_rational.py::test_compiled_evaluation_matches_scalar_loop_bit_for_bit",
+)
 
 BRACKET_34 = """
 import time
@@ -257,6 +269,31 @@ def layers_section(trees) -> Dict[str, Any]:
     }
 
 
+def timed_test(tree: Path, nodeid: str) -> float:
+    """Seconds of the call phase of one test, run alone in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=1",
+                           "--durations-min=0", nodeid], cwd=tree, env=env, capture_output=True, text=True)
+    for line in proc.stdout.splitlines() if proc.returncode == 0 else ():
+        m = re.match(r"([0-9.]+)s call\s+(\S+)$", line.strip())
+        if m and m.group(2) == nodeid:
+            return float(m.group(1))
+    raise RuntimeError(f"{nodeid} failed or gave no call duration in {tree}:\n{proc.stdout}{proc.stderr}")
+
+
+def slowest_tests_section(trees) -> Dict[str, Any]:
+    timings = {}
+    for i, nodeid in enumerate(SLOWEST_TESTS):
+        timings[nodeid] = {}
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            timings[nodeid][side] = float(f"{timed_test(trees[side], nodeid):.4g}")
+    return {
+        "method": "raw seconds of the call phase (pytest --durations), each test run alone, once per "
+                  "side, alternating which side runs first.",
+        "timings_s": timings,
+    }
+
+
 def environment() -> Dict[str, Any]:
     import numpy
 
@@ -289,6 +326,7 @@ def main(argv=None) -> int:
         "perfbench": perfbench_section(trees, benchmark, pairs, seconds),
         "traced": traced_section(trees, seconds),
         "layers": layers_section(trees),
+        "slowest_tests": slowest_tests_section(trees),
     }
     if args.extra:
         snapshot.update(json.loads(args.extra.read_text()))
