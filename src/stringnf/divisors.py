@@ -31,7 +31,6 @@ __all__ = [
     "NonResonanceParams",
     "NonResonanceReport",
     "OMEGA2_RATE",
-    "PerturbationReport",
     "divisor_evaluator",
     "omega4_hessian",
     "irr",
@@ -40,7 +39,6 @@ __all__ = [
     "divisor_table",
     "certify",
     "is_nonresonant",
-    "perturbation_stable",
 ]
 
 OMEGA2_RATE = Fraction(1, 4)
@@ -528,42 +526,3 @@ def is_nonresonant(z: ComplexSeq, params: NonResonanceParams) -> NonResonanceRep
     there is no witness, and ``reason`` says so.
     """
     return certify([z], params)[0]
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    norm_hypothesis: bool
-    action_hypothesis: bool
-    action_gap: float  # measured sup_a w(a)^2 |I'_a - I_a|
-    action_cap: float  # allowed bound for that sup
-    base: NonResonanceReport  # z at gamma
-    perturbed: NonResonanceReport  # z' at gamma / 2
-
-    @property
-    def certified(self) -> bool:
-        return self.norm_hypothesis and self.action_hypothesis and self.perturbed.ok
-
-
-def perturbation_stable(z: ComplexSeq, zprime: ComplexSeq, params: NonResonanceParams) -> PerturbationReport:
-    """Check the stability hypotheses and the perturbed state at half the margin.
-
-    A state within four times the norm and with weighted action changes below
-    ``gamma^2 |z|_w^2 / (288 (r+1) N^(4r+3))`` stays non-resonant at
-    ``gamma / 2`` whenever ``z`` was non-resonant at ``gamma``.
-    """
-    nz = weighted_norm(z, params.weight)
-    npz = weighted_norm(zprime, params.weight)
-    gap = 0.0
-    for a in range(1, params.N + 1):
-        w2 = params.weight.weight_sq(a)
-        gap = max(gap, w2 * abs(zprime.action(a) - z.action(a)))
-    cap = params.gamma**2 * nz * nz / (288.0 * (params.r + 1) * float(params.N) ** (4 * params.r + 3))
-    half = NonResonanceParams(params.r, params.N, params.gamma / 2.0, params.weight)
-    return PerturbationReport(
-        norm_hypothesis=npz <= 4.0 * nz,
-        action_hypothesis=gap <= cap,
-        action_gap=gap,
-        action_cap=cap,
-        base=is_nonresonant(z, params),
-        perturbed=is_nonresonant(zprime, half),
-    )

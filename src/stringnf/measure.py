@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -31,9 +31,7 @@ from .divisors import (
     NonResonanceParams,
     _check_rows,
     _reduce,
-    _tail_correction,
     _tail_scores,
-    divisor_evaluator,
     divisor_table,
 )
 
@@ -42,7 +40,6 @@ __all__ = [
     "MeasureEstimate",
     "MeasureSpec",
     "SampleBatch",
-    "corrected_divisor",
     "default_eps",
     "divisor_tail",
     "eps_squared_cap",
@@ -260,6 +257,8 @@ def estimate_measure(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps = {eps!r} has a square that is not finite")
     cap = eps_squared_cap(params.gamma, params.r, params.N)
     if eps * eps > cap:
         warnings.warn(
@@ -281,21 +280,6 @@ def estimate_measure(
         r=params.r,
         eps=eps,
     )
-
-
-def corrected_divisor(jvec: Iterable[tuple[int, int]], actions: Mapping[int, float], N: int) -> float:
-    """Next-order divisor whose correction skips the vector's own actions.
-
-    ``actions`` maps modes to actions (absent modes at zero), cut off at
-    ``N``. Each frequency correction is reduced to its pure tail sum, and the
-    modes of the (irreducible part of the) index vector together with its
-    momentum are excluded from that sum. The difference from the leading
-    divisor is then independent of the actions at exactly those modes.
-    """
-    _, d, red = _reduce(jvec)
-    if not red:
-        return 0.0
-    return divisor_evaluator(actions, N)(red, 2) + 2.0 * _tail_correction(red, d, actions, N)
 
 
 @dataclass(frozen=True)

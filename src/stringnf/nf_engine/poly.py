@@ -23,7 +23,6 @@ __all__ = [
     "stiffness_taylor_coeff",
     "z1_field",
     "solve_homological_z1",
-    "is_action_key",
     "split_integrable",
     "NFResult",
     "resonant_normal_form",
@@ -116,17 +115,13 @@ def solve_homological_z1(k: RationalVF) -> Tuple[RationalVF, RationalVF]:
     return RationalVF(chi), RationalVF(res)
 
 
-def is_action_key(key: RKey) -> bool:
-    kind, j = key[1], key[2]
-    return kind == DIAG and all(delta == 0 for delta, _ in j)
-
-
 def split_integrable(vf: RationalVF) -> Tuple[RationalVF, RationalVF]:
     """Separate action-only diag terms from everything else."""
     good = {}
     rest = {}
     for key, c in vf.terms.items():
-        (good if is_action_key(key) else rest)[key] = c
+        action_only = key[1] == DIAG and all(delta == 0 for delta, _ in key[2])
+        (good if action_only else rest)[key] = c
     return RationalVF(good), RationalVF(rest)
 
 

@@ -73,7 +73,6 @@ __all__ = [
     "canonical_from_exponents",
     "commutator",
     "conj_index_vector",
-    "di_functional",
     "divisor_zero_form",
     "evaluate_exact",
     "evaluate_vf",
@@ -507,9 +506,6 @@ class RationalVF:
     def is_symmetric_parity(self) -> bool:
         return all(not c.m for c in self.terms.values())
 
-    def evaluate(self, z: ComplexSeq) -> Dict[int, complex]:
-        return evaluate_vf(self, z)
-
     def _compiled(self, N: int) -> "_CompiledVF":
         # terms are only assigned in __init__, so the compiled form stays valid
         c = self._compiled_at.get(N)
@@ -799,18 +795,15 @@ class _CompiledVF:
 def evaluate_vf(q: RationalVF, z):
     """Component values ``d/dz_a`` of a field at a state, or at each state of a sequence.
 
-    A :class:`~stringnf.core.ComplexSeq` gives one dict, a sequence of states
-    of one truncation gives a list of them, and a mapping of modes to values
-    is the state truncated at its largest mode. Divisors are evaluated at each
-    state's actions, cut off at its truncation, as
+    A :class:`~stringnf.core.ComplexSeq` gives one dict, and a sequence of
+    states of one truncation gives a list of them. Divisors are evaluated at
+    each state's actions, cut off at its truncation, as
     :func:`~stringnf.divisors.divisor_evaluator` evaluates them. Any divisor
     actually needed (terms whose numerator vanishes at the state are skipped)
     whose magnitude falls below ``1e-12 * ||z||^2``, floored at 1e-300,
     aborts with :class:`DivisorRefusal` naming the vector. The field is
     compiled once per truncation and kept on it.
     """
-    if isinstance(z, Mapping):
-        z = ComplexSeq(z, max(z, default=1))
     if isinstance(z, ComplexSeq):
         return q._compiled(z.truncation).evaluate([z])[0]
     states = list(z)
@@ -863,18 +856,6 @@ def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
         prev = out.get(a)
         out[a] = term if prev is None else prev + term
     return out
-
-
-def di_functional(a: int, chi: RationalVF, z: ComplexSeq) -> complex:
-    """Derivative of the action ``I_a`` along a field, evaluated at a state.
-
-    For conjugation-closed fields this is ``2 Re(conj(z_a) X_a)``; it comes
-    back as a complex number whose imaginary part is zero up to rounding.
-    """
-    comps = evaluate_vf(chi, z)
-    x = comps.get(a, 0j)
-    za = z[a]
-    return za.conjugate() * x + za * x.conjugate()
 
 
 def is_rational_normal_form(q: RationalVF) -> bool:

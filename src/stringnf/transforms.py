@@ -143,10 +143,12 @@ def elastic_from_dilated(y: float) -> float:
 
     Newton iteration on ``g(x) = x^2 (1 + 2x) - y^2`` from the starting guess
     ``x0 = y / sqrt(1 + 2y)`` with a bisection safeguard; converges to
-    relative 1e-13. Negative ``y`` is a domain error.
+    relative 1e-13. Negative or non-finite ``y`` is a domain error.
     """
     if y < 0:
         raise ValueError("dilated elastic energy must be >= 0")
+    if not math.isfinite(y):
+        raise ValueError(f"dilated elastic energy {y!r} is not finite")
     if y == 0.0:
         return 0.0
     y2 = y * y

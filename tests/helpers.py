@@ -37,6 +37,9 @@ Contents:
   terms in Python complex numbers, with ``divisor_evaluator`` as the
   divisor; the reference for the compiled batch evaluator behind
   ``nf_engine.rational.evaluate_vf``, compared through ``value_bits``,
+- ``di_functional``: the rate of change of one action along a field at a
+  state, from ``evaluate_vf``; the float reference for the solver tests,
+  which check that normal forms preserve every action,
 - ``scalar_validate_class``: class validation checking every divisor of
   every term afresh; the reference for ``nf_engine.rational.validate_class``,
   which checks each distinct divisor vector once,
@@ -79,6 +82,7 @@ from stringnf.nf_engine.rational import (
     _quadratic_derivative,
     canonical_from_exponents,
     conj_index_vector,
+    evaluate_vf,
     key_exponents,
 )
 from stringnf.simulator import _slope2
@@ -571,6 +575,18 @@ def scalar_evaluate_vf(q: RationalVF, z: ComplexSeq) -> dict:
                     denom *= val
         out[a] = out.get(a, 0j) + num / denom
     return out
+
+
+def di_functional(a: int, chi: RationalVF, z: ComplexSeq) -> complex:
+    """Derivative of the action ``I_a`` along a field, evaluated at a state.
+
+    For conjugation-closed fields this is ``2 Re(conj(z_a) X_a)``; it comes
+    back as a complex number whose imaginary part is zero up to rounding.
+    """
+    comps = evaluate_vf(chi, z)
+    x = comps.get(a, 0j)
+    za = z[a]
+    return za.conjugate() * x + za * x.conjugate()
 
 
 def value_bits(values: dict) -> list:

@@ -8,6 +8,7 @@ at least once.
 
 import filecmp
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -362,16 +363,20 @@ class TestMeasureCommand:
         assert rc == EXIT_OK
         assert read_json(out / "measure.json")["eps_resolved"] > 0.0
 
-    # eps = 1e200 also draws the small-data warning; a RuntimeWarning still fails the test
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("setting,cause", [
         ("eps=-0.5", "eps: expected a number >= 0"),  # only 0 selects the default amplitude
-        ("eps=1e200", "a state has an action that is not finite"),
+        # eps^2 = inf is refused up front, not after the small-data warning and the scaled actions
+        ("eps=1e200", "eps = 1e+200 has a square that is not finite"),
     ])
     def test_unusable_amplitude_is_config_error(self, tmp_path, capsys, setting, cause):
         out = tmp_path / "o"
-        assert run("measure", "--out", str(out), "--set", "samples=10", "--set", setting) == EXIT_CONFIG
-        assert cause in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("measure", "--out", str(out), "--set", "samples=10", "--set", setting)
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and cause in lines[0]
+        assert not caught
         assert not out.exists()
 
     def test_scan_draws_and_builds_rows_once(self, tmp_path, monkeypatch):

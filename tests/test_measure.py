@@ -16,7 +16,6 @@ from stringnf.measure import (
     MeasureEstimate,
     MeasureSpec,
     SampleBatch,
-    corrected_divisor,
     divisor_tail,
     estimate_measure,
     sample_actions,
@@ -263,45 +262,36 @@ def test_overflowing_norm_is_the_same_error_on_both_paths():
         batch.nonresonant(eps, params)
 
 
+def corrected_rows(v, rows):
+    """Leading and corrected divisors of irreducible ``v``, one per row of actions on modes 1..M."""
+    leading, corrected, _, _ = _tail_scores(v, NonResonanceParams(2, 1, 0.1, SOB1), np.array(rows), 1.0)
+    return leading, corrected
+
+
 class TestCorrectedDivisor:
-    def test_integrable_vector_gives_zero(self):
-        ctx = FreqContext({1: 0.2, 2: 0.1}, 4)
-        assert corrected_divisor(((1, 2), (-1, 2)), ctx.actions, ctx.N) == 0.0
+    """The corrected divisor as ``divisors._tail_scores`` gives it, one row per state."""
 
     def test_difference_from_leading_ignores_indexed_actions(self):
         j = ((1, 2), (1, 3))  # momentum 5: modes 2, 3, 5 are excluded
-        ctx = FreqContext({1: 0.3, 2: 0.11, 3: 0.07, 4: 0.05, 5: 0.02, 6: 0.013}, 6)
-        base = corrected_divisor(j, ctx.actions, ctx.N) - big_omega(j, ctx, 2)
-        bumped = dict(ctx.actions)
-        bumped.update({2: 1.7, 3: 0.9, 5: 2.2})
-        ctx2 = FreqContext(bumped, 6)
-        pert = corrected_divisor(j, ctx2.actions, ctx2.N) - big_omega(j, ctx2, 2)
-        assert pert == pytest.approx(base, rel=1e-10)
+        row = [0.3, 0.11, 0.07, 0.05, 0.02, 0.013]
+        bumped = [0.3, 1.7, 0.9, 0.05, 2.2, 0.013]
+        leading, corrected = corrected_rows(j, [row, bumped])
+        assert corrected[1] - leading[1] == pytest.approx(corrected[0] - leading[0], rel=1e-10)
 
     def test_difference_responds_to_other_actions(self):
         j = ((1, 2), (1, 3))
-        ctx = FreqContext({1: 0.3, 2: 0.11, 3: 0.07, 4: 0.05, 5: 0.02, 6: 0.013}, 6)
-        base = corrected_divisor(j, ctx.actions, ctx.N) - big_omega(j, ctx, 2)
-        bumped = dict(ctx.actions)
-        bumped[4] = 0.5
-        ctx2 = FreqContext(bumped, 6)
-        assert corrected_divisor(j, ctx2.actions, ctx2.N) - big_omega(j, ctx2, 2) != pytest.approx(base, rel=1e-6)
+        row = [0.3, 0.11, 0.07, 0.05, 0.02, 0.013]
+        bumped = [0.3, 0.11, 0.07, 0.5, 0.02, 0.013]
+        leading, corrected = corrected_rows(j, [row, bumped])
+        assert corrected[1] - leading[1] != pytest.approx(corrected[0] - leading[0], rel=1e-6)
 
     def test_matches_hand_sum(self):
-        # j = ((1,2),): irreducible with momentum 2, so modes {2} are excluded
         ctx = FreqContext({1: 0.4, 2: 0.25, 3: 0.09}, 3)
-        j = ((1, 2),)
-        # combination 2(omega~(2) - omega~(2)) vanishes; leading term survives
-        assert corrected_divisor(j, ctx.actions, ctx.N) == pytest.approx(big_omega(j, ctx, 2), abs=0)
-        j2 = ((1, 3), (1, 3))  # momentum 6 beyond the cutoff
-        excl = {3}
-        tails = {}
-        for a in (3, 6):
-            tails[a] = a / 16.0 * sum(
-                ctx.I(d) ** 2 / (d * d - a * a) for d in (1, 2) if d not in excl
-            )
-        expected = big_omega(j2, ctx, 2) + 2 * (2 * tails[3] - tails[6])
-        assert corrected_divisor(j2, ctx.actions, ctx.N) == pytest.approx(expected, rel=1e-14)
+        j = ((1, 3), (1, 3))  # momentum 6 beyond the cutoff; mode 3 is excluded
+        tails = {a: a / 16.0 * sum(ctx.I(d) ** 2 / (d * d - a * a) for d in (1, 2)) for a in (3, 6)}
+        leading, corrected = corrected_rows(j, [[0.4, 0.25, 0.09]])
+        assert leading[0] == big_omega(j, ctx, 2)
+        assert corrected[0] == pytest.approx(big_omega(j, ctx, 2) + 2 * (2 * tails[3] - tails[6]), rel=1e-14)
 
 
 class TestDivisorTail:
@@ -397,4 +387,4 @@ def test_divisor_tail_matches_scalar_loop_bit_for_bit(case):
     for i, row in enumerate(actions):
         ctx = FreqContext({m: eps * eps * row[m - 1] for m in range(1, M + 1)}, M)
         assert leading[i] == big_omega(v, ctx, 2)
-        assert corrected[i] == scalar_corrected_divisor(v, ctx) == corrected_divisor(v, ctx.actions, ctx.N)
+        assert corrected[i] == scalar_corrected_divisor(v, ctx)

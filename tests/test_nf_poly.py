@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringnf.core import canonicalize
+from stringnf.core import ComplexSeq, canonicalize
 from stringnf.nf_engine import (
     ANTI,
     DIAG,
@@ -27,6 +27,7 @@ from stringnf.nf_engine import (
     RationalVF,
     canonical_from_exponents,
     commutator,
+    evaluate_vf,
     key_exponents,
     multiplicity,
     resonant_normal_form,
@@ -327,7 +328,7 @@ def test_interaction_evaluation_matches_formula():
     rng = random.Random(7)
     M = 4
     z = {a: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for a in range(1, M + 1)}
-    vals = taylor_vf(1, M).evaluate(z)
+    vals = evaluate_vf(taylor_vf(1, M), ComplexSeq(z, M))
     B = sum(z[b] ** 2 - z[b].conjugate() ** 2 for b in range(1, M + 1))
     for a in range(1, M + 1):
         expect = -0.25j * B * z[a].conjugate()

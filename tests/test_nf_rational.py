@@ -22,6 +22,7 @@ from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum
 from helpers import (
     FreqContext,
     big_omega,
+    di_functional,
     closed_form_omega4_hessian,
     product_key_commutator,
     scalar_evaluate_vf,
@@ -39,7 +40,6 @@ from stringnf.nf_engine import (
     canonical_from_exponents,
     commutator,
     conj_index_vector,
-    di_functional,
     divisor_zero_form,
     evaluate_exact,
     evaluate_vf,
@@ -52,7 +52,7 @@ from stringnf.nf_engine import (
     validate_class,
 )
 from stringnf.nf_engine import rational
-from stringnf.nf_engine.rational import _linear_derivative, _quadratic_derivative
+from stringnf.nf_engine.rational import _linear_derivative, _quadratic_derivative, action_transport
 
 N = 4
 
@@ -579,12 +579,6 @@ def test_refusal_skipped_when_numerator_vanishes():
     assert evaluate_vf(f, z) == {}
 
 
-def test_evaluate_passthrough_for_polynomials():
-    p = probe_poly()
-    z = random_state(random.Random(7004))
-    assert evaluate_vf(p, z) == p.evaluate(z)
-
-
 def _outcome(run):
     """What an evaluation gives: its value, or its exception with every field exact."""
     try:
@@ -766,6 +760,53 @@ def test_rational_normal_form_predicate():
     assert is_rational_normal_form(
         RationalVF({(1, DIAG, ((0, 2), (0, 2)), (), (), ()): QC(0, 3)})
     )
+
+
+@st.composite
+def normal_form_fields(draw, N: int) -> RationalVF:
+    """Diagonal terms on modes 1..N with nonzero imaginary coefficients, each
+    beside its conjugate-index partner with the same divisors and coefficient."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a, j = draw(st.integers(1, N)), canonicalize(draw(_entries(N, 0, 3)))
+        sections = []
+        for _ in range(3):
+            stored = (divisor_zero_form(tuple(v))[0] for v in draw(st.lists(_entries(N, 2, 3), max_size=2)))
+            sections.append(tuple(w for w in stored if w and max(m for _, m in w) <= N))
+        c = QC(0, Fraction(draw(st.integers(-(10**6), 10**6).filter(bool)), draw(_DENOMINATORS)))
+        for partner in (j, conj_index_vector(j)):
+            terms[(a, DIAG, partner) + tuple(sections)] = c
+    return RationalVF(terms)
+
+
+def assert_preserves_actions(y: RationalVF, n: int) -> None:
+    """``z_d I_e dI_d[y]`` is the zero field for every mode ``d`` and every ``e`` in 0..n."""
+    for d in range(1, n + 1):
+        keys = [key for key in y.terms if key[0] == d]
+        for e in range(n + 1):
+            assert action_transport(y, [(d, d, e, QC(1), keys)]).is_zero(), (d, e)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_normal_forms_preserve_every_action_exactly(data):
+    # dI_d = zbar_d Y_d + z_d conj(Y_d) cancels between each term and its
+    # partner, whatever divisors they carry, so the exact transport is zero
+    n = data.draw(st.integers(1, 5))
+    y = data.draw(normal_form_fields(n))
+    assert is_rational_normal_form(y)
+    assert_preserves_actions(y, n)
+
+
+def test_resonant_normal_form_preserves_every_action_exactly():
+    n = 4
+    nf = resonant_normal_form(3, n)
+    y = nf.z3 + nf.z5
+    assert is_rational_normal_form(y)
+    assert_preserves_actions(y, n)
+    # real coefficients move the actions, so the check is not vacuous
+    moved = y.scale(QC(0, 1))
+    assert not action_transport(moved, [(1, 1, 0, QC(1), [key for key in moved.terms if key[0] == 1])]).is_zero()
 
 
 def test_validate_class_catches_violations():

@@ -19,6 +19,7 @@ import pytest
 from helpers import (
     FreqContext,
     big_omega,
+    di_functional,
     dict_product_key,
     scalar_evaluate_vf,
     scalar_validate_class,
@@ -34,7 +35,6 @@ from stringnf.nf_engine import (
     UnsolvableKeyError,
     chi3_explicit,
     commutator,
-    di_functional,
     divisor_zero_form,
     evaluate_vf,
     is_rational_normal_form,

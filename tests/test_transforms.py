@@ -92,6 +92,12 @@ class TestElasticFromDilated:
         with pytest.raises(ValueError):
             elastic_from_dilated(-0.1)
 
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_non_finite_rejected(self, y):
+        # the Newton loop used to return nan, for nan only after its 200 iterations
+        with pytest.raises(ValueError, match="not finite"):
+            elastic_from_dilated(y)
+
     def test_roundtrip_many(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
@@ -164,6 +170,15 @@ class TestZLevel:
         vals = [time_dilation(EtaState(ComplexSeq({}, 4), y)) for y in np.linspace(0, 10, 50)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(v >= 1.0 for v in vals)
+
+    def test_time_dilation_rejects_non_finite_energy(self):
+        with pytest.raises(ValueError, match="dilated elastic energy inf is not finite"):
+            time_dilation(EtaState(ComplexSeq({1: 0.1}, 2), math.inf))
+
+    def test_overflowing_state_reports_non_finite_energy(self):
+        # |z_1|^2 overflows, so the dilated energy is inf rather than too large
+        with pytest.raises(ValueError, match="dilated elastic energy inf is not finite"):
+            z_to_uv(ZState(ComplexSeq({1: 1e160}, 2)))
 
     def test_time_dilation_band(self):
         # dilated elastic energy <= 3/2 keeps the speed factor in [1, 2]

@@ -11,7 +11,8 @@ every run imports the program from the ``src/`` of its checkout.
 The snapshot holds:
 
 - ``environment``: ``nproc`` and the Python, numpy and platform strings.
-- ``src_lines``: the lines of every ``.py`` file under ``src/``, per side.
+- ``src_lines``: per side, the lines of each ``.py`` file under ``src/`` and
+  their total.
 - ``perfbench``: for each workload, ``perfbench/run.py --workload W --seed P
   --seconds S --trace 0`` in both checkouts for P = 1..pairs, with S the
   ``run_seconds`` of the change's ``BENCHMARK.json``. Pair P uses seed P on
@@ -152,8 +153,11 @@ LAYER_SCRIPTS = {
 }
 
 
-def src_lines(tree: Path) -> int:
-    return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
+def src_lines(tree: Path) -> Dict[str, Any]:
+    """The line count of each ``.py`` file under ``src/``, by its path there, and their total."""
+    src = tree / "src"
+    files = {p.relative_to(src).as_posix(): len(p.read_text().splitlines()) for p in sorted(src.rglob("*.py"))}
+    return {"total": sum(files.values()), "files": files}
 
 
 def quartiles(values: List[float]) -> Dict[str, float]:
