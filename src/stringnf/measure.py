@@ -121,8 +121,13 @@ class SampleBatch:
         the truncation) and ``weighted_norm(state(i, eps), weight)``, which runs
         over every sampled mode, including those beyond ``N``; no state is
         built. An action or a weighted norm that overflows raises
-        ``ValueError``, as in :func:`~stringnf.divisors.certify`.
+        ``ValueError``, as in :func:`~stringnf.divisors.certify`, and so does
+        an ``eps`` whose square is zero or subnormal: the scaled actions would
+        round to zero or lose their precision, and the verdict would follow
+        the rounding, not the state.
         """
+        if not eps * eps >= np.finfo(float).tiny:
+            raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
         z = self._amplitudes(eps)
         B, M = z.shape
         w2 = np.array([weight.weight_sq(a) for a in range(1, M + 1)])

@@ -20,7 +20,9 @@ and a change of frame from ``c`` to ``c'`` scales ``Im w`` by
 ``sqrt(c / c')``. The fixed point for the end stiffness is seeded by
 extrapolating the stiffness linearly over the step, ``2 c_mid - c_left``
 (at least 1), and a rotation whose stiffness reproduces itself exactly is
-the step's result. ``(u, v)`` is rebuilt only where a sample is recorded.
+the step's result. ``(u, v)`` is rebuilt only where a sample is recorded,
+``RECORD_BLOCK`` recorded steps at a time, and the records of a block are
+derived together with the arithmetic of one sample, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
 
 # the most steps one run may ask for, round(T / dt); several hours of stepping
 MAX_STEPS = 10**9
+# recorded steps whose records are derived together, and CSV rows written together
+RECORD_BLOCK = 1024
 
 
 class SimulationBlowup(RuntimeError):
@@ -148,7 +152,7 @@ def energy(state: UVState) -> float:
     """Conserved energy ``(1/2)|v|^2 + (1/2) S + (1/4) S^2`` with ``S = sum b^2 u_b^2``."""
     u, v = _to_arrays(state, state.truncation)
     a1 = np.arange(1, state.truncation + 1, dtype=float)
-    return _energy(u, v, a1 * a1)
+    return float(_energy(u, v, a1 * a1))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -160,16 +164,22 @@ def actions(state: UVState) -> dict[int, float]:
 
 
 # ---------------------------------------------------------------------------
-# packed arrays: u[a-1] and v[a-1] hold mode a
+# packed arrays: u[..., a-1] and v[..., a-1] hold mode a, one sample per row
 
 
-def _slope2(u: np.ndarray, a2: np.ndarray) -> float:
-    return float(a2 @ (u * u))
+def _dot(x: np.ndarray, y: np.ndarray):
+    # x @ y row by row. A stack of (1, M) @ (M, 1) products runs the kernel of
+    # the 1-D x @ y on every row, bit for bit; X @ y (gemv) sums in another order
+    return x @ y if x.ndim == y.ndim == 1 else np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def _energy(u: np.ndarray, v: np.ndarray, a2: np.ndarray) -> float:
+def _slope2(u: np.ndarray, a2: np.ndarray):
+    return _dot(a2, u * u)
+
+
+def _energy(u: np.ndarray, v: np.ndarray, a2: np.ndarray):
     S = _slope2(u, a2)
-    return 0.5 * float(v @ v) + 0.5 * S + 0.25 * S * S
+    return 0.5 * _dot(v, v) + 0.5 * S + 0.25 * S * S
 
 
 def _actions(u: np.ndarray, v: np.ndarray, a1: np.ndarray) -> np.ndarray:
@@ -198,8 +208,9 @@ def _reframe(w: np.ndarray, ratio: float) -> np.ndarray:
 
 # A scheme is what ``simulate`` drives: ``(start, step, unpack, finite)``.
 # ``start(u, v)`` makes the scheme's state, ``step`` advances it by dt,
-# ``unpack`` gives ``(u, v)`` back and ``finite`` checks it; the loop never
-# looks inside the state.
+# ``unpack`` gives the ``(u, v)`` of a list of states, one row each, and
+# ``finite`` checks one; the loop never looks inside a state. A step never
+# changes the state it is given, so recorded states are kept as they are.
 _Scheme = tuple[Callable, Callable, Callable, Callable]
 
 
@@ -237,9 +248,9 @@ def _strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) 
         wn = _rotate(_reframe(wh, c_left / c), half, c)
         return wn, c, _stiffness(wn)
 
-    def unpack(state: tuple[np.ndarray, float, float]) -> tuple[np.ndarray, np.ndarray]:
-        w, c, _ = state
-        return w.real / a1, w.imag * math.sqrt(c)
+    def unpack(states: list) -> tuple[np.ndarray, np.ndarray]:
+        w, c, _ = map(np.array, zip(*states))
+        return w.real / a1, w.imag * np.sqrt(c)[:, None]
 
     return start, step, unpack, lambda state: bool(np.isfinite(state[0]).all())
 
@@ -264,7 +275,7 @@ def _rk4(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) -> _Schem
         u, v = state
         return bool(np.all(np.isfinite(u)) and np.all(np.isfinite(v)))
 
-    return (lambda u, v: (u, v)), step, (lambda state: state), finite
+    return (lambda u, v: (u, v)), step, (lambda states: tuple(map(np.array, zip(*states)))), finite
 
 
 def simulate(initial: UVState, config: SimConfig) -> Trajectory:
@@ -273,7 +284,7 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     ``T`` is rounded to a whole number of steps. ``T = 0`` records the single
     initial sample. A non-finite state aborts with :class:`SimulationBlowup`
     stamped with the simulation time, as does a recorded energy, norm or
-    drift that overflows, the initial record included.
+    drift that overflows, the initial record included; the earliest wins.
     """
     M = config.M
     u, v = _to_arrays(initial, M)
@@ -284,39 +295,42 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
     start, step, unpack, finite = scheme(config.dt, a1, a2, config.linear_only)
 
     n_steps = int(round(config.T / config.dt)) if config.T > 0 else 0
-    # one list per field of Trajectory, in its order
-    times, energies, acts_list, norms, drifts = [], [], [], [], []
+    blocks: list[tuple] = []  # per block of records, the fields of Trajectory in its order
     states: Optional[list[UVState]] = [] if config.record_states else None
 
-    def record(t: float, u: np.ndarray, v: np.ndarray) -> None:
+    def record(t: list[float], u: np.ndarray, v: np.ndarray) -> None:
         acts = _actions(u, v, a1)
         H = _energy(u, v, a2)
-        norm2 = float(w2 @ acts)
-        drift = float(np.max(w2 * np.abs(acts - acts0)))
+        norm2 = _dot(w2, acts)
+        drift = np.max(w2 * np.abs(acts - acts0), axis=-1)
         # a finite state can still overflow what is recorded; all three are
         # sums of nonnegative terms, so one sum checks them
-        if not math.isfinite(H + norm2 + drift):
-            raise SimulationBlowup(t, f"recorded energy, norm or drift is not finite at t={t:.6g}")
-        times.append(t)
-        energies.append(H)
-        acts_list.append(acts)
-        norms.append(math.sqrt(norm2))
-        drifts.append(drift)
+        bad = np.flatnonzero(~np.isfinite(H + norm2 + drift))
+        if bad.size:
+            raise SimulationBlowup(t[bad[0]], f"recorded energy, norm or drift is not finite at t={t[bad[0]]:.6g}")
+        blocks.append((t, H, acts, np.sqrt(norm2), drift))
         if states is not None:
-            states.append(_to_state(u, v))
+            states.extend(map(_to_state, u, v))
 
     with np.errstate(over="ignore", invalid="ignore"):
         acts0 = _actions(u, v, a1)
-        record(0.0, u, v)
+        record([0.0], u[None], v[None])
         state = start(u, v)
+        times, block = [], []  # the recorded steps not yet derived
         for k in range(1, n_steps + 1):
             state = step(state)
             if not finite(state):
+                if block:  # a record that overflowed earlier wins
+                    record(times, *unpack(block))
                 raise SimulationBlowup(k * config.dt)
             if k % config.record_stride == 0 or k == n_steps:
-                record(k * config.dt, *unpack(state))
+                times.append(k * config.dt)
+                block.append(state)
+                if len(block) == RECORD_BLOCK or k == n_steps:
+                    record(times, *unpack(block))
+                    times, block = [], []
 
-    return Trajectory(*(np.array(x) for x in (times, energies, acts_list, norms, drifts)), config, states)
+    return Trajectory(*map(np.concatenate, zip(*blocks)), config, states)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +347,10 @@ def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase, header_lines: Seq
         stream.write(f"# {line}\n")
     cols = ["t", "H", "sup_drift"] + [f"I_{a}" for a in range(1, traj.M + 1)]
     stream.write(",".join(cols) + "\n")
-    rows = zip(traj.times.tolist(), traj.energy.tolist(), traj.sup_drift.tolist(), traj.actions)
-    for t, H, drift, acts in rows:
-        stream.write(",".join(map(repr, [t, H, drift, *acts.tolist()])) + "\n")
+    columns = (traj.times, traj.energy, traj.sup_drift, traj.actions)
+    for i in range(0, len(traj.times), RECORD_BLOCK):
+        rows = np.column_stack([x[i : i + RECORD_BLOCK] for x in columns]).tolist()
+        stream.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def trajectory_summary(traj: Trajectory) -> dict:

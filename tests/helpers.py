@@ -46,7 +46,13 @@ Contents:
 - ``_rotate`` and ``_step_strang``: the split step on the real pair
   ``(u, v)``, with a cosine/sine rotation per half step and the fixed point
   seeded at the midpoint stiffness; the reference for the complex-variable
-  stepper behind ``simulator.simulate``.
+  stepper behind ``simulator.simulate``,
+- ``scalar_record`` and ``scalar_simulate``: the energy, actions, weighted
+  norm and drift of one recorded sample at a time, each dot product a 1-D
+  ``@``, with a blow-up raised at the first record or state that is not
+  finite; the reference for the block-wise records of ``simulator.simulate``,
+- ``scalar_trajectory_to_csv``: the sample table written one row at a time;
+  the reference for the block-wise ``simulator.trajectory_to_csv``.
 """
 
 from __future__ import annotations
@@ -85,7 +91,9 @@ from stringnf.nf_engine.rational import (
     evaluate_vf,
     key_exponents,
 )
-from stringnf.simulator import _slope2
+from stringnf import simulator
+from stringnf.simulator import SimConfig, SimulationBlowup, Trajectory, _slope2
+from stringnf.transforms import UVState
 
 
 # ---------------------------------------------------------------------------
@@ -887,3 +895,72 @@ def _step_strang(
             break
         c = c_new
     return _rotate(uh, vh, a1 * math.sqrt(c), 0.5 * dt)
+
+
+# ---------------------------------------------------------------------------
+# per-sample records
+
+
+def scalar_record(
+    t: float, u: np.ndarray, v: np.ndarray, acts0: np.ndarray, a1: np.ndarray, a2: np.ndarray, w2: np.ndarray
+) -> tuple[float, np.ndarray, float, float]:
+    """Energy, actions, weighted norm and drift of the sample ``(u, v)`` at time ``t``."""
+    acts = 0.5 * (a1 * u * u + v * v / a1)
+    S = float(a2 @ (u * u))
+    H = 0.5 * float(v @ v) + 0.5 * S + 0.25 * S * S
+    norm2 = float(w2 @ acts)
+    drift = float(np.max(w2 * np.abs(acts - acts0)))
+    if not math.isfinite(H + norm2 + drift):
+        raise SimulationBlowup(t, f"recorded energy, norm or drift is not finite at t={t:.6g}")
+    return H, acts, math.sqrt(norm2), drift
+
+
+def scalar_simulate(initial: UVState, config: SimConfig) -> Trajectory:
+    """``simulator.simulate`` with each sample recorded by ``scalar_record`` as it is stepped to.
+
+    The steps are the package's own; a non-finite state or record raises at
+    once, so the first of them wins.
+    """
+    M = config.M
+    u = np.array([initial.u.get(a, 0.0) for a in range(1, M + 1)])
+    v = np.array([initial.v.get(a, 0.0) for a in range(1, M + 1)])
+    a1 = np.arange(1, M + 1, dtype=float)
+    a2 = a1 * a1
+    w2 = np.array([config.weight.weight_sq(a) for a in range(1, M + 1)])
+    strang = config.scheme == "strang_split"
+    start, step, _, finite = (simulator._strang_split if strang else simulator._rk4)(
+        config.dt, a1, a2, config.linear_only
+    )
+    n_steps = int(round(config.T / config.dt)) if config.T > 0 else 0
+    rows, states = [], []
+
+    def record(t: float, u: np.ndarray, v: np.ndarray) -> None:
+        rows.append((t, *scalar_record(t, u, v, acts0, a1, a2, w2)))
+        states.append(UVState({a: float(x) for a, x in enumerate(u, 1) if x != 0.0},
+                              {a: float(x) for a, x in enumerate(v, 1) if x != 0.0}, M))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts0 = 0.5 * (a1 * u * u + v * v / a1)
+        record(0.0, u, v)
+        state = start(u, v)
+        for k in range(1, n_steps + 1):
+            state = step(state)
+            if not finite(state):
+                raise SimulationBlowup(k * config.dt)
+            if k % config.record_stride == 0 or k == n_steps:
+                # strang_split carries (w, c, c_w), rk4 carries (u, v)
+                uv = (state[0].real / a1, state[0].imag * math.sqrt(state[1])) if strang else state
+                record(k * config.dt, *uv)
+    times, energy, actions, norm_w, sup_drift = map(np.array, zip(*rows))
+    return Trajectory(times, energy, actions, norm_w, sup_drift, config,
+                      states if config.record_states else None)
+
+
+def scalar_trajectory_to_csv(traj: Trajectory, stream, header_lines=()) -> None:
+    """The sample table of ``simulator.trajectory_to_csv``, one ``write`` per row."""
+    for line in header_lines:
+        stream.write(f"# {line}\n")
+    stream.write(",".join(["t", "H", "sup_drift"] + [f"I_{a}" for a in range(1, traj.M + 1)]) + "\n")
+    rows = zip(traj.times.tolist(), traj.energy.tolist(), traj.sup_drift.tolist(), traj.actions)
+    for t, H, drift, acts in rows:
+        stream.write(",".join(map(repr, [t, H, drift, *acts.tolist()])) + "\n")

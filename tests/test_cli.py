@@ -315,7 +315,10 @@ class TestDriftSweepCommand:
         ("eps=[1e50]", "elastic energy"),  # the coordinate change's mixing rounds to singular
         ("eps=[1e200]", "action"),  # the sampled actions overflow before certification
         ("ball_radius=1e-9", "rejection rate"),  # the sampler rejects every draw
-        ("eps=[1e-160] T=0", "horizon"),  # a state certifies, but the default T = eps^-2 overflows
+        # an eps whose square is zero or subnormal would score every state alike; it is refused
+        # before the default horizon T = eps^-2, which it alone could overflow
+        ("eps=[1e-160] T=0", "subnormal"),
+        ("eps=[1e-200]", "subnormal"),
         ("eps=[1e-100] T=0", "steps"),  # T = eps^-2 is finite but asks for 2e202 steps
         ("eps=[0.4] T=-5", "T: expected a number >= 0"),  # only 0 selects the default horizon
     ])
@@ -367,6 +370,8 @@ class TestMeasureCommand:
         ("eps=-0.5", "eps: expected a number >= 0"),  # only 0 selects the default amplitude
         # eps^2 = inf is refused up front, not after the small-data warning and the scaled actions
         ("eps=1e200", "eps = 1e+200 has a square that is not finite"),
+        # eps^2 = 0 would score every sample resonant, as a zero state
+        ("eps=1e-200", "eps = 1e-200 has a square that is zero or subnormal"),
     ])
     def test_unusable_amplitude_is_config_error(self, tmp_path, capsys, setting, cause):
         out = tmp_path / "o"

@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import helpers
@@ -274,3 +276,103 @@ class TestExport:
         ):
             assert key in s
         assert s["samples"] == len(traj.times)
+
+
+def assert_same_records(traj, ref):
+    for name in ("times", "energy", "actions", "norm_w", "sup_drift"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+        assert got.tobytes() == want.tobytes(), name
+    assert traj.states == ref.states
+
+
+class TestBlockedRecords:
+    """Records derived a block at a time against ``helpers.scalar_simulate``, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=hst.sampled_from(["strang_split", "rk4"]),
+        M=hst.integers(1, 16),
+        n_steps=hst.integers(0, 60),
+        stride=hst.integers(1, 8),
+        block=hst.integers(1, 5),
+        record_states=hst.booleans(),
+        s=hst.floats(0.0, 3.0),
+        log_amp=hst.floats(math.log(1e-4), math.log(0.5)),
+        coeffs=hst.lists(hst.floats(-1.0, 1.0), min_size=32, max_size=32),
+    )
+    # stride 1 over many blocks, a stride that does not divide the steps, T = 0
+    @example("strang_split", 16, 50, 1, 3, True, 1.0, math.log(0.3), [0.7, -0.4] * 16)
+    @example("rk4", 16, 50, 1, 4, False, 2.0, math.log(0.3), [-0.6, 0.9] * 16)
+    @example("strang_split", 7, 41, 4, 2, True, 0.5, math.log(0.2), [0.8, 0.3] * 16)
+    @example("rk4", 7, 41, 6, 1, True, 0.5, math.log(0.2), [0.8, 0.3] * 16)
+    @example("strang_split", 5, 0, 1, 2, True, 1.0, math.log(0.3), [0.5] * 32)
+    @example("rk4", 5, 0, 3, 2, False, 1.0, math.log(0.3), [0.5] * 32)
+    def test_matches_scalar_records_bit_for_bit(self, scheme, M, n_steps, stride, block, record_states, s,
+                                                log_amp, coeffs):
+        amp = math.exp(log_amp)
+        u = {a: amp * coeffs[a - 1] * a ** -(s + 1.0) for a in range(1, M + 1)}
+        v = {a: amp * coeffs[16 + a - 1] * a**-s for a in range(1, M + 1)}
+        st = UVState(u, v, M)
+        dt = 0.1 / M
+        cfg = SimConfig(dt=dt, T=n_steps * dt, scheme=scheme, M=M, record_stride=stride,
+                        weight=WeightSpec("sobolev", s=s), record_states=record_states)
+        with mock.patch.object(simulator, "RECORD_BLOCK", block):
+            traj = simulate(st, cfg)
+        assert_same_records(traj, helpers.scalar_simulate(st, cfg))
+
+    @pytest.mark.parametrize("scheme", ["strang_split", "rk4"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_runs_longer_than_a_block(self, scheme, stride):
+        # 2,101 steps: three blocks of records at stride 1, one at stride 3
+        cfg = SimConfig(dt=1e-3, T=2.101, scheme=scheme, M=16, record_stride=stride,
+                        weight=WeightSpec("sobolev", s=3.0), record_states=True)
+        st = small_state(M=16, amp=0.3)
+        traj = simulate(st, cfg)
+        assert len(traj.times) == 2101 // stride + 1 + (2101 % stride > 0)
+        assert_same_records(traj, helpers.scalar_simulate(st, cfg))
+
+    @pytest.mark.filterwarnings("error")
+    def test_record_overflow_before_a_non_finite_state_wins(self):
+        # linear rk4 at a dt = 10 grows about 400-fold per step: the recorded
+        # energy overflows at t = 300 while the state stays finite up to
+        # t = 1190, both inside the first block of records
+        st = UVState({1: 1.0}, {}, 1)
+        cfg = SimConfig(dt=10.0, T=2000.0, M=1, scheme="rk4", linear_only=True, allow_large_dt=True)
+        with pytest.raises(SimulationBlowup) as exc:
+            simulate(st, dataclasses.replace(cfg, record_stride=10**9))
+        assert (exc.value.time, str(exc.value)) == (1190.0, "state became non-finite at t=1190")
+        with pytest.raises(SimulationBlowup) as exc:
+            simulate(st, cfg)
+        assert (exc.value.time, str(exc.value)) == (300.0, "recorded energy, norm or drift is not finite at t=300")
+        with pytest.raises(SimulationBlowup) as ref:
+            helpers.scalar_simulate(st, cfg)
+        assert (ref.value.time, str(ref.value)) == (exc.value.time, str(exc.value))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", ["strang_split", "rk4"])
+    def test_initial_record_overflow_wins_before_any_step(self, scheme, monkeypatch):
+        steps = []
+
+        def counting(make):
+            def made(*args):
+                start, step, unpack, finite = make(*args)
+                return start, lambda state: steps.append(state) or step(state), unpack, finite
+            return made
+
+        for name in ("_strang_split", "_rk4"):
+            monkeypatch.setattr(simulator, name, counting(getattr(simulator, name)))
+        cfg = SimConfig(dt=1e-3, T=1.0, M=2, scheme=scheme)
+        with pytest.raises(SimulationBlowup) as exc:
+            simulate(UVState({1: 1e100}, {}, 2), cfg)
+        assert (exc.value.time, str(exc.value)) == (0.0, "recorded energy, norm or drift is not finite at t=0")
+        assert not steps
+
+    @pytest.mark.parametrize("n_rows", [1, 2048, 2501])
+    def test_csv_matches_row_writer_byte_for_byte(self, n_rows):
+        traj = simulate(small_state(M=5, amp=0.3), SimConfig(dt=1e-3, T=(n_rows - 1) * 1e-3, M=5))
+        assert len(traj.times) == n_rows
+        got, want = io.StringIO(), io.StringIO()
+        trajectory_to_csv(traj, got, ["config: demo", "seed: 1"])
+        helpers.scalar_trajectory_to_csv(traj, want, ["config: demo", "seed: 1"])
+        assert got.getvalue() == want.getvalue()

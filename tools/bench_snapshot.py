@@ -34,8 +34,11 @@ The snapshot holds:
   states from ``_plain_states(B, 8, 1)`` at (r, N) = (2, 8), seconds per
   call once the divisor table is built; one step of ``simulate`` at M = 1,
   Strang split and rk4, as seconds per step over 20,000 steps without
-  records; and the default ``nf-verify`` (``solver_N`` 4) as a subprocess,
-  interpreter start included.
+  records; ``simulate`` at M = 16, Strang split, ``record_stride`` 1 over
+  10,000 steps, as seconds per recorded sample, and ``trajectory_to_csv``
+  of that trajectory into a ``StringIO``, as seconds per row; and the
+  default ``nf-verify`` (``solver_N`` 4) as a subprocess, interpreter start
+  included.
 - ``slowest_tests``: the call phase of the three slowest tier-1 tests, as
   ``pytest --durations`` reports it, once per side with the side that runs
   first alternating from test to test.
@@ -142,6 +145,26 @@ simulate(UVState({{1: 0.25}}, {{}}, 1), cfg)
 print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
 """
 
+# criterion 5's 16-mode state, recorded on every step
+RECORDED = """
+import io
+import time
+import numpy as np
+from stringnf.simulator import SimConfig, simulate, trajectory_to_csv
+from stringnf.transforms import UVState
+rng = np.random.default_rng(3)
+u = {{a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}}
+v = {{a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}}
+cfg = SimConfig(dt=1e-3, T=10.0, M=16, record_stride=1)
+t = time.perf_counter()
+traj = simulate(UVState(u, v, 16), cfg)
+per_sample = (time.perf_counter() - t) / len(traj.times)
+t = time.perf_counter()
+trajectory_to_csv(traj, io.StringIO())
+per_row = (time.perf_counter() - t) / len(traj.times)
+print({timed})
+"""
+
 LAYER_SCRIPTS = {
     "bracket_34": BRACKET_34,
     "rel_residual_34": REL_RESIDUAL_34,
@@ -150,6 +173,8 @@ LAYER_SCRIPTS = {
     "certify_250": CERTIFY.format(B=250, reps=20),
     "strang_step_1": STEP.format(scheme="strang_split"),
     "rk4_step_1": STEP.format(scheme="rk4"),
+    "record_16": RECORDED.format(timed="per_sample"),
+    "csv_16": RECORDED.format(timed="per_row"),
 }
 
 
@@ -259,6 +284,9 @@ def layers_section(trees) -> Dict[str, Any]:
         "certify_250": "divisors.certify of _plain_states(250, 8, 1) at (r, N) = (2, 8), seconds per call",
         "strang_step_1": "simulate, strang_split at M = 1, seconds per step over 20,000 steps",
         "rk4_step_1": "simulate, rk4 at M = 1, seconds per step over 20,000 steps",
+        "record_16": "simulate, strang_split at M = 16, record_stride 1, seconds per recorded sample "
+                     "over 10,000 steps",
+        "csv_16": "trajectory_to_csv of that trajectory into a StringIO, seconds per row",
         "nf_verify_default": "stringnf nf-verify --set golden_dir=tests/golden (solver_N 4), subprocess",
     }
     timings = {label: {side: [] for side in SIDES} for label in names.values()}
