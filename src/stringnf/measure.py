@@ -245,6 +245,13 @@ def default_eps(gamma: float, r: int, N: int) -> float:
     return eps
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and > 0")
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps = {eps!r} has a square that is not finite")
+
+
 def estimate_measure(
     params: NonResonanceParams, spec: MeasureSpec | SampleBatch, eps: float
 ) -> MeasureEstimate:
@@ -260,10 +267,7 @@ def estimate_measure(
     but the lower bound ``1 - lambda gamma`` on the true fraction is not
     guaranteed at that scale, so a warning is issued.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be finite and > 0")
-    if not math.isfinite(eps * eps):
-        raise ValueError(f"eps = {eps!r} has a square that is not finite")
+    _check_eps(eps)
     cap = eps_squared_cap(params.gamma, params.r, params.N)
     if eps * eps > cap:
         warnings.warn(
@@ -336,8 +340,9 @@ def divisor_tail(
     and the corrected divisor to the next-order one. The index vector must be
     irreducible.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be finite and > 0")
+    _check_eps(eps)
+    if not eps * eps >= np.finfo(float).tiny:  # as SampleBatch.rows refuses it
+        raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
     v, _, red = _reduce(jvec)
     if not red:
         raise ValueError("integrable index vector has no divisor tail")

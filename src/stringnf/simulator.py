@@ -20,9 +20,12 @@ and a change of frame from ``c`` to ``c'`` scales ``Im w`` by
 ``sqrt(c / c')``. The fixed point for the end stiffness is seeded by
 extrapolating the stiffness linearly over the step, ``2 c_mid - c_left``
 (at least 1), and a rotation whose stiffness reproduces itself exactly is
-the step's result. ``(u, v)`` is rebuilt only where a sample is recorded,
-``RECORD_BLOCK`` recorded steps at a time, and the records of a block are
-derived together with the arithmetic of one sample, bit for bit.
+the step's result; its factor serves the next step's first half. ``(u, v)``
+is rebuilt only where a sample is recorded, ``RECORD_BLOCK`` recorded steps
+at a time, and the records of a block are derived together with the
+arithmetic of one sample, bit for bit. The state is checked finite there and
+every ``RECORD_BLOCK`` steps; no step makes a non-finite state finite, so a
+failed check retakes the steps from the last good state.
 """
 
 from __future__ import annotations
@@ -192,20 +195,6 @@ def _stiffness(w: np.ndarray) -> float:
     return 1.0 + float(x @ x)
 
 
-def _rotate(w: np.ndarray, minus_ih_a: np.ndarray, c: float) -> np.ndarray:
-    # exact flow over time h at frozen stiffness c, with minus_ih_a = -i h a:
-    # w_a -> w_a exp(-i a sqrt(c) h)
-    return w * np.exp(minus_ih_a * math.sqrt(c))
-
-
-def _reframe(w: np.ndarray, ratio: float) -> np.ndarray:
-    # the same (u, v) in the frame of another stiffness: Im w = v / sqrt(c)
-    # is scaled by sqrt(c_old / c_new), with ratio = c_old / c_new
-    out = w.copy()
-    out.imag *= math.sqrt(ratio)
-    return out
-
-
 # A scheme is what ``simulate`` drives: ``(start, step, unpack, finite)``.
 # ``start(u, v)`` makes the scheme's state, ``step`` advances it by dt,
 # ``unpack`` gives the ``(u, v)`` of a list of states, one row each, and
@@ -218,7 +207,16 @@ def _strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) 
     # state (w, c, c_w): w = a u + i v / sqrt(c) in the frame of stiffness c,
     # and c_w = 1 + S of w itself (equal to c when the fixed point closed exactly)
     half = (-0.5j * dt) * a1
-    full = (-1j * dt) * a1
+    linear = np.exp((-1j * dt) * a1 * math.sqrt(1.0))  # the full step at stiffness 1
+    arg = np.zeros_like(half)  # half * sqrt(c), bit for bit: its real part stays +0.0
+    memo = [math.nan, None]  # the last c and its factor
+
+    def phase(c: float) -> np.ndarray:
+        # exp(-i a sqrt(c) dt / 2): the half step at frozen stiffness c
+        if c != memo[0]:
+            np.multiply(half.imag, math.sqrt(c), out=arg.imag)
+            memo[:] = c, np.exp(arg)
+        return memo[1]
 
     def start(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
         w = a1 * u + 1j * v
@@ -227,32 +225,33 @@ def _strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) 
     def step(state: tuple[np.ndarray, float, float]) -> tuple[np.ndarray, float, float]:
         w, c, c_left = state
         if linear_only:
-            return _rotate(w, full, 1.0), 1.0, 1.0
-        if c_left != c:
-            w = _reframe(w, c / c_left)
-        wh = _rotate(w, half, c_left)
+            return w * linear, 1.0, 1.0
+        if c_left != c:  # the same (u, v) in the frame of c_left
+            w = w.copy()
+            w.imag *= math.sqrt(c / c_left)
+        wh = w * phase(c_left)
         # second half freezes the stiffness at the step's end state; the
         # stiffness moves about as much over each half, so extrapolate the
         # seed (clamped, since c >= 1 and the line can cross it for large data)
-        c_mid = _stiffness(wh)
-        c = max(1.0, 2.0 * c_mid - c_left)
-        for _ in range(12):
-            wn = _rotate(_reframe(wh, c_left / c), half, c)
+        c = max(1.0, 2.0 * _stiffness(wh) - c_left)
+        closing = False  # the last iteration converged: this rotation is the result
+        for i in range(13):
+            wn = wh.copy()
+            wn.imag *= math.sqrt(c_left / c)
+            wn = wn * phase(c)  # not in place: at M = 1 that product rounds otherwise
             c_new = _stiffness(wn)
-            if c_new == c:
-                return wn, c, c  # the closing rotation would repeat this one
-            converged = abs(c_new - c) <= 1e-15 * c
-            c = c_new
-            if converged:
+            if closing or c_new == c or i == 12:
                 break
-        wn = _rotate(_reframe(wh, c_left / c), half, c)
-        return wn, c, _stiffness(wn)
+            closing = abs(c_new - c) <= 1e-15 * c
+            c = c_new
+        return wn, c, c_new
 
     def unpack(states: list) -> tuple[np.ndarray, np.ndarray]:
         w, c, _ = map(np.array, zip(*states))
         return w.real / a1, w.imag * np.sqrt(c)[:, None]
 
-    return start, step, unpack, lambda state: bool(np.isfinite(state[0]).all())
+    # |w|^2 is finite only if every w_a is; when it overflows, test each
+    return start, step, unpack, lambda s: math.isfinite(np.vdot(s[0], s[0]).real) or bool(np.isfinite(s[0]).all())
 
 
 def _rk4(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) -> _Scheme:
@@ -271,11 +270,8 @@ def _rk4(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) -> _Schem
         vn = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         return un, vn
 
-    def finite(state: tuple[np.ndarray, np.ndarray]) -> bool:
-        u, v = state
-        return bool(np.all(np.isfinite(u)) and np.all(np.isfinite(v)))
-
-    return (lambda u, v: (u, v)), step, (lambda states: tuple(map(np.array, zip(*states)))), finite
+    return ((lambda u, v: (u, v)), step, (lambda states: tuple(map(np.array, zip(*states)))),
+            lambda s: bool(np.isfinite(s[0]).all() and np.isfinite(s[1]).all()))
 
 
 def simulate(initial: UVState, config: SimConfig) -> Trajectory:
@@ -316,14 +312,23 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
         acts0 = _actions(u, v, a1)
         record([0.0], u[None], v[None])
         state = start(u, v)
+        good = 0, state  # the last step checked finite, and its state; no later step is recorded
         times, block = [], []  # the recorded steps not yet derived
         for k in range(1, n_steps + 1):
             state = step(state)
-            if not finite(state):
-                if block:  # a record that overflowed earlier wins
-                    record(times, *unpack(block))
-                raise SimulationBlowup(k * config.dt)
-            if k % config.record_stride == 0 or k == n_steps:
+            recorded = k % config.record_stride == 0 or k == n_steps
+            if recorded or k % RECORD_BLOCK == 0:
+                if not finite(state):
+                    # no step makes a non-finite state finite again, so the
+                    # first one comes after the good one: retake the steps
+                    k, state = good
+                    while finite(state):
+                        k, state = k + 1, step(state)
+                    if block:  # a record that overflowed earlier wins
+                        record(times, *unpack(block))
+                    raise SimulationBlowup(k * config.dt)
+                good = k, state
+            if recorded:
                 times.append(k * config.dt)
                 block.append(state)
                 if len(block) == RECORD_BLOCK or k == n_steps:

@@ -47,10 +47,16 @@ Contents:
   ``(u, v)``, with a cosine/sine rotation per half step and the fixed point
   seeded at the midpoint stiffness; the reference for the complex-variable
   stepper behind ``simulator.simulate``,
+- ``scalar_strang_split``: the complex-variable split step with one
+  ``exp`` per rotation, one fresh array per change of frame and a finiteness
+  test of every element; the bit-for-bit reference for the kernel
+  ``simulator._strang_split``, which reuses a phase factor while the
+  stiffness repeats,
 - ``scalar_record`` and ``scalar_simulate``: the energy, actions, weighted
   norm and drift of one recorded sample at a time, each dot product a 1-D
   ``@``, with a blow-up raised at the first record or state that is not
-  finite; the reference for the block-wise records of ``simulator.simulate``,
+  finite, every state checked; the reference for the block-wise records of
+  ``simulator.simulate`` and for the time and message of its blow-ups,
 - ``scalar_trajectory_to_csv``: the sample table written one row at a time;
   the reference for the block-wise ``simulator.trajectory_to_csv``.
 """
@@ -862,7 +868,7 @@ def scalar_divisor_tail(jvec, params, spec, eps) -> tuple[int, int, float, float
 
 
 # ---------------------------------------------------------------------------
-# real-pair Strang step
+# Strang steps: on the real pair, and on w one rotation at a time
 
 
 def _rotate(u: np.ndarray, v: np.ndarray, omega: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -897,6 +903,68 @@ def _step_strang(
     return _rotate(uh, vh, a1 * math.sqrt(c), 0.5 * dt)
 
 
+def _stiffness_w(w: np.ndarray) -> float:
+    # 1 + S with S = sum_a a^2 u_a^2 = sum_a (Re w_a)^2
+    x = w.real
+    return 1.0 + float(x @ x)
+
+
+def _rotate_w(w: np.ndarray, minus_ih_a: np.ndarray, c: float) -> np.ndarray:
+    # exact flow over time h at frozen stiffness c, with minus_ih_a = -i h a:
+    # w_a -> w_a exp(-i a sqrt(c) h)
+    return w * np.exp(minus_ih_a * math.sqrt(c))
+
+
+def _reframe_w(w: np.ndarray, ratio: float) -> np.ndarray:
+    # the same (u, v) in the frame of another stiffness: Im w = v / sqrt(c)
+    # is scaled by sqrt(c_old / c_new), with ratio = c_old / c_new
+    out = w.copy()
+    out.imag *= math.sqrt(ratio)
+    return out
+
+
+def scalar_strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool):
+    """``(start, step, unpack, finite)`` of the split scheme, one call per rotation and change of frame.
+
+    The state is ``(w, c, c_w)`` as in ``simulator._strang_split``. Every
+    rotation computes its own factor ``exp(-i a sqrt(c) h)``, and ``finite``
+    tests every element of ``w``.
+    """
+    half = (-0.5j * dt) * a1
+    full = (-1j * dt) * a1
+
+    def start(u: np.ndarray, v: np.ndarray):
+        w = a1 * u + 1j * v
+        return w, 1.0, _stiffness_w(w)
+
+    def step(state):
+        w, c, c_left = state
+        if linear_only:
+            return _rotate_w(w, full, 1.0), 1.0, 1.0
+        if c_left != c:
+            w = _reframe_w(w, c / c_left)
+        wh = _rotate_w(w, half, c_left)
+        c_mid = _stiffness_w(wh)
+        c = max(1.0, 2.0 * c_mid - c_left)
+        for _ in range(12):
+            wn = _rotate_w(_reframe_w(wh, c_left / c), half, c)
+            c_new = _stiffness_w(wn)
+            if c_new == c:
+                return wn, c, c  # the closing rotation would repeat this one
+            converged = abs(c_new - c) <= 1e-15 * c
+            c = c_new
+            if converged:
+                break
+        wn = _rotate_w(_reframe_w(wh, c_left / c), half, c)
+        return wn, c, _stiffness_w(wn)
+
+    def unpack(states: list):
+        w, c, _ = map(np.array, zip(*states))
+        return w.real / a1, w.imag * np.sqrt(c)[:, None]
+
+    return start, step, unpack, lambda state: bool(np.isfinite(state[0]).all())
+
+
 # ---------------------------------------------------------------------------
 # per-sample records
 
@@ -918,8 +986,9 @@ def scalar_record(
 def scalar_simulate(initial: UVState, config: SimConfig) -> Trajectory:
     """``simulator.simulate`` with each sample recorded by ``scalar_record`` as it is stepped to.
 
-    The steps are the package's own; a non-finite state or record raises at
-    once, so the first of them wins.
+    The split steps are ``scalar_strang_split``'s and the rk4 steps the
+    package's own; every state is checked, and a non-finite state or record
+    raises at once, so the first of them wins.
     """
     M = config.M
     u = np.array([initial.u.get(a, 0.0) for a in range(1, M + 1)])
@@ -928,7 +997,7 @@ def scalar_simulate(initial: UVState, config: SimConfig) -> Trajectory:
     a2 = a1 * a1
     w2 = np.array([config.weight.weight_sq(a) for a in range(1, M + 1)])
     strang = config.scheme == "strang_split"
-    start, step, _, finite = (simulator._strang_split if strang else simulator._rk4)(
+    start, step, _, finite = (scalar_strang_split if strang else simulator._rk4)(
         config.dt, a1, a2, config.linear_only
     )
     n_steps = int(round(config.T / config.dt)) if config.T > 0 else 0

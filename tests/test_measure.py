@@ -1,6 +1,7 @@
 """Gaussian action sampling and Monte Carlo divisor statistics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +305,17 @@ class TestDivisorTail:
             divisor_tail(((1, 4), (-1, 4), (1, 3), (1, 2)), params, spec, 1.0)
         with pytest.raises(ValueError, match="conjugate"):
             divisor_tail(((-1, 2),), params, spec, 1.0)
+
+    @pytest.mark.parametrize("eps,cause", [
+        # the scaled actions round to zero: every divisor and threshold is 0.0
+        (1e-200, "eps = 1e-200 has a square that is zero or subnormal"),
+        (1e200, "eps = 1e+200 has a square that is not finite"),
+    ])
+    def test_rejects_eps_whose_square_is_unusable(self, eps, cause):
+        params = NonResonanceParams(2, 4, 0.1, SOB1)
+        spec = MeasureSpec(SOB1, 4, 200, 1)
+        with pytest.raises(ValueError, match=re.escape(cause)):
+            divisor_tail(((1, 3), (1, 1), (-1, 2), (-1, 2)), params, spec, eps)
 
     def test_determinism_and_record(self):
         params = NonResonanceParams(2, 1, 0.2, SOB2)

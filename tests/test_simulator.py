@@ -207,23 +207,94 @@ class TestComplexStepper:
 
     def test_rotations_per_step(self, monkeypatch):
         # criterion 5's 16-mode state: the extrapolated seed and the reuse of
-        # a converged rotation hold the count near three (one per half step
-        # and one to confirm the fixed point)
-        calls = 0
-        rotate = simulator._rotate
+        # a converged rotation hold the products near three (one per half
+        # step and one to confirm the fixed point), and a step that closes on
+        # its stiffness leaves its factor to the next, so near two are computed
+        factors = products = 0
+        exp = np.exp
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return rotate(*args)
+        class Factor(np.ndarray):
+            # a phase factor that counts the products it takes part in
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                nonlocal products
+                products += ufunc is np.multiply
+                return getattr(ufunc, method)(*(x.view(np.ndarray) if isinstance(x, Factor) else x
+                                                for x in inputs), **kwargs)
 
-        monkeypatch.setattr(simulator, "_rotate", counting)
+        def counting(x, *args, **kwargs):
+            nonlocal factors
+            factors += 1
+            return exp(x, *args, **kwargs).view(Factor)
+
         rng = np.random.default_rng(3)
         u = {a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
         v = {a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
         n_steps = 2000
+        monkeypatch.setattr(np, "exp", counting)
         simulate(UVState(u, v, 16), SimConfig(dt=1e-3, T=n_steps * 1e-3, M=16, record_stride=10**9))
-        assert calls <= 3.2 * n_steps
+        monkeypatch.undo()
+        assert n_steps <= factors <= 2.2 * n_steps
+        assert 2 * n_steps <= products <= 3.2 * n_steps
+
+
+def lean_step_states(M, dt, linear_only, amp, coeffs, reframed):
+    """Start states of the split kernel and of its oracle; with ``reframed`` the
+    frame stiffness differs from that of ``w``, as after a step that closed by tolerance."""
+    a1 = np.arange(1, M + 1, dtype=float)
+    u = np.array([amp * coeffs[a - 1] * a**-2.0 for a in range(1, M + 1)])
+    v = np.array([amp * coeffs[16 + a - 1] * a**-1.0 for a in range(1, M + 1)])
+    kernel = simulator._strang_split(dt, a1, a1 * a1, linear_only)
+    oracle = helpers.scalar_strang_split(dt, a1, a1 * a1, linear_only)
+    states = [make[0](u, v) for make in (kernel, oracle)]
+    if reframed:
+        states = [(w, c_w * (1.0 + 2.0**-20), c_w) for w, _, c_w in states]
+    return kernel, oracle, states
+
+
+def state_bits(state):
+    w, c, c_w = state
+    return w.tobytes(), np.float64(c).tobytes(), np.float64(c_w).tobytes()
+
+
+class TestLeanStep:
+    """``simulator._strang_split`` against ``helpers.scalar_strang_split``, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=hst.integers(1, 16),
+        dt_frac=hst.sampled_from([1.0, 0.5, 0.123, 0.05]),
+        linear_only=hst.booleans(),
+        reframed=hst.booleans(),
+        log_amp=hst.floats(math.log(1e-4), math.log(2.0)),
+        coeffs=hst.lists(hst.floats(-1.0, 1.0), min_size=32, max_size=32),
+        n_steps=hst.integers(1, 300),
+    )
+    @example(1, 1.0, False, True, math.log(0.5), [0.9, -0.3] * 16, 200)
+    @example(16, 0.05, False, True, math.log(0.05), [0.7, -0.4] * 16, 300)
+    @example(4, 0.5, True, True, math.log(0.3), [0.5] * 32, 50)
+    def test_state_matches_oracle_bit_for_bit(self, M, dt_frac, linear_only, reframed, log_amp, coeffs,
+                                              n_steps):
+        kernel, oracle, (state, ref) = lean_step_states(M, dt_frac * 0.1 / M, linear_only, math.exp(log_amp),
+                                                        coeffs, reframed)
+        for k in range(n_steps):
+            state, ref = kernel[1](state), oracle[1](ref)
+            assert state_bits(state) == state_bits(ref), k
+            assert kernel[3](state) == oracle[3](ref)
+
+    def test_reframed_start_takes_the_tolerance_branch(self):
+        # the frame stiffness differs from that of w: the first half step
+        # changes frame, and the factor of the old frame is not reused
+        kernel, oracle, (state, ref) = lean_step_states(3, 0.01, False, 0.5, [0.6, -0.2] * 16, True)
+        assert state[1] != state[2]
+        state, ref = kernel[1](state), oracle[1](ref)
+        assert state_bits(state) == state_bits(ref)
+
+    def test_finite_check_falls_back_when_the_sum_overflows(self):
+        _, _, _, finite = simulator._strang_split(1e-3, np.arange(1.0, 3.0), np.arange(1.0, 3.0) ** 2, False)
+        assert finite((np.array([1e200 + 1e200j, 1.0]), 1.0, 1.0))  # |w|^2 overflows, w is finite
+        for bad in (np.inf, -np.inf, np.nan):
+            assert not finite((np.array([1.0, complex(bad, 0.0)]), 1.0, 1.0))
+            assert not finite((np.array([complex(0.0, bad), 1.0]), 1.0, 1.0))
 
 
 class TestSimulateMechanics:
@@ -367,6 +438,60 @@ class TestBlockedRecords:
             simulate(UVState({1: 1e100}, {}, 2), cfg)
         assert (exc.value.time, str(exc.value)) == (0.0, "recorded energy, norm or drift is not finite at t=0")
         assert not steps
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=hst.sampled_from(["strang_split", "rk4"]),
+        stride=hst.sampled_from([1, 7, 1000, 10**9]),
+        M=hst.integers(1, 4),
+        log10_amp=hst.floats(0.0, 75.0),
+        dt_scale=hst.sampled_from([1.0, 10.0, 50.0]),
+        n_steps=hst.integers(1, 1500),
+    )
+    # the state goes non-finite between two checks, at steps 265, 13, 187 and 3
+    @example("strang_split", 7, 1, 2.0, 1.0, 1500)
+    @example("strang_split", 10**9, 1, 75.0, 1.0, 1500)
+    @example("strang_split", 1000, 3, 40.0, 1.0, 1500)
+    @example("rk4", 7, 1, 3.0, 10.0, 1500)
+    # a record overflows first, at steps 315 and 1
+    @example("strang_split", 7, 1, 10.0, 1.0, 1500)
+    @example("rk4", 1, 1, 10.0, 1.0, 1500)
+    @pytest.mark.filterwarnings("error")
+    def test_blowup_matches_per_step_check(self, scheme, stride, M, log10_amp, dt_scale, n_steps):
+        # large data and large steps: the split scheme's fixed point runs off
+        # after some hundred steps, rk4 after a few
+        amp = 10.0**log10_amp
+        st = UVState({a: amp / a for a in range(1, M + 1)}, {1: amp}, M)
+        dt = dt_scale * 0.1 / M
+        cfg = SimConfig(dt=dt, T=n_steps * dt, M=M, scheme=scheme, record_stride=stride, allow_large_dt=True)
+        outcomes = []
+        for run in (simulate, helpers.scalar_simulate):
+            try:
+                traj = run(st, cfg)
+                outcomes.append([getattr(traj, name).tobytes() for name in ("times", "energy", "actions")])
+            except SimulationBlowup as exc:
+                outcomes.append((exc.time, str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme,log10_amp,k_blowup", [("strang_split", 75.0, 13), ("rk4", 40.0, 1)])
+    def test_sparse_records_stop_within_a_block_of_the_blowup(self, scheme, log10_amp, k_blowup, monkeypatch):
+        # no step is recorded before the end, so the state is checked every
+        # RECORD_BLOCK steps; the steps since the last good state are retaken
+        steps = []
+
+        def counting(make):
+            def made(*args):
+                start, step, unpack, finite = make(*args)
+                return start, lambda state: steps.append(state) or step(state), unpack, finite
+            return made
+
+        monkeypatch.setattr(simulator, "_" + scheme, counting(getattr(simulator, "_" + scheme)))
+        cfg = SimConfig(dt=0.1, T=10**5, M=1, scheme=scheme, record_stride=10**9, allow_large_dt=True)
+        with pytest.raises(SimulationBlowup) as exc:
+            simulate(UVState({1: 10.0**log10_amp}, {1: 10.0**log10_amp}, 1), cfg)
+        assert exc.value.time == k_blowup * cfg.dt
+        assert len(steps) <= k_blowup + simulator.RECORD_BLOCK
 
     @pytest.mark.parametrize("n_rows", [1, 2048, 2501])
     def test_csv_matches_row_writer_byte_for_byte(self, n_rows):

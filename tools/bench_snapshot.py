@@ -34,11 +34,12 @@ The snapshot holds:
   states from ``_plain_states(B, 8, 1)`` at (r, N) = (2, 8), seconds per
   call once the divisor table is built; one step of ``simulate`` at M = 1,
   Strang split and rk4, as seconds per step over 20,000 steps without
-  records; ``simulate`` at M = 16, Strang split, ``record_stride`` 1 over
-  10,000 steps, as seconds per recorded sample, and ``trajectory_to_csv``
-  of that trajectory into a ``StringIO``, as seconds per row; and the
-  default ``nf-verify`` (``solver_N`` 4) as a subprocess, interpreter start
-  included.
+  records; the same at M = 16, Strang split, on criterion 5's state with
+  ``record_stride`` 10^9, which records the end only; ``simulate`` on that
+  state, ``record_stride`` 1 over 10,000 steps, as seconds per recorded
+  sample, and ``trajectory_to_csv`` of that trajectory into a
+  ``StringIO``, as seconds per row; and the default ``nf-verify``
+  (``solver_N`` 4) as a subprocess, interpreter start included.
 - ``slowest_tests``: the call phase of the three slowest tier-1 tests, as
   ``pytest --durations`` reports it, once per side with the side that runs
   first alternating from test to test.
@@ -145,6 +146,21 @@ simulate(UVState({{1: 0.25}}, {{}}, 1), cfg)
 print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
 """
 
+# criterion 5's 16-mode state, recorded only at the end
+SPARSE = """
+import time
+import numpy as np
+from stringnf.simulator import SimConfig, simulate
+from stringnf.transforms import UVState
+rng = np.random.default_rng(3)
+u = {a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
+v = {a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
+cfg = SimConfig(dt=1e-3, T=20.0, M=16, record_stride=10**9)
+t = time.perf_counter()
+simulate(UVState(u, v, 16), cfg)
+print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
+"""
+
 # criterion 5's 16-mode state, recorded on every step
 RECORDED = """
 import io
@@ -173,6 +189,7 @@ LAYER_SCRIPTS = {
     "certify_250": CERTIFY.format(B=250, reps=20),
     "strang_step_1": STEP.format(scheme="strang_split"),
     "rk4_step_1": STEP.format(scheme="rk4"),
+    "strang_step_16": SPARSE,
     "record_16": RECORDED.format(timed="per_sample"),
     "csv_16": RECORDED.format(timed="per_row"),
 }
@@ -284,6 +301,8 @@ def layers_section(trees) -> Dict[str, Any]:
         "certify_250": "divisors.certify of _plain_states(250, 8, 1) at (r, N) = (2, 8), seconds per call",
         "strang_step_1": "simulate, strang_split at M = 1, seconds per step over 20,000 steps",
         "rk4_step_1": "simulate, rk4 at M = 1, seconds per step over 20,000 steps",
+        "strang_step_16": "simulate, strang_split at M = 16 on criterion 5's state, record_stride 10**9, "
+                          "seconds per step over 20,000 steps",
         "record_16": "simulate, strang_split at M = 16, record_stride 1, seconds per recorded sample "
                      "over 10,000 steps",
         "csv_16": "trajectory_to_csv of that trajectory into a StringIO, seconds per row",
