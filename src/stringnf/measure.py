@@ -250,6 +250,8 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must be finite and > 0")
     if not math.isfinite(eps * eps):
         raise ValueError(f"eps = {eps!r} has a square that is not finite")
+    if not eps * eps >= np.finfo(float).tiny:  # as SampleBatch.rows refuses it
+        raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
 
 
 def estimate_measure(
@@ -341,8 +343,6 @@ def divisor_tail(
     irreducible.
     """
     _check_eps(eps)
-    if not eps * eps >= np.finfo(float).tiny:  # as SampleBatch.rows refuses it
-        raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
     v, _, red = _reduce(jvec)
     if not red:
         raise ValueError("integrable index vector has no divisor tail")

@@ -289,13 +289,6 @@ class TestLeanStep:
         state, ref = kernel[1](state), oracle[1](ref)
         assert state_bits(state) == state_bits(ref)
 
-    def test_finite_check_falls_back_when_the_sum_overflows(self):
-        _, _, _, finite = simulator._strang_split(1e-3, np.arange(1.0, 3.0), np.arange(1.0, 3.0) ** 2, False)
-        assert finite((np.array([1e200 + 1e200j, 1.0]), 1.0, 1.0))  # |w|^2 overflows, w is finite
-        for bad in (np.inf, -np.inf, np.nan):
-            assert not finite((np.array([1.0, complex(bad, 0.0)]), 1.0, 1.0))
-            assert not finite((np.array([complex(0.0, bad), 1.0]), 1.0, 1.0))
-
 
 class TestSimulateMechanics:
     def test_zero_horizon_single_sample(self):
