@@ -122,12 +122,11 @@ class SampleBatch:
         over every sampled mode, including those beyond ``N``; no state is
         built. An action or a weighted norm that overflows raises
         ``ValueError``, as in :func:`~stringnf.divisors.certify`, and so does
-        an ``eps`` whose square is zero or subnormal: the scaled actions would
-        round to zero or lose their precision, and the verdict would follow
-        the rounding, not the state.
+        an ``eps`` that is not finite and > 0, or whose square is zero or
+        subnormal: the scaled actions would round to zero or lose their
+        precision, and the verdict would follow the rounding, not the state.
         """
-        if not eps * eps >= np.finfo(float).tiny:
-            raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
+        _check_eps_floor(eps)
         z = self._amplitudes(eps)
         B, M = z.shape
         w2 = np.array([weight.weight_sq(a) for a in range(1, M + 1)])
@@ -245,13 +244,20 @@ def default_eps(gamma: float, r: int, N: int) -> float:
     return eps
 
 
-def _check_eps(eps: float) -> None:
+def _check_eps_floor(eps: float) -> None:
+    """Refuse an ``eps`` that is not finite and > 0, or whose square is zero or subnormal."""
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
+    if not eps * eps >= np.finfo(float).tiny:
+        raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
+
+
+def _check_eps(eps: float) -> None:
+    # SampleBatch.rows lets a square that overflows through, so that its
+    # callers report the actions that overflow with it
+    _check_eps_floor(eps)
     if not math.isfinite(eps * eps):
         raise ValueError(f"eps = {eps!r} has a square that is not finite")
-    if not eps * eps >= np.finfo(float).tiny:  # as SampleBatch.rows refuses it
-        raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
 
 
 def estimate_measure(

@@ -154,7 +154,9 @@ def _lie_transform(fields: Dict[int, RationalVF], chi: RationalVF, chi_order: in
                 if skipped is None or order < skipped:
                     skipped = order
                 break
-            term = commutator(term, chi).scale(Fraction(1, k))
+            term = commutator(term, chi)
+            if k > 1:
+                term = term.scale(Fraction(1, k))
     return out, skipped
 
 

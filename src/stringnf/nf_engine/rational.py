@@ -43,7 +43,10 @@ enter as Gaussian integers over their field's lcm denominator, and int pairs
 over one common denominator accumulate on ``(mode, packed, signature id)``,
 with the divisor signatures of the call interned as small ints. Each distinct
 key with a nonzero total is folded onto the basis and its coefficient reduced
-once, in first-seen order; most keys of a deep bracket cancel exactly.
+once, in first-seen order; most keys of a deep bracket cancel exactly. A
+rotation on the left, such as the linear field, has every monomial as an
+eigenvector, so its bracket scales each term in closed form, with the same
+terms in the same order.
 """
 
 from __future__ import annotations
@@ -439,6 +442,16 @@ class RationalVF:
         self._compiled_at: Dict[int, "_CompiledVF"] = {}
         self._rows: Optional[Tuple[int, list]] = None
 
+    @classmethod
+    def _canonical(cls, terms: Dict[RKey, QC]) -> "RationalVF":
+        """A field that takes ``terms`` as they are, for callers whose keys are
+        distinct with sorted sections and whose coefficients are nonzero."""
+        vf = _new(cls)
+        vf.terms = terms
+        vf._compiled_at = {}
+        vf._rows = None
+        return vf
+
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "RationalVF") -> "RationalVF":
@@ -456,7 +469,10 @@ class RationalVF:
     def scale(self, factor) -> "RationalVF":
         if not isinstance(factor, QC):
             factor = QC(factor)
-        return RationalVF({key: c * factor for key, c in self.terms.items()})
+        if factor.is_zero():
+            return RationalVF()
+        # a nonzero product of nonzero Gaussian rationals, on the same keys
+        return RationalVF._canonical({key: c * factor for key, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -911,8 +927,9 @@ class _Tables:
         return D, [(key[0], (n, m, p, q, self.sig(s)), exps, key) for n, m, p, q, s, exps, key in rows]
 
     def field(self, acc: Dict[Tuple[int, int, int], tuple], G: int) -> RationalVF:
-        return RationalVF({_fold(a, p) + self.sigs[i]: _reduced(n, m, G)
-                           for (a, p, i), (n, m) in acc.items() if n or m})
+        # every signature in acc comes out of merge, so its sections are sorted
+        return RationalVF._canonical({_fold(a, p) + self.sigs[i]: _reduced(n, m, G)
+                                      for (a, p, i), (n, m) in acc.items() if n or m})
 
 
 def _actors(terms) -> Dict[int, list]:
@@ -1045,6 +1062,69 @@ def _signature_groups(terms):
     return [(i, t, _actors(t)) for i, t in grouped.items()]
 
 
+def _check_cutoff(N: Optional[int], sigs) -> None:
+    if N is None and any(sig[1] or sig[2] for sig in sigs):
+        raise ValueError("fields with corrected-frequency divisors need the cutoff N")
+
+
+_ROTATION_TAIL = (DIAG, ()) + NO_DIVISORS
+
+
+def _rotation_rates(x: RationalVF) -> Optional[Tuple[int, Dict[int, int]]]:
+    """``(D, {a: D mu_a})`` when ``x`` is a rotation ``sum_a i mu_a z_a d/dz_a + conj``, else None."""
+    if not all(key[1:] == _ROTATION_TAIL and not c.n for key, c in x.terms.items()):
+        return None
+    D = math.lcm(*(c.d for c in x.terms.values()))
+    return D, {key[0]: c.m * (D // c.d) for key, c in x.terms.items()}
+
+
+# the square that a prefix z_a (zbar_a) cannot meet at its own mode on the basis
+_OTHER_SQUARE = {DIAG: -1, ANTI: 1}
+
+
+def _basis_index(j: IndexVector) -> bool:
+    """Whether an index vector is in canonical order with no mode holding both ``z^2`` and ``zbar^2``."""
+    return j == canonicalize(j) and {m for d, m in j if d == 1}.isdisjoint(m for d, m in j if d == -1)
+
+
+def _rotation_bracket(D: int, rates: Dict[int, int], y: RationalVF, N: Optional[int]) -> Optional[RationalVF]:
+    """``[Z, Y]`` for the rotation ``Z`` of rates ``mu_a = rates[a] / D``, in closed form.
+
+    A term of ``Y`` on ``d/dz_a`` with exponents ``alpha, beta`` is an
+    eigenvector of ``ad_Z`` with eigenvalue ``i (mu_a - mu . (alpha - beta))``.
+    ``Z`` moves no action, so the divisors ride along. The eigenvalue is read
+    off the key, with no packing: the prefix ``z_a`` (``zbar_a``) gives
+    ``+mu_a`` (``-mu_a``) and an index entry ``(delta, m)`` gives
+    ``2 delta mu_m``. Terms come out in the general bracket's first-seen
+    order: by signature, then by the field modes of ``Z`` in its term order,
+    then the modes ``Z`` lacks, in ``Y``'s order within each. None when a key
+    of ``Y`` is off the monomial basis, which only the general bracket folds.
+    """
+    _check_cutoff(N, (key[3:] for key in y.terms))
+    sigs: Dict[Tuple[Section, Section, Section], int] = {}
+    rank = {a: r for r, a in enumerate(rates)}
+    last = len(rank)
+    index_part: Dict[IndexVector, Optional[int]] = {}
+    out = []
+    for key, c in y.terms.items():
+        a, kind, j = key[0], key[1], key[2]
+        if j not in index_part:
+            index_part[j] = 2 * sum(delta * rates.get(m, 0) for delta, m in j) if _basis_index(j) else None
+        w = index_part[j]
+        # on the basis, the prefix's mode holds no square of the other variable
+        other = _OTHER_SQUARE.get(kind)
+        if w is None or other is None or a < 1 or (other, a) in j:
+            return None
+        # a signature's group takes its place at its first term, dropped or not
+        group = sigs.setdefault(key[3:], len(sigs))
+        mu_a = rates.get(a, 0)
+        e = mu_a - (w + mu_a if kind == DIAG else w - mu_a)
+        if e:
+            out.append((group, rank.get(a, last), key, _reduced(-e * c.m, e * c.n, c.d * D)))
+    out.sort(key=lambda t: t[:2])
+    return RationalVF._canonical({key: c for _, _, key, c in out})
+
+
 def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> RationalVF:
     """Bracket ``[X, Y] = DX[Y] - DY[X]`` on conjugation-closed fields.
 
@@ -1056,13 +1136,17 @@ def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> Rationa
     other field by the chain rule, and the result picks up one extra copy of
     the hit divisor.  The cutoff ``N`` bounds the Hessian sums of the
     corrected frequencies; it is required when either field carries ``h4``
-    or ``kk`` divisors and unused otherwise.
+    or ``kk`` divisors and unused otherwise.  When ``X`` is a rotation
+    ``sum_a i mu_a z_a d/dz_a + conj``, the bracket scales each term of ``Y``
+    by its eigenvalue, in the same terms and order.
     """
+    rotation = _rotation_rates(x)
+    if rotation is not None and (out := _rotation_bracket(*rotation, y, N)) is not None:
+        return out
     tables = _Tables()
     dx, xt = tables.terms(x)
     dy, yt = tables.terms(y)
-    if N is None and any(sig[1] or sig[2] for sig in tables.sigs):
-        raise ValueError("fields with corrected-frequency divisors need the cutoff N")
+    _check_cutoff(N, tables.sigs)
     gy = _signature_groups(yt)
     # every product over G = dx * dy * L
     L = _derivative_lcm(tables.sigs, N)

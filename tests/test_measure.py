@@ -250,6 +250,24 @@ def test_rows_match_states_bit_for_bit(weight, M, offset, log_eps, seed, gamma):
         batch.rows(1e200, N, weight)
 
 
+@pytest.mark.parametrize("eps,cause", [
+    # -1.0 used to be scored as +1.0, and nan refused as a subnormal square
+    (-1.0, "eps must be finite and > 0"),
+    (0.0, "eps must be finite and > 0"),
+    (math.nan, "eps must be finite and > 0"),
+    (math.inf, "eps must be finite and > 0"),
+    (1e-200, "eps = 1e-200 has a square that is zero or subnormal"),
+    # a large finite eps reaches the overflow report, which drift-sweep gives for eps=[1e200]
+    (1e200, "a state has an action that is not finite"),
+])
+def test_rows_refuses_unusable_eps(eps, cause):
+    batch = sample_actions(MeasureSpec(SOB1, 4, 12, 1))
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        batch.rows(eps, 4, SOB1)
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        batch.nonresonant(eps, NonResonanceParams(2, 4, 0.1, SOB1))
+
+
 def test_overflowing_norm_is_the_same_error_on_both_paths():
     # at this eps every action is finite, but the weighted norm of sample 2
     # is not; the batch path used to warn and score it as resonant

@@ -44,12 +44,14 @@ from stringnf.nf_engine import (
     evaluate_exact,
     evaluate_vf,
     is_rational_normal_form,
+    key_exponents,
     key_order,
     omega4_hessian,
     resonant_normal_form,
     septic_stage_input,
     solve_homological_z3z5,
     validate_class,
+    z1_field,
 )
 from stringnf.nf_engine import rational
 from stringnf.nf_engine.rational import _linear_derivative, _quadratic_derivative, action_transport
@@ -183,13 +185,15 @@ def test_divisor_free_bracket_matches_poly():
 
 def test_bracket_needs_cutoff_for_corrected_divisors():
     # the Hessian sums of the corrected frequencies run to the cutoff; a
-    # quadratic-frequency divisor needs no cutoff
+    # quadratic-frequency divisor needs no cutoff. A rotation on the left
+    # takes the closed form, which refuses the same fields
+    rot = z1_field(N)
     for f in (field_h4(), field_kk()):
-        with pytest.raises(ValueError, match="cutoff"):
-            commutator(f, probe_poly())
-        with pytest.raises(ValueError, match="cutoff"):
-            commutator(probe_poly(), f)
+        for x, y in ((f, probe_poly()), (probe_poly(), f), (rot, f), (f, rot)):
+            with pytest.raises(ValueError, match="cutoff"):
+                commutator(x, y)
     assert commutator(field_h2(), probe_poly()) == commutator(field_h2(), probe_poly(), N)
+    assert commutator(rot, field_h2()) == commutator(rot, field_h2(), N)
 
 
 def test_bracket_with_zero_and_self():
@@ -294,6 +298,86 @@ def test_bracket_routes_cancel_exactly(data):
     # subtraction entry by entry, in the order of adding the negative
     assert list((x - y).terms.items()) == list((x + y.scale(QC(-1))).terms.items())
     assert (y - y).is_zero()
+
+
+@st.composite
+def rotations(draw, n: int) -> RationalVF:
+    """``z1_field(M)`` for M in n - 1..n + 1, or ``sum_a i mu_a z_a d/dz_a + conj``
+    on distinct modes in any order, with integer or rational rates."""
+    if draw(st.booleans()):
+        return z1_field(n + draw(st.integers(-1, 1)))
+    modes = draw(st.lists(st.integers(1, n + 1), unique=True, max_size=n + 1))
+    rate = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-(10**6), 10**6), _DENOMINATORS))
+    return RationalVF({(a, DIAG, ()) + NO_DIVISORS: QC(0, draw(rate)) for a in modes})
+
+
+def on_basis(y: RationalVF) -> RationalVF:
+    """``y`` with every numerator key folded onto the monomial basis, in first-seen order."""
+    terms = {}
+    for key, c in y.terms.items():
+        key = canonical_from_exponents(key[0], key_exponents(key)) + key[3:]
+        terms[key] = terms[key] + c if key in terms else c
+    return RationalVF(terms)
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_rotation_bracket_matches_per_product_fold(data, divisors):
+    # the closed form gives the general bracket's values in its term order
+    n = data.draw(st.integers(1, 5))
+    rot = data.draw(rotations(n))
+    y = data.draw(bracket_fields(n, divisors))
+    rates = rational._rotation_rates(rot)
+    assert rates is not None
+    for field in (y, on_basis(y)):
+        oracle = list(product_key_commutator(rot, field, n).terms.items())
+        assert list(commutator(rot, field, n).terms.items()) == oracle
+        if not divisors:
+            assert list(commutator(rot, field).terms.items()) == oracle
+    # a field on the basis never reaches the general bracket; one off it
+    # (a diag key with zbar_a^2, or z_m^2 zbar_m^2) always does
+    with mock.patch.object(rational, "_directional", side_effect=AssertionError("general bracket")):
+        commutator(rot, on_basis(y), n)
+    assert (rational._rotation_bracket(*rates, y, n) is None) == (on_basis(y).terms.keys() != y.terms.keys())
+
+
+def test_rotation_bracket_matches_per_product_fold_on_the_normal_forms():
+    # z1 against the generators it solved for, and a wider and a narrower z1
+    # against the septic solve's divisor-carrying generator
+    nf = resonant_normal_form(3, 3)
+    chi = solve_homological_z3z5(septic_stage_input(nf), 3)[0]
+    pairs = [(z1_field(3), g) for g in nf.generators.values()]
+    pairs += [(z1_field(M), chi) for M in (2, 3, 5)]
+    # a signature group keeps the place of its first term, here one whose
+    # eigenvalue is zero, ahead of a later group's
+    kk = ((-1, 1), (-1, 1), (1, 2))
+    pairs.append((z1_field(2), RationalVF({
+        (1, DIAG, ((0, 1),)) + NO_DIVISORS: QC(0, 1),
+        (1, ANTI, (), (), (), (kk,)): QC(0, 1),
+        (1, ANTI, ()) + NO_DIVISORS: QC(0, 1),
+    })))
+    for rot, y in pairs:
+        fast, oracle = commutator(rot, y, 3), product_key_commutator(rot, y, 3)
+        assert list(fast.terms.items()) == list(oracle.terms.items())
+    # a real coefficient, or an action factor, is no rotation
+    for rot in (z1_field(3).scale(QC(1, 1)), z1_field(3) + RationalVF({(1, DIAG, ((0, 2),)) + NO_DIVISORS: QC(0, 1)})):
+        assert rational._rotation_rates(rot) is None
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_fields_built_without_normalizing_are_canonical(data):
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(bracket_fields(n, True))
+    y = data.draw(bracket_fields(n, True))
+    rot = data.draw(rotations(n))
+    factor = QC(data.draw(st.builds(Fraction, _NUMERATORS, _DENOMINATORS)),
+                data.draw(st.builds(Fraction, _NUMERATORS, _DENOMINATORS)))
+    for f in (commutator(x, y, n), commutator(rot, on_basis(y), n), y.scale(factor),
+              action_transport(y, [(key[0], key[0], 0, QC(0, 1), [key]) for key in y.terms])):
+        # what the normalizing constructor would make of the terms, in the same order
+        assert list(RationalVF(dict(f.terms)).terms.items()) == list(f.terms.items())
+    assert y.scale(QC()).is_zero()
 
 
 def test_fields_are_packed_once():

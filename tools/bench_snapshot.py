@@ -30,6 +30,11 @@ The snapshot holds:
   residual and the 959-term ``q`` at 50 states; the interaction fields
   ``taylor_vf`` at (l, M) = (2, 8) and (3, 6); the polynomial normal form
   ``resonant_normal_form`` at (r, N) = (2, 8), (3, 5) and (3, 6); the
+  bracket ``commutator(z1_field(8), chi2)`` of the linear field against the
+  quintic-stage generator of ``resonant_normal_form(2, 8)``, on a fresh copy
+  of it and a second time on the same field; the seconds an in-process
+  ``nf-verify`` at perfbench's ``solver_N`` 2 spends in brackets whose left
+  field is a rotation, and its seconds in all; the
   non-resonance certificate ``divisors.certify`` of B = 1 and of B = 250
   states from ``_plain_states(B, 8, 1)`` at (r, N) = (2, 8), seconds per
   call once the divisor table is built; one step of ``simulate`` at M = 1,
@@ -103,6 +108,43 @@ states = _plain_states(50, 4, 1)
 t = time.perf_counter()
 worst = _rel_residual(total, q, states)
 print(time.perf_counter() - t, len(total.terms), len(q.terms), worst.hex())
+"""
+
+# the linear field against the quintic-stage generator, as a fresh field (its
+# first bracket, as inside resonant_normal_form) and again (as nf-verify's
+# quintic identity check brackets it a second time)
+ROTATION_28 = """
+import time
+from stringnf.nf_engine import RationalVF, commutator, resonant_normal_form, z1_field
+z1 = z1_field(8)
+chi2 = RationalVF(dict(resonant_normal_form(2, 8).generators[2].terms))
+times = []
+for _ in range(2):
+    t = time.perf_counter()
+    out = commutator(z1, chi2)
+    times.append(time.perf_counter() - t)
+print(times[{which}], len(out.terms))
+"""
+
+# in-process nf-verify at perfbench's solver_N 2: its seconds in brackets whose
+# left field is a rotation, and in all
+NF_VERIFY_ROTATION = """
+import contextlib, io, tempfile, time
+from stringnf import cli
+from stringnf.nf_engine import QC, poly, rational
+spent = [0.0]
+def timed(x, y, N=None, bracket=rational.commutator):
+    rotation = all(k[1:] == (rational.DIAG, (), (), (), ()) and not c.n for k, c in x.terms.items())
+    t = time.perf_counter()
+    out = bracket(x, y, N)
+    spent[0] += (time.perf_counter() - t) * rotation
+    return out
+rational.commutator = poly.commutator = cli.commutator = timed
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    t = time.perf_counter()
+    cli.main(["nf-verify", "--set", "golden_dir=tests/golden", "--set", "solver_N=2", "--out", out])
+    total = time.perf_counter() - t
+print({timed})
 """
 
 TIMED_CALL = """
@@ -185,6 +227,10 @@ LAYER_SCRIPTS = {
     "bracket_34": BRACKET_34,
     "rel_residual_34": REL_RESIDUAL_34,
     **{kind: TIMED_CALL.format(call=call) for kind, call in CALLS.items()},
+    "rotation_28": ROTATION_28.format(which=0),
+    "rotation_28_again": ROTATION_28.format(which=1),
+    "nf_verify_rotation": NF_VERIFY_ROTATION.format(timed="spent[0]"),
+    "nf_verify_in_process": NF_VERIFY_ROTATION.format(timed="total"),
     "certify_1": CERTIFY.format(B=1, reps=2000),
     "certify_250": CERTIFY.format(B=250, reps=20),
     "strang_step_1": STEP.format(scheme="strang_split"),
@@ -297,6 +343,12 @@ def layers_section(trees) -> Dict[str, Any]:
         "bracket_34": "commutator(z3 + z5, chi, 4) at (r, N) = (3, 4)",
         "rel_residual_34": "cli._rel_residual(septic residual, q, _plain_states(50, 4, 1)) at (r, N) = (3, 4)",
         **CALLS,
+        "rotation_28": "commutator(z1_field(8), chi2) on a fresh copy of the quintic-stage generator at "
+                       "(r, N) = (2, 8), 2,840 terms",
+        "rotation_28_again": "the same bracket a second time on the same field",
+        "nf_verify_rotation": "seconds of brackets with a rotation on the left in an in-process "
+                              "nf-verify --set golden_dir=tests/golden --set solver_N=2",
+        "nf_verify_in_process": "that in-process nf-verify, all of it",
         "certify_1": "divisors.certify of _plain_states(1, 8, 1) at (r, N) = (2, 8), seconds per call",
         "certify_250": "divisors.certify of _plain_states(250, 8, 1) at (r, N) = (2, 8), seconds per call",
         "strang_step_1": "simulate, strang_split at M = 1, seconds per step over 20,000 steps",
