@@ -10,6 +10,7 @@ fields are literal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,12 +59,14 @@ def _symbols(M: int) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
     return B, A
 
 
+@functools.lru_cache(maxsize=32)
 def taylor_vf(l: int, M: int) -> RationalVF:
     """Degree ``2l+1`` interaction field of the string on modes ``1..M``.
 
     Built as the scalar symbol ``A^(l-1) B`` (A the weighted elastic
     combination, B the chiral one) attached to ``zbar_a d/dz_a + conj`` with
-    the order-dependent prefactor from the stiffness response.
+    the order-dependent prefactor from the stiffness response. Each ``(l, M)``
+    is built once and shared; fields are immutable by convention.
     """
     if l < 1:
         raise ValueError("l must be >= 1")

@@ -455,16 +455,21 @@ class RationalVF:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "RationalVF") -> "RationalVF":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = c if (prev := out.get(key)) is None else prev + c
-        return RationalVF(out)
+        return self._merged(other.terms.items())
 
     def __sub__(self, other: "RationalVF") -> "RationalVF":
+        return self._merged((key, -c) for key, c in other.terms.items())
+
+    def _merged(self, items) -> "RationalVF":
+        # both sides are canonical, so a coefficient cancels only on a shared key: drop it there
         out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = -c if (prev := out.get(key)) is None else prev - c
-        return RationalVF(out)
+        for key, c in items:
+            prev = out.get(key)
+            if prev is not None and (c := prev + c).is_zero():
+                del out[key]
+            else:
+                out[key] = c
+        return RationalVF._canonical(out)
 
     def scale(self, factor) -> "RationalVF":
         if not isinstance(factor, QC):

@@ -17,15 +17,15 @@ Between steps the split scheme carries one complex variable per mode,
 it was last rotated in. Then ``S = sum_a (Re w_a)^2``, a rotation at frozen
 stiffness ``c`` over time ``h`` is the product ``w_a exp(-i a sqrt(c) h)``,
 and a change of frame from ``c`` to ``c'`` scales ``Im w`` by
-``sqrt(c / c')``. The fixed point for the end stiffness is seeded by
-extrapolating the stiffness linearly over the step, ``2 c_mid - c_left``
-(at least 1), and a rotation whose stiffness reproduces itself exactly is
-the step's result; its factor serves the next step's first half. ``(u, v)``
-is rebuilt only where a sample is recorded, ``RECORD_BLOCK`` recorded steps
-at a time, and the records of a block are derived together with the
-arithmetic of one sample, bit for bit. The state is checked finite there and
-every ``RECORD_BLOCK`` steps; no step makes a non-finite state finite, so a
-failed check retakes the steps from the last good state.
+``sqrt(c / c')``. The fixed point for the end stiffness is seeded at
+``2 c_mid - c_left`` (at least 1); each pass makes four numpy calls, and a
+rotation whose stiffness reproduces itself exactly is the step's result,
+its factor serving the next step's first half. ``(u, v)`` is rebuilt only
+where a sample is recorded, ``RECORD_BLOCK`` recorded steps at a time, bit
+for bit. The state is checked finite every ``RECORD_BLOCK`` steps and at
+the end, so every derived record is of a finite state; no step makes a
+non-finite state finite, so a failed check retakes the steps from the last
+good state and derives only the records before the first non-finite one.
 """
 
 from __future__ import annotations
@@ -190,9 +190,9 @@ def _actions(u: np.ndarray, v: np.ndarray, a1: np.ndarray) -> np.ndarray:
 
 
 def _stiffness(w: np.ndarray) -> float:
-    # 1 + S with S = sum_a a^2 u_a^2 = sum_a (Re w_a)^2
+    # 1 + S with S = sum_a a^2 u_a^2 = sum_a (Re w_a)^2; x.dot(x) has the bits of x @ x
     x = w.real
-    return 1.0 + float(x @ x)
+    return 1.0 + float(x.dot(x))
 
 
 # A scheme is what ``simulate`` drives: ``(start, step, unpack, finite)``.
@@ -208,14 +208,19 @@ def _strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) 
     # and c_w = 1 + S of w itself (equal to c when the fixed point closed exactly)
     half = (-0.5j * dt) * a1
     linear = np.exp((-1j * dt) * a1) if linear_only else None  # the full step at stiffness 1
-    arg = np.zeros_like(half)  # half * sqrt(c), bit for bit: its real part stays +0.0
+    # X[0] is wh reframed to the stiffness c of a pass and X[1] the argument half * sqrt(c),
+    # real part +0.0; one product writes both imaginary rows, [Im wh; Im half] * sv
+    X, sv = np.zeros((2, len(a1)), dtype=complex), np.empty((2, 1))
+    Y = np.stack([np.zeros_like(a1), half.imag])
+    wh, arg, X_im, s, Y_wh, wh_im = X[0], X[1], X.imag, sv[:, 0], Y[0], X.imag[0]
+    mul, exp, sqrt = np.multiply, np.exp, math.sqrt
     memo = [math.nan, None]  # the last c and its factor
 
     def phase(c: float) -> np.ndarray:
         # exp(-i a sqrt(c) dt / 2): the half step at frozen stiffness c
         if c != memo[0]:
-            np.multiply(half.imag, math.sqrt(c), out=arg.imag)
-            memo[:] = c, np.exp(arg)
+            mul(Y[1], sqrt(c), arg.imag)
+            memo[:] = c, exp(arg)
         return memo[1]
 
     def start(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -228,29 +233,32 @@ def _strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) 
             return w * linear, 1.0, 1.0
         if c_left != c:  # the same (u, v) in the frame of c_left
             w = w.copy()
-            w.imag *= math.sqrt(c / c_left)
-        wh = w * phase(c_left)
+            w.imag *= sqrt(c / c_left)
+        mul(w, phase(c_left), wh)
+        Y_wh[...] = wh_im
         # second half freezes the stiffness at the step's end state; the
         # stiffness moves about as much over each half, so extrapolate the
         # seed (clamped, since c >= 1 and the line can cross it for large data)
         c = max(1.0, 2.0 * _stiffness(wh) - c_left)
         closing = False  # the last iteration converged: this rotation is the result
         for i in range(13):
-            wn = wh.copy()
-            wn.imag *= math.sqrt(c_left / c)
-            wn = wn * phase(c)  # not in place: at M = 1 that product rounds otherwise
+            s[0], s[1] = sqrt(c_left / c), sqrt(c)
+            mul(Y, sv, X_im)
+            f = exp(arg)
+            wn = wh * f  # a fresh array, kept by records; in place, it rounds otherwise at M = 1
             c_new = _stiffness(wn)
             if closing or c_new == c or i == 12:
                 break
             closing = abs(c_new - c) <= 1e-15 * c
             c = c_new
+        memo[:] = c, f
         return wn, c, c_new
 
     def unpack(states: list) -> tuple[np.ndarray, np.ndarray]:
         w, c, _ = map(np.array, zip(*states))
         return w.real / a1, w.imag * np.sqrt(c)[:, None]
 
-    return start, step, unpack, lambda s: bool(np.isfinite(s[0]).all())
+    return start, step, unpack, lambda state: bool(np.isfinite(state[0]).all())
 
 
 def _rk4(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool) -> _Scheme:
@@ -311,23 +319,22 @@ def simulate(initial: UVState, config: SimConfig) -> Trajectory:
         acts0 = _actions(u, v, a1)
         record([0.0], u[None], v[None])
         state = start(u, v)
-        good = 0, state  # the last step checked finite, and its state; no later step is recorded
+        good = 0, state  # the last step checked finite, and its state
         times, block = [], []  # the recorded steps not yet derived
         for k in range(1, n_steps + 1):
             state = step(state)
-            recorded = k % config.record_stride == 0 or k == n_steps
-            if recorded or k % RECORD_BLOCK == 0:
+            if k % RECORD_BLOCK == 0 or k == n_steps:  # where a block of records can flush
                 if not finite(state):
                     # no step makes a non-finite state finite again, so the
                     # first one comes after the good one: retake the steps
                     k, state = good
                     while finite(state):
                         k, state = k + 1, step(state)
-                    if block:  # a record that overflowed earlier wins
-                        record(times, *unpack(block))
+                    if n_ok := sum(t < k * config.dt for t in times):  # an overflow before it wins
+                        record(times[:n_ok], *unpack(block[:n_ok]))
                     raise SimulationBlowup(k * config.dt)
                 good = k, state
-            if recorded:
+            if k % config.record_stride == 0 or k == n_steps:
                 times.append(k * config.dt)
                 block.append(state)
                 if len(block) == RECORD_BLOCK or k == n_steps:

@@ -319,6 +319,16 @@ def test_interaction_fields_match_dense_expansion(l):
         assert list(vf.terms.items()) == list(tuple_taylor_vf(l, M).terms.items())
 
 
+def test_interaction_fields_are_built_once():
+    # the normal form and nf-verify's identity checks share one field per
+    # (l, M); the normal form's use of it leaves its terms as they were built
+    first = taylor_vf(2, 4)
+    built = list(first.terms.items())
+    resonant_normal_form(2, 4)
+    assert taylor_vf(2, 4) is first
+    assert list(first.terms.items()) == built == list(taylor_vf.__wrapped__(2, 4).terms.items())
+
+
 def test_interaction_parity_is_reversible():
     for l in (1, 2, 3):
         assert taylor_vf(l, 3).is_reversible_parity()

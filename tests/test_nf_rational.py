@@ -373,11 +373,25 @@ def test_fields_built_without_normalizing_are_canonical(data):
     rot = data.draw(rotations(n))
     factor = QC(data.draw(st.builds(Fraction, _NUMERATORS, _DENOMINATORS)),
                 data.draw(st.builds(Fraction, _NUMERATORS, _DENOMINATORS)))
+    total = x + y
     for f in (commutator(x, y, n), commutator(rot, on_basis(y), n), y.scale(factor),
-              action_transport(y, [(key[0], key[0], 0, QC(0, 1), [key]) for key in y.terms])):
+              action_transport(y, [(key[0], key[0], 0, QC(0, 1), [key]) for key in y.terms]),
+              total, x - y, total - y, y + y.scale(factor), y + y.scale(QC(-1))):
         # what the normalizing constructor would make of the terms, in the same order
         assert list(RationalVF(dict(f.terms)).terms.items()) == list(f.terms.items())
     assert y.scale(QC()).is_zero()
+    # a sum or difference has the terms and order of the normalizing constructor
+    # on the merged terms, cancelled coefficients included
+    for a, b, sign in ((x, y, 1), (x, y, -1), (total, y, -1), (y, y.scale(QC(-1)), 1), (y, y, -1)):
+        merged = dict(a.terms)
+        for key, c in b.terms.items():
+            c = c if sign > 0 else -c
+            merged[key] = merged[key] + c if key in merged else c
+        got = a + b if sign > 0 else a - b
+        assert list(got.terms.items()) == list(RationalVF(merged).terms.items())
+    # every key of y cancels, at the point it is met
+    assert total - y == x
+    assert (y - y).is_zero() and (y + y.scale(QC(-1))).is_zero()
 
 
 def test_fields_are_packed_once():

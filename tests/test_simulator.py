@@ -290,6 +290,53 @@ class TestLeanStep:
         assert state_bits(state) == state_bits(ref)
 
 
+def _spread_values(rng, n, zeros):
+    """``n`` floats of magnitude 1e-150..1e150 and either sign, a share ``zeros`` of them zero."""
+    magnitude = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-150, 151, n)
+    return rng.choice([-1.0, 1.0], n) * (rng.random(n) >= zeros) * magnitude
+
+
+class TestKernelPremises:
+    """What ``simulator._strang_split`` takes from numpy, bit for bit. ``TestLeanStep``
+    compares whole steps; a numpy upgrade that breaks one of these names its cause here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=hst.integers(1, 64), seed=hst.integers(0, 2**32 - 1), zeros=hst.sampled_from([0.0, 0.3, 1.0]),
+           layout=hst.sampled_from(["real", "imag", "step2", "step3"]), row=hst.integers(0, 1))
+    def test_dot_of_a_strided_view_has_the_bits_of_matmul(self, M, seed, zeros, layout, row):
+        values = _spread_values(np.random.default_rng(seed), M, zeros)
+        if layout in ("real", "imag"):
+            # Re w or Im w of a row of a complex stack, as the stiffness reads them
+            x = getattr(np.zeros((2, M), dtype=complex)[row], layout)
+        else:
+            x = np.zeros(3 * M + 1)[row:][:: int(layout[-1])][:M]
+        x[:] = values
+        assert x.dot(x).tobytes() == (x @ x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(M=hst.integers(1, 64), seed=hst.integers(0, 2**32 - 1), zeros=hst.sampled_from([0.0, 0.3]))
+    def test_products_into_preallocated_rows_have_the_bits_of_fresh_ones(self, M, seed, zeros):
+        rng = np.random.default_rng(seed)
+        w, f = (_spread_values(rng, M, zeros) + 1j * _spread_values(rng, M, zeros) for _ in range(2))
+        X = np.zeros((2, M), dtype=complex)
+        # the first half step writes its product into a row of the stack
+        np.multiply(w, f, X[0])
+        assert X[0].tobytes() == (w * f).tobytes()
+        # a pass multiplies that row by a factor into a fresh array
+        X[0] = w
+        assert (X[0] * f).tobytes() == (w * f).tobytes()
+        # one product scales each row of a real stack by its entry of a column
+        Y = np.stack([_spread_values(rng, M, zeros), rng.uniform(-10.0, 10.0, M)])
+        col = rng.uniform(0.5, 2.0, (2, 1))
+        np.multiply(Y, col, X.imag)
+        assert X.imag[0].tobytes() == (Y[0] * float(col[0, 0])).tobytes()
+        assert X.imag[1].tobytes() == (Y[1] * float(col[1, 0])).tobytes()
+        # the factor of the argument row is that of a fresh argument
+        X.real[1] = 0.0
+        arg = np.zeros(M, dtype=complex)
+        arg.imag = X.imag[1]
+        assert np.exp(X[1]).tobytes() == np.exp(arg).tobytes()
+
 class TestSimulateMechanics:
     def test_zero_horizon_single_sample(self):
         traj = simulate(UVState({1: 0.1}, {}, 4), SimConfig(dt=1e-3, T=0.0, M=4))
@@ -485,6 +532,74 @@ class TestBlockedRecords:
             simulate(UVState({1: 10.0**log10_amp}, {1: 10.0**log10_amp}, 1), cfg)
         assert exc.value.time == k_blowup * cfg.dt
         assert len(steps) <= k_blowup + simulator.RECORD_BLOCK
+
+    # the state goes non-finite at the given step while every record before it
+    # is finite: the split scheme at M = 2 and dt = 2.5, rk4 at M = 1 and dt = 5
+    NON_FINITE = {"strang_split": (UVState({1: 1e5, 2: 5e4}, {1: 1e5}, 2), 2.5, 226),
+                  "rk4": (UVState({1: 1.0}, {1: 1.0}, 1), 5.0, 3)}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme,block,position", [
+        # the middle of a block, after some blocks were derived, or in the first
+        ("strang_split", 100, 26), ("strang_split", 1024, 226), ("rk4", 4, 3),
+        # the first step of a block
+        ("strang_split", 45, 1), ("strang_split", 225, 1), ("rk4", 2, 1),
+    ])
+    def test_non_finite_state_within_a_block_of_records(self, scheme, block, position):
+        st, dt, k_bad = self.NON_FINITE[scheme]
+        assert (k_bad - 1) % block + 1 == position
+        cfg = SimConfig(dt=dt, T=1000 * dt, M=st.truncation, scheme=scheme, record_stride=1,
+                        record_states=True, allow_large_dt=True)
+        with pytest.raises(SimulationBlowup) as ref:
+            helpers.scalar_simulate(st, cfg)
+        assert (ref.value.time, str(ref.value)) == (k_bad * dt, f"state became non-finite at t={k_bad * dt:.6g}")
+        with mock.patch.object(simulator, "RECORD_BLOCK", block), pytest.raises(SimulationBlowup) as exc:
+            simulate(st, cfg)
+        assert (exc.value.time, str(exc.value)) == (ref.value.time, str(ref.value))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme,amp,dt,block,k_overflow,k_bad", [
+        ("strang_split", 100.0, 0.1, 130, 261, 265),
+        ("strang_split", 100.0, 0.1, 1024, 261, 265),
+        ("rk4", 1000.0, 1.0, 4, 2, 3),
+    ])
+    def test_record_overflow_wins_within_the_pending_block(self, scheme, amp, dt, block, k_overflow, k_bad):
+        # the first record that overflows and the first non-finite state are in
+        # one block, so both are found at the same check
+        st = UVState({1: amp}, {1: amp}, 1)
+        cfg = SimConfig(dt=dt, T=1000 * dt, M=1, scheme=scheme, allow_large_dt=True)
+        with pytest.raises(SimulationBlowup) as unrecorded:
+            helpers.scalar_simulate(st, dataclasses.replace(cfg, record_stride=10**9))
+        assert unrecorded.value.time == k_bad * dt
+        assert (k_overflow - 1) // block == (k_bad - 1) // block
+        with mock.patch.object(simulator, "RECORD_BLOCK", block), pytest.raises(SimulationBlowup) as exc:
+            simulate(st, cfg)
+        t = k_overflow * dt
+        assert (exc.value.time, str(exc.value)) == (t, f"recorded energy, norm or drift is not finite at t={t:.6g}")
+        with pytest.raises(SimulationBlowup) as ref:
+            helpers.scalar_simulate(st, cfg)
+        assert (ref.value.time, str(ref.value)) == (exc.value.time, str(exc.value))
+
+    @pytest.mark.parametrize("scheme", ["strang_split", "rk4"])
+    def test_state_is_checked_once_per_block_of_records(self, scheme, monkeypatch):
+        checks = 0
+
+        def counting(make):
+            def made(*args):
+                start, step, unpack, finite = make(*args)
+
+                def counted(state):
+                    nonlocal checks
+                    checks += 1
+                    return finite(state)
+                return start, step, unpack, counted
+            return made
+
+        monkeypatch.setattr(simulator, "_" + scheme, counting(getattr(simulator, "_" + scheme)))
+        n_steps = 10_000
+        traj = simulate(small_state(M=4, amp=0.3), SimConfig(dt=1e-3, T=n_steps * 1e-3, M=4, scheme=scheme))
+        assert len(traj.times) == n_steps + 1
+        assert checks <= math.ceil(n_steps / simulator.RECORD_BLOCK)
 
     @pytest.mark.parametrize("n_rows", [1, 2048, 2501])
     def test_csv_matches_row_writer_byte_for_byte(self, n_rows):
