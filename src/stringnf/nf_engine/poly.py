@@ -6,6 +6,12 @@ order by order with generators solved against the linear rotation, by
 exact Lie transforms; all fields here are polynomial, that is, divisor-free
 :class:`~.rational.RationalVF` fields, so equalities between the produced
 fields are literal.
+
+Each stage solves ``[Z1, chi] + K = Z``, so the bracket of the linear field
+with the generator is ``Z - K``, which is ``-K`` on the removed keys in ``K``'s
+order, and is not computed again. Only stage 1 brackets it once more, and
+there ``K`` is ordered by field mode, the rotation bracket's order, so every
+field has the terms and the term order that brackets alone give.
 """
 
 from __future__ import annotations
@@ -82,8 +88,8 @@ def taylor_vf(l: int, M: int) -> RationalVF:
         # dropping cancelled monomials before the next product keeps their
         # keys out of the first-seen order
         sym = {p: c for p, c in prod.items() if c}
-    # each monomial of the symbol times zbar_a, a distinct key per (a, p)
-    return RationalVF({
+    # each monomial of the symbol times zbar_a: a distinct key per (a, p), none zero
+    return RationalVF._canonical({
         _fold(a, p + _factor(a, 0, 1)) + NO_DIVISORS: pref * c
         for a in range(1, M + 1)
         for p, c in sym.items()
@@ -115,7 +121,7 @@ def solve_homological_z1(k: RationalVF) -> Tuple[RationalVF, RationalVF]:
             res[key] = c
         else:
             chi[key] = c.times_i() / m
-    return RationalVF(chi), RationalVF(res)
+    return RationalVF._canonical(chi), RationalVF._canonical(res)  # K's keys, none zero
 
 
 def split_integrable(vf: RationalVF) -> Tuple[RationalVF, RationalVF]:
@@ -131,35 +137,33 @@ def split_integrable(vf: RationalVF) -> Tuple[RationalVF, RationalVF]:
 # ---------------------------------------------------------------------------
 # graded Lie transforms and the resonant normal form
 
-def _lie_transform(fields: Dict[int, RationalVF], chi: RationalVF, chi_order: int, keep: int):
+def _lie_transform(fields: Dict[int, RationalVF], chi: RationalVF, chi_order: int, keep: int,
+                   linear_bracket: RationalVF):
     """Apply ``exp(ad_chi)`` to a graded field, tracking the discarded orders.
 
-    Returns the transformed grading and the smallest discarded order (or None
-    when nothing was cut).
+    ``linear_bracket`` is ``[fields[0], chi]``, known from the homological
+    equation; it stands in for the first bracket of grade 0. Returns the
+    transformed grading and the smallest discarded order (or None when
+    nothing was cut).
     """
     out: Dict[int, RationalVF] = {}
     skipped: Optional[int] = None
-    for p, x in fields.items():
-        term = x
+    for p, term in fields.items():
         k = 0
-        order = p
         while not term.is_zero():
+            order = p + k * chi_order
             if order > keep:
                 # conservatively count the cut even if the product would vanish
-                if skipped is None or order < skipped:
-                    skipped = order
+                skipped = order if skipped is None else min(skipped, order)
                 break
             prev = out.get(order)
             out[order] = term if prev is None else prev + term
             k += 1
-            order = p + k * chi_order
-            if order > keep:
-                if skipped is None or order < skipped:
-                    skipped = order
-                break
-            term = commutator(term, chi)
-            if k > 1:
-                term = term.scale(Fraction(1, k))
+            # a bracket past keep is counted above without being computed
+            if order + chi_order <= keep:
+                term = linear_bracket if p == 0 and k == 1 else commutator(term, chi)
+                if k > 1:
+                    term = term.scale(Fraction(1, k))
     return out, skipped
 
 
@@ -188,7 +192,9 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
     Linear-nonresonant terms are removed through order ``r`` (quintic for
     ``r = 2``, septic for ``r = 3``); the returned pieces are the integrable
     fields, the resonant remainders, and the generators used. All arithmetic
-    is exact, so equalities between the produced fields are literal.
+    is exact, so equalities between the produced fields are literal. The
+    linear field's bracket with each generator is ``Z - K`` from its stage's
+    solve, with the terms and order of the computed bracket (module docstring).
     """
     if r not in (2, 3):
         raise ValueError("supported orders are r = 2 and r = 3")
@@ -201,11 +207,12 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
     generators: Dict[int, RationalVF] = {}
     min_skipped: Optional[int] = None
     for stage in range(1, keep + 1):
-        chi, _ = solve_homological_z1(fields.get(stage, RationalVF()))
+        k = fields.get(stage, RationalVF())
+        chi, z = solve_homological_z1(k)
         generators[stage] = chi
         if chi.is_zero():
             continue
-        fields, skipped = _lie_transform(fields, chi, stage, keep)
+        fields, skipped = _lie_transform(fields, chi, stage, keep, z - k)
         if skipped is not None:
             deg = 2 * skipped + 1
             if min_skipped is None or deg < min_skipped:

@@ -134,7 +134,7 @@ class QC:
             return _reduced(n * p - m * r, n * r + m * p, self.d * other.d)
         if type(other) is int:
             return _reduced(n * other, m * other, self.d)
-        other = Fraction(other)
+        other = other if isinstance(other, Fraction) else Fraction(other)
         return _reduced(n * other.numerator, m * other.numerator, self.d * other.denominator)
 
     __rmul__ = __mul__
@@ -148,7 +148,7 @@ class QC:
                 raise ZeroDivisionError("division by zero Gaussian rational")
             e = other.d
             return _reduced((n * p + m * r) * e, (m * p - n * r) * e, self.d * den)
-        other = Fraction(other)
+        other = other if isinstance(other, (int, Fraction)) else Fraction(other)
         p, q = other.numerator, other.denominator
         if p == 0:
             raise ZeroDivisionError("division of a Gaussian rational by zero")
@@ -233,14 +233,18 @@ def canonical_from_exponents(a: int, exps: Mapping[int, Tuple[int, int]]) -> Ter
     squares. This also performs the boundary bookkeeping: for example
     ``zbar_a^3`` folds to an anti term with index entry ``(-1, a)``.
     """
-    alpha, beta = exps.get(a, (0, 0))
+    return _canonical_key(a, *exps.get(a, (0, 0)), [(m, x, y) for m, (x, y) in sorted(exps.items())])
+
+
+def _canonical_key(a: int, alpha: int, beta: int, exps: Sequence[Tuple[int, int, int]]) -> TermKey:
+    """The fold of :func:`canonical_from_exponents`: the exponents at ``a``, then all by increasing mode."""
     if (alpha - beta) % 2 == 0:
         raise ParityError(f"exponent difference at derivative mode {a} must be odd")
     kind = DIAG if alpha > beta else ANTI
     entries = []
     # modes in increasing order, and at each mode actions, then conjugate
     # squares, then squares: the canonical order of an index vector
-    for m, (x, y) in sorted(exps.items()):
+    for m, x, y in exps:
         if m < 1:
             raise ValueError(f"mode must be a positive integer, got {m!r}")
         if m == a:
@@ -255,7 +259,12 @@ def canonical_from_exponents(a: int, exps: Mapping[int, Tuple[int, int]]) -> Ter
         y -= p
         if x % 2 or y % 2:
             raise ParityError(f"exponent difference at mode {m} must be even")
-        entries += [(0, m)] * p + [(-1, m)] * (y // 2) + [(1, m)] * (x // 2)
+        if p:
+            entries += [(0, m)] * p
+        if y:
+            entries += [(-1, m)] * (y // 2)
+        elif x:
+            entries += [(1, m)] * (x // 2)
     return (a, kind, tuple(entries))
 
 
@@ -315,14 +324,17 @@ def _fold(a: int, p: int) -> TermKey:
     Memoised up to a bound, so each distinct monomial of a computation folds
     once and equal keys share one tuple across fields.
     """
-    exps = {}
+    exps = []
+    at = 2 * _WIDTH * (a - 1)
+    alpha, beta = (p >> at) & _MASK, (p >> (at + _WIDTH)) & _MASK
     m = 1
     while p:
-        if p & _MASK or (p >> _WIDTH) & _MASK:
-            exps[m] = (p & _MASK, (p >> _WIDTH) & _MASK)
+        x, y = p & _MASK, (p >> _WIDTH) & _MASK
+        if x or y:
+            exps.append((m, x, y))
         p >>= 2 * _WIDTH
         m += 1
-    return canonical_from_exponents(a, exps)
+    return _canonical_key(a, alpha, beta, exps)
 
 
 def multiplicity(j: IndexVector) -> int:

@@ -90,9 +90,11 @@ def field_from_json(doc: Dict) -> RationalVF:
     return RationalVF(terms)
 
 
-def dump_field(vf: RationalVF, path) -> None:
-    text = json.dumps(field_to_json(vf), indent=1, sort_keys=True)
-    Path(path).write_text(text + "\n")
+def dump_field(vf: RationalVF, path) -> Dict:
+    """Write the field's document to ``path`` and return it."""
+    doc = field_to_json(vf)
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return doc
 
 
 def load_field(path) -> RationalVF:

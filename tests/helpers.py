@@ -19,6 +19,10 @@ Contents:
   on sorted exponent tuples and folded by ``dict_product_key``; the
   reference for the packed ``nf_engine.poly.taylor_vf``, term order
   included,
+- ``bracket_lie_transform``: ``exp(ad_chi)`` on a graded field with every
+  bracket computed, the linear field's included; the reference for
+  ``nf_engine.poly._lie_transform``, which takes that bracket from the
+  homological equation, term order included,
 - ``FreqContext``, ``omega2``, ``omega4`` and ``big_omega``: the scalar
   divisor, one vector at one state, reduced to its irreducible part first;
   the reference for ``divisors.divisor_evaluator``,
@@ -93,6 +97,7 @@ from stringnf.nf_engine.rational import (
     _linear_derivative,
     _quadratic_derivative,
     canonical_from_exponents,
+    commutator,
     conj_index_vector,
     evaluate_vf,
     key_exponents,
@@ -532,6 +537,38 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
     divisor_part(acc, xt, yt, +1)
     divisor_part(acc, yt, xt, -1)
     return RationalVF(acc)
+
+
+def bracket_lie_transform(fields, chi: RationalVF, chi_order: int, keep: int):
+    """``exp(ad_chi)`` on a graded field with every bracket computed.
+
+    Returns the transformed grading and the smallest discarded order (or None
+    when nothing was cut); a bracket whose order passes ``keep`` counts as cut
+    without being computed.
+    """
+    out = {}
+    skipped = None
+    for p, x in fields.items():
+        term = x
+        k = 0
+        order = p
+        while not term.is_zero():
+            if order > keep:
+                if skipped is None or order < skipped:
+                    skipped = order
+                break
+            prev = out.get(order)
+            out[order] = term if prev is None else prev + term
+            k += 1
+            order = p + k * chi_order
+            if order > keep:
+                if skipped is None or order < skipped:
+                    skipped = order
+                break
+            term = commutator(term, chi)
+            if k > 1:
+                term = term.scale(Fraction(1, k))
+    return out, skipped
 
 
 # ---------------------------------------------------------------------------

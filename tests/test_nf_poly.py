@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,17 @@ from stringnf.nf_engine import (
     z1_field,
 )
 
-from helpers import EC, ZPoly, dict_product_key, oracle_commutator, stiffness_response_series, tuple_taylor_vf
+from stringnf.nf_engine import poly
+
+from helpers import (
+    EC,
+    ZPoly,
+    bracket_lie_transform,
+    dict_product_key,
+    oracle_commutator,
+    stiffness_response_series,
+    tuple_taylor_vf,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +481,29 @@ def test_linear_stage_identity_on_random_input():
             assert d == (0 if kind == DIAG else a)
 
 
+def test_linear_solve_and_interaction_fields_are_canonical():
+    # the solve and taylor_vf skip the normalizing constructor: it would give
+    # the same terms in the same order
+    def assert_canonical(f):
+        assert list(RationalVF(dict(f.terms)).terms.items()) == list(f.terms.items())
+
+    rng = random.Random(2121)
+    for _ in range(40):
+        k = random_poly_vf(rng, 4, 12, mixed_parity_coeff)
+        chi, res = solve_homological_z1(k)
+        assert not (chi.is_zero() or res.is_zero())
+        # the drawn field, then an all-resonant one and an all-removable one
+        for case in (k, res, chi):
+            removed, kept = solve_homological_z1(case)
+            assert_canonical(removed)
+            assert_canonical(kept)
+            assert removed.terms.keys() | kept.terms.keys() == case.terms.keys()
+        assert solve_homological_z1(res)[0].is_zero() and solve_homological_z1(chi)[1].is_zero()
+    for l in range(1, 5):
+        for M in range(1, 7):
+            assert_canonical(taylor_vf(l, M))
+
+
 def test_generator_parity_and_norm():
     M = 6
     p3 = taylor_vf(1, M)
@@ -556,6 +590,23 @@ def test_normal_form_septic_stage():
         d = sum(delta * m for delta, m in j)
         assert d == (0 if kind == DIAG else a)
     assert res.min_skipped_degree is None or res.min_skipped_degree >= 9
+
+
+@pytest.mark.parametrize("r, N", [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 6)])
+def test_normal_form_matches_bracket_only_transform(r, N):
+    # taking [Z1, chi] from the homological equation gives every field and
+    # generator the terms, coefficients and order that brackets alone give
+    def oracle(fields, chi, chi_order, keep, _linear_bracket):
+        return bracket_lie_transform(fields, chi, chi_order, keep)
+
+    def parts(nf):
+        fields = [nf.z1, nf.z3, nf.z5, nf.k5, nf.k7, *nf.generators.values()]
+        return [list(f.terms.items()) for f in fields], list(nf.generators), nf.min_skipped_degree
+
+    fast = resonant_normal_form(r, N)
+    with mock.patch.object(poly, "_lie_transform", oracle):
+        slow = resonant_normal_form(r, N)
+    assert parts(fast) == parts(slow)
 
 
 def test_normal_form_rejects_bad_order():

@@ -136,3 +136,30 @@ def test_float_conversion_is_fraction_rounding(a):
     got = qa.to_complex()
     assert repr(got) == repr(want)
     assert abs(qa) == math.hypot(float(qa.re), float(qa.im))
+
+
+@given(pairs(), st.one_of(st.sampled_from([1, -1]), nonzero_ints), nonzero_fracs)
+@settings(max_examples=300, deadline=None)
+def test_int_and_fraction_fast_paths_match_the_general_path(a, k, f):
+    # QC / int skips Fraction(int) and QC * Fraction skips re-wrapping it; the
+    # general path wraps the scalar as a QC, and a bool still goes through Fraction
+    qa, ea = a
+    for got, want, value in ((qa / k, qa / QC(k), ea * EC(Fraction(1, k))),
+                             (qa / k, qa / Fraction(k), ea * EC(Fraction(1, k))),
+                             (qa / f, qa / QC(f), ea * EC(1 / f)),
+                             (qa * f, qa * QC(f), ea * EC(f)),
+                             (f * qa, QC(f) * qa, ea * EC(f)),
+                             (qa / True, qa / QC(1), ea)):
+        assert_value(got, value)
+        assert (got.n, got.m, got.d) == (want.n, want.m, want.d)
+
+
+@given(pairs())
+@settings(max_examples=100, deadline=None)
+def test_division_by_zero_messages(a):
+    qa, _ = a
+    for zero in (0, Fraction(0), False, 0.0):
+        with pytest.raises(ZeroDivisionError, match=r"^division of a Gaussian rational by zero$"):
+            qa / zero
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero Gaussian rational$"):
+        qa / QC()

@@ -615,6 +615,40 @@ def test_hessian_table_matches_closed_form():
             assert omega4_hessian(m, n) == closed_form_omega4_hessian(m, n)
 
 
+@st.composite
+def raw_exponents(draw):
+    """``(a, {mode: (alpha, beta)})`` over modes 1..8 and exponents 0..63, the
+    derivative mode present or absent, with the fold's parity rule kept or not."""
+    a = draw(st.integers(1, 8))
+    modes = draw(st.sets(st.integers(1, 8), max_size=8)) - {a}
+    if draw(st.booleans()):
+        modes.add(a)
+    valid = draw(st.booleans())
+    exps = {}
+    for m in sorted(modes, key=lambda m: draw(st.integers(0, 8))):
+        x, y = draw(st.integers(0, 63)), draw(st.integers(0, 63))
+        # odd at the derivative mode, even elsewhere
+        if valid and (x - y) % 2 != (m == a):
+            y ^= 1
+        exps[m] = (x, y)
+    return a, exps
+
+
+@given(raw_exponents())
+@settings(max_examples=500, deadline=None)
+def test_packed_fold_matches_exponent_fold(case):
+    a, exps = case
+    packed = sum(rational._factor(m, x, y) for m, (x, y) in exps.items())
+    try:
+        want = canonical_from_exponents(a, exps)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            rational._fold.__wrapped__(a, packed)
+        assert type(got.value) is type(exc)
+    else:
+        assert rational._fold.__wrapped__(a, packed) == want
+
+
 def test_fold_memo_is_bounded():
     # folding more distinct monomials than the bound keeps the memo at the
     # bound, and every fold, an evicted one included, gives the plain fold's key

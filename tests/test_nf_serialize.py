@@ -79,6 +79,13 @@ def test_serialized_text_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_dump_returns_the_document_it_wrote(tmp_path):
+    # nf-verify compares the returned document with the golden table
+    f = sample_rational()
+    doc = dump_field(f, tmp_path / "f.json")
+    assert doc == field_to_json(f) == json.loads((tmp_path / "f.json").read_text())
+
+
 def test_rejects_malformed_documents():
     with pytest.raises(ValueError, match="format"):
         field_from_json({"format": "other", "terms": []})

@@ -110,9 +110,9 @@ worst = _rel_residual(total, q, states)
 print(time.perf_counter() - t, len(total.terms), len(q.terms), worst.hex())
 """
 
-# the linear field against the quintic-stage generator, as a fresh field (its
-# first bracket, as inside resonant_normal_form) and again (as nf-verify's
-# quintic identity check brackets it a second time)
+# the linear field against the quintic-stage generator, as a fresh field (as
+# nf-verify's quintic identity check brackets it; resonant_normal_form takes
+# this bracket from its homological equation) and again on the same field
 ROTATION_28 = """
 import time
 from stringnf.nf_engine import RationalVF, commutator, resonant_normal_form, z1_field
