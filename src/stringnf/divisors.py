@@ -104,7 +104,7 @@ def divisor_evaluator(actions: Mapping, N: int, one=1.0) -> Callable[[Sequence[t
     At order 2, ``w(a)`` is ``OMEGA2_RATE I_a`` for ``1 <= a <= N`` and 0 otherwise;
     order 4 adds :func:`_omega4_raw`. Numbers are of the type of ``one``
     (float or Fraction). ``v`` is not reduced: pass it irreducible with ``b
-    >= 0``, as a rational field stores it or as :func:`_reduce` returns it.
+    >= 0``, as a rational field stores it or as :func:`irr` returns it.
     Values are cached per evaluator, and over floats a zero action gives the
     same bits as an absent one.
     """
@@ -177,30 +177,6 @@ def kappa(jvec: Iterable[tuple[int, int]]) -> int:
         raise ValueError("kappa requires momentum >= 0 (conjugate the vector first)")
     m = mu_min(v)
     return m if d == 0 else min(m, d)
-
-
-def _reduce(jvec: Iterable[tuple[int, int]]) -> tuple[tuple, int, tuple]:
-    """Canonical form, momentum and irreducible part; negative momentum is a domain error."""
-    v = canonicalize(jvec)
-    d = delta_sum(v)
-    if d < 0:
-        raise ValueError("momentum is negative; conjugate the index vector first")
-    return v, d, irr(v, d)
-
-
-def _tail_correction(red: Sequence[tuple[int, int]], b: int, actions: Mapping, N: int):
-    """Divisor correction of ``red`` (momentum ``b``) from ``omega4`` tails over the other modes.
-
-    Over floats or action columns, as :func:`_omega4_raw`; with the excluded
-    modes absent, its self and cross terms add only signed zeros.
-    """
-    excluded = {a for _, a in red} | {b}
-    kept = {a: x for a, x in actions.items() if a not in excluded}
-
-    def tail(a: int):
-        return _omega4_raw(a, kept, N) if a else 0.0
-
-    return sum(delta * tail(a) for delta, a in red) - tail(b)
 
 
 # ---------------------------------------------------------------------------
@@ -453,26 +429,6 @@ class DivisorTable:
 def divisor_table(r: int, N: int, weight: WeightSpec) -> DivisorTable:
     """The :class:`DivisorTable` of the irreducible vectors at ``(r, N)``, built on first use."""
     return DivisorTable(enumerate_irr_indices(r, N), N, weight)
-
-
-def _tail_scores(v: tuple, params: NonResonanceParams, actions: np.ndarray, eps: float) -> tuple:
-    """Both divisors of irreducible ``v`` per row of ``eps^2 actions[B, M]``, and their thresholds.
-
-    Frequencies are cut off at ``M``, thresholds at ``params.N`` and ``gamma
-    eps^2``, the leading one halved. Rows repeat the scalar float operations.
-    """
-    table = DivisorTable((v,), params.N, params.weight)
-    M = actions.shape[1]
-    b = int(table._momentum[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        I = eps * eps * actions
-        if not np.isfinite(I).all():
-            raise ValueError(f"eps = {eps!r} scales a sampled action out of the finite range")
-        w2, columns = _columns(I, max(M, b, int(table._modes.max())) + 1)
-        leading = table._divisors(w2)[:, 0]
-        corrected = leading + 2.0 * _tail_correction(v, b, columns, M)
-    thr2, thr4 = _thresholds(params.gamma * eps * eps, table._length_factor[0], table._kappa_factor[0])
-    return leading, corrected, 0.5 * float(thr2), float(thr4)
 
 
 def _check_rows(I: np.ndarray, norms: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Monte Carlo estimation of non-resonant measure and divisor tails.
+"""Monte Carlo estimation of the non-resonant measure.
 
 Initial data is drawn from a Gaussian ensemble written in action-angle form:
 the actions are independent exponentials whose rates make each weighted
@@ -6,10 +6,10 @@ coordinate unit scale (rate ``m**(2s)`` for Sobolev weights, rate
 ``exp(2 rho m**theta) * m**2`` for Gevrey weights), the angles are uniform,
 and the draw is conditioned by rejection on a weighted action ball
 (``sum_m m**(2s-2) I_m <= radius`` and ``sum_m exp(2 rho m**theta) I_m <=
-radius`` respectively). On top of the sampler sit two estimators: the
-fraction of sampled states that pass the non-resonance test after scaling,
-and tail probabilities of a single divisor falling under its threshold.
-Proportions carry Wilson score intervals.
+radius`` respectively). On top of the sampler sits one estimator: the
+fraction of sampled states that pass the non-resonance test of
+:class:`~stringnf.divisors.DivisorTable` after scaling, with a Wilson score
+interval.
 
 Sampling is chunked, and every chunk is generated from its own generator
 keyed by ``(seed, chunk index)``, so results are reproducible per seed,
@@ -22,26 +22,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from .core import ComplexSeq, WeightSpec
-from .divisors import (
-    NonResonanceParams,
-    _check_rows,
-    _reduce,
-    _tail_scores,
-    divisor_table,
-)
+from .divisors import NonResonanceParams, _check_rows, divisor_table
 
 __all__ = [
-    "DivisorTailEstimate",
     "MeasureEstimate",
     "MeasureSpec",
     "SampleBatch",
     "default_eps",
-    "divisor_tail",
     "eps_squared_cap",
     "estimate_measure",
     "sample_actions",
@@ -292,81 +283,6 @@ def estimate_measure(
         ci_high=hi,
         samples=len(batch),
         seed=batch.spec.seed,
-        gamma=params.gamma,
-        N=params.N,
-        r=params.r,
-        eps=eps,
-    )
-
-
-@dataclass(frozen=True)
-class DivisorTailEstimate:
-    """Tail probabilities of one divisor under the sampled ensemble.
-
-    ``p_leading`` estimates how often the leading divisor falls at or below
-    its threshold; ``p_corrected`` does the same for the corrected divisor
-    against its larger threshold.
-    """
-
-    jvec: tuple[tuple[int, int], ...]
-    p_leading: float
-    p_corrected: float
-    threshold_leading: float
-    threshold_corrected: float
-    samples: int
-    seed: int
-    gamma: float
-    N: int
-    r: int
-    eps: float
-
-    def record(self) -> dict:
-        return {
-            "j": [list(pair) for pair in self.jvec],
-            "gamma": self.gamma,
-            "N": self.N,
-            "r": self.r,
-            "p_leading": self.p_leading,
-            "p_corrected": self.p_corrected,
-            "threshold_leading": self.threshold_leading,
-            "threshold_corrected": self.threshold_corrected,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
-
-def divisor_tail(
-    jvec: Iterable[tuple[int, int]],
-    params: NonResonanceParams,
-    spec: MeasureSpec,
-    eps: float,
-) -> DivisorTailEstimate:
-    """Empirical probability that one divisor sits at or below its threshold.
-
-    At the scaled actions ``eps^2 I``, the leading divisor is held to half
-    the leading-order threshold at ``gamma eps^2`` (``divisors._thresholds``)
-    and the corrected divisor to the next-order one. The index vector must be
-    irreducible.
-    """
-    _check_eps(eps)
-    v, _, red = _reduce(jvec)
-    if not red:
-        raise ValueError("integrable index vector has no divisor tail")
-    if red != v:
-        raise ValueError("index vector is reducible; pass its irreducible part")
-    batch = sample_actions(spec)
-    leading, corrected, thr_leading, thr_corrected = _tail_scores(v, params, batch.actions, eps)
-    hits2 = int(np.count_nonzero(np.abs(leading) <= thr_leading))
-    hits4 = int(np.count_nonzero(np.abs(corrected) <= thr_corrected))
-    n = len(batch)
-    return DivisorTailEstimate(
-        jvec=v,
-        p_leading=hits2 / n,
-        p_corrected=hits4 / n,
-        threshold_leading=thr_leading,
-        threshold_corrected=thr_corrected,
-        samples=n,
-        seed=spec.seed,
         gamma=params.gamma,
         N=params.N,
         r=params.r,

@@ -24,17 +24,14 @@ Contents:
   ``nf_engine.poly._lie_transform``, which takes that bracket from the
   homological equation, term order included,
 - ``FreqContext``, ``omega2``, ``omega4`` and ``big_omega``: the scalar
-  divisor, one vector at one state, reduced to its irreducible part first;
-  the reference for ``divisors.divisor_evaluator``,
+  divisor, one vector at one state, reduced to its irreducible part first
+  by ``_reduce``; the reference for ``divisors.divisor_evaluator``,
 - ``closed_form_omega4_hessian``: the action Hessian of ``omega4`` written
   out by hand from its three sums; the exact reference for
   ``divisors.omega4_hessian``, which polarizes ``omega4`` itself,
 - ``scalar_nonresonance``: the non-resonance test as a scalar loop over the
   irreducible vectors, built from ``big_omega``, ``kappa`` and
   ``_kappa_factor``; the reference for the batched ``DivisorTable``,
-- ``scalar_corrected_divisor`` and ``scalar_divisor_tail``: the corrected
-  divisor with its own tail sum, and the divisor tail estimator as a loop
-  over samples; the reference for the batched ``measure.divisor_tail``,
 - ``zeta_value`` and ``zeta_product``: the quadratic blocks of an index
   vector at one state,
 - ``scalar_evaluate_vf``: a rational field at one state as a loop over its
@@ -81,13 +78,11 @@ from stringnf.core import ComplexSeq, canonicalize, delta_sum, weighted_norm
 from stringnf.divisors import (
     _kappa_factor,
     _omega4_raw,
-    _reduce,
     divisor_evaluator,
     enumerate_irr_indices,
     irr,
     kappa,
 )
-from stringnf.measure import sample_actions
 from stringnf.nf_engine.rational import (
     ANTI,
     DIAG,
@@ -785,6 +780,15 @@ def closed_form_omega4_hessian(m: int, N: int) -> tuple[tuple[int, int, Fraction
     return tuple(sorted(entries))
 
 
+def _reduce(jvec: Iterable[tuple[int, int]]) -> tuple[tuple, int, tuple]:
+    """Canonical form, momentum and irreducible part; negative momentum is a domain error."""
+    v = canonicalize(jvec)
+    d = delta_sum(v)
+    if d < 0:
+        raise ValueError("momentum is negative; conjugate the index vector first")
+    return v, d, irr(v, d)
+
+
 def big_omega(jvec: Iterable[tuple[int, int]], ctx: FreqContext, order: int = 2) -> float:
     """Small divisor of an index vector at the given correction order (2 or 4).
 
@@ -839,69 +843,6 @@ def scalar_nonresonance(z, params) -> tuple[float, Optional[tuple], Optional[int
                 best_j = j
                 best_order = order
     return best, best_j, best_order
-
-
-# ---------------------------------------------------------------------------
-# scalar divisor tail
-
-def scalar_corrected_divisor(jvec, ctx) -> float:
-    """Corrected divisor of ``jvec``: the leading one plus tail-only corrections.
-
-    Each correction ``a/16 sum_d I_d^2 / (d^2 - a^2)`` runs over the actions of
-    ``ctx`` in their stored order, skipping the modes of the irreducible part
-    and the momentum.
-    """
-    v = canonicalize(jvec)
-    d = delta_sum(v)
-    if d < 0:
-        raise ValueError("momentum is negative; conjugate the index vector first")
-    red = irr(v, d)
-    if not red:
-        return 0.0
-    excluded = frozenset(a for _, a in red) | ({d} if d > 0 else frozenset())
-
-    def tail(a: int) -> float:
-        if a == 0:
-            return 0.0
-        af = float(a)
-        total = 0.0
-        for m, Im in ctx.actions.items():
-            if m not in excluded:
-                total += Im * Im / (m * m - af * af)
-        return af / 16.0 * total
-
-    corr = sum(delta * tail(a) for delta, a in red)
-    corr -= tail(d)
-    return big_omega(v, ctx, 2) + 2.0 * corr
-
-
-def scalar_divisor_tail(jvec, params, spec, eps) -> tuple[int, int, float, float]:
-    """Hits of the leading and the corrected divisor and their thresholds, one sample at a time.
-
-    ``jvec`` must be irreducible. Each sample's scaled actions go into a
-    ``FreqContext`` cut off at the truncation; the leading divisor is
-    ``big_omega`` and is held to ``gamma eps^2 N^(-4l-2) kf / 2``, the
-    corrected one is :func:`scalar_corrected_divisor` and is held to
-    ``gamma eps^2 N^(-4l-2) max(kf, gamma eps^2)``.
-    """
-    v = canonicalize(jvec)
-    l = len(v)
-    kf = _kappa_factor(kappa(v), params.weight)
-    scale = params.gamma * eps * eps * float(params.N) ** (-4 * l - 2)
-    thr_leading = 0.5 * scale * kf
-    thr_corrected = scale * max(kf, params.gamma * eps * eps)
-    batch = sample_actions(spec)
-    e2 = eps * eps
-    M = spec.truncation
-    hits2 = 0
-    hits4 = 0
-    for row in batch.actions:
-        ctx = FreqContext({m: e2 * row[m - 1] for m in range(1, M + 1)}, M)
-        if abs(big_omega(v, ctx, 2)) <= thr_leading:
-            hits2 += 1
-        if abs(scalar_corrected_divisor(v, ctx)) <= thr_corrected:
-            hits4 += 1
-    return hits2, hits4, thr_leading, thr_corrected
 
 
 # ---------------------------------------------------------------------------

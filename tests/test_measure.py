@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import FreqContext, big_omega, scalar_corrected_divisor, scalar_divisor_tail, scalar_nonresonance
+from helpers import scalar_nonresonance
 from stringnf.core import WeightSpec, weighted_norm
-from stringnf.divisors import NonResonanceParams, _tail_scores, certify, enumerate_irr_indices
+from stringnf.divisors import NonResonanceParams, certify, divisor_table
 from stringnf.measure import (
-    DivisorTailEstimate,
     MeasureEstimate,
     MeasureSpec,
     SampleBatch,
-    divisor_tail,
     estimate_measure,
     sample_actions,
     wilson_interval,
@@ -281,140 +279,35 @@ def test_overflowing_norm_is_the_same_error_on_both_paths():
         batch.nonresonant(eps, params)
 
 
-def corrected_rows(v, rows):
-    """Leading and corrected divisors of irreducible ``v``, one per row of actions on modes 1..M."""
-    leading, corrected, _, _ = _tail_scores(v, NonResonanceParams(2, 1, 0.1, SOB1), np.array(rows), 1.0)
-    return leading, corrected
-
-
-class TestCorrectedDivisor:
-    """The corrected divisor as ``divisors._tail_scores`` gives it, one row per state."""
-
-    def test_difference_from_leading_ignores_indexed_actions(self):
-        j = ((1, 2), (1, 3))  # momentum 5: modes 2, 3, 5 are excluded
-        row = [0.3, 0.11, 0.07, 0.05, 0.02, 0.013]
-        bumped = [0.3, 1.7, 0.9, 0.05, 2.2, 0.013]
-        leading, corrected = corrected_rows(j, [row, bumped])
-        assert corrected[1] - leading[1] == pytest.approx(corrected[0] - leading[0], rel=1e-10)
-
-    def test_difference_responds_to_other_actions(self):
-        j = ((1, 2), (1, 3))
-        row = [0.3, 0.11, 0.07, 0.05, 0.02, 0.013]
-        bumped = [0.3, 0.11, 0.07, 0.5, 0.02, 0.013]
-        leading, corrected = corrected_rows(j, [row, bumped])
-        assert corrected[1] - leading[1] != pytest.approx(corrected[0] - leading[0], rel=1e-6)
-
-    def test_matches_hand_sum(self):
-        ctx = FreqContext({1: 0.4, 2: 0.25, 3: 0.09}, 3)
-        j = ((1, 3), (1, 3))  # momentum 6 beyond the cutoff; mode 3 is excluded
-        tails = {a: a / 16.0 * sum(ctx.I(d) ** 2 / (d * d - a * a) for d in (1, 2)) for a in (3, 6)}
-        leading, corrected = corrected_rows(j, [[0.4, 0.25, 0.09]])
-        assert leading[0] == big_omega(j, ctx, 2)
-        assert corrected[0] == pytest.approx(big_omega(j, ctx, 2) + 2 * (2 * tails[3] - tails[6]), rel=1e-14)
-
-
-class TestDivisorTail:
-    def test_rejects_integrable_and_reducible_vectors(self):
-        params = NonResonanceParams(2, 2, 0.1, SOB1)
-        spec = MeasureSpec(SOB1, 4, 10, 1)
-        with pytest.raises(ValueError, match="integrable"):
-            divisor_tail(((1, 2), (-1, 2)), params, spec, 1.0)
-        with pytest.raises(ValueError, match="reducible"):
-            divisor_tail(((1, 4), (-1, 4), (1, 3), (1, 2)), params, spec, 1.0)
-        with pytest.raises(ValueError, match="conjugate"):
-            divisor_tail(((-1, 2),), params, spec, 1.0)
-
-    @pytest.mark.parametrize("eps,cause", [
-        # the scaled actions round to zero: every divisor and threshold is 0.0
-        (1e-200, "eps = 1e-200 has a square that is zero or subnormal"),
-        (1e200, "eps = 1e+200 has a square that is not finite"),
-    ])
-    def test_rejects_eps_whose_square_is_unusable(self, eps, cause):
-        params = NonResonanceParams(2, 4, 0.1, SOB1)
-        spec = MeasureSpec(SOB1, 4, 200, 1)
-        with pytest.raises(ValueError, match=re.escape(cause)):
-            divisor_tail(((1, 3), (1, 1), (-1, 2), (-1, 2)), params, spec, eps)
-
-    def test_determinism_and_record(self):
-        params = NonResonanceParams(2, 1, 0.2, SOB2)
-        spec = MeasureSpec(SOB1, 5, 500, 20)
-        a = divisor_tail(((1, 2), (1, 3)), params, spec, 1.0)
-        b = divisor_tail(((1, 2), (1, 3)), params, spec, 1.0)
-        assert a == b
-        rec = a.record()
-        assert rec["j"] == [[1, 2], [1, 3]]
-        assert rec["samples"] == 500
-        assert 0.0 <= rec["p_leading"] <= 1.0 and 0.0 <= rec["p_corrected"] <= 1.0
-
-    def test_probability_monotone_and_linear_in_gamma(self):
-        # Thresholds scale with gamma while the divisor distribution is fixed,
-        # so the tail probability must grow monotonically, and in the small-
-        # threshold regime like gamma itself (the sampled actions at mode 5
-        # give the leading divisor a positive density at zero).
-        j = ((1, 2), (1, 3))
-        spec = MeasureSpec(SOB1, truncation=5, sample_count=60_000, seed=20)
-        gammas = (0.05, 0.1, 0.2)
-        ps = []
-        for g in gammas:
-            params = NonResonanceParams(2, 1, g, SOB2)
-            est = divisor_tail(j, params, spec, 1.0)
-            ps.append(est.p_leading)
-            assert est.p_corrected >= est.p_leading  # larger threshold
-        assert 0 < ps[0] <= ps[1] <= ps[2]
-        slope, _ = through_origin_fit(gammas, ps)
-        for g, p in zip(gammas, ps):
+def test_per_divisor_counts_follow_the_gamma_law():
+    # Each threshold of the certificate is linear in gamma |z|_w^2 while the
+    # divisors' distribution is fixed, so the count of rows under each
+    # order-2 threshold grows like gamma itself (the sampled actions at mode 5
+    # give the leading divisors a positive density at zero). The order-4
+    # thresholds take max(kf, gamma |z|_w^2), and the rows with margin <= 1
+    # are the union over every column; both counts rise with gamma.
+    table = divisor_table(2, 2, SOB2)
+    batch = sample_actions(MeasureSpec(SOB1, truncation=5, sample_count=60_000, seed=20))
+    I, norms = batch.rows(1.0, 2, SOB2)
+    w2, w4 = table._frequencies(I)
+    gammas = (0.05, 0.1, 0.2)
+    counts = []
+    margins = []
+    for g in gammas:
+        div, thr = table._scores(w2, w4, g * norms * norms)
+        counts.append(np.count_nonzero(div / thr <= 1.0, axis=0).reshape(len(table), 2))
+        margins.append(np.count_nonzero(table.margins(I, norms * norms, g).margin <= 1.0))
+        assert counts[-1].max() <= margins[-1]
+    counts = np.array(counts)  # [gamma, vector, order]
+    # the two vectors at (2, 2) are negatives of each other
+    assert len(table) == 2 and (counts[:, 0] == counts[:, 1]).all()
+    for order2, order4 in counts.transpose(1, 2, 0):
+        assert 0 < order2[0]
+        assert 1.5 <= order2[1] / order2[0] <= 2.7
+        assert 1.5 <= order2[2] / order2[1] <= 2.7
+        slope, r2 = through_origin_fit(gammas, order2)
+        assert r2 >= 0.99
+        for g, p in zip(gammas, order2):
             assert 0.5 <= p / (slope * g) <= 2.0
-        assert 1.5 <= ps[1] / ps[0] <= 2.7
-        assert 1.5 <= ps[2] / ps[1] <= 2.7
-
-
-# ---------------------------------------------------------------------------
-# the batched divisor tail against the scalar loop
-
-_TAIL_WEIGHTS = st.one_of(
-    st.builds(lambda s: WeightSpec("sobolev", s=s), st.sampled_from([0.0, 1.0, 2.5])),
-    st.builds(
-        lambda rho, theta: WeightSpec("gevrey", rho=rho, theta=theta),
-        st.sampled_from([0.1, 0.5, 1.0]),
-        st.sampled_from([0.5, 1.0]),
-    ),
-)
-
-
-@st.composite
-def tail_cases(draw):
-    """An irreducible vector, threshold parameters, an ensemble and an amplitude.
-
-    The threshold cutoff ``N`` is at most 3 while the vector's modes and
-    momentum reach two past the truncation, and every other case has zero
-    momentum.
-    """
-    M = draw(st.integers(1, 6))
-    vectors = enumerate_irr_indices(3, M + 2)
-    if draw(st.booleans()):
-        vectors = [j for j in vectors if sum(delta * a for delta, a in j) == 0]
-    v = draw(st.sampled_from(vectors))
-    params = NonResonanceParams(2, draw(st.integers(1, 3)), draw(st.sampled_from([0.05, 0.3, 0.9])),
-                                draw(_TAIL_WEIGHTS))
-    spec = MeasureSpec(draw(_TAIL_WEIGHTS), M, 200, draw(st.integers(0, 2**16)))
-    eps = draw(st.floats(1e-3, 3.0))
-    return v, params, spec, eps
-
-
-@given(tail_cases())
-@settings(max_examples=80, deadline=None)
-def test_divisor_tail_matches_scalar_loop_bit_for_bit(case):
-    v, params, spec, eps = case
-    est = divisor_tail(v, params, spec, eps)
-    hits2, hits4, thr_leading, thr_corrected = scalar_divisor_tail(v, params, spec, eps)
-    n = spec.sample_count
-    assert (est.p_leading, est.p_corrected) == (hits2 / n, hits4 / n)
-    assert (est.threshold_leading, est.threshold_corrected) == (thr_leading, thr_corrected)
-    # every row's divisors, not only the counts, equal the scalar ones
-    actions = sample_actions(spec).actions
-    leading, corrected, _, _ = _tail_scores(v, params, actions, eps)
-    M = spec.truncation
-    for i, row in enumerate(actions):
-        ctx = FreqContext({m: eps * eps * row[m - 1] for m in range(1, M + 1)}, M)
-        assert leading[i] == big_omega(v, ctx, 2)
-        assert corrected[i] == scalar_corrected_divisor(v, ctx)
+        assert order4[0] < order4[1] < order4[2]
+    assert margins[0] < margins[1] < margins[2]

@@ -23,7 +23,9 @@ The snapshot holds:
   keeping the ``nf_engine.*`` per-layer medians, which show where the exact
   algebra's time goes.
 - ``layers``: raw seconds in fresh interpreters, three rounds with the sides
-  alternating, of layers no perfbench workload times by itself: the bracket
+  alternating, each next to the generation-2 collections that fell inside
+  its timed region (every layer script calls ``gc.collect()`` before that
+  region), of layers no perfbench workload times by itself: the bracket
   ``commutator(z3 + z5, chi, 4)`` at (r, N) = (3, 4); the residual check
   ``stringnf.cli._rel_residual`` of the septic identity at (3, 4) against
   ``q`` over ``_plain_states(50, 4, 1)``, which evaluates the 8,492-term
@@ -67,7 +69,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 SIDES = ("parent", "change")
 DEFAULT_PAIRS = "nf_verify=10,measure_scan=5,drift_sweep=3,simulate_record=3"
@@ -83,20 +85,38 @@ SLOWEST_TESTS = (
     "tests/test_nf_rational.py::test_compiled_evaluation_matches_scalar_loop_bit_for_bit",
 )
 
-BRACKET_34 = """
+# prepended to every layer script: start() collects the cyclic garbage and
+# zeroes gen2, the count of generation-2 collections that a gc.callbacks hook
+# keeps, so a timed region starts with no garbage of the setup's and reports
+# the full collections that fell inside it
+GC_PRELUDE = """
+import gc
 import time
+gen2 = 0
+def _count(phase, info):
+    global gen2
+    gen2 += phase == "stop" and info["generation"] == 2
+gc.callbacks.append(_count)
+def start():
+    global gen2
+    gc.collect()
+    gen2 = 0
+    return time.perf_counter()
+"""
+
+BRACKET_34 = """
 from stringnf.nf_engine import commutator, resonant_normal_form
 from stringnf.nf_engine.solvers import septic_stage_input, solve_homological_z3z5
 nfs = resonant_normal_form(3, 4)
 chi = solve_homological_z3z5(septic_stage_input(nfs), 4)[0]
 x = nfs.z3 + nfs.z5
-t = time.perf_counter()
+t = start()
 out = commutator(x, chi, 4)
 print(time.perf_counter() - t, len(out.terms))
+print(gen2)
 """
 
 REL_RESIDUAL_34 = """
-import time
 from stringnf.cli import _plain_states, _rel_residual
 from stringnf.nf_engine import commutator, resonant_normal_form
 from stringnf.nf_engine.solvers import septic_stage_input, solve_homological_z3z5
@@ -105,54 +125,57 @@ q = septic_stage_input(nfs)
 chi, z_int, echo_same, echo_down = solve_homological_z3z5(q, 4)
 total = commutator(nfs.z3 + nfs.z5, chi, 4) + q - z_int - echo_same - echo_down
 states = _plain_states(50, 4, 1)
-t = time.perf_counter()
+t = start()
 worst = _rel_residual(total, q, states)
 print(time.perf_counter() - t, len(total.terms), len(q.terms), worst.hex())
+print(gen2)
 """
 
 # the linear field against the quintic-stage generator, as a fresh field (as
 # nf-verify's quintic identity check brackets it; resonant_normal_form takes
 # this bracket from its homological equation) and again on the same field
 ROTATION_28 = """
-import time
 from stringnf.nf_engine import RationalVF, commutator, resonant_normal_form, z1_field
 z1 = z1_field(8)
 chi2 = RationalVF(dict(resonant_normal_form(2, 8).generators[2].terms))
 times = []
 for _ in range(2):
-    t = time.perf_counter()
+    t = start()
     out = commutator(z1, chi2)
-    times.append(time.perf_counter() - t)
-print(times[{which}], len(out.terms))
+    times.append((time.perf_counter() - t, gen2))
+print(times[{which}][0], len(out.terms))
+print(times[{which}][1])
 """
 
 # in-process nf-verify at perfbench's solver_N 2: its seconds in brackets whose
-# left field is a rotation, and in all
+# left field is a rotation, with the collections inside them, and in all
 NF_VERIFY_ROTATION = """
-import contextlib, io, tempfile, time
+import contextlib, io, tempfile
 from stringnf import cli
 from stringnf.nf_engine import QC, poly, rational
-spent = [0.0]
+spent = [0.0, 0]
 def timed(x, y, N=None, bracket=rational.commutator):
     rotation = all(k[1:] == (rational.DIAG, (), (), (), ()) and not c.n for k, c in x.terms.items())
-    t = time.perf_counter()
+    t, before = time.perf_counter(), gen2
     out = bracket(x, y, N)
     spent[0] += (time.perf_counter() - t) * rotation
+    spent[1] += (gen2 - before) * rotation
     return out
 rational.commutator = poly.commutator = cli.commutator = timed
 with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-    t = time.perf_counter()
+    t = start()
     cli.main(["nf-verify", "--set", "golden_dir=tests/golden", "--set", "solver_N=2", "--out", out])
-    total = time.perf_counter() - t
-print({timed})
+    total = (time.perf_counter() - t, gen2)
+print({timed}[0])
+print({timed}[1])
 """
 
 TIMED_CALL = """
-import time
 from stringnf.nf_engine import resonant_normal_form, taylor_vf
-t = time.perf_counter()
+t = start()
 {call}
 print(time.perf_counter() - t)
+print(gen2)
 """
 
 # one fresh interpreter per call, so the fold memo starts empty each time
@@ -165,32 +188,31 @@ CALLS = {
 }
 
 CERTIFY = """
-import time
 from stringnf.cli import _plain_states
 from stringnf.core import WeightSpec
 from stringnf.divisors import NonResonanceParams, certify
 params = NonResonanceParams(2, 8, 0.02, WeightSpec("sobolev", s=3.0))
 states = _plain_states({B}, 8, 1)
 certify(states, params)  # builds the cached divisor table
-t = time.perf_counter()
+t = start()
 for _ in range({reps}):
     certify(states, params)
 print((time.perf_counter() - t) / {reps})
+print(gen2)
 """
 
 STEP = """
-import time
 from stringnf.simulator import SimConfig, simulate
 from stringnf.transforms import UVState
 cfg = SimConfig(dt=5e-4, T=10.0, scheme="{scheme}", M=1, record_stride=10**9)
-t = time.perf_counter()
+t = start()
 simulate(UVState({{1: 0.25}}, {{}}, 1), cfg)
 print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
+print(gen2)
 """
 
 # criterion 5's 16-mode state, recorded only at the end
 SPARSE = """
-import time
 import numpy as np
 from stringnf.simulator import SimConfig, simulate
 from stringnf.transforms import UVState
@@ -198,15 +220,15 @@ rng = np.random.default_rng(3)
 u = {a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
 v = {a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
 cfg = SimConfig(dt=1e-3, T=20.0, M=16, record_stride=10**9)
-t = time.perf_counter()
+t = start()
 simulate(UVState(u, v, 16), cfg)
 print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
+print(gen2)
 """
 
 # criterion 5's 16-mode state, recorded on every step
 RECORDED = """
 import io
-import time
 import numpy as np
 from stringnf.simulator import SimConfig, simulate, trajectory_to_csv
 from stringnf.transforms import UVState
@@ -214,22 +236,23 @@ rng = np.random.default_rng(3)
 u = {{a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}}
 v = {{a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}}
 cfg = SimConfig(dt=1e-3, T=10.0, M=16, record_stride=1)
-t = time.perf_counter()
+t = start()
 traj = simulate(UVState(u, v, 16), cfg)
-per_sample = (time.perf_counter() - t) / len(traj.times)
-t = time.perf_counter()
+per_sample = ((time.perf_counter() - t) / len(traj.times), gen2)
+t = start()
 trajectory_to_csv(traj, io.StringIO())
-per_row = (time.perf_counter() - t) / len(traj.times)
-print({timed})
+per_row = ((time.perf_counter() - t) / len(traj.times), gen2)
+print({timed}[0])
+print({timed}[1])
 """
 
-LAYER_SCRIPTS = {
+LAYER_SCRIPTS = {kind: GC_PRELUDE + script for kind, script in {
     "bracket_34": BRACKET_34,
     "rel_residual_34": REL_RESIDUAL_34,
     **{kind: TIMED_CALL.format(call=call) for kind, call in CALLS.items()},
     "rotation_28": ROTATION_28.format(which=0),
     "rotation_28_again": ROTATION_28.format(which=1),
-    "nf_verify_rotation": NF_VERIFY_ROTATION.format(timed="spent[0]"),
+    "nf_verify_rotation": NF_VERIFY_ROTATION.format(timed="spent"),
     "nf_verify_in_process": NF_VERIFY_ROTATION.format(timed="total"),
     "certify_1": CERTIFY.format(B=1, reps=2000),
     "certify_250": CERTIFY.format(B=250, reps=20),
@@ -238,7 +261,7 @@ LAYER_SCRIPTS = {
     "strang_step_16": SPARSE,
     "record_16": RECORDED.format(timed="per_sample"),
     "csv_16": RECORDED.format(timed="per_row"),
-}
+}.items()}
 
 
 def src_lines(tree: Path) -> Dict[str, Any]:
@@ -324,18 +347,24 @@ def traced_section(trees, seconds: float) -> Dict[str, Any]:
     }
 
 
-def timed_layer(tree: Path, kind: str) -> float:
+def timed_layer(tree: Path, kind: str) -> Tuple[float, Optional[int]]:
+    """Seconds of one layer in ``tree``, and the generation-2 collections inside its timed region.
+
+    A layer script prints its seconds first and the count on its last line.
+    The count is ``None`` for the ``nf-verify`` subprocess, timed from outside.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     if kind in LAYER_SCRIPTS:
         proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPTS[kind]], env=env, capture_output=True,
                               text=True, check=True)
-        return float(proc.stdout.split()[0])
+        tokens = proc.stdout.split()
+        return float(tokens[0]), int(tokens[-1])
     with tempfile.TemporaryDirectory() as out:
         t = time.perf_counter()
         subprocess.run([sys.executable, "-m", "stringnf.cli", "nf-verify", "--set",
                         "golden_dir=tests/golden", "--out", out], cwd=tree, env=env,
                        capture_output=True, check=True)
-        return time.perf_counter() - t
+        return time.perf_counter() - t, None
 
 
 def layers_section(trees) -> Dict[str, Any]:
@@ -360,14 +389,20 @@ def layers_section(trees) -> Dict[str, Any]:
         "csv_16": "trajectory_to_csv of that trajectory into a StringIO, seconds per row",
         "nf_verify_default": "stringnf nf-verify --set golden_dir=tests/golden (solver_N 4), subprocess",
     }
-    timings = {label: {side: [] for side in SIDES} for label in names.values()}
+    timings = {label: {side: [] for side in SIDES} | {"gen2_collections": {side: [] for side in SIDES}}
+               for label in names.values()}
     for kind, label in names.items():
         for rnd in range(LAYER_ROUNDS):
             for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
-                timings[label][side].append(float(f"{timed_layer(trees[side], kind):.4g}"))
+                seconds, collections = timed_layer(trees[side], kind)
+                timings[label][side].append(float(f"{seconds:.4g}"))
+                timings[label]["gen2_collections"][side].append(collections)
     return {
         "method": f"raw seconds (time.perf_counter, not calibrated), one fresh interpreter per side "
-                  f"and round, {LAYER_ROUNDS} rounds alternating which side runs first.",
+                  f"and round, {LAYER_ROUNDS} rounds alternating which side runs first. Each layer "
+                  f"script calls gc.collect() before its timed region, and gen2_collections counts "
+                  f"the generation-2 collections inside that region (a gc.callbacks hook; null for "
+                  f"the nf-verify subprocess, timed from outside).",
         "timings_s": timings,
     }
 
