@@ -53,7 +53,6 @@ def main():
     show("M generator", m_gen, limit=2)
     peak = max(abs(c.re) + abs(c.im) for c in nf.k5.terms.values())
     print(f"  largest |K5| coefficient: {peak} = {float(peak):.6f}")
-    print(f"\nskipped degrees start at {nf.min_skipped_degree}")
 
 
 if __name__ == "__main__":

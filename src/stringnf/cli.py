@@ -14,9 +14,9 @@ e.g. ``eps = [0.2, 0.1, 0.05]`` or ``initial_u = {"1": 0.3}``.
 
 Exit codes: 0 success, 2 configuration error (a config file that is not
 UTF-8 or an ``--out`` path through an existing file included), 3 numerical
-abort (state left the finite range, or a small divisor refused), 4 sampling
-failure (no admissible initial data found), 5 verification failure (a
-missing or unreadable golden table included).
+abort (state left the finite range, energy drift past its own size, or a
+small divisor refused), 4 sampling failure (no admissible initial data
+found), 5 verification failure (a missing or unreadable golden table).
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SAMPLING = 4
 EXIT_VERIFY = 5
+ENERGY_DRIFT_LIMIT = 1.0  # a relative energy drift past this is a broken run, not dynamics
 
 
 class ConfigError(ValueError):
@@ -388,6 +389,13 @@ def _uv_from_maps(
     return UVState(u_map, v_map, truncation)
 
 
+def _refuse_energy_drift(summary: Dict[str, Any], dt: float) -> None:
+    drift = summary["energy_rel_drift_max"]
+    if drift > ENERGY_DRIFT_LIMIT:
+        raise SimulationBlowup(summary["t_final"], f"relative energy drift {drift:.3e} exceeds "
+                               f"{ENERGY_DRIFT_LIMIT:g} by t={summary['t_final']:.6g} at dt={dt:g}")
+
+
 def cmd_simulate(cfg: Dict[str, Any], out: Path) -> int:
     weight = _weight_from(cfg)
     initial = _uv_from_maps(cfg["initial_u"], cfg["initial_v"], cfg["M"])
@@ -403,10 +411,11 @@ def cmd_simulate(cfg: Dict[str, Any], out: Path) -> int:
             allow_large_dt=cfg["allow_large_dt"],
         )
     traj = simulate(initial, sim)
+    summary = trajectory_summary(traj)
+    _refuse_energy_drift(summary, sim.dt)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "trajectory.csv", "w") as fh:
         trajectory_to_csv(traj, fh, _header_lines("simulate", cfg))
-    summary = trajectory_summary(traj)
     _write_json(out / "summary.json", {**_resolved("simulate", cfg), "summary": summary})
     print(
         f"simulate: {summary['samples']} samples to t={summary['t_final']:.6g}, "
@@ -467,6 +476,7 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
                             record_stride=stride, weight=weight)
         traj = simulate(initial, sim)
         s = trajectory_summary(traj)
+        _refuse_energy_drift(s, sim.dt)
         record = {
             "eps": eps,
             "T": horizon,

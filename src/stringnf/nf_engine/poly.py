@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core import delta_sum
 from .rational import DIAG, NO_DIVISORS, QC, RationalVF, RKey, _factor, _fold, commutator
@@ -138,33 +138,26 @@ def split_integrable(vf: RationalVF) -> Tuple[RationalVF, RationalVF]:
 # graded Lie transforms and the resonant normal form
 
 def _lie_transform(fields: Dict[int, RationalVF], chi: RationalVF, chi_order: int, keep: int,
-                   linear_bracket: RationalVF):
-    """Apply ``exp(ad_chi)`` to a graded field, tracking the discarded orders.
+                   linear_bracket: RationalVF) -> Dict[int, RationalVF]:
+    """Apply ``exp(ad_chi)`` to a graded field, cutting every order above ``keep``.
 
     ``linear_bracket`` is ``[fields[0], chi]``, known from the homological
-    equation; it stands in for the first bracket of grade 0. Returns the
-    transformed grading and the smallest discarded order (or None when
-    nothing was cut).
+    equation; it stands in for the first bracket of grade 0. A bracket past
+    ``keep`` is never computed.
     """
     out: Dict[int, RationalVF] = {}
-    skipped: Optional[int] = None
     for p, term in fields.items():
-        k = 0
-        while not term.is_zero():
-            order = p + k * chi_order
-            if order > keep:
-                # conservatively count the cut even if the product would vanish
-                skipped = order if skipped is None else min(skipped, order)
-                break
+        k, order = 0, p
+        while order <= keep and not term.is_zero():
             prev = out.get(order)
             out[order] = term if prev is None else prev + term
             k += 1
-            # a bracket past keep is counted above without being computed
-            if order + chi_order <= keep:
+            order += chi_order
+            if order <= keep:
                 term = linear_bracket if p == 0 and k == 1 else commutator(term, chi)
                 if k > 1:
                     term = term.scale(Fraction(1, k))
-    return out, skipped
+    return out
 
 
 @dataclass
@@ -179,7 +172,6 @@ class NFResult:
     k5: RationalVF  # resonant nonintegrable quintic part
     k7: RationalVF  # resonant septic remainder (r >= 3, else empty)
     generators: Dict[int, RationalVF] = field(default_factory=dict)
-    min_skipped_degree: Optional[int] = None
 
     @property
     def resonant_quintic(self) -> RationalVF:
@@ -200,30 +192,21 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
         raise ValueError("supported orders are r = 2 and r = 3")
     if N < 1:
         raise ValueError("N must be >= 1")
-    keep = 2 if r == 2 else 3  # highest retained grade: quintic, then septic
+    keep = r  # highest retained grade: quintic, then septic
     fields: Dict[int, RationalVF] = {0: z1_field(N)}
     for l in range(1, keep + 1):
         fields[l] = taylor_vf(l, N)
     generators: Dict[int, RationalVF] = {}
-    min_skipped: Optional[int] = None
     for stage in range(1, keep + 1):
         k = fields.get(stage, RationalVF())
         chi, z = solve_homological_z1(k)
         generators[stage] = chi
         if chi.is_zero():
             continue
-        fields, skipped = _lie_transform(fields, chi, stage, keep, z - k)
-        if skipped is not None:
-            deg = 2 * skipped + 1
-            if min_skipped is None or deg < min_skipped:
-                min_skipped = deg
-    if min_skipped is not None and min_skipped < 2 * r + 3:
-        raise AssertionError(
-            f"discarded a degree-{min_skipped} field; the scheme requires >= {2 * r + 3}"
-        )
+        fields = _lie_transform(fields, chi, stage, keep, z - k)
     z3 = fields.get(1, RationalVF())
     z5, k5 = split_integrable(fields.get(2, RationalVF()))
-    k7 = fields.get(3, RationalVF()) if r >= 3 else RationalVF()
+    k7 = fields.get(3, RationalVF())
     return NFResult(
         r=r,
         N=N,
@@ -233,5 +216,4 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
         k5=k5,
         k7=k7,
         generators=generators,
-        min_skipped_degree=min_skipped,
     )

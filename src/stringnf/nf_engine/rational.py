@@ -587,12 +587,7 @@ def _divisor_faults(v: Divisor, N: int) -> Tuple[Tuple[str, ...], Tuple[str, ...
 _kappa = cache(kappa)
 
 
-def validate_class(
-    vf: RationalVF,
-    N: int,
-    weight=None,
-    strict_control: bool = False,
-) -> List[str]:
+def validate_class(vf: RationalVF, N: int) -> List[str]:
     """Check the structural constraints of the divisor-carrying class.
 
     Returns a list of human-readable violations (empty means the field is a
@@ -600,11 +595,9 @@ def validate_class(
     modes inside the cutoff, at least two indices once divisors appear, each
     divisor vector in reduced flip-canonical form with at most one entry more
     than the index vector, and the divisor-weight control condition over the
-    single-weight sections.  ``strict_control`` drops the largest index mode
-    from the right-hand side, the stronger variant the last solver stage
-    needs on its inputs.  A Gevrey ``weight`` swaps the product condition for
-    the corresponding sum condition with exponent ``theta``.  Each distinct
-    divisor vector is checked once per cutoff.
+    single-weight sections: the product of their ``kappa`` is at most the
+    product of the index modes.  Each distinct divisor vector is checked once
+    per cutoff.
     """
     bad: List[str] = []
     for key in vf.terms:
@@ -635,18 +628,10 @@ def validate_class(
                 why += tail
             hvec = h2 + h4
             if hvec:
-                modes = sorted((m for _, m in j), reverse=True)
-                rhs_modes = modes[1:] if strict_control else modes
-                if weight is not None and weight.kind == "gevrey":
-                    lhs_s = sum(_kappa(v) ** weight.theta for v in hvec)
-                    rhs_s = sum(m ** weight.theta for m in rhs_modes)
-                    if lhs_s > rhs_s + 1e-9:
-                        why.append(f"weight-sum control fails ({lhs_s:.6f} > {rhs_s:.6f})")
-                else:
-                    lhs = math.prod(_kappa(v) for v in hvec)
-                    rhs = math.prod(rhs_modes)
-                    if lhs > rhs:
-                        why.append(f"weight-product control fails ({lhs} > {rhs})")
+                lhs = math.prod(_kappa(v) for v in hvec)
+                rhs = math.prod(m for _, m in j)
+                if lhs > rhs:
+                    why.append(f"weight-product control fails ({lhs} > {rhs})")
         if why:
             where = f"term {key}"
             bad += [f"{where}: {m}" for m in why]

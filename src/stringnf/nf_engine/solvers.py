@@ -32,7 +32,6 @@ from .rational import (
     action_transport,
     commutator,
     divisor_zero_form,
-    validate_class,
 )
 
 __all__ = [
@@ -177,11 +176,7 @@ def quintic_rational_solve(k5_nonint: RationalVF, N: int) -> Tuple[RationalVF, R
 
 
 def solve_homological_z3z5(
-    q: RationalVF,
-    N: int,
-    *,
-    leading_only: bool = False,
-    weight=None,
+    q: RationalVF, N: int
 ) -> Tuple[RationalVF, RationalVF, RationalVF, RationalVF]:
     """One round of division at the resonant rotation fields.
 
@@ -191,28 +186,9 @@ def solve_homological_z3z5(
 
         [rotation, chi] + q = z_int + echo_same + echo_down
 
-    with the rotation being the cubic plus corrected quintic field by
-    default.  ``leading_only`` divides at the cubic rotation alone: the
-    generator's divisor joins the quadratic-frequency section, there is no
-    order-dropping echo, and the inputs must carry pure quadratic-frequency
-    descriptors and satisfy the stronger divisor-weight control condition
-    (checked, violations raise).
+    with the rotation being the cubic plus corrected quintic field.
     """
     z_int, rest = _split_resonant(q)
-    if leading_only:
-        for key in rest.terms:
-            if key[4] or key[5]:
-                raise ValueError(
-                    f"term {key} carries corrected-frequency divisors; "
-                    "the leading-only round accepts pure quadratic descriptors"
-                )
-        bad = validate_class(rest, N, weight=weight, strict_control=True)
-        if bad:
-            raise ValueError(
-                "inputs fail the stronger control condition:\n" + "\n".join(bad)
-            )
-        chi = _divide_keys(rest, "h2")
-        return chi, z_int, _action_coupling(chi), RationalVF()
     chi = _divide_keys(rest, "kk")
     echo_down = _action_coupling(chi)
     echo_same = _frequency_coupling(chi, N)

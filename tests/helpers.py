@@ -20,9 +20,9 @@ Contents:
   reference for the packed ``nf_engine.poly.taylor_vf``, term order
   included,
 - ``bracket_lie_transform``: ``exp(ad_chi)`` on a graded field with every
-  bracket computed, the linear field's included; the reference for
-  ``nf_engine.poly._lie_transform``, which takes that bracket from the
-  homological equation, term order included,
+  bracket computed, the linear field's included, returning the grading up to
+  ``keep``; the reference for ``nf_engine.poly._lie_transform``, which takes
+  that bracket from the homological equation, term order included,
 - ``FreqContext``, ``omega2``, ``omega4`` and ``big_omega``: the scalar
   divisor, one vector at one state, reduced to its irreducible part first
   by ``_reduce``; the reference for ``divisors.divisor_evaluator``,
@@ -42,8 +42,9 @@ Contents:
   state, from ``evaluate_vf``; the float reference for the solver tests,
   which check that normal forms preserve every action,
 - ``scalar_validate_class``: class validation checking every divisor of
-  every term afresh; the reference for ``nf_engine.rational.validate_class``,
-  which checks each distinct divisor vector once,
+  every term afresh, with the product control over all index modes; the
+  reference for ``nf_engine.rational.validate_class``, which checks each
+  distinct divisor vector once,
 - ``_rotate`` and ``_step_strang``: the split step on the real pair
   ``(u, v)``, with a cosine/sine rotation per half step and the fixed point
   seeded at the midpoint stiffness; the reference for the complex-variable
@@ -537,33 +538,25 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
 def bracket_lie_transform(fields, chi: RationalVF, chi_order: int, keep: int):
     """``exp(ad_chi)`` on a graded field with every bracket computed.
 
-    Returns the transformed grading and the smallest discarded order (or None
-    when nothing was cut); a bracket whose order passes ``keep`` counts as cut
-    without being computed.
+    Returns the transformed grading; a bracket whose order passes ``keep`` is
+    cut without being computed.
     """
     out = {}
-    skipped = None
     for p, x in fields.items():
         term = x
         k = 0
         order = p
-        while not term.is_zero():
-            if order > keep:
-                if skipped is None or order < skipped:
-                    skipped = order
-                break
+        while not term.is_zero() and order <= keep:
             prev = out.get(order)
             out[order] = term if prev is None else prev + term
             k += 1
             order = p + k * chi_order
             if order > keep:
-                if skipped is None or order < skipped:
-                    skipped = order
                 break
             term = commutator(term, chi)
             if k > 1:
                 term = term.scale(Fraction(1, k))
-    return out, skipped
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +633,7 @@ def value_bits(values: dict) -> list:
     return [(a, v.real.hex(), v.imag.hex()) for a, v in values.items()]
 
 
-def scalar_validate_class(vf: RationalVF, N: int, weight=None, strict_control: bool = False) -> list:
+def scalar_validate_class(vf: RationalVF, N: int) -> list:
     """Structural violations of a field, every divisor of every term checked afresh."""
     bad = []
     for key in vf.terms:
@@ -677,22 +670,14 @@ def scalar_validate_class(vf: RationalVF, N: int, weight=None, strict_control: b
                 bad.append(f"{where}: divisor {v} is not flip-canonical")
         hvec = h2 + h4
         if hvec:
-            modes = sorted((m for _, m in j), reverse=True)
-            rhs_modes = modes[1:] if strict_control else modes
-            if weight is not None and weight.kind == "gevrey":
-                lhs_s = sum(kappa(v) ** weight.theta for v in hvec)
-                rhs_s = sum(m ** weight.theta for m in rhs_modes)
-                if lhs_s > rhs_s + 1e-9:
-                    bad.append(f"{where}: weight-sum control fails ({lhs_s:.6f} > {rhs_s:.6f})")
-            else:
-                lhs = 1
-                for v in hvec:
-                    lhs *= kappa(v)
-                rhs = 1
-                for m in rhs_modes:
-                    rhs *= m
-                if lhs > rhs:
-                    bad.append(f"{where}: weight-product control fails ({lhs} > {rhs})")
+            lhs = 1
+            for v in hvec:
+                lhs *= kappa(v)
+            rhs = 1
+            for _, m in j:
+                rhs *= m
+            if lhs > rhs:
+                bad.append(f"{where}: weight-product control fails ({lhs} > {rhs})")
     return bad
 
 

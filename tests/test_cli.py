@@ -247,6 +247,17 @@ class TestSimulateCommand:
         assert rc == EXIT_NUMERICAL
         assert "numerical abort" in capsys.readouterr().err
 
+    def test_energy_blowup_mid_run_is_numerical_abort(self, tmp_path, capsys):
+        # the split scheme stays finite at this amplitude, but the energy
+        # drifts by about 1e113 times its own size
+        out = tmp_path / "o"
+        rc = run("simulate", "--out", str(out), "--set", 'initial_u={"1": 1e3}',
+                 "--set", "M=4", "--set", "T=1", "--set", "dt=0.01")
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: relative energy drift ") and "at dt=0.01" in err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("amplitude", ["1e100", "1e200"])
     def test_overflowing_initial_record_is_numerical_abort(self, tmp_path, capsys, amplitude):

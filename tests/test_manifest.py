@@ -4,8 +4,8 @@
 sha256 of stdout, of stderr and of every file the command wrote. One case
 runs each of the six commands to success, and the others drive each failure
 exit code: 2 (a config error), 3 (a blow-up of ``simulate``, with rk4 and
-with the split scheme), 4 (a sampling failure) and 5 (a missing golden
-table). Commands run in-process through ``main(argv)`` from a scratch
+with the split scheme, and a split run whose energy drifts past its own
+size), 4 (a sampling failure) and 5 (a missing golden table). Commands run in-process through ``main(argv)`` from a scratch
 working directory, with relative paths, so no path of the machine enters
 the bytes.
 
@@ -49,6 +49,8 @@ CASES = {
     "exit-3-rk4": ("simulate", "--set", 'initial_u={"1": 1e8}', "--set", "scheme=rk4",
                    "--set", "T=1.0", "--set", "M=4", "--set", "dt=0.02"),
     "exit-3-split": ("simulate", "--set", 'initial_u={"1": 1e100}', "--set", "T=1.0", "--set", "M=2"),
+    "exit-3-energy": ("simulate", "--set", 'initial_u={"1": 1e3}', "--set", "M=4", "--set", "T=1",
+                      "--set", "dt=0.01"),
     "exit-4-sampling": ("drift-sweep", "--seed", "222", "--set", "eps=[1.0]", "--set", "M=2", "--set", "N=2",
                         "--set", "gamma=0.9", "--set", "weight_s=0.0", "--set", "ball_radius=8.0",
                         "--set", "max_tries=1", "--set", "T=1.0", "--set", "dt=0.01"),

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum
+from stringnf.core import ComplexSeq, canonicalize, delta_sum
 from helpers import (
     FreqContext,
     big_omega,
@@ -958,7 +958,7 @@ def test_validate_class_catches_violations():
 
     big = canonicalize(((1, 1), (1, 1), (-1, 3), (1, 2), (-1, 1)))
     oversize = RationalVF({(3, ANTI, ((1, 1), (1, 2)), (), (big,), ()): QC(0, 1)})
-    assert any("size" in m for m in validate_class(oversize, N, weight=None))
+    assert any("size" in m for m in validate_class(oversize, N))
 
     beyond = RationalVF({(3, ANTI, ((1, 1), (1, 2)), (w,), (), ()): QC(0, 1)})
     assert validate_class(beyond, 2) != []
@@ -982,13 +982,9 @@ def test_validate_class_messages_match_per_term_checks():
         RationalVF({(5, DIAG, ((1, 5),), (w, w3), (big,), (reducible,)): QC(1)}),
         field_h2() + field_h4() + field_kk(),
     ]
-    gev = WeightSpec(kind="gevrey", rho=0.5, theta=0.5)
     for f in fields:
         for n in (2, N, 8):
-            for weight in (None, gev):
-                for strict in (False, True):
-                    want = scalar_validate_class(f, n, weight=weight, strict_control=strict)
-                    assert validate_class(f, n, weight=weight, strict_control=strict) == want
+            assert validate_class(f, n) == scalar_validate_class(f, n)
 
 
 def test_validate_control_variants():
@@ -999,11 +995,6 @@ def test_validate_control_variants():
 
     one = RationalVF({(4, ANTI, j, (w,), (), ()): QC(0, 1)})
     assert validate_class(one, N8) == []
-    assert any("control" in m for m in validate_class(one, N8, strict_control=True))
 
     two = RationalVF({(4, ANTI, j, (w, w), (), ()): QC(0, 1)})
     assert any("control" in m for m in validate_class(two, N8))
-
-    gev = WeightSpec(kind="gevrey", rho=0.5, theta=0.5)
-    assert validate_class(one, N8, weight=gev) == []
-    assert any("control" in m for m in validate_class(two, N8, weight=gev))

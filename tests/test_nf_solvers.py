@@ -26,7 +26,7 @@ from helpers import (
     value_bits,
     zeta_product,
 )
-from stringnf.core import ComplexSeq, WeightSpec, canonicalize
+from stringnf.core import ComplexSeq, canonicalize
 from stringnf.nf_engine import (
     ANTI,
     DIAG,
@@ -383,11 +383,9 @@ def test_compiled_evaluation_of_septic_fields_matches_scalar_loop(septic, septic
 
 
 def test_validate_class_matches_per_term_checks_on_septic_fields(septic, septic_solution):
-    gev = WeightSpec(kind="gevrey", rho=0.5, theta=0.5)
     for f in (septic,) + tuple(septic_solution):
-        for n, weight, strict in ((NS - 1, None, False), (NS, None, True), (NS, gev, False)):
-            want = scalar_validate_class(f, n, weight=weight, strict_control=strict)
-            assert validate_class(f, n, weight=weight, strict_control=strict) == want
+        for n in (NS - 1, NS):
+            assert validate_class(f, n) == scalar_validate_class(f, n)
 
 
 def test_solver_norm_bounds(septic, septic_solution):
@@ -397,38 +395,6 @@ def test_solver_norm_bounds(septic, septic_solution):
     assert z_int.linf_norm() <= q
     assert r2.linf_norm() <= 2 * q
     assert r1.linf_norm() <= 0.5 * q
-
-
-def test_leading_only_route(septic, septic_solution, septic_states):
-    chi, z_int, rem, tail = solve_homological_z3z5(septic, NS, leading_only=True)
-    assert tail.is_zero()
-    assert chi.orders() == {2}
-    assert rem.orders() == {3}
-    assert all(len(k[3]) >= 1 and not k[4] and not k[5] for k in chi.terms)
-    assert z_int == septic_solution[1]
-    assert chi.linf_norm() <= septic.linf_norm()
-    bracket = commutator(z3_reference(NS), chi, NS)
-    total = bracket + septic - z_int - rem
-    assert rel_residual(total, septic, septic_states) <= 1e-12
-
-
-def test_leading_only_rejects_corrected_divisors():
-    w, _ = divisor_zero_form(((1, 1), (1, 2)))
-    f = RationalVF({(3, ANTI, ((1, 1), (1, 2)), (), (), (w,)): QC(0, 1)})
-    with pytest.raises(ValueError, match="corrected-frequency"):
-        solve_homological_z3z5(f, 4, leading_only=True)
-
-
-def test_leading_only_enforces_strict_control():
-    # kappa of the divisor equals 3; the plain product condition holds against
-    # modes (2, 2) but dropping the largest mode leaves just 2 < 3
-    w, _ = divisor_zero_form(((1, 3), (1, 4)))
-    f = RationalVF({(4, ANTI, ((1, 2), (1, 2)), (w,), (), ()): QC(0, 1)})
-    assert validate_class(f, 8) == []
-    with pytest.raises(ValueError, match="control"):
-        solve_homological_z3z5(f, 8, leading_only=True)
-    chi, z_int, r2, r1 = solve_homological_z3z5(f, 8)
-    assert z_int.is_zero() and not chi.is_zero()
 
 
 def test_identically_resonant_divisor_refused():
