@@ -501,7 +501,7 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
     for p in points:
         print(f"eps={p['eps']:g}: T={p['T']:g} sup weighted action drift {p['drift']:.6e}")
     if fit["slope"] is None:
-        print("drift-sweep: slope not defined (need >= 2 points with positive drift)")
+        print("drift-sweep: slope not defined (need >= 2 points with positive drift at distinct eps)")
     else:
         se = "n/a" if fit["stderr"] is None else f"{fit['stderr']:.3g}"
         print(f"drift-sweep: slope {fit['slope']:.4g} (stderr {se}) from {fit['points_used']} points")

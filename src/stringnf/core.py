@@ -128,21 +128,12 @@ class ComplexSeq:
     def __getitem__(self, a: int) -> complex:
         return self.data.get(a, 0j)
 
-    def modes(self) -> list[int]:
-        return sorted(self.data)
-
-    def conj(self) -> "ComplexSeq":
-        return ComplexSeq({a: v.conjugate() for a, v in self.data.items()}, self.truncation)
-
     def scale(self, c: complex) -> "ComplexSeq":
         return ComplexSeq({a: c * v for a, v in self.data.items()}, self.truncation)
 
     def action(self, a: int) -> float:
         v = self[a]
         return (v * v.conjugate()).real
-
-    def actions(self) -> dict[int, float]:
-        return {a: self.action(a) for a in self.data}
 
     def norm2_unweighted(self) -> float:
         return sum((v * v.conjugate()).real for v in self.data.values())

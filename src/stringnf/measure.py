@@ -93,10 +93,6 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.actions.shape[0]
 
-    @property
-    def acceptance_rate(self) -> float:
-        return len(self) / self.attempts
-
     def _amplitudes(self, eps: float, which=slice(None)) -> np.ndarray:
         """Complex coordinates ``(eps sqrt(I_m)) exp(i phase_m)`` of the selected samples."""
         return (eps * np.sqrt(self.actions[which])) * np.exp(1j * self.phases[which])

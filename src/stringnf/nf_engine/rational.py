@@ -502,9 +502,6 @@ class RationalVF:
     def orders(self) -> set:
         return {key_order(key) for key in self.terms}
 
-    def select_order(self, l: int) -> "RationalVF":
-        return RationalVF({k: c for k, c in self.terms.items() if key_order(k) == l})
-
     def truncate(self, N: int) -> "RationalVF":
         """Keep terms whose field, index and divisor modes all lie within N."""
         out = {}

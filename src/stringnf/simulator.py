@@ -45,8 +45,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "SimulationBlowup",
-    "energy",
-    "actions",
     "simulate",
     "trajectory_to_csv",
     "trajectory_summary",
@@ -148,22 +146,6 @@ def _to_state(u: np.ndarray, v: np.ndarray) -> UVState:
         {a + 1: float(v[a]) for a in range(M) if v[a] != 0.0},
         M,
     )
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def energy(state: UVState) -> float:
-    """Conserved energy ``(1/2)|v|^2 + (1/2) S + (1/4) S^2`` with ``S = sum b^2 u_b^2``."""
-    u, v = _to_arrays(state, state.truncation)
-    a1 = np.arange(1, state.truncation + 1, dtype=float)
-    return float(_energy(u, v, a1 * a1))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def actions(state: UVState) -> dict[int, float]:
-    """Mode actions ``I_a = |psi_a|^2 = (a u_a^2 + v_a^2 / a) / 2`` for all modes up to M."""
-    u, v = _to_arrays(state, state.truncation)
-    acts = _actions(u, v, np.arange(1, state.truncation + 1, dtype=float))
-    return {a: float(x) for a, x in enumerate(acts, start=1)}
 
 
 # ---------------------------------------------------------------------------

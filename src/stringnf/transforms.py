@@ -34,7 +34,6 @@ __all__ = [
     "eta_to_psi",
     "eta_to_z",
     "z_to_eta",
-    "time_dilation",
     "uv_to_z",
     "z_to_uv",
 ]
@@ -207,14 +206,6 @@ def z_to_eta(state: ZState) -> EtaState:
     data = {a: w / float(a) for a, w in state.seq.data.items()}
     seq = ComplexSeq(data, state.seq.truncation)
     return EtaState(seq, elastic_energy(seq))
-
-
-def time_dilation(state: EtaState) -> float:
-    """Speed factor ``sqrt(1 + 2q)`` of the reparameterized time; always >= 1."""
-    q = elastic_from_dilated(state.elastic)
-    tau = math.sqrt(1.0 + 2.0 * q)
-    assert tau >= 1.0
-    return tau
 
 
 def uv_to_z(state: UVState) -> ZState:

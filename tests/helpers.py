@@ -605,7 +605,7 @@ def scalar_evaluate_vf(q: RationalVF, z: ComplexSeq) -> dict:
                 threshold = max(1e-12 * z.norm2_unweighted(), 1e-300)
                 if not math.isfinite(threshold):
                     raise ValueError("the squared norm of the state is not finite")
-                divisor = divisor_evaluator(z.actions(), z.truncation)
+                divisor = divisor_evaluator({a: z.action(a) for a in z.data}, z.truncation)
             for order, sec in ((2, h2), (4, h4), (4, kk)):
                 for v in sec:
                     val = divisor(v, order)
@@ -709,7 +709,7 @@ class FreqContext:
 
     @classmethod
     def from_seq(cls, z: ComplexSeq, N: int) -> "FreqContext":
-        acts = {a: z.action(a) for a in z.modes() if a <= N}
+        acts = {a: z.action(a) for a in sorted(z.data) if a <= N}
         return cls(acts, N)
 
     def I(self, a: int) -> float:

@@ -294,6 +294,18 @@ class TestDriftSweepCommand:
         for i, point in enumerate(merged["points"]):
             assert read_json(out / f"sweep_point_{i}.json")["point"] == point
 
+    # one point, or positive drifts all at one eps: either way no slope
+    @pytest.mark.parametrize("eps,used", [("[0.3]", 1), ("[0.3, 0.3]", 2)])
+    def test_undefined_slope_names_both_causes(self, tmp_path, capsys, eps, used):
+        out = tmp_path / "sweep"
+        assert run("drift-sweep", "--out", str(out), "--set", f"eps={eps}", "--set", "T=1",
+                   "--set", "M=4", "--set", "N=4") == EXIT_OK
+        merged = read_json(out / "sweep.json")
+        assert all(p["drift"] > 0.0 for p in merged["points"])
+        assert merged["fit"] == {"points_used": used, "slope": None, "stderr": None}
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "drift-sweep: slope not defined (need >= 2 points with positive drift at distinct eps)")
+
     def test_only_the_kept_sample_becomes_a_state(self, tmp_path, monkeypatch):
         built = count_states(monkeypatch)
         out = tmp_path / "sweep"

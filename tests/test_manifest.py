@@ -1,13 +1,27 @@
-"""The bytes of every command at small pinned configs, against a committed manifest.
+"""The bytes of every command, against a committed manifest.
 
 ``golden/manifest.json`` holds, for each case below, the exit code and the
-sha256 of stdout, of stderr and of every file the command wrote. One case
-runs each of the six commands to success, and the others drive each failure
-exit code: 2 (a config error), 3 (a blow-up of ``simulate``, with rk4 and
-with the split scheme, and a split run whose energy drifts past its own
-size), 4 (a sampling failure) and 5 (a missing golden table). Commands run in-process through ``main(argv)`` from a scratch
-working directory, with relative paths, so no path of the machine enters
-the bytes.
+sha256 of stdout, of stderr and of every file the command wrote. The cases
+are:
+
+- each of the six commands run to success at a small config;
+- the four argv lists of the benchmark (``perfbench/run.py``) at seed 1,
+  named after its workloads and copied here literally, so that an edit of
+  the benchmark cannot move this test;
+- the default ``nf-verify`` (against the committed golden tables),
+  ``resonance`` and ``roundtrip``, named ``default-<command>``;
+- ``simulate`` read from a config file, with a ``--set`` that overrides one
+  of the file's values;
+- one case per failure exit code: 2 (a config error), 3 (a blow-up of
+  ``simulate``, with rk4 and with the split scheme, and a split run whose
+  energy drifts past its own size), 4 (a sampling failure) and 5 (a missing
+  golden table).
+
+Commands run in-process through ``main(argv)`` from a scratch working
+directory that holds a ``tests/golden`` link to the committed tables, with
+relative paths, so no path of the machine enters the bytes. A change that
+must keep every output byte for byte therefore needs no run of the parent:
+this test is the parent-against-change check.
 
 The kernel's bits depend on numpy (see ``TestKernelPremises``), so the
 manifest records the Python and numpy versions it was written under, and a
@@ -30,7 +44,8 @@ import pytest
 
 from stringnf.cli import main
 
-MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
+GOLDEN = Path(__file__).parent / "golden"
+MANIFEST = GOLDEN / "manifest.json"
 
 NF_SMALL = ("--set", "N=3", "--set", "quintic_N=3", "--set", "quintic_samples=4",
             "--set", "solver_N=2", "--set", "solver_samples=4")
@@ -45,6 +60,18 @@ CASES = {
     "resonance": ("resonance", "--set", 'state={"1": [0.1, 0.05], "2": [0.02, 0.0]}', "--set", "N=4"),
     "nf-verify": ("nf-verify", *NF_SMALL),
     "roundtrip": ("roundtrip", "--set", "samples=50", "--set", "M=4"),
+    "measure_scan": ("measure", "--set", "r=2", "--set", "N=8", "--set", "gamma_grid=[0.02,0.05,0.1,0.2]",
+                     "--set", "weight_s=3.0", "--set", "samples=250", "--seed", "1"),
+    "drift_sweep": ("drift-sweep", "--set", "eps=[0.4, 0.2, 0.1]", "--set", "M=16", "--set", "N=16",
+                    "--set", "weight_s=3.0", "--set", "gamma=0.1", "--set", "dt=0.005", "--set", "max_tries=32",
+                    "--seed", "1"),
+    "simulate_record": ("simulate", "--set", 'initial_u={"1":0.1,"2":-0.05}', "--set", "T=10",
+                        "--set", "dt=0.001", "--set", "record_stride=1", "--seed", "1"),
+    "nf_verify": ("nf-verify", "--set", "golden_dir=tests/golden", "--set", "solver_N=2", "--seed", "1"),
+    "default-nf-verify": ("nf-verify", "--set", "golden_dir=tests/golden"),
+    "default-resonance": ("resonance",),
+    "default-roundtrip": ("roundtrip",),
+    "simulate-config": ("simulate", "--config", "tests/golden/simulate.cfg", "--set", "dt=0.01"),
     "exit-2-config": ("measure", "--set", "N=0"),
     "exit-3-rk4": ("simulate", "--set", 'initial_u={"1": 1e8}', "--set", "scheme=rk4",
                    "--set", "T=1.0", "--set", "M=4", "--set", "dt=0.02"),
@@ -64,6 +91,8 @@ def _sha256(data: bytes) -> str:
 
 def run_case(argv, where: Path) -> dict:
     """Exit code and sha256 of stdout, stderr and each output file of ``main(argv)`` run in ``where``."""
+    (where / "tests").mkdir()
+    (where / "tests" / "golden").symlink_to(GOLDEN.resolve(), target_is_directory=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.chdir(where), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([*argv, "--out", "out"])

@@ -63,8 +63,6 @@ class TestSampler:
         batch = sample_actions(spec)
         ballw = np.exp(2 * 0.5 * np.arange(1, 9, dtype=float) ** 0.5)
         assert np.all(batch.actions @ ballw <= 0.5)
-        # rejection stays workable for this ensemble
-        assert batch.acceptance_rate > 0.01
 
     def test_unconditioned_mean_of_first_action(self):
         # loose ball, so the exponential marginals are undistorted

@@ -626,9 +626,7 @@ def test_split_integrable_partition(nf_small):
         assert kind == DIAG and all(d == 0 for d, _ in j)
 
 
-def test_truncate_and_select_order():
+def test_truncate():
     vf = taylor_vf(2, 4)
     cut = vf.truncate(2)
     assert cut.max_mode() <= 2
-    assert vf.select_order(2) == vf
-    assert vf.select_order(1).is_zero()

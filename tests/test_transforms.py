@@ -16,7 +16,6 @@ from stringnf.transforms import (
     mixing_rho,
     psi_to_eta,
     psi_to_uv,
-    time_dilation,
     uv_to_psi,
     uv_to_z,
     z_to_eta,
@@ -137,7 +136,7 @@ class TestMixing:
         rng = np.random.default_rng(13)
         psi = uv_to_psi(random_uv(rng))
         eta = psi_to_eta(psi)
-        eta_conj = psi_to_eta(PsiState(psi.seq.conj()))
+        eta_conj = psi_to_eta(PsiState(ComplexSeq({a: v.conjugate() for a, v in psi.seq.data.items()}, M)))
         for a in range(1, M + 1):
             assert eta_conj.seq[a] == pytest.approx(eta.seq[a].conjugate(), abs=1e-14)
 
@@ -159,34 +158,10 @@ class TestZLevel:
             z = eta_to_z(eta)
             assert z_to_eta(z).elastic == elastic_energy(z_to_eta(z).seq)
 
-    def test_time_dilation_values(self):
-        empty = EtaState(ComplexSeq({}, 4), 0.0)
-        assert time_dilation(empty) == 1.0
-        # dilated energy sqrt(3) corresponds to unit elastic energy
-        eta = EtaState(ComplexSeq({}, 4), math.sqrt(3.0))
-        assert time_dilation(eta) == pytest.approx(math.sqrt(3.0), rel=1e-13)
-
-    def test_time_dilation_monotone(self):
-        vals = [time_dilation(EtaState(ComplexSeq({}, 4), y)) for y in np.linspace(0, 10, 50)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        assert all(v >= 1.0 for v in vals)
-
-    def test_time_dilation_rejects_non_finite_energy(self):
-        with pytest.raises(ValueError, match="dilated elastic energy inf is not finite"):
-            time_dilation(EtaState(ComplexSeq({1: 0.1}, 2), math.inf))
-
     def test_overflowing_state_reports_non_finite_energy(self):
         # |z_1|^2 overflows, so the dilated energy is inf rather than too large
         with pytest.raises(ValueError, match="dilated elastic energy inf is not finite"):
             z_to_uv(ZState(ComplexSeq({1: 1e160}, 2)))
-
-    def test_time_dilation_band(self):
-        # dilated elastic energy <= 3/2 keeps the speed factor in [1, 2]
-        rng = np.random.default_rng(15)
-        for _ in range(100):
-            y = rng.uniform(0.0, 1.5)
-            tau = time_dilation(EtaState(ComplexSeq({}, 4), y))
-            assert 1.0 <= tau <= 2.0
 
 
 class TestFullChain:

@@ -1,25 +1,8 @@
-"""Run the pinned CLI calls into a directory, or list the ``src/`` lines none of them runs.
+"""List the ``src/`` lines that no pinned run executes.
 
-    python tools/pinned_outputs.py --out DIR [--seed S]
-    python tools/pinned_outputs.py --unrun [--seed S]
+    python tools/unrun.py
 
-The cases are the four argv lists of ``perfbench/run.py``'s ``WORKLOADS`` at
-seed ``S`` (default 1), named as there, and the default ``nf-verify --set
-golden_dir=tests/golden``, ``resonance`` and ``roundtrip``, named
-``default-<command>``.
-
-``--out`` runs each case in a fresh interpreter that imports ``src/`` of the
-checkout holding this script, with that checkout as the working directory.
-Case ``C`` writes its output files to ``DIR/C/out/``, and its standard output,
-standard error and exit code to ``DIR/C/stdout``, ``DIR/C/stderr`` and
-``DIR/C/exit_code``. Two checkouts, a parent and a change, then compare with
-one ``diff``:
-
-    python ../parent/tools/pinned_outputs.py --out /tmp/parent
-    python tools/pinned_outputs.py --out /tmp/change
-    diff -r /tmp/parent /tmp/change
-
-``--unrun`` runs the same cases, the cases of ``tests/test_manifest.py`` and
+Runs every case of ``tests/test_manifest.py`` (through its ``run_case``) and
 the four scripts of ``demos/`` in this process under ``sys.settrace``, with
 line events taken in ``src/`` only. It prints, for each function under
 ``src/``, the statement lines that none of them executed; a function that
@@ -29,52 +12,20 @@ never ran is marked so. A compound statement (``if``, ``for``, ``with``,
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import io
 import os
 import runpy
-import subprocess
 import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-DEFAULTS = {
-    "default-nf-verify": ["nf-verify", "--set", "golden_dir=tests/golden"],
-    "default-resonance": ["resonance"],
-    "default-roundtrip": ["roundtrip"],
-}
 
-
-def cases(seed: int) -> Dict[str, List[str]]:
-    """Case name to CLI argv (without ``--out``)."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from run import WORKLOADS
-
-    return {**{name: args(seed) for name, (args, _check) in WORKLOADS.items()}, **DEFAULTS}
-
-
-def write_outputs(out: Path, seed: int) -> None:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    for name, argv in cases(seed).items():
-        where = (out / name).resolve()
-        where.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run([sys.executable, "-m", "stringnf.cli", *argv, "--out", str(where / "out")],
-                              cwd=ROOT, env=env, capture_output=True)
-        (where / "stdout").write_bytes(proc.stdout)
-        (where / "stderr").write_bytes(proc.stderr)
-        (where / "exit_code").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}", file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# statements no case executes
 
 def _trace_src(executed: Dict[str, Set[int]]):
     """A ``sys.settrace`` function that records the lines executed in ``src/``."""
@@ -101,21 +52,19 @@ def _trace_src(executed: Dict[str, Set[int]]):
     return tracer
 
 
-def _run_everything(seed: int) -> None:
-    """Every case, manifest case and demo, in this process and quietly."""
+def _run_everything() -> None:
+    """Every manifest case and demo, in this process and quietly."""
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(ROOT / "tests"))
-    from stringnf.cli import main
-    from test_manifest import CASES
+    from test_manifest import CASES, run_case
 
-    calls: List[Tuple[str, Sequence[str]]] = [*cases(seed).items(), *CASES.items()]
     sink = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sink), \
             contextlib.redirect_stderr(sink):
-        for i, (_name, argv) in enumerate(calls):
-            # relative paths in the argv (golden_dir) are relative to the checkout
-            with contextlib.chdir(ROOT):
-                main([*argv, "--out", str(Path(tmp) / f"case_{i}")])
+        for name, argv in CASES.items():
+            where = Path(tmp) / name
+            where.mkdir()
+            run_case(argv, where)
         for script in sorted((ROOT / "demos").glob("*.py")):
             with contextlib.chdir(tmp):
                 runpy.run_path(str(script), run_name="__main__")
@@ -182,13 +131,13 @@ def _ranges(numbers: List[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def report_unrun(seed: int) -> None:
+def report_unrun() -> None:
     executed: Dict[str, Set[int]] = {}
     tracer = _trace_src(executed)
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        _run_everything(seed)
+        _run_everything()
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -204,19 +153,5 @@ def report_unrun(seed: int) -> None:
                 print(f"{path.relative_to(ROOT)}:{node.lineno} {name}: lines {_ranges(unrun)}")
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--out", type=Path, help="directory to write each case's outputs under")
-    mode.add_argument("--unrun", action="store_true", help="print the src/ statements no case executes")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the perfbench argv lists (default 1)")
-    args = parser.parse_args()
-    if args.unrun:
-        report_unrun(args.seed)
-    else:
-        write_outputs(args.out, args.seed)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    report_unrun()
