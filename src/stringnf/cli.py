@@ -2,9 +2,11 @@
 
 Every subcommand reads at most one plain-text configuration file plus
 ``--set`` overrides, validates the merged result against the subcommand's
-schema before any computation starts, and embeds the resolved configuration,
-the seed, and the package version in every file it writes.  Reruns with the
-same inputs produce byte-identical outputs.
+schema before any computation starts, and returns its exit code and files.
+Only ``main`` writes them, once the subcommand has returned, and it embeds
+the resolved configuration, the seed, and the package version in each JSON
+file; a run that exits 2, 3 or 4 writes nothing.  Reruns with the same
+inputs produce byte-identical outputs.
 
 Config file format: one ``key = value`` assignment per line, ``#`` comments
 and blank lines ignored.  Values are parsed as JSON; a value that is not
@@ -13,15 +15,17 @@ valid JSON is taken as a literal string, so ``scheme = rk4`` and
 e.g. ``eps = [0.2, 0.1, 0.05]`` or ``initial_u = {"1": 0.3}``.
 
 Exit codes: 0 success, 2 configuration error (a config file that is not
-UTF-8 or an ``--out`` path through an existing file included), 3 numerical
-abort (state left the finite range, energy drift past its own size, or a
-small divisor refused), 4 sampling failure (no admissible initial data
-found), 5 verification failure (a missing or unreadable golden table).
+UTF-8, an ``--out`` path through an existing file and an output file that
+cannot be written included), 3 numerical abort (state left the finite
+range, energy drift past its own size, or a small divisor refused), 4
+sampling failure (no admissible initial data found), 5 verification failure
+(a missing or unreadable golden table).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -29,7 +33,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from .nf_engine import (
     commutator,
     dump_field,
     evaluate_vf,
+    field_to_json,
     quintic_rational_solve,
     resonant_normal_form,
     septic_stage_input,
@@ -82,6 +87,12 @@ class ConfigError(ValueError):
 
 class SamplingFailure(RuntimeError):
     """No admissible sample was found within the configured budget."""
+
+
+# a file's content: a JSON payload, which main stamps with the provenance
+# block, or a writer that streams the file's own text format into it
+Output = Union[Dict[str, Any], Callable[[TextIO], None]]
+Outputs = Tuple[int, Dict[str, Output]]
 
 
 @contextmanager
@@ -363,11 +374,6 @@ def _header_lines(command: str, cfg: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def _write_json(path: Path, payload: Dict[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
 def _point_seed(base: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=base, spawn_key=(index,)).generate_state(1)[0])
 
@@ -396,7 +402,8 @@ def _refuse_energy_drift(summary: Dict[str, Any], dt: float) -> None:
                                f"{ENERGY_DRIFT_LIMIT:g} by t={summary['t_final']:.6g} at dt={dt:g}")
 
 
-def cmd_simulate(cfg: Dict[str, Any], out: Path) -> int:
+def cmd_simulate(cfg: Dict[str, Any]) -> Outputs:
+    """Integrate the string equation and write a trajectory table."""
     weight = _weight_from(cfg)
     initial = _uv_from_maps(cfg["initial_u"], cfg["initial_v"], cfg["M"])
     with _config_errors():
@@ -413,15 +420,14 @@ def cmd_simulate(cfg: Dict[str, Any], out: Path) -> int:
     traj = simulate(initial, sim)
     summary = trajectory_summary(traj)
     _refuse_energy_drift(summary, sim.dt)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "trajectory.csv", "w") as fh:
-        trajectory_to_csv(traj, fh, _header_lines("simulate", cfg))
-    _write_json(out / "summary.json", {**_resolved("simulate", cfg), "summary": summary})
     print(
         f"simulate: {summary['samples']} samples to t={summary['t_final']:.6g}, "
         f"max relative energy drift {summary['energy_rel_drift_max']:.3e}"
     )
-    return EXIT_OK
+    return EXIT_OK, {
+        "trajectory.csv": functools.partial(trajectory_to_csv, traj, header_lines=_header_lines("simulate", cfg)),
+        "summary.json": {"summary": summary},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +452,11 @@ def _slope_fit(points: Sequence[Tuple[float, float]]) -> Dict[str, Any]:
     return fit
 
 
-def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
+def cmd_drift_sweep(cfg: Dict[str, Any]) -> Outputs:
+    """Action drift against amplitude with a log-log slope fit."""
     weight = _weight_from(cfg)
     with _config_errors():
         params = NonResonanceParams(cfg["r"], cfg["N"], cfg["gamma"], weight)
-    out.mkdir(parents=True, exist_ok=True)
 
     def point(index: int) -> Dict[str, Any]:
         eps = cfg["eps"][index]
@@ -477,7 +483,7 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
         traj = simulate(initial, sim)
         s = trajectory_summary(traj)
         _refuse_energy_drift(s, sim.dt)
-        record = {
+        return {
             "eps": eps,
             "T": horizon,
             "point_seed": seed_i,
@@ -489,15 +495,11 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
             "energy_rel_drift_max": s["energy_rel_drift_max"],
             "samples": s["samples"],
         }
-        _write_json(out / f"sweep_point_{index}.json", {**_resolved("drift-sweep", cfg), "point": record})
-        return record
 
     points = [point(i) for i in range(len(cfg["eps"]))]
     fit = _slope_fit([(p["eps"], p["drift"]) for p in points])
-    _write_json(
-        out / "sweep.json",
-        {**_resolved("drift-sweep", cfg), "points": points, "fit": fit},
-    )
+    files: Dict[str, Output] = {f"sweep_point_{i}.json": {"point": p} for i, p in enumerate(points)}
+    files["sweep.json"] = {"points": points, "fit": fit}
     for p in points:
         print(f"eps={p['eps']:g}: T={p['T']:g} sup weighted action drift {p['drift']:.6e}")
     if fit["slope"] is None:
@@ -505,13 +507,14 @@ def cmd_drift_sweep(cfg: Dict[str, Any], out: Path) -> int:
     else:
         se = "n/a" if fit["stderr"] is None else f"{fit['stderr']:.3g}"
         print(f"drift-sweep: slope {fit['slope']:.4g} (stderr {se}) from {fit['points_used']} points")
-    return EXIT_OK
+    return EXIT_OK, files
 
 
 # ---------------------------------------------------------------------------
 # measure scan
 
-def cmd_measure(cfg: Dict[str, Any], out: Path) -> int:
+def cmd_measure(cfg: Dict[str, Any]) -> Outputs:
+    """Monte Carlo non-resonant fraction over a gamma grid."""
     weight = _weight_from(cfg)
     grid = cfg["gamma_grid"]
     with _config_errors():
@@ -521,22 +524,19 @@ def cmd_measure(cfg: Dict[str, Any], out: Path) -> int:
         spec = MeasureSpec(weight, cfg["truncation"] or cfg["N"], cfg["samples"], cfg["seed"], cfg["ball_radius"])
         batch = sample_actions(spec)  # one draw scored at every gamma
         records = [estimate_measure(p, batch, eps).record() for p in params]
-    _write_json(
-        out / "measure.json",
-        {**_resolved("measure", cfg), "eps_resolved": eps, "records": records},
-    )
     for rec in records:
         print(
             f"gamma={rec['gamma']:g}: fraction {rec['fraction']:.6f} "
             f"ci [{rec['ci_low']:.6f}, {rec['ci_high']:.6f}] ({rec['samples']} samples)"
         )
-    return EXIT_OK
+    return EXIT_OK, {"measure.json": {"eps_resolved": eps, "records": records}}
 
 
 # ---------------------------------------------------------------------------
 # resonance report
 
-def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
+def cmd_resonance(cfg: Dict[str, Any]) -> Outputs:
+    """Non-resonance report for a single state."""
     weight = _weight_from(cfg)
     state = cfg["state"]
     truncation = cfg["truncation"] or max([cfg["N"], *state.keys()])
@@ -556,23 +556,19 @@ def cmd_resonance(cfg: Dict[str, Any], out: Path) -> int:
             "threshold": rep.threshold,
             "smallest_mode": kappa(rep.witness),
         }
-    _write_json(
-        out / "resonance.json",
-        {
-            **_resolved("resonance", cfg),
-            "in_set": rep.ok,
-            "margin": rep.margin if math.isfinite(rep.margin) else None,
-            "norm": rep.norm_w,
-            "reason": rep.reason,
-            "worst_witness": witness,
-        },
-    )
+    payload = {
+        "in_set": rep.ok,
+        "margin": rep.margin if math.isfinite(rep.margin) else None,
+        "norm": rep.norm_w,
+        "reason": rep.reason,
+        "worst_witness": witness,
+    }
     why = rep.reason or f"margin {rep.margin:.4g}"
     if rep.ok:
         print(f"resonance: state is non-resonant ({why})")
     else:
         print(f"resonance: state is not in the non-resonant set ({why})")
-    return EXIT_OK
+    return EXIT_OK, {"resonance.json": payload}
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +609,8 @@ def _rel_residual(total: RationalVF, reference: RationalVF, states: Sequence[Com
 _GOLDEN_NAMES = ("k3", "k5", "z5", "chi3", "s", "m")
 
 
-def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
+def cmd_nf_verify(cfg: Dict[str, Any]) -> Outputs:
+    """Verify the normal form identities and write coefficient tables."""
     checks: List[Dict[str, Any]] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
@@ -676,9 +673,8 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
         f"max relative residual {rs:.3e} over {len(states_s)} states, tol {cfg['tol_solver']:g}",
     )
 
-    out.mkdir(parents=True, exist_ok=True)
-    docs = {name: dump_field(f, out / f"{name}.json")
-            for name, f in zip(_GOLDEN_NAMES, (nf.z3, nf.k5, nf.z5, chi3, s8, m8))}
+    # one document per table serves both the golden comparison and the file
+    docs = {name: field_to_json(f) for name, f in zip(_GOLDEN_NAMES, (nf.z3, nf.k5, nf.z5, chi3, s8, m8))}
     if cfg["golden_dir"]:
         golden = Path(cfg["golden_dir"])
         for name in _GOLDEN_NAMES:
@@ -694,19 +690,21 @@ def cmd_nf_verify(cfg: Dict[str, Any], out: Path) -> int:
             record(f"golden table {name}", docs[name] == stored, "exact coefficient match")
 
     ok = all(c["pass"] for c in checks)
-    _write_json(out / "verify.json", {**_resolved("nf-verify", cfg), "checks": checks, "pass": ok})
+    files: Dict[str, Output] = {f"{name}.json": functools.partial(dump_field, doc) for name, doc in docs.items()}
+    files["verify.json"] = {"checks": checks, "pass": ok}
     if not ok:
         failed = ", ".join(c["name"] for c in checks if not c["pass"])
         print(f"nf-verify: FAILED ({failed})", file=sys.stderr)
-        return EXIT_VERIFY
+        return EXIT_VERIFY, files
     print(f"nf-verify: all {len(checks)} checks passed")
-    return EXIT_OK
+    return EXIT_OK, files
 
 
 # ---------------------------------------------------------------------------
 # coordinate roundtrip
 
-def cmd_roundtrip(cfg: Dict[str, Any], out: Path) -> int:
+def cmd_roundtrip(cfg: Dict[str, Any]) -> Outputs:
+    """Coordinate chain inversion and time dilation identity check."""
     rng = np.random.default_rng(cfg["seed"])
     modes = range(1, cfg["M"] + 1)
     scale = cfg["scale"]
@@ -733,27 +731,23 @@ def cmd_roundtrip(cfg: Dict[str, Any], out: Path) -> int:
         x = elastic_energy(psi.seq)
         max_ident = max(max_ident, abs(eta.elastic - x * math.sqrt(1.0 + 2.0 * x)))
     ok = max_rt <= cfg["tol"] and max_ident <= cfg["identity_tol"]
-    _write_json(
-        out / "roundtrip.json",
-        {
-            **_resolved("roundtrip", cfg),
-            "max_roundtrip_error": max_rt,
-            "max_dilation_identity_error": max_ident,
-            "pass": ok,
-        },
-    )
+    payload = {
+        "max_roundtrip_error": max_rt,
+        "max_dilation_identity_error": max_ident,
+        "pass": ok,
+    }
     status = "PASS" if ok else "FAIL"
     print(
         f"roundtrip: {status} over {cfg['samples']} states "
         f"(max roundtrip error {max_rt:.3e}, max dilation identity error {max_ident:.3e})"
     )
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_OK if ok else EXIT_VERIFY, {"roundtrip.json": payload}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-_COMMANDS: Dict[str, Callable[[Dict[str, Any], Path], int]] = {
+_COMMANDS: Dict[str, Callable[[Dict[str, Any]], Outputs]] = {
     "simulate": cmd_simulate,
     "drift-sweep": cmd_drift_sweep,
     "measure": cmd_measure,
@@ -762,16 +756,6 @@ _COMMANDS: Dict[str, Callable[[Dict[str, Any], Path], int]] = {
     "roundtrip": cmd_roundtrip,
 }
 
-_HELP = {
-    "simulate": "integrate the string equation and write a trajectory table",
-    "drift-sweep": "action drift against amplitude with a log-log slope fit",
-    "measure": "Monte Carlo non-resonant fraction over a gamma grid",
-    "resonance": "non-resonance report for a single state",
-    "nf-verify": "verify the normal form identities and write coefficient tables",
-    "roundtrip": "coordinate chain inversion and time dilation identity check",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stringnf",
@@ -779,8 +763,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"stringnf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", metavar="FILE", help="key = value configuration file")
         p.add_argument(
             "--set",
@@ -806,7 +790,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not p.is_dir():
                     raise ConfigError(f"--out: {p} exists and is not a directory")
                 break
-        return _COMMANDS[args.command](cfg, out)
+        code, files = _COMMANDS[args.command](cfg)
+        # the CLI's one writer, reached only by a command that returned
+        path = out
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                path = out / name
+                if callable(content):
+                    with open(path, "w") as fh:
+                        content(fh)
+                else:
+                    payload = {**_resolved(args.command, cfg), **content}
+                    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {path}: {exc.strerror or exc}") from None
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

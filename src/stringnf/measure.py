@@ -239,14 +239,6 @@ def _check_eps_floor(eps: float) -> None:
         raise ValueError(f"eps = {eps!r} has a square that is zero or subnormal")
 
 
-def _check_eps(eps: float) -> None:
-    # SampleBatch.rows lets a square that overflows through, so that its
-    # callers report the actions that overflow with it
-    _check_eps_floor(eps)
-    if not math.isfinite(eps * eps):
-        raise ValueError(f"eps = {eps!r} has a square that is not finite")
-
-
 def estimate_measure(
     params: NonResonanceParams, spec: MeasureSpec | SampleBatch, eps: float
 ) -> MeasureEstimate:
@@ -262,7 +254,11 @@ def estimate_measure(
     but the lower bound ``1 - lambda gamma`` on the true fraction is not
     guaranteed at that scale, so a warning is issued.
     """
-    _check_eps(eps)
+    _check_eps_floor(eps)
+    # SampleBatch.rows lets a square that overflows through, so that its
+    # callers report the actions that overflow with it
+    if not math.isfinite(eps * eps):
+        raise ValueError(f"eps = {eps!r} has a square that is not finite")
     cap = eps_squared_cap(params.gamma, params.r, params.N)
     if eps * eps > cap:
         warnings.warn(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, TextIO
 
 from .rational import QC, RationalVF, RKey, divisor_zero_form
 
@@ -90,11 +90,9 @@ def field_from_json(doc: Dict) -> RationalVF:
     return RationalVF(terms)
 
 
-def dump_field(vf: RationalVF, path) -> Dict:
-    """Write the field's document to ``path`` and return it."""
-    doc = field_to_json(vf)
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return doc
+def dump_field(doc: Dict, stream: TextIO) -> None:
+    """Write a document of :func:`field_to_json` to a text stream, in the golden-table text form."""
+    stream.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_field(path) -> RationalVF:

@@ -137,6 +137,14 @@ class TestConfigResolution:
         assert "config error:" in err and "not a directory" in err
         assert blocker.read_text() == ""
 
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys):
+        # a directory stands where the output file goes
+        (tmp_path / "o" / "measure.json").mkdir(parents=True)
+        rc = run("measure", "--out", str(tmp_path / "o"), "--set", "samples=5", "--set", "N=2")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out: cannot write {tmp_path / 'o' / 'measure.json'}: Is a directory\n")
+
     def test_validation_happens_before_computation(self, tmp_path, capsys):
         # dt violates the stiffness guard; nothing is written
         out = tmp_path / "o"
@@ -290,7 +298,7 @@ class TestDriftSweepCommand:
         assert all(p["tries"] >= 1 for p in merged["points"])
         assert merged["fit"]["points_used"] == 3
         assert merged["fit"]["slope"] is not None
-        # per-point files are written during the run and merged verbatim
+        # each point's file holds its entry of the merged table
         for i, point in enumerate(merged["points"]):
             assert read_json(out / f"sweep_point_{i}.json")["point"] == point
 
@@ -325,17 +333,20 @@ class TestDriftSweepCommand:
 
     def test_insufficient_nonresonant_samples(self, tmp_path, capsys):
         # first draw of this seed is resonant at these params; budget of one
-        rc = run("drift-sweep", "--out", str(tmp_path / "o"), "--seed", "222",
+        out = tmp_path / "o"
+        rc = run("drift-sweep", "--out", str(out), "--seed", "222",
                  "--set", "eps=[1.0]", "--set", "M=2", "--set", "N=2",
                  "--set", "gamma=0.9", "--set", "weight_s=0.0",
                  "--set", "ball_radius=8.0", "--set", "max_tries=1",
                  "--set", "T=1.0", "--set", "dt=0.01")
         assert rc == EXIT_SAMPLING
         assert "sampling failure" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("setting,cause", [
         ("eps=[1e50]", "elastic energy"),  # the coordinate change's mixing rounds to singular
+        ("eps=[0.3,1e50]", "elastic energy"),  # a later point fails: the earlier one is not written
         ("eps=[1e200]", "action"),  # the sampled actions overflow before certification
         ("ball_radius=1e-9", "rejection rate"),  # the sampler rejects every draw
         # an eps whose square is zero or subnormal would score every state alike; it is refused
@@ -351,7 +362,7 @@ class TestDriftSweepCommand:
         rc = run("drift-sweep", "--out", str(out), *overrides)
         assert rc == EXIT_CONFIG
         assert cause in capsys.readouterr().err
-        assert not (out / "sweep.json").exists()
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
