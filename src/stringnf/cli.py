@@ -31,6 +31,7 @@ import math
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
@@ -477,9 +478,9 @@ def cmd_drift_sweep(cfg: Dict[str, Any]) -> Outputs:
             initial = z_to_uv(ZState(batch.state(k, eps)))
             # finite, since batch.nonresonant refuses an eps whose square is subnormal
             horizon = cfg["T"] if cfg["T"] > 0.0 else eps**-2
-            stride = cfg["record_stride"] or max(1, int(horizon / cfg["dt"] / 512))
-            sim = SimConfig(dt=cfg["dt"], T=horizon, scheme=cfg["scheme"], M=cfg["M"],
-                            record_stride=stride, weight=weight)
+            sim = SimConfig(dt=cfg["dt"], T=horizon, scheme=cfg["scheme"], M=cfg["M"], weight=weight)
+            # about 512 records, once SimConfig has checked dt and bounded T / dt
+            sim = replace(sim, record_stride=cfg["record_stride"] or max(1, int(horizon / sim.dt / 512)))
         traj = simulate(initial, sim)
         s = trajectory_summary(traj)
         _refuse_energy_drift(s, sim.dt)

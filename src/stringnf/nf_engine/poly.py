@@ -7,9 +7,10 @@ exact Lie transforms; all fields here are polynomial, that is, divisor-free
 :class:`~.rational.RationalVF` fields, so equalities between the produced
 fields are literal.
 
-Each stage solves ``[Z1, chi] + K = Z``, so the bracket of the linear field
-with the generator is ``Z - K``, which is ``-K`` on the removed keys in ``K``'s
-order, and is not computed again. Only stage 1 brackets it once more, and
+Each stage solves ``[Z1, chi] + K = Z``, so the stage's own grade of the
+transformed field is ``Z``, and the bracket of the linear field with the
+generator is ``Z - K``, which is ``-K`` on the removed keys in ``K``'s order;
+neither is computed again. Only stage 1 brackets ``Z - K`` once more, and
 there ``K`` is ordered by field mode, the rotation bracket's order, so every
 field has the terms and the term order that brackets alone give.
 """
@@ -138,23 +139,32 @@ def split_integrable(vf: RationalVF) -> Tuple[RationalVF, RationalVF]:
 # graded Lie transforms and the resonant normal form
 
 def _lie_transform(fields: Dict[int, RationalVF], chi: RationalVF, chi_order: int, keep: int,
-                   linear_bracket: RationalVF) -> Dict[int, RationalVF]:
+                   z: RationalVF) -> Dict[int, RationalVF]:
     """Apply ``exp(ad_chi)`` to a graded field, cutting every order above ``keep``.
 
-    ``linear_bracket`` is ``[fields[0], chi]``, known from the homological
-    equation; it stands in for the first bracket of grade 0. A bracket past
-    ``keep`` is never computed.
+    ``z`` is the solve's ``Z = [fields[0], chi] + fields[chi_order]``, known
+    from the homological equation; it is grade ``chi_order`` of the result,
+    and the bracket ``Z - fields[chi_order]`` is formed only where it is
+    bracketed again. A bracket past ``keep`` is never computed.
     """
     out: Dict[int, RationalVF] = {}
     for p, term in fields.items():
         k, order = 0, p
         while order <= keep and not term.is_zero():
-            prev = out.get(order)
-            out[order] = term if prev is None else prev + term
+            if p == 0 and k == 1:
+                out[order] = z
+            elif p != chi_order or k:  # fields[chi_order] itself is in z
+                prev = out.get(order)
+                out[order] = term if prev is None else prev + term
             k += 1
             order += chi_order
             if order <= keep:
-                term = linear_bracket if p == 0 and k == 1 else commutator(term, chi)
+                if p == 0 and k == 1:
+                    # [fields[0], chi] = z - fields[chi_order] enters this grade as z;
+                    # the difference is formed only when it is bracketed again
+                    term = z - fields[chi_order] if order + chi_order <= keep else z
+                else:
+                    term = commutator(term, chi)
                 if k > 1:
                     term = term.scale(Fraction(1, k))
     return out
@@ -185,8 +195,9 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
     ``r = 2``, septic for ``r = 3``); the returned pieces are the integrable
     fields, the resonant remainders, and the generators used. All arithmetic
     is exact, so equalities between the produced fields are literal. The
-    linear field's bracket with each generator is ``Z - K`` from its stage's
-    solve, with the terms and order of the computed bracket (module docstring).
+    linear field's bracket with each generator, plus the stage's own grade,
+    is ``Z`` from its stage's solve, with the terms and order of the computed
+    sum (module docstring).
     """
     if r not in (2, 3):
         raise ValueError("supported orders are r = 2 and r = 3")
@@ -203,7 +214,7 @@ def resonant_normal_form(r: int, N: int) -> NFResult:
         generators[stage] = chi
         if chi.is_zero():
             continue
-        fields = _lie_transform(fields, chi, stage, keep, z - k)
+        fields = _lie_transform(fields, chi, stage, keep, z)
     z3 = fields.get(1, RationalVF())
     z5, k5 = split_integrable(fields.get(2, RationalVF()))
     k7 = fields.get(3, RationalVF())

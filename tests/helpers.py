@@ -51,9 +51,13 @@ Contents:
   stepper behind ``simulator.simulate``,
 - ``scalar_strang_split``: the complex-variable split step with one
   ``exp`` per rotation, one fresh array per change of frame and a finiteness
-  test of every element; the bit-for-bit reference for the kernel
-  ``simulator._strang_split``, which reuses a phase factor while the
-  stiffness repeats,
+  test of every element, its fixed point seeded by the quadratic
+  ``c_prev / 3 - 2 c_left + 8/3 c_mid`` through the previous step's start
+  stiffness, or by the line ``2 c_mid - c_left`` on the first step and where
+  ``dt M sqrt(c_left) > MAX_PHASE_STEP``; the bit-for-bit reference for the
+  kernel ``simulator._strang_split``, which reuses a phase factor while the
+  stiffness repeats and makes about 2.0 passes a step on the drift-sweep
+  benchmark (2.46 with the line alone),
 - ``scalar_record`` and ``scalar_simulate``: the energy, actions, weighted
   norm and drift of one recorded sample at a time, each dot product a 1-D
   ``@``, with a blow-up raised at the first record or state that is not
@@ -99,7 +103,7 @@ from stringnf.nf_engine.rational import (
     key_exponents,
 )
 from stringnf import simulator
-from stringnf.simulator import SimConfig, SimulationBlowup, Trajectory, _slope2
+from stringnf.simulator import MAX_PHASE_STEP, SimConfig, SimulationBlowup, Trajectory, _slope2
 from stringnf.transforms import UVState
 
 
@@ -889,40 +893,48 @@ def _reframe_w(w: np.ndarray, ratio: float) -> np.ndarray:
 def scalar_strang_split(dt: float, a1: np.ndarray, a2: np.ndarray, linear_only: bool):
     """``(start, step, unpack, finite)`` of the split scheme, one call per rotation and change of frame.
 
-    The state is ``(w, c, c_w)`` as in ``simulator._strang_split``. Every
-    rotation computes its own factor ``exp(-i a sqrt(c) h)``, and ``finite``
-    tests every element of ``w``.
+    The state is ``(w, c, c_w, c_prev)`` as in ``simulator._strang_split``.
+    Every rotation computes its own factor ``exp(-i a sqrt(c) h)``, and
+    ``finite`` tests every element of ``w``.
     """
+    M = len(a1)
     half = (-0.5j * dt) * a1
     full = (-1j * dt) * a1
 
     def start(u: np.ndarray, v: np.ndarray):
         w = a1 * u + 1j * v
-        return w, 1.0, _stiffness_w(w)
+        return w, 1.0, _stiffness_w(w), None
 
     def step(state):
-        w, c, c_left = state
+        w, c, c_left, c_prev = state
         if linear_only:
-            return _rotate_w(w, full, 1.0), 1.0, 1.0
+            return _rotate_w(w, full, 1.0), 1.0, 1.0, 1.0
         if c_left != c:
             w = _reframe_w(w, c / c_left)
         wh = _rotate_w(w, half, c_left)
         c_mid = _stiffness_w(wh)
-        c = max(1.0, 2.0 * c_mid - c_left)
+        first_step = c_prev is None
+        resolved = dt * M * math.sqrt(c_left) <= MAX_PHASE_STEP
+        if first_step or not resolved:
+            c = max(1.0, 2.0 * c_mid - c_left)  # the line through c_left and c_mid
+        else:
+            # the quadratic through c_prev, c_left and c_mid at t - dt, t and t + dt/2, taken at t + dt
+            c = max(1.0, c_prev / 3.0 - 2.0 * c_left + 8.0 / 3.0 * c_mid)
         for _ in range(12):
             wn = _rotate_w(_reframe_w(wh, c_left / c), half, c)
             c_new = _stiffness_w(wn)
             if c_new == c:
-                return wn, c, c  # the closing rotation would repeat this one
+                return wn, c, c, c_left  # the closing rotation would repeat this one
             converged = abs(c_new - c) <= 1e-15 * c
             c = c_new
             if converged:
                 break
         wn = _rotate_w(_reframe_w(wh, c_left / c), half, c)
-        return wn, c, _stiffness_w(wn)
+        return wn, c, _stiffness_w(wn), c_left
 
     def unpack(states: list):
-        w, c, _ = map(np.array, zip(*states))
+        w = np.array([state[0] for state in states])
+        c = np.array([state[1] for state in states])
         return w.real / a1, w.imag * np.sqrt(c)[:, None]
 
     return start, step, unpack, lambda state: bool(np.isfinite(state[0]).all())

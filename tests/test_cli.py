@@ -355,6 +355,11 @@ class TestDriftSweepCommand:
         ("eps=[1e-200]", "subnormal"),
         ("eps=[1e-100] T=0", "steps"),  # T = eps^-2 is finite but asks for 2e202 steps
         ("eps=[0.4] T=-5", "T: expected a number >= 0"),  # only 0 selects the default horizon
+        # the simulation config checks dt and T / dt before the record stride divides by them
+        ("dt=0", "dt must be finite and > 0"),
+        ("dt=-0.0", "dt must be finite and > 0"),
+        ("dt=1e-320", "steps"),
+        ("T=1e308", "steps"),
     ])
     def test_unusable_point_is_config_error(self, tmp_path, capsys, setting, cause):
         out = tmp_path / "o"

@@ -12,11 +12,12 @@ are:
   ``resonance`` and ``roundtrip``, named ``default-<command>``;
 - ``simulate`` read from a config file, with a ``--set`` that overrides one
   of the file's values;
-- one case per failure exit code: 2 (a config error, and a ``drift-sweep``
+- one case per failure exit code: 2 (a config error, a ``drift-sweep``
   whose second point is unusable, so that the first point's file must not be
-  written either), 3 (a blow-up of ``simulate``, with rk4 and with the split
-  scheme, and a split run whose energy drifts past its own size), 4 (a
-  sampling failure) and 5 (a missing golden table).
+  written either, and a ``drift-sweep`` at ``dt = 0``), 3 (a blow-up of
+  ``simulate``, with rk4 and with the split scheme, and a split run whose
+  energy drifts past its own size), 4 (a sampling failure) and 5 (a missing
+  golden table).
 
 Commands run in-process through ``main(argv)`` from a scratch working
 directory that holds a ``tests/golden`` link to the committed tables, with
@@ -76,6 +77,8 @@ CASES = {
     "exit-2-config": ("measure", "--set", "N=0"),
     "exit-2-sweep-point": ("drift-sweep", "--set", "eps=[0.3, 1e50]", "--set", "M=4", "--set", "N=4",
                            "--set", "T=0.01"),
+    "exit-2-sweep-dt": ("drift-sweep", "--set", "eps=[0.3]", "--set", "M=4", "--set", "N=4", "--set", "T=0.01",
+                        "--set", "dt=0"),
     "exit-3-rk4": ("simulate", "--set", 'initial_u={"1": 1e8}', "--set", "scheme=rk4",
                    "--set", "T=1.0", "--set", "M=4", "--set", "dt=0.02"),
     "exit-3-split": ("simulate", "--set", 'initial_u={"1": 1e100}', "--set", "T=1.0", "--set", "M=2"),

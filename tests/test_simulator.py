@@ -207,36 +207,50 @@ class TestComplexStepper:
         # a converged rotation hold the products near three (one per half
         # step and one to confirm the fixed point), and a step that closes on
         # its stiffness leaves its factor to the next, so near two are computed
-        factors = products = 0
-        exp = np.exp
-
-        class Factor(np.ndarray):
-            # a phase factor that counts the products it takes part in
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                nonlocal products
-                products += ufunc is np.multiply
-                return getattr(ufunc, method)(*(x.view(np.ndarray) if isinstance(x, Factor) else x
-                                                for x in inputs), **kwargs)
-
-        def counting(x, *args, **kwargs):
-            nonlocal factors
-            factors += 1
-            return exp(x, *args, **kwargs).view(Factor)
-
-        rng = np.random.default_rng(3)
-        u = {a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
-        v = {a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
         n_steps = 2000
-        monkeypatch.setattr(np, "exp", counting)
-        simulate(UVState(u, v, 16), SimConfig(dt=1e-3, T=n_steps * 1e-3, M=16, record_stride=10**9))
-        monkeypatch.undo()
+        factors, products = count_rotations(monkeypatch, small_state(16, 0.05, 3),
+                                            SimConfig(dt=1e-3, T=n_steps * 1e-3, M=16, record_stride=10**9))
         assert n_steps <= factors <= 2.2 * n_steps
         assert 2 * n_steps <= products <= 3.2 * n_steps
 
+    def test_quadratic_seed_saves_passes(self, monkeypatch):
+        # amplitude 0.1 at dt = 5e-3: the line 2 c_mid - c_left makes about
+        # 2.99 factors a step here, the quadratic through c_prev about 2.48
+        n_steps = 2000
+        factors, _ = count_rotations(monkeypatch, small_state(16, 0.1, 5),
+                                     SimConfig(dt=5e-3, T=n_steps * 5e-3, M=16, record_stride=10**9))
+        assert n_steps <= factors <= 2.6 * n_steps
 
-def lean_step_states(M, dt, linear_only, amp, coeffs, reframed):
+
+def count_rotations(monkeypatch, state, cfg):
+    """The phase factors ``np.exp`` computes in ``simulate(state, cfg)``, and the products they take part in."""
+    factors = products = 0
+    exp = np.exp
+
+    class Factor(np.ndarray):
+        # a phase factor that counts the products it takes part in
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            nonlocal products
+            products += ufunc is np.multiply
+            return getattr(ufunc, method)(*(x.view(np.ndarray) if isinstance(x, Factor) else x
+                                            for x in inputs), **kwargs)
+
+    def counting(x, *args, **kwargs):
+        nonlocal factors
+        factors += 1
+        return exp(x, *args, **kwargs).view(Factor)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "exp", counting)
+        simulate(state, cfg)
+    return factors, products
+
+
+def lean_step_states(M, dt, linear_only, amp, coeffs, reframed, history=False):
     """Start states of the split kernel and of its oracle; with ``reframed`` the
-    frame stiffness differs from that of ``w``, as after a step that closed by tolerance."""
+    frame stiffness differs from that of ``w``, as after a step that closed by
+    tolerance, and with ``history`` the state carries the stiffness of a step
+    before it, so the first step takes the quadratic seed where it resolves."""
     a1 = np.arange(1, M + 1, dtype=float)
     u = np.array([amp * coeffs[a - 1] * a**-2.0 for a in range(1, M + 1)])
     v = np.array([amp * coeffs[16 + a - 1] * a**-1.0 for a in range(1, M + 1)])
@@ -244,13 +258,16 @@ def lean_step_states(M, dt, linear_only, amp, coeffs, reframed):
     oracle = helpers.scalar_strang_split(dt, a1, a1 * a1, linear_only)
     states = [make[0](u, v) for make in (kernel, oracle)]
     if reframed:
-        states = [(w, c_w * (1.0 + 2.0**-20), c_w) for w, _, c_w in states]
+        states = [(w, c_w * (1.0 + 2.0**-20), c_w, c_prev) for w, _, c_w, c_prev in states]
+    if history:
+        states = [(w, c, c_w, c_w * (1.0 - 2.0**-12)) for w, c, c_w, _ in states]
     return kernel, oracle, states
 
 
 def state_bits(state):
-    w, c, c_w = state
-    return w.tobytes(), np.float64(c).tobytes(), np.float64(c_w).tobytes()
+    w, c, c_w, c_prev = state
+    return (w.tobytes(), np.float64(c).tobytes(), np.float64(c_w).tobytes(),
+            None if c_prev is None else np.float64(c_prev).tobytes())
 
 
 class TestLeanStep:
@@ -262,17 +279,23 @@ class TestLeanStep:
         dt_frac=hst.sampled_from([1.0, 0.5, 0.123, 0.05]),
         linear_only=hst.booleans(),
         reframed=hst.booleans(),
+        history=hst.booleans(),
         log_amp=hst.floats(math.log(1e-4), math.log(2.0)),
         coeffs=hst.lists(hst.floats(-1.0, 1.0), min_size=32, max_size=32),
         n_steps=hst.integers(1, 300),
     )
-    @example(1, 1.0, False, True, math.log(0.5), [0.9, -0.3] * 16, 200)
-    @example(16, 0.05, False, True, math.log(0.05), [0.7, -0.4] * 16, 300)
-    @example(4, 0.5, True, True, math.log(0.3), [0.5] * 32, 50)
-    def test_state_matches_oracle_bit_for_bit(self, M, dt_frac, linear_only, reframed, log_amp, coeffs,
-                                              n_steps):
+    @example(1, 1.0, False, True, False, math.log(0.5), [0.9, -0.3] * 16, 200)
+    @example(16, 0.05, False, True, False, math.log(0.05), [0.7, -0.4] * 16, 300)
+    @example(4, 0.5, True, True, False, math.log(0.3), [0.5] * 32, 50)
+    # the quadratic seed from the first step on
+    @example(8, 0.123, False, False, True, math.log(0.2), [0.6, -0.8] * 16, 100)
+    # sqrt(c_left) near 2.4 turns the fastest mode more than MAX_PHASE_STEP a
+    # step at dt_frac 0.5: those steps fall back to the line
+    @example(6, 0.5, False, False, True, math.log(2.0), [0.9, -0.9] * 16, 100)
+    def test_state_matches_oracle_bit_for_bit(self, M, dt_frac, linear_only, reframed, history, log_amp,
+                                              coeffs, n_steps):
         kernel, oracle, (state, ref) = lean_step_states(M, dt_frac * 0.1 / M, linear_only, math.exp(log_amp),
-                                                        coeffs, reframed)
+                                                        coeffs, reframed, history)
         for k in range(n_steps):
             state, ref = kernel[1](state), oracle[1](ref)
             assert state_bits(state) == state_bits(ref), k
@@ -319,20 +342,29 @@ class TestKernelPremises:
         # the first half step writes its product into a row of the stack
         np.multiply(w, f, X[0])
         assert X[0].tobytes() == (w * f).tobytes()
-        # a pass multiplies that row by a factor into a fresh array
+        # a pass multiplies that row by a factor into a preallocated array
         X[0] = w
-        assert (X[0] * f).tobytes() == (w * f).tobytes()
-        # one product scales each row of a real stack by its entry of a column
-        Y = np.stack([_spread_values(rng, M, zeros), rng.uniform(-10.0, 10.0, M)])
-        col = rng.uniform(0.5, 2.0, (2, 1))
-        np.multiply(Y, col, X.imag)
-        assert X.imag[0].tobytes() == (Y[0] * float(col[0, 0])).tobytes()
-        assert X.imag[1].tobytes() == (Y[1] * float(col[1, 0])).tobytes()
-        # the factor of the argument row is that of a fresh argument
+        W = np.empty(M, dtype=complex)
+        np.multiply(X[0], f, W)
+        assert W.tobytes() == (w * f).tobytes()
+        # one flat product scales each row of a real stack by the value filled
+        # into its half of S, writing through the flat view of the imaginary parts
+        Y = np.concatenate([_spread_values(rng, M, zeros), rng.uniform(-10.0, 10.0, M)])
+        scales = rng.uniform(0.5, 2.0, 2)
+        S = np.empty(2 * M)
+        S[:M].fill(scales[0])
+        S[M:].fill(scales[1])
+        np.multiply(Y, S, X.reshape(-1).imag)
+        assert X.imag[0].tobytes() == (Y[:M] * float(scales[0])).tobytes()
+        assert X.imag[1].tobytes() == (Y[M:] * float(scales[1])).tobytes()
+        # the factor of the argument row, written into a preallocated array, is
+        # that of a fresh argument
         X.real[1] = 0.0
         arg = np.zeros(M, dtype=complex)
         arg.imag = X.imag[1]
-        assert np.exp(X[1]).tobytes() == np.exp(arg).tobytes()
+        F = np.empty(M, dtype=complex)
+        np.exp(X[1], F)
+        assert F.tobytes() == np.exp(arg).tobytes()
 
 class TestSimulateMechanics:
     def test_zero_horizon_single_sample(self):

@@ -42,11 +42,18 @@ The snapshot holds:
   call once the divisor table is built; one step of ``simulate`` at M = 1,
   Strang split and rk4, as seconds per step over 20,000 steps without
   records; the same at M = 16, Strang split, on criterion 5's state with
-  ``record_stride`` 10^9, which records the end only; ``simulate`` on that
+  ``record_stride`` 10^9, which records the end only, together with the
+  ``np.exp`` calls per step, counted as the tests count them, over 2,000
+  steps on that state and on the amplitude-0.1 state of ``default_rng(5)`` at
+  dt 5e-3; ``simulate`` on that
   state, ``record_stride`` 1 over 10,000 steps, as seconds per recorded
   sample, and ``trajectory_to_csv`` of that trajectory into a
   ``StringIO``, as seconds per row; and the default ``nf-verify``
   (``solver_N`` 4) as a subprocess, interpreter start included.
+- ``passes``: per side, the ``drift_sweep`` and ``simulate_record``
+  workloads' argv at seed 0, run once in process with ``np.exp`` wrapped:
+  the split step's fixed-point passes, its first-half factors and the steps
+  that the workload's check counts.
 - ``slowest_tests``: the call phase of the three slowest tier-1 tests, as
   ``pytest --durations`` reports it, once per side with the side that runs
   first alternating from test to test.
@@ -211,18 +218,43 @@ print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
 print(gen2)
 """
 
-# criterion 5's 16-mode state, recorded only at the end
-SPARSE = """
+# np.exp calls by the name of the calling function: the split kernel calls it
+# from ``step`` once per fixed-point pass, and from ``phase`` once per first
+# half step whose factor is not the last step's
+EXP_COUNTER = """
+import collections
+import sys
 import numpy as np
+np_exp, exp_calls = np.exp, collections.Counter()
+def counting_exp(x, *args, **kwargs):
+    exp_calls[sys._getframe(1).f_code.co_name] += 1
+    return np_exp(x, *args, **kwargs)
+"""
+
+# criterion 5's 16-mode state, recorded only at the end; then the phase factors
+# (np.exp calls, as the tests count them) per step over 2,000 steps on that
+# state and on the amplitude-0.1 state of the seed test
+SPARSE = EXP_COUNTER + """
+import json
 from stringnf.simulator import SimConfig, simulate
 from stringnf.transforms import UVState
-rng = np.random.default_rng(3)
-u = {a: 0.05 * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
-v = {a: 0.05 * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
+def state(amp, seed):
+    rng = np.random.default_rng(seed)
+    u = {a: amp * a**-3.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
+    v = {a: amp * a**-2.0 * rng.choice([-1.0, 1.0]) for a in range(1, 17)}
+    return UVState(u, v, 16)
 cfg = SimConfig(dt=1e-3, T=20.0, M=16, record_stride=10**9)
 t = start()
-simulate(UVState(u, v, 16), cfg)
+simulate(state(0.05, 3), cfg)
 print((time.perf_counter() - t) / round(cfg.T / cfg.dt))
+factors = {}
+for name, amp, seed, dt in (("criterion_5", 0.05, 3, 1e-3), ("amplitude_0.1", 0.1, 5, 5e-3)):
+    exp_calls.clear()
+    np.exp = counting_exp
+    simulate(state(amp, seed), SimConfig(dt=dt, T=2000 * dt, M=16, record_stride=10**9))
+    np.exp = np_exp
+    factors[name] = sum(exp_calls.values()) / 2000
+print(json.dumps(factors))
 print(gen2)
 """
 
@@ -245,6 +277,26 @@ per_row = ((time.perf_counter() - t) / len(traj.times), gen2)
 print({timed}[0])
 print({timed}[1])
 """
+
+# one perfbench workload at seed 0, in process from the checkout's root: the
+# split kernel's fixed-point passes and first-half factors, and the steps that
+# the workload's own check counts
+PASSES = EXP_COUNTER + """
+import contextlib, io, json, tempfile
+from pathlib import Path
+sys.path.insert(0, "perfbench")
+from run import WORKLOADS
+from stringnf import cli
+args, check = WORKLOADS["{workload}"]
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    np.exp = counting_exp
+    cli.main(args(0) + ["--out", out])
+    np.exp = np_exp
+    steps = check(Path(out), 0)[0]
+print(json.dumps({{"steps": steps, "passes": exp_calls["step"], "first_half_factors": exp_calls["phase"],
+                  "passes_per_step": round(exp_calls["step"] / steps, 4)}}))
+"""
+PASS_WORKLOADS = ("drift_sweep", "simulate_record")
 
 LAYER_SCRIPTS = {kind: GC_PRELUDE + script for kind, script in {
     "bracket_34": BRACKET_34,
@@ -347,24 +399,26 @@ def traced_section(trees, seconds: float) -> Dict[str, Any]:
     }
 
 
-def timed_layer(tree: Path, kind: str) -> Tuple[float, Optional[int]]:
-    """Seconds of one layer in ``tree``, and the generation-2 collections inside its timed region.
+def timed_layer(tree: Path, kind: str) -> Tuple[float, Optional[int], Optional[Dict[str, Any]]]:
+    """Seconds of one layer in ``tree``, the generation-2 collections inside its timed region, and its counts.
 
-    A layer script prints its seconds first and the count on its last line.
-    The count is ``None`` for the ``nf-verify`` subprocess, timed from outside.
+    A layer script prints its seconds first and the collections on its last
+    line; a line between them holds a JSON object of counts. The collections
+    are ``None`` for the ``nf-verify`` subprocess, timed from outside.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     if kind in LAYER_SCRIPTS:
         proc = subprocess.run([sys.executable, "-c", LAYER_SCRIPTS[kind]], env=env, capture_output=True,
                               text=True, check=True)
-        tokens = proc.stdout.split()
-        return float(tokens[0]), int(tokens[-1])
+        lines = proc.stdout.splitlines()
+        counts = json.loads(lines[1]) if len(lines) == 3 else None
+        return float(lines[0].split()[0]), int(lines[-1]), counts
     with tempfile.TemporaryDirectory() as out:
         t = time.perf_counter()
         subprocess.run([sys.executable, "-m", "stringnf.cli", "nf-verify", "--set",
                         "golden_dir=tests/golden", "--out", out], cwd=tree, env=env,
                        capture_output=True, check=True)
-        return time.perf_counter() - t, None
+        return time.perf_counter() - t, None, None
 
 
 def layers_section(trees) -> Dict[str, Any]:
@@ -383,7 +437,9 @@ def layers_section(trees) -> Dict[str, Any]:
         "strang_step_1": "simulate, strang_split at M = 1, seconds per step over 20,000 steps",
         "rk4_step_1": "simulate, rk4 at M = 1, seconds per step over 20,000 steps",
         "strang_step_16": "simulate, strang_split at M = 16 on criterion 5's state, record_stride 10**9, "
-                          "seconds per step over 20,000 steps",
+                          "seconds per step over 20,000 steps; counts: np.exp calls per step over 2,000 "
+                          "steps on that state (dt 1e-3) and on the amplitude-0.1 state of default_rng(5) "
+                          "(dt 5e-3)",
         "record_16": "simulate, strang_split at M = 16, record_stride 1, seconds per recorded sample "
                      "over 10,000 steps",
         "csv_16": "trajectory_to_csv of that trajectory into a StringIO, seconds per row",
@@ -394,9 +450,11 @@ def layers_section(trees) -> Dict[str, Any]:
     for kind, label in names.items():
         for rnd in range(LAYER_ROUNDS):
             for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
-                seconds, collections = timed_layer(trees[side], kind)
+                seconds, collections, counts = timed_layer(trees[side], kind)
                 timings[label][side].append(float(f"{seconds:.4g}"))
                 timings[label]["gen2_collections"][side].append(collections)
+                if counts is not None:  # deterministic: the same in every round
+                    timings[label].setdefault("counts", {})[side] = counts
     return {
         "method": f"raw seconds (time.perf_counter, not calibrated), one fresh interpreter per side "
                   f"and round, {LAYER_ROUNDS} rounds alternating which side runs first. Each layer "
@@ -404,6 +462,24 @@ def layers_section(trees) -> Dict[str, Any]:
                   f"the generation-2 collections inside that region (a gc.callbacks hook; null for "
                   f"the nf-verify subprocess, timed from outside).",
         "timings_s": timings,
+    }
+
+
+def passes_section(trees) -> Dict[str, Any]:
+    env = {side: dict(os.environ, PYTHONPATH=str(trees[side] / "src")) for side in SIDES}
+    counts = {
+        workload: {side: json.loads(subprocess.run(
+            [sys.executable, "-c", PASSES.format(workload=workload)], cwd=trees[side], env=env[side],
+            capture_output=True, text=True, check=True).stdout)
+            for side in SIDES}
+        for workload in PASS_WORKLOADS
+    }
+    return {
+        "method": "the perfbench workload's argv at seed 0, run in process with np.exp wrapped: passes are "
+                  "the calls from the split kernel's step function, one per fixed-point pass, and "
+                  "first_half_factors those from its phase cache; steps is the work unit of the "
+                  "workload's own check.",
+        "counts": counts,
     }
 
 
@@ -464,6 +540,7 @@ def main(argv=None) -> int:
         "perfbench": perfbench_section(trees, benchmark, pairs, seconds),
         "traced": traced_section(trees, seconds),
         "layers": layers_section(trees),
+        "passes": passes_section(trees),
         "slowest_tests": slowest_tests_section(trees),
     }
     if args.extra:
