@@ -69,15 +69,17 @@ __all__ = [
     "Divisor",
     "DivisorRefusal",
     "NO_DIVISORS",
+    "PRIME",
     "ParityError",
     "RKey",
     "RationalVF",
+    "SQRT_MINUS_ONE",
     "action_transport",
     "canonical_from_exponents",
     "commutator",
     "conj_index_vector",
     "divisor_zero_form",
-    "evaluate_exact",
+    "evaluate_mod_p",
     "evaluate_vf",
     "is_rational_normal_form",
     "key_exponents",
@@ -825,51 +827,53 @@ def evaluate_vf(q: RationalVF, z):
     return q._compiled(states[0].truncation).evaluate(states) if states else []
 
 
-def _zeta_exact(j: IndexVector, z: Mapping[int, QC]) -> QC:
-    out = QC(1)
-    for delta, m in j:
-        v = z.get(m)
-        if v is None:
-            return QC()
-        if delta == 1:
-            out = out * v * v
-        elif delta == -1:
-            vb = v.conj()
-            out = out * vb * vb
-        else:
-            out = out * v * v.conj()
-    return out
+# ---------------------------------------------------------------------------
+# exact evaluation mod p
+
+# a prime = 1 (mod 4) near 2^62, and a square root of -1 modulo it that stands
+# for i; a Gaussian rational whose denominator PRIME does not divide reduces mod PRIME
+PRIME = 2**62 - 87
+SQRT_MINUS_ONE = pow(5, (PRIME - 1) // 4, PRIME)  # 5 is a quadratic non-residue
 
 
-def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> Dict[int, QC]:
-    """Exact-arithmetic component values at a Gaussian-rational state.
+def evaluate_mod_p(q: RationalVF, z: Mapping[int, int], zbar: Mapping[int, int], N: int) -> Dict[int, int]:
+    """Component values ``d/dz_a`` of a field mod :data:`PRIME`, at independent ``z`` and ``zbar``.
 
-    Companion to :func:`evaluate_vf` for cross-checks; divisors that vanish
-    exactly raise ``ZeroDivisionError`` instead of going through the float
-    refusal path.
+    i maps to :data:`SQRT_MINUS_ONE`, and an absent mode is zero. Numerators
+    are ints mod PRIME over one table of quadratic blocks. A divisor is
+    :func:`~stringnf.divisors.divisor_evaluator`'s over ``Fraction`` at the
+    actions ``z_b zbar_b``, reduced mod PRIME, which its small denominators
+    allow; each divisor product is inverted once. A term whose numerator is
+    zero mod PRIME is skipped, and a vanishing divisor of another raises
+    ``ZeroDivisionError``.
     """
-    acts = {m: Fraction(v.n * v.n + v.m * v.m, v.d * v.d) for m, v in z.items() if not v.is_zero()}
-    divisor = divisor_evaluator(acts, N, _F1)
-    out: Dict[int, QC] = {}
+    divisor = divisor_evaluator({m: Fraction(x * zbar.get(m, 0) % PRIME) for m, x in z.items()}, N, _F1)
+    # the quadratic blocks z_m^2, z_m zbar_m and zbar_m^2 of the index entries (1, m), (0, m) and (-1, m)
+    block: Dict[Tuple[int, int], int] = {}
+    for m in z.keys() | zbar.keys():
+        x, y = z.get(m, 0), zbar.get(m, 0)
+        block[(1, m)], block[(0, m)], block[(-1, m)] = x * x % PRIME, x * y % PRIME, y * y % PRIME
+    inverses: Dict[object, int] = {}  # of each coefficient denominator and each signature's divisor product
+    out: Dict[int, int] = {}
     for key, c in q.terms.items():
         a, kind, j, h2, h4, kk = key
-        za = z.get(a)
-        if za is None or za.is_zero():
+        num = (z if kind == DIAG else zbar).get(a, 0) * (c.n + SQRT_MINUS_ONE * c.m)
+        for entry in j:
+            num *= block.get(entry, 0)
+        num %= PRIME
+        if not num:
             continue
-        pref = za if kind == DIAG else za.conj()
-        num = c * pref * _zeta_exact(j, z)
-        if num.is_zero():
-            continue
-        den = Fraction(1)
-        for order, sec in ((2, h2), (4, h4), (4, kk)):
-            for v in sec:
-                val = divisor(v, order)
-                if val == 0:
-                    raise ZeroDivisionError(f"divisor {v} vanishes exactly at this state")
-                den *= val
-        term = num * QC(1 / den)
-        prev = out.get(a)
-        out[a] = term if prev is None else prev + term
+        sig = key[3:]
+        inv_sig = inverses.get(sig)
+        if inv_sig is None:
+            den = _F1 * math.prod(divisor(v, order) for order, sec in ((2, h2), (4, h4), (4, kk)) for v in sec)
+            if not den.numerator % PRIME:
+                raise ZeroDivisionError(f"a divisor of {sig} vanishes mod PRIME at this point")
+            inv_sig = inverses[sig] = den.denominator * pow(den.numerator, -1, PRIME) % PRIME
+        inv_d = inverses.get(c.d)
+        if inv_d is None:
+            inv_d = inverses[c.d] = pow(c.d, -1, PRIME)
+        out[a] = (out.get(a, 0) + num * inv_d * inv_sig) % PRIME
     return out
 
 

@@ -38,6 +38,11 @@ Contents:
   terms in Python complex numbers, with ``divisor_evaluator`` as the
   divisor; the reference for the compiled batch evaluator behind
   ``nf_engine.rational.evaluate_vf``, compared through ``value_bits``,
+- ``evaluate_exact``: a rational field at a Gaussian-rational state in
+  exact arithmetic, with ``divisor_evaluator`` over ``Fraction`` as the
+  divisor and ``zbar`` the conjugate of ``z``; the oracle for both the float
+  ``evaluate_vf`` and ``nf_engine.rational.evaluate_mod_p``, which it meets
+  through ``mod_prime``, the reduction of a Gaussian rational mod ``PRIME``,
 - ``di_functional``: the rate of change of one action along a field at a
   state, from ``evaluate_vf``; the float reference for the solver tests,
   which check that normal forms preserve every action,
@@ -91,7 +96,9 @@ from stringnf.divisors import (
 from stringnf.nf_engine.rational import (
     ANTI,
     DIAG,
+    PRIME,
     QC,
+    SQRT_MINUS_ONE,
     DivisorRefusal,
     RationalVF,
     _linear_derivative,
@@ -618,6 +625,59 @@ def scalar_evaluate_vf(q: RationalVF, z: ComplexSeq) -> dict:
                     denom *= val
         out[a] = out.get(a, 0j) + num / denom
     return out
+
+
+def _zeta_exact(j, z: Mapping[int, QC]) -> QC:
+    """Product of the quadratic blocks of an index vector at a Gaussian-rational state."""
+    out = QC(1)
+    for delta, m in j:
+        v = z.get(m)
+        if v is None:
+            return QC()
+        if delta == 1:
+            out = out * v * v
+        elif delta == -1:
+            vb = v.conj()
+            out = out * vb * vb
+        else:
+            out = out * v * v.conj()
+    return out
+
+
+def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> dict:
+    """Exact component values ``d/dz_a`` at a Gaussian-rational state, ``zbar`` its conjugate.
+
+    Terms whose numerator is zero are skipped; a divisor of any other term
+    that vanishes exactly raises ``ZeroDivisionError``.
+    """
+    acts = {m: Fraction(v.n * v.n + v.m * v.m, v.d * v.d) for m, v in z.items() if not v.is_zero()}
+    divisor = divisor_evaluator(acts, N, Fraction(1))
+    out: dict = {}
+    for key, c in q.terms.items():
+        a, kind, j, h2, h4, kk = key
+        za = z.get(a)
+        if za is None or za.is_zero():
+            continue
+        pref = za if kind == DIAG else za.conj()
+        num = c * pref * _zeta_exact(j, z)
+        if num.is_zero():
+            continue
+        den = Fraction(1)
+        for order, sec in ((2, h2), (4, h4), (4, kk)):
+            for v in sec:
+                val = divisor(v, order)
+                if val == 0:
+                    raise ZeroDivisionError(f"divisor {v} vanishes exactly at this state")
+                den *= val
+        term = num * QC(1 / den)
+        prev = out.get(a)
+        out[a] = term if prev is None else prev + term
+    return out
+
+
+def mod_prime(x: QC) -> int:
+    """A Gaussian rational mod ``PRIME``, with i mapped to ``SQRT_MINUS_ONE``."""
+    return (x.n + SQRT_MINUS_ONE * x.m) * pow(x.d, -1, PRIME) % PRIME
 
 
 def di_functional(a: int, chi: RationalVF, z: ComplexSeq) -> complex:

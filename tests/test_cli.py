@@ -9,6 +9,7 @@ at least once.
 import filecmp
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,8 @@ from stringnf.cli import (
     parse_config_text,
     resolve_config,
 )
-from stringnf.core import WeightSpec
-from stringnf.divisors import NonResonanceParams, certify
-from stringnf.measure import MeasureSpec, SampleBatch, sample_actions
-from stringnf.nf_engine import DivisorRefusal
+from stringnf.measure import SampleBatch
+from stringnf.nf_engine import QC, RationalVF
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -144,6 +143,32 @@ class TestConfigResolution:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == (
             f"config error: --out: cannot write {tmp_path / 'o' / 'measure.json'}: Is a directory\n")
+
+    def test_unwritable_later_file_writes_none(self, tmp_path, capsys):
+        # the table is written first, the summary's place is taken
+        out = tmp_path / "o"
+        (out / "summary.json").mkdir(parents=True)
+        rc = run("simulate", "--out", str(out), "--set", "M=2", "--set", "T=0.01", "--set", "dt=0.001")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out: cannot write {out / 'summary.json'}: Is a directory\n")
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert not any((out / "summary.json").iterdir())
+
+    def test_writer_failing_midway_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        def failing(fh):
+            fh.write("partial")
+            raise OSError(28, "No space left on device")
+
+        def command(cfg):
+            return EXIT_OK, {"first.json": {"x": 1}, "second.csv": failing, "third.json": {"y": 2}}
+
+        monkeypatch.setitem(cli._COMMANDS, "roundtrip", command)
+        out = tmp_path / "fresh" / "o"
+        assert run("roundtrip", "--out", str(out)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: --out: cannot write {out / 'second.csv'}: No space left on device\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_validation_happens_before_computation(self, tmp_path, capsys):
         # dt violates the stiffness guard; nothing is written
@@ -573,9 +598,33 @@ class TestResonanceCommand:
 # ---------------------------------------------------------------------------
 # normal form verification
 
+def low_key(field, accept=lambda key: True):
+    """The first key of a field within modes 1 and 2 that ``accept`` takes."""
+    return next(k for k in field.terms if RationalVF({k: field.terms[k]}).max_mode() <= 2 and accept(k))
+
+
+# mutants of the solvers' results, each of which breaks its identity
+
+def s_coefficient_moved(s, m):
+    return s + RationalVF({low_key(s): QC(0, Fraction(1, 10**6))}), m
+
+
+def m_divisor_copy_dropped(s, m):
+    key = low_key(m, lambda k: len(k[3]) == 2)
+    c = m.terms[key]
+    return s, m - RationalVF({key: c}) + RationalVF({key[:3] + (key[3][1:],) + key[4:]: c})
+
+
+def m_negated(s, m):
+    return s, m.scale(-1)
+
+
+def echo_down_dropped(chi, z, echo_same, echo_down):
+    return chi, z, echo_same, RationalVF()
+
+
 class TestNfVerifyCommand:
-    SMALL = ("--set", "quintic_N=5", "--set", "quintic_samples=8",
-             "--set", "solver_N=3", "--set", "solver_samples=6")
+    SMALL = ("--set", "quintic_N=5", "--set", "solver_N=3")
 
     def test_full_verification_with_goldens(self, tmp_path, capsys):
         out = tmp_path / "v"
@@ -595,19 +644,6 @@ class TestNfVerifyCommand:
         for name in ("k3", "k5", "z5", "chi3", "s", "m"):
             assert filecmp.cmp(out / f"{name}.json", GOLDEN_DIR / f"{name}.json",
                                shallow=False)
-
-    def test_ensemble_builds_only_the_kept_states(self, monkeypatch):
-        # two modes at order-one amplitude, where a few draws are resonant
-        w = WeightSpec("sobolev", s=0.0)
-        params = NonResonanceParams(2, 2, 0.9, w)
-        spec = MeasureSpec(w, 2, 200, 3, ball_radius=8.0)
-        batch = sample_actions(spec)
-        candidates = [batch.state(i) for i in range(len(batch))]
-        certified = [z for z, rep in zip(candidates, certify(candidates, params)) if rep.ok]
-        assert 0 < len(certified) < len(batch)
-        built = count_states(monkeypatch)
-        assert cli._ensemble_states(len(certified), params, spec) == certified
-        assert len(built) == len(certified)
 
     @pytest.mark.parametrize("n, built", [
         ("6", [(2, 6), (3, 3)]),  # quintic_N 5 <= N: the N-mode results are truncated
@@ -631,15 +667,43 @@ class TestNfVerifyCommand:
         assert calls == built
         assert solves == [int(n)] + ([5] if int(n) < 5 else [])
 
-    def test_divisor_refusal_is_a_numerical_abort(self, tmp_path, capsys, monkeypatch):
-        refusal = DivisorRefusal(((-1, 1), (1, 2)), 4, 0.0, 1e-12)
+    @pytest.mark.parametrize("solver, mutant, check", [
+        ("quintic_rational_solve", s_coefficient_moved, "quintic cascade identity"),
+        ("quintic_rational_solve", m_divisor_copy_dropped, "quintic cascade identity"),
+        ("quintic_rational_solve", m_negated, "quintic cascade identity"),
+        ("solve_homological_z3z5", echo_down_dropped, "rotation solver identity"),
+    ], ids=["s-coefficient", "m-divisor-copy", "minus-m", "no-echo-down"])
+    def test_exact_check_catches_mutant(self, tmp_path, capsys, monkeypatch, solver, mutant, check):
+        solve = getattr(cli, solver)
+        monkeypatch.setattr(cli, solver, lambda *args: mutant(*solve(*args)))
+        out = tmp_path / "v"
+        assert run("nf-verify", "--out", str(out), *self.SMALL) == EXIT_VERIFY
+        assert f"FAIL  {check}  (exact: nonzero at a point mod p)" in capsys.readouterr().out
+        assert [c["name"] for c in read_json(out / "verify.json")["checks"] if not c["pass"]] == [check]
 
-        def refusing_evaluator(field, states):
-            raise refusal
+    def test_point_where_a_divisor_vanishes_is_skipped(self, tmp_path, capsys, monkeypatch):
+        evaluate, points = cli.evaluate_mod_p, []
 
-        monkeypatch.setattr(cli, "evaluate_vf", refusing_evaluator)
-        assert run("nf-verify", "--out", str(tmp_path / "v"), *self.SMALL) == EXIT_NUMERICAL
-        assert capsys.readouterr().err == f"numerical abort: {refusal}\n"
+        def vanishing_first(field, z, zbar, N):
+            points.append(z)
+            if len(points) == 1:
+                raise ZeroDivisionError("a divisor vanishes mod PRIME at this point")
+            return evaluate(field, z, zbar, N)
+
+        monkeypatch.setattr(cli, "evaluate_mod_p", vanishing_first)
+        assert run("nf-verify", "--out", str(tmp_path / "v"), *self.SMALL) == EXIT_OK
+        assert "PASS  quintic cascade identity  (exact: zero at 2 points mod p)" in capsys.readouterr().out
+        assert len(points) == 5 and len({tuple(z.values()) for z in points}) == 5
+
+    def test_divisor_vanishing_at_every_draw_fails(self, tmp_path, capsys, monkeypatch):
+        def vanishing(field, z, zbar, N):
+            raise ZeroDivisionError("a divisor vanishes mod PRIME at this point")
+
+        monkeypatch.setattr(cli, "evaluate_mod_p", vanishing)
+        assert run("nf-verify", "--out", str(tmp_path / "v"), *self.SMALL) == EXIT_VERIFY
+        text = capsys.readouterr().out
+        for check in ("quintic cascade identity", "rotation solver identity"):
+            assert f"FAIL  {check}  (exact: a divisor vanished mod p at 8 of 8 points)" in text
 
     def test_missing_golden_file_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -664,21 +728,6 @@ class TestNfVerifyCommand:
         assert payload["pass"] is False
         failed = [c["name"] for c in payload["checks"] if not c["pass"]]
         assert failed == ["golden table k3"]
-
-    @pytest.mark.parametrize("setting,cause", [
-        ("quintic_gamma=2", "gamma"),
-        ("quintic_s=-1", "sobolev exponent"),
-    ])
-    def test_bad_ensemble_rejected_before_algebra(self, tmp_path, capsys, monkeypatch, setting, cause):
-        def no_algebra(*args):
-            raise AssertionError("the normal form ran before the settings were checked")
-
-        monkeypatch.setattr(cli, "resonant_normal_form", no_algebra)
-        out = tmp_path / "v"
-        assert run("nf-verify", "--out", str(out), "--set", setting) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error:" in err and cause in err
-        assert not out.exists()
 
     def test_single_mode_quintic_rejected_before_algebra(self, tmp_path, capsys, monkeypatch):
         # at one mode k5 is the zero field and the cascade check would pass vacuously

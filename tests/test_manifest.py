@@ -49,8 +49,7 @@ from stringnf.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 
-NF_SMALL = ("--set", "N=3", "--set", "quintic_N=3", "--set", "quintic_samples=4",
-            "--set", "solver_N=2", "--set", "solver_samples=4")
+NF_SMALL = ("--set", "N=3", "--set", "quintic_N=3", "--set", "solver_N=2")
 
 CASES = {
     "simulate": ("simulate", "--set", 'initial_u={"1": 0.1, "2": 0.05}', "--set", 'initial_v={"1": 0.02}',

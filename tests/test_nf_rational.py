@@ -24,6 +24,8 @@ from helpers import (
     big_omega,
     di_functional,
     closed_form_omega4_hessian,
+    evaluate_exact,
+    mod_prime,
     product_key_commutator,
     scalar_evaluate_vf,
     scalar_validate_class,
@@ -41,12 +43,13 @@ from stringnf.nf_engine import (
     commutator,
     conj_index_vector,
     divisor_zero_form,
-    evaluate_exact,
+    evaluate_mod_p,
     evaluate_vf,
     is_rational_normal_form,
     key_exponents,
     key_order,
     omega4_hessian,
+    quintic_rational_solve,
     resonant_normal_form,
     septic_stage_input,
     solve_homological_z3z5,
@@ -675,13 +678,17 @@ def test_fold_memo_is_bounded():
 # ---------------------------------------------------------------------------
 # evaluation
 
-def test_evaluate_exact_matches_float():
-    zq = {
+def _gaussian_point():
+    return {
         1: QC(Fraction(2, 5), Fraction(1, 5)),
         2: QC(Fraction(-1, 3), Fraction(1, 4)),
         3: QC(Fraction(1, 7), Fraction(-2, 7)),
         4: QC(Fraction(1, 6), Fraction(1, 8)),
     }
+
+
+def test_evaluate_exact_matches_float():
+    zq = _gaussian_point()
     zf = ComplexSeq({a: v.to_complex() for a, v in zq.items()}, N)
     for f in (field_h2(), field_h4(), field_kk(), commutator(field_h2(), field_h4(), N)):
         exact = evaluate_exact(f, zq, N)
@@ -690,6 +697,40 @@ def test_evaluate_exact_matches_float():
             want = exact.get(a, QC()).to_complex()
             have = approx.get(a, 0j)
             assert have == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_evaluate_mod_p_is_the_reduction_of_the_exact_values():
+    zq = _gaussian_point()
+    z = {a: mod_prime(v) for a, v in zq.items()}
+    zbar = {a: mod_prime(v.conj()) for a, v in zq.items()}
+    nf = resonant_normal_form(2, N)
+    s, m = quintic_rational_solve(nf.k5, N)
+    for f in (field_h2(), field_h4(), field_kk(), commutator(field_h2(), field_h4(), N), s + m):
+        want = {a: mod_prime(v) for a, v in evaluate_exact(f, zq, N).items()}
+        assert want and evaluate_mod_p(f, z, zbar, N) == want
+
+
+def test_evaluate_mod_p_refuses_a_vanishing_divisor():
+    f = field_h2()  # over the divisor I_1 + I_2 - I_3, up to its factor
+    z, zbar = {1: 3, 2: 5, 3: 7}, {1: 11, 2: 13}
+    zbar[3] = (3 * 11 + 5 * 13) * pow(7, -1, rational.PRIME) % rational.PRIME
+    with pytest.raises(ZeroDivisionError):
+        evaluate_mod_p(f, z, zbar, N)
+    zbar[3] += 1
+    assert evaluate_mod_p(f, z, zbar, N)[3]
+
+
+def test_modulus_is_a_prime_with_a_square_root_of_minus_one():
+    p, i = rational.PRIME, rational.SQRT_MINUS_ONE
+    assert p % 4 == 1 and 2**61 < p < 2**62
+    assert i * i % p == p - 1
+    # Miller-Rabin with the first twelve prime bases is exact below 3.3e24
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, p)
+        assert x in (1, p - 1) or any(pow(x, 2**k, p) == p - 1 for k in range(1, r))
 
 
 def test_divisor_refusal_witness():

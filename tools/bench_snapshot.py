@@ -26,10 +26,7 @@ The snapshot holds:
   alternating, each next to the generation-2 collections that fell inside
   its timed region (every layer script calls ``gc.collect()`` before that
   region), of layers no perfbench workload times by itself: the bracket
-  ``commutator(z3 + z5, chi, 4)`` at (r, N) = (3, 4); the residual check
-  ``stringnf.cli._rel_residual`` of the septic identity at (3, 4) against
-  ``q`` over ``_plain_states(50, 4, 1)``, which evaluates the 8,492-term
-  residual and the 959-term ``q`` at 50 states; the interaction fields
+  ``commutator(z3 + z5, chi, 4)`` at (r, N) = (3, 4); the interaction fields
   ``taylor_vf`` at (l, M) = (2, 8) and (3, 6); the polynomial normal form
   ``resonant_normal_form`` at (r, N) = (2, 8), (3, 5) and (3, 6); the
   bracket ``commutator(z1_field(8), chi2)`` of the linear field against the
@@ -38,8 +35,8 @@ The snapshot holds:
   ``nf-verify`` at perfbench's ``solver_N`` 2 spends in brackets whose left
   field is a rotation, and its seconds in all; the
   non-resonance certificate ``divisors.certify`` of B = 1 and of B = 250
-  states from ``_plain_states(B, 8, 1)`` at (r, N) = (2, 8), seconds per
-  call once the divisor table is built; one step of ``simulate`` at M = 1,
+  seeded states of 8 modes at (r, N) = (2, 8), seconds per call once the
+  divisor table is built; one step of ``simulate`` at M = 1,
   Strang split and rk4, as seconds per step over 20,000 steps without
   records; the same at M = 16, Strang split, on criterion 5's state with
   ``record_stride`` 10^9, which records the end only, together with the
@@ -49,7 +46,8 @@ The snapshot holds:
   state, ``record_stride`` 1 over 10,000 steps, as seconds per recorded
   sample, and ``trajectory_to_csv`` of that trajectory into a
   ``StringIO``, as seconds per row; and the default ``nf-verify``
-  (``solver_N`` 4) as a subprocess, interpreter start included.
+  (``solver_N`` 4), its exact identity checks included, as a subprocess,
+  interpreter start included.
 - ``passes``: per side, the ``drift_sweep`` and ``simulate_record``
   workloads' argv at seed 0, run once in process with ``np.exp`` wrapped:
   the split step's fixed-point passes, its first-half factors and the steps
@@ -123,21 +121,6 @@ print(time.perf_counter() - t, len(out.terms))
 print(gen2)
 """
 
-REL_RESIDUAL_34 = """
-from stringnf.cli import _plain_states, _rel_residual
-from stringnf.nf_engine import commutator, resonant_normal_form
-from stringnf.nf_engine.solvers import septic_stage_input, solve_homological_z3z5
-nfs = resonant_normal_form(3, 4)
-q = septic_stage_input(nfs)
-chi, z_int, echo_same, echo_down = solve_homological_z3z5(q, 4)
-total = commutator(nfs.z3 + nfs.z5, chi, 4) + q - z_int - echo_same - echo_down
-states = _plain_states(50, 4, 1)
-t = start()
-worst = _rel_residual(total, q, states)
-print(time.perf_counter() - t, len(total.terms), len(q.terms), worst.hex())
-print(gen2)
-"""
-
 # the linear field against the quintic-stage generator, as a fresh field (as
 # nf-verify's quintic identity check brackets it; resonant_normal_form takes
 # this bracket from its homological equation) and again on the same field
@@ -194,12 +177,21 @@ CALLS = {
     "normal_form_36": "resonant_normal_form(3, 6)",
 }
 
+# B states of 8 modes from random.Random(1), the same on both sides
 CERTIFY = """
-from stringnf.cli import _plain_states
-from stringnf.core import WeightSpec
+import random
+from stringnf.core import ComplexSeq, WeightSpec
 from stringnf.divisors import NonResonanceParams, certify
+rng = random.Random(1)
+states = []
+for _ in range({B}):
+    data = {{}}
+    for a in range(1, 9):
+        re = rng.uniform(0.3, 1.0) * (1 if rng.random() < 0.5 else -1)
+        im = rng.uniform(0.3, 1.0) * (1 if rng.random() < 0.5 else -1)
+        data[a] = complex(re, im) * 0.35 / a
+    states.append(ComplexSeq(data, 8))
 params = NonResonanceParams(2, 8, 0.02, WeightSpec("sobolev", s=3.0))
-states = _plain_states({B}, 8, 1)
 certify(states, params)  # builds the cached divisor table
 t = start()
 for _ in range({reps}):
@@ -300,7 +292,6 @@ PASS_WORKLOADS = ("drift_sweep", "simulate_record")
 
 LAYER_SCRIPTS = {kind: GC_PRELUDE + script for kind, script in {
     "bracket_34": BRACKET_34,
-    "rel_residual_34": REL_RESIDUAL_34,
     **{kind: TIMED_CALL.format(call=call) for kind, call in CALLS.items()},
     "rotation_28": ROTATION_28.format(which=0),
     "rotation_28_again": ROTATION_28.format(which=1),
@@ -424,7 +415,6 @@ def timed_layer(tree: Path, kind: str) -> Tuple[float, Optional[int], Optional[D
 def layers_section(trees) -> Dict[str, Any]:
     names = {
         "bracket_34": "commutator(z3 + z5, chi, 4) at (r, N) = (3, 4)",
-        "rel_residual_34": "cli._rel_residual(septic residual, q, _plain_states(50, 4, 1)) at (r, N) = (3, 4)",
         **CALLS,
         "rotation_28": "commutator(z1_field(8), chi2) on a fresh copy of the quintic-stage generator at "
                        "(r, N) = (2, 8), 2,840 terms",
@@ -432,8 +422,9 @@ def layers_section(trees) -> Dict[str, Any]:
         "nf_verify_rotation": "seconds of brackets with a rotation on the left in an in-process "
                               "nf-verify --set golden_dir=tests/golden --set solver_N=2",
         "nf_verify_in_process": "that in-process nf-verify, all of it",
-        "certify_1": "divisors.certify of _plain_states(1, 8, 1) at (r, N) = (2, 8), seconds per call",
-        "certify_250": "divisors.certify of _plain_states(250, 8, 1) at (r, N) = (2, 8), seconds per call",
+        "certify_1": "divisors.certify of 1 state of 8 modes from random.Random(1) at (r, N) = (2, 8), "
+                     "seconds per call",
+        "certify_250": "divisors.certify of 250 such states at (r, N) = (2, 8), seconds per call",
         "strang_step_1": "simulate, strang_split at M = 1, seconds per step over 20,000 steps",
         "rk4_step_1": "simulate, rk4 at M = 1, seconds per step over 20,000 steps",
         "strang_step_16": "simulate, strang_split at M = 16 on criterion 5's state, record_stride 10**9, "
