@@ -50,7 +50,7 @@ def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
     ``actions`` maps modes to actions, with absent modes at zero.  Floats and
     Fractions give the values of :func:`divisor_evaluator`, and Fractions at
     unit actions the entries of :func:`omega4_hessian`; float arrays (one
-    action column per mode) give a whole batch of states at once for
+    action column per mode ``1..N``) give a whole batch of states at once for
     :class:`DivisorTable`.
     Integer constants enter through ``one``, so the float operations are the
     same whichever type is used.  A zero action adds a signed zero to each
@@ -105,9 +105,12 @@ def divisor_evaluator(actions: Mapping, N: int, one=1.0) -> Callable[[Sequence[t
     order 4 adds :func:`_omega4_raw`. Numbers are of the type of ``one``
     (float or Fraction). ``v`` is not reduced: pass it irreducible with ``b
     >= 0``, as a rational field stores it or as :func:`irr` returns it.
-    Values are cached per evaluator, and over floats a zero action gives the
-    same bits as an absent one.
+    Each action enters as ``one * action``, so int actions over ``Fraction``
+    stay exact, and over floats the values are those of the actions as
+    given. Values are cached per evaluator, and over floats a zero action
+    gives the same bits as an absent one.
     """
+    actions = {a: one * x for a, x in actions.items()}
     zero = one * 0
     freqs: dict = {}
     values: dict = {}
@@ -285,12 +288,12 @@ def _thresholds(gnz2, length_factor, kappa_factor):
     return base * kappa_factor, base * np.maximum(kappa_factor, gnz2)
 
 
-def _columns(I: np.ndarray, width: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """``omega2`` of rows of actions ``I[B, M]`` (zero at column 0 and past ``M``), and each mode's column."""
-    B, M = I.shape
-    w = np.zeros((B, width))
-    w[:, 1 : M + 1] = float(OMEGA2_RATE) * I
-    return w, {a: I[:, a - 1] for a in range(1, M + 1)}
+def _columns(I: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """``omega2`` of rows of actions ``I[B, N]`` in columns ``1..N`` (column 0 zero), and each mode's column."""
+    B, N = I.shape
+    w = np.zeros((B, N + 1))
+    w[:, 1:] = float(OMEGA2_RATE) * I
+    return w, {a: I[:, a - 1] for a in range(1, N + 1)}
 
 
 # floats gathered per block of rows (about 64 KiB), so that the divisor
@@ -310,13 +313,10 @@ class DivisorTable:
     margin, witness and order that scoring it alone in scalar floats gives,
     bit for bit.
     :func:`divisor_table` builds the table of :func:`enumerate_irr_indices`
-    once and caches it. A table built without a weight has no thresholds and
-    serves divisor values only, of any vectors with momentum ``b >= 0``.
+    once and caches it; every mode and momentum of its vectors lies in 1..N.
     """
 
-    def __init__(
-        self, vectors: Sequence[tuple[tuple[int, int], ...]], N: int, weight: Optional[WeightSpec] = None
-    ) -> None:
+    def __init__(self, vectors: Sequence[tuple[tuple[int, int], ...]], N: int, weight: WeightSpec) -> None:
         self.N = N
         self.vectors = tuple(vectors)
         V = len(self.vectors)
@@ -330,13 +330,10 @@ class DivisorTable:
         self._momentum = np.array([delta_sum(j) for j in self.vectors], dtype=np.intp)
         if (self._momentum < 0).any():
             raise ValueError("a divisor vector has negative momentum; conjugate it first")
-        arrays = [self._modes, self._signs, self._momentum]
-        if weight is not None:
-            self._length_factor = np.array([float(N) ** (-4 * len(j) - 2) for j in self.vectors])
-            self._kappa_factor = np.array([_kappa_factor(kappa(j), weight) for j in self.vectors])
-            arrays += [self._length_factor, self._kappa_factor]
+        self._length_factor = np.array([float(N) ** (-4 * len(j) - 2) for j in self.vectors])
+        self._kappa_factor = np.array([_kappa_factor(kappa(j), weight) for j in self.vectors])
         # one cached table serves every caller
-        for arr in arrays:
+        for arr in (self._modes, self._signs, self._momentum, self._length_factor, self._kappa_factor):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
@@ -353,17 +350,11 @@ class DivisorTable:
         return 2.0 * (total - w[:, self._momentum])
 
     def _frequencies(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both orders of frequency corrections, column ``a`` for mode ``a`` and column 0 zero.
-
-        Columns run to the table's largest mode or momentum when that passes
-        the cutoff ``N = I.shape[1]``; past it, as in :func:`divisor_evaluator`,
-        order 2 is zero and order 4 keeps the tail of :func:`_omega4_raw`.
-        """
+        """Both orders of frequency corrections, column ``a`` for mode ``a <= N = I.shape[1]`` and column 0 zero."""
         N = I.shape[1]
-        top = max(N, int(self._modes.max(initial=0)), int(self._momentum.max(initial=0)))
-        w2, columns = _columns(I, top + 1)
+        w2, columns = _columns(I)
         w4 = w2.copy()
-        for a in range(1, top + 1):
+        for a in range(1, N + 1):
             w4[:, a] += _omega4_raw(a, columns, N)
         return w2, w4
 

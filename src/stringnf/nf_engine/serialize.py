@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, TextIO
 
-from .rational import QC, RationalVF, RKey, divisor_zero_form
+from .rational import ANTI, DIAG, QC, RationalVF, RKey, divisor_zero_form
 
 __all__ = ["FORMAT", "field_from_json", "field_to_json", "dump_field", "load_field"]
 
@@ -82,7 +82,11 @@ def field_from_json(doc: Dict) -> RationalVF:
             # the evaluators take stored divisors as they are
             if divisor_zero_form(v) != (v, 1):
                 raise ValueError(f"divisor {_vec_out(v)} is not in storage form")
-        key = (int(rec["a"]), rec["kind"], _vec_in(rec["j"]), tuple(h[:n]), tuple(h[n:]), tuple(k))
+        a, kind, j = int(rec["a"]), rec["kind"], _vec_in(rec["j"])
+        if a < 1 or kind not in (DIAG, ANTI) or any(delta not in (-1, 0, 1) or m < 1 for delta, m in j):
+            raise ValueError(f"record needs a >= 1, kind diag or anti, and index entries [delta in -1..1, "
+                             f"mode >= 1]; got a={a}, kind={kind!r}, j={_vec_out(j)}")
+        key = (a, kind, j, tuple(h[:n]), tuple(h[n:]), tuple(k))
         re, im = rec["coefficient"]
         c = QC(Fraction(re), Fraction(im))
         prev = terms.get(key)

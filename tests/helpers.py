@@ -34,15 +34,13 @@ Contents:
   ``_kappa_factor``; the reference for the batched ``DivisorTable``,
 - ``zeta_value`` and ``zeta_product``: the quadratic blocks of an index
   vector at one state,
-- ``scalar_evaluate_vf``: a rational field at one state as a loop over its
-  terms in Python complex numbers, with ``divisor_evaluator`` as the
-  divisor; the reference for the compiled batch evaluator behind
-  ``nf_engine.rational.evaluate_vf``, compared through ``value_bits``,
 - ``evaluate_exact``: a rational field at a Gaussian-rational state in
   exact arithmetic, with ``divisor_evaluator`` over ``Fraction`` as the
   divisor and ``zbar`` the conjugate of ``z``; the oracle for both the float
-  ``evaluate_vf`` and ``nf_engine.rational.evaluate_mod_p``, which it meets
-  through ``mod_prime``, the reduction of a Gaussian rational mod ``PRIME``,
+  per-term loop ``nf_engine.rational.evaluate_vf``, met at dyadic states
+  where the float state is the exact one, and
+  ``nf_engine.rational.evaluate_mod_p``, met through ``mod_prime``, the
+  reduction of a Gaussian rational mod ``PRIME``,
 - ``di_functional``: the rate of change of one action along a field at a
   state, from ``evaluate_vf``; the float reference for the solver tests,
   which check that normal forms preserve every action,
@@ -99,7 +97,6 @@ from stringnf.nf_engine.rational import (
     PRIME,
     QC,
     SQRT_MINUS_ONE,
-    DivisorRefusal,
     RationalVF,
     _linear_derivative,
     _quadratic_derivative,
@@ -590,40 +587,6 @@ def zeta_product(jvec: Iterable[tuple[int, int]], z: ComplexSeq) -> complex:
     out: complex = 1.0 + 0j
     for j in jvec:
         out *= zeta_value(j, z)
-    return out
-
-
-def scalar_evaluate_vf(q: RationalVF, z: ComplexSeq) -> dict:
-    """Component values ``d/dz_a`` of a field at one state, term by term.
-
-    Terms whose prefix or numerator is zero are skipped; any other term's
-    divisor below ``max(1e-12 ||z||^2, 1e-300)`` raises ``DivisorRefusal``.
-    """
-    divisor = None
-    out: dict = {}
-    for key, c in q.terms.items():
-        a, kind, j, h2, h4, kk = key
-        za = z[a]
-        pref = za if kind == DIAG else za.conjugate()
-        if pref == 0:
-            continue
-        num = c.to_complex() * pref * zeta_product(j, z)
-        if num == 0:
-            continue
-        denom = 1.0
-        if h2 or h4 or kk:
-            if divisor is None:
-                threshold = max(1e-12 * z.norm2_unweighted(), 1e-300)
-                if not math.isfinite(threshold):
-                    raise ValueError("the squared norm of the state is not finite")
-                divisor = divisor_evaluator({a: z.action(a) for a in z.data}, z.truncation)
-            for order, sec in ((2, h2), (4, h4), (4, kk)):
-                for v in sec:
-                    val = divisor(v, order)
-                    if abs(val) < threshold:
-                        raise DivisorRefusal(v, order, val, threshold)
-                    denom *= val
-        out[a] = out.get(a, 0j) + num / denom
     return out
 
 

@@ -430,6 +430,15 @@ def test_divisor_evaluator_matches_scalar_oracle(case):
             assert exact(v, order) == _exact_divisor(v, I, N, order)
 
 
+def test_divisor_evaluator_keeps_int_actions_exact():
+    v = ((-1, 1), (-1, 1), (1, 2))
+    ints = divisor_evaluator({1: 3, 2: 5}, 2, Fraction(1))
+    fractions = divisor_evaluator({1: Fraction(3), 2: Fraction(5)}, 2, Fraction(1))
+    assert ints(v, 2) == fractions(v, 2) == Fraction(-1, 2)
+    assert ints(v, 4) == fractions(v, 4) == Fraction(1451, 192)
+    assert type(ints(v, 4)) is Fraction
+
+
 # ---------------------------------------------------------------------------
 # the batched divisor table against the scalar oracle
 

@@ -113,6 +113,16 @@ def test_rejects_divisor_not_in_storage_form(divisor):
         field_from_json({"format": "stringnf-vf/1", "terms": [rec]})
 
 
+@pytest.mark.parametrize("change", [{"kind": "sideways"}, {"a": 0}, {"j": [[2, 1]]}])
+def test_rejects_malformed_term_keys(change):
+    # an unknown kind would evaluate as an anti term, and a zero mode or a
+    # delta of 2 has no monomial; each is refused when the field is built
+    rec = {"a": 1, "kind": "diag", "j": [[0, 1]], "h": [], "k": [], "n": 0, "coefficient": ["1", "0"]}
+    field_from_json({"format": "stringnf-vf/1", "terms": [rec]})
+    with pytest.raises(ValueError, match="record needs a >= 1, kind diag or anti"):
+        field_from_json({"format": "stringnf-vf/1", "terms": [{**rec, **change}]})
+
+
 # ---------------------------------------------------------------------------
 # golden files
 

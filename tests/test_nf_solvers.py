@@ -21,9 +21,7 @@ from helpers import (
     big_omega,
     di_functional,
     dict_product_key,
-    scalar_evaluate_vf,
     scalar_validate_class,
-    value_bits,
     zeta_product,
 )
 from stringnf.core import ComplexSeq, canonicalize
@@ -372,14 +370,6 @@ def test_solver_identity_numeric(septic, septic_solution, septic_states):
     bracket = commutator(rot, chi, NS)
     total = bracket + septic - z_int - r2 - r1
     assert rel_residual(total, septic, septic_states) <= 1e-12
-
-
-def test_compiled_evaluation_of_septic_fields_matches_scalar_loop(septic, septic_solution, septic_states):
-    states = septic_states[:3]
-    for f in (septic,) + tuple(septic_solution):
-        assert [value_bits(v) for v in evaluate_vf(f, states)] == [
-            value_bits(scalar_evaluate_vf(f, z)) for z in states
-        ]
 
 
 def test_validate_class_matches_per_term_checks_on_septic_fields(septic, septic_solution):

@@ -52,7 +52,7 @@ The snapshot holds:
   workloads' argv at seed 0, run once in process with ``np.exp`` wrapped:
   the split step's fixed-point passes, its first-half factors and the steps
   that the workload's check counts.
-- ``slowest_tests``: the call phase of the three slowest tier-1 tests, as
+- ``slowest_tests``: the call phase of three slow tier-1 tests, as
   ``pytest --durations`` reports it, once per side with the side that runs
   first alternating from test to test.
 
@@ -82,12 +82,14 @@ TRACE_PREFIX = "nf_engine."
 TRACED_PAIRS = 1
 LAYER_ROUNDS = 3
 
-# the three slowest tests of the tier-1 suite by `pytest --durations` (2 cores,
-# Python 3.11.7): 37.9 s, 5.4 s and 4.6 s of a 112 s run
+# the slowest test of the tier-1 suite by `pytest --durations`, the split
+# step against the Duffing reference, and criterion 2, where the float
+# evaluation of rational fields takes its time (2 cores, Python 3.11.7):
+# 13.8 s, 1.2 s and 2.5 s of a 66 s run
 SLOWEST_TESTS = (
     "tests/test_acceptance.py::test_criterion_5_simulator_oracles",
     "tests/test_simulator.py::TestSingleMode::test_matches_duffing_reference_t10[strang_split-0.0001]",
-    "tests/test_nf_rational.py::test_compiled_evaluation_matches_scalar_loop_bit_for_bit",
+    "tests/test_acceptance.py::test_criterion_2_homological_identities",
 )
 
 # prepended to every layer script: start() collects the cyclic garbage and
