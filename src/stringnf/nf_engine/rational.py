@@ -47,6 +47,9 @@ over one common denominator accumulate on ``(mode, packed, signature id)``,
 with the divisor signatures of the call interned as small ints. Each distinct
 key with a nonzero total is folded onto the basis and its coefficient reduced
 once, in first-seen order; most keys of a deep bracket cancel exactly. A
+divisor depends only on the actions, so the bracket's chain rule and the
+solvers' echoes see a field ``Y`` only through ``dI_d[Y] = zbar_d Y_d + z_d
+conj(Y_d)``, built once per mode with its cancelled routes dropped. A
 rotation on the left, such as the linear field, has every monomial as an
 eigenvector, so its bracket scales each term in closed form, with the same
 terms in the same order.
@@ -790,52 +793,50 @@ class _Tables:
                                       for (a, p, i), (n, m) in acc.items() if n or m})
 
 
-def _actors(terms) -> Dict[int, list]:
-    """Actors of :meth:`_Tables.terms` grouped by field mode."""
-    out: Dict[int, list] = {}
-    for a, actor, _, _ in terms:
-        out.setdefault(a, []).append(actor)
-    return out
+def _action_derivatives(terms) -> Dict[int, Dict[Tuple[int, int], tuple]]:
+    """``W_d = dI_d[Y] = zbar_d Y_d + z_d conj(Y_d)`` per field mode ``d`` of the terms ``Y``.
 
-
-def _transport(tables: _Tables, acc, a: int, x: int, actors, d: int, extra: int, fn: int, fm: int, sid: int):
-    """Add ``(fn + i fm) * x * extra * dI_d[Y]`` to the ``d/dz_a`` numerators in ``acc``.
-
-    ``dI_d[Y] = zbar_d Y_d + z_d conj(Y_d)`` is the derivative of the action
-    ``I_d`` along ``Y``, whose ``d/dz_d`` terms are ``actors``; ``x`` and
-    ``extra`` are packed monomials. Each product carries the signature ``sid``
-    merged with its actor's.
+    ``W_d`` maps ``(packed, signature id)`` to an int pair ``(re, im)`` over
+    the denominator of :meth:`_Tables.terms`, in first-seen order, with the
+    routes that cancel dropped.
     """
-    x_zbar = x + extra + _factor(d, 0, 1)
-    x_z = x + extra + _factor(d, 1, 0)
+    out: Dict[int, Dict[Tuple[int, int], tuple]] = {}
+    for d, (n, m, p, q, s), _, _ in terms:
+        w = out.setdefault(d, {})
+        for key, re, im in (((p + _factor(d, 0, 1), s), n, m), ((q + _factor(d, 1, 0), s), n, -m)):
+            w[key] = (re, im) if (v := w.get(key)) is None else (v[0] + re, v[1] + im)
+    return {d: {key: v for key, v in w.items() if v[0] or v[1]} for d, w in out.items()}
+
+
+def _contract(tables: _Tables, acc, a: int, x: int, w, fn: int, fm: int, sid: int) -> None:
+    """Add ``(fn + i fm) * x * w`` to the ``d/dz_a`` numerators in ``acc``, for ``x`` a packed
+    monomial and ``w`` a ``W_d``; each product carries ``sid`` merged with its entry's signature."""
     merged = tables.merged.setdefault(sid, {})
-    for n, m, p, q, s in actors:
+    for (p, s), (n, m) in w.items():
         k = merged[s] if s in merged else tables.merge(sid, s)
-        key, re, im = (a, x_zbar + p, k), fn * n - fm * m, fn * m + fm * n
-        acc[key] = (re, im) if (v := acc.get(key)) is None else (v[0] + re, v[1] + im)
-        key, re, im = (a, x_z + q, k), fn * n + fm * m, fm * n - fn * m
+        key, re, im = (a, x + p, k), fn * n - fm * m, fn * m + fm * n
         acc[key] = (re, im) if (v := acc.get(key)) is None else (v[0] + re, v[1] + im)
 
 
 def action_transport(field: RationalVF, couplings) -> RationalVF:
     """The field ``sum fac * z_a * I_e * dI_d[Y]`` over ``couplings``.
 
-    Each coupling ``(a, d, e, fac, keys)`` adds that product to the
-    ``d/dz_a`` component, with ``Y`` the terms ``keys`` of ``field`` (all of
-    field mode ``d``) and no action factor when ``e`` is 0. The products keep
-    the divisors of ``Y`` and come out in first-seen order.
+    Each coupling ``(a, d, e, fac)`` adds that product to the ``d/dz_a``
+    component, with ``Y`` the terms of ``field`` of field mode ``d`` and no
+    action factor when ``e`` is 0. The products keep the divisors of ``Y``
+    and come out in first-seen order, coupling by coupling.
     """
     tables = _Tables()
     D, terms = tables.terms(field)
-    actors = {key: actor for _, actor, _, key in terms}
+    derivatives = _action_derivatives(terms)
     # every product over D * L, L the lcm of the factors' denominators
-    L = math.lcm(*(fac.d for _, _, _, fac, _ in couplings))
+    L = math.lcm(*(fac.d for _, _, _, fac in couplings))
     acc: Dict[Tuple[int, int, int], tuple] = {}
-    for a, d, e, fac, keys in couplings:
-        extra = _factor(e, 1, 1) if e else 0
-        f = L // fac.d
-        _transport(tables, acc, a, _factor(a, 1, 0), [actors[key] for key in keys], d, extra,
-                   fac.n * f, fac.m * f, tables.sig(NO_DIVISORS))
+    for a, d, e, fac in couplings:
+        if w := derivatives.get(d):
+            f = L // fac.d
+            x = _factor(a, 1, 0) + (_factor(e, 1, 1) if e else 0)
+            _contract(tables, acc, a, x, w, fac.n * f, fac.m * f, tables.sig(NO_DIVISORS))
     return tables.field(acc, D * L)
 
 
@@ -883,11 +884,11 @@ def _quadratic_derivative(v: Divisor, N: int) -> Tuple[Tuple[int, int, Fraction]
     return tuple(sorted((d, e, c) for (d, e), c in hess.items() if c))
 
 
-def _divisor_part(tables: _Tables, acc: Dict, xt, ymode, sign: int, N: Optional[int], L: int) -> None:
-    # derivative of x's divisors along y; the extra divisor copy goes to h2
-    # when a quadratic-frequency divisor was hit, to h4 for the gradient part
-    # of a corrected one, and to kk for its Hessian part (which also brings
-    # an action factor into the numerator); a factor lam enters as lam * L
+def _divisor_part(tables: _Tables, acc: Dict, xt, derivatives, sign: int, N: Optional[int], L: int) -> None:
+    # derivative of x's divisors along y, whose W_d are derivatives; the extra
+    # divisor copy goes to h2 when a quadratic-frequency divisor was hit, to h4
+    # for the gradient part of a corrected one, and to kk for its Hessian part
+    # (which also brings an action factor); a factor lam enters as lam * L
     for a, (xn, xm, px, _, _), _, (*_, h2, h4, kk) in xt:
         if not (h2 or h4 or kk):
             continue
@@ -899,10 +900,9 @@ def _divisor_part(tables: _Tables, acc: Dict, xt, ymode, sign: int, N: Optional[
                     hits += [(d, _factor(e, 1, 1), h, (h2, h4, kk + (v,)))
                              for d, e, h in _quadratic_derivative(v, N)]
                 for d, extra, lam, sections in hits:
-                    actors = ymode.get(d)
-                    if actors:
+                    if w := derivatives.get(d):
                         f = -count * sign * lam.numerator * (L // lam.denominator)
-                        _transport(tables, acc, a, px, actors, d, extra, xn * f, xm * f, tables.sig(sections))
+                        _contract(tables, acc, a, px + extra, w, xn * f, xm * f, tables.sig(sections))
 
 
 def _derivative_lcm(sigs, N: Optional[int]) -> int:
@@ -913,11 +913,17 @@ def _derivative_lcm(sigs, N: Optional[int]) -> int:
 
 
 def _signature_groups(terms):
-    """Terms grouped by signature id, each group with its by-mode actors."""
+    """Terms grouped by signature id, each group with its actors by field mode."""
     grouped: Dict[int, list] = {}
     for term in terms:
         grouped.setdefault(term[1][4], []).append(term)
-    return [(i, t, _actors(t)) for i, t in grouped.items()]
+    out = []
+    for i, group in grouped.items():
+        actors: Dict[int, list] = {}
+        for a, actor, _, _ in group:
+            actors.setdefault(a, []).append(actor)
+        out.append((i, group, actors))
+    return out
 
 
 def _check_cutoff(N: Optional[int], sigs) -> None:
@@ -1019,6 +1025,6 @@ def commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> Rationa
                 if re or im:
                     k, re, im = (a, p, sid), re * L, im * L
                     acc[k] = (re, im) if (v := acc.get(k)) is None else (v[0] + re, v[1] + im)
-    _divisor_part(tables, acc, xt, _actors(yt), +1, N, L)
-    _divisor_part(tables, acc, yt, _actors(xt), -1, N, L)
+    _divisor_part(tables, acc, xt, _action_derivatives(yt), +1, N, L)
+    _divisor_part(tables, acc, yt, _action_derivatives(xt), -1, N, L)
     return tables.field(acc, dx * dy * L)

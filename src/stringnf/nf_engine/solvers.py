@@ -114,34 +114,26 @@ def _divide_keys(field: RationalVF, section: str) -> RationalVF:
 
 
 def _action_coupling(field: RationalVF) -> RationalVF:
-    """The field ``-(i/4) sum_a z_a (action derivative along the input)``.
+    """The field ``-(i/4) sum_a z_a dI_a[field]``, mode by mode in the input's first-seen order.
 
     This is the echo of dividing at the cubic rotation: its rates are the
-    actions times ``OMEGA2_RATE``, so the rate derivative contracts the
-    input's action transport with a single leading factor.
+    actions times ``OMEGA2_RATE``, so the rate derivative at mode ``a`` is
+    ``dI_a`` along the input, with the single leading factor ``z_a``.
     """
     pref = QC(0, -OMEGA2_RATE)
-    return action_transport(field, [(key[0], key[0], 0, pref, [key]) for key in field.terms])
+    return action_transport(field, [(a, a, 0, pref) for a in dict.fromkeys(key[0] for key in field.terms)])
 
 
 def _frequency_coupling(field: RationalVF, N: int) -> RationalVF:
-    """The field ``-i sum_a z_a <grad omega4_a, action transport>``.
+    """The field ``-i sum_a z_a <grad omega4_a, dI[field]>``.
 
     Echo of dividing at the corrected rotation: the quartic correction's
     action gradient is linear in the actions with the constant Hessian of
-    :func:`omega4_hessian`, so each contraction brings one action factor and
-    one transport factor into the numerator.
+    :func:`omega4_hessian`, so each entry ``(d, e)`` of it brings ``I_e``
+    and the action derivative ``dI_d`` along the input into the numerator.
     """
     neg_i = QC(0, -1)
-    by_mode: Dict[int, list] = {}
-    for key in field.terms:
-        by_mode.setdefault(key[0], []).append(key)
-    couplings = [
-        (a, d, e, neg_i * QC(h), by_mode[d])
-        for a in range(1, N + 1)
-        for d, e, h in omega4_hessian(a, N)
-        if d in by_mode
-    ]
+    couplings = [(a, d, e, neg_i * QC(h)) for a in range(1, N + 1) for d, e, h in omega4_hessian(a, N)]
     return action_transport(field, couplings)
 
 

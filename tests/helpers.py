@@ -9,12 +9,22 @@ Contents:
 - ``ZPoly``: dense-exponent exact polynomials in z_1..z_M, zbar_1..zbar_M with
   differentiation, used to realize the vector-field commutator directly from
   its defining formula (independent of the package's canonical-term engine),
-- ``dict_product_key`` and ``product_key_commutator``: one product folded
-  from exponent maps merged as dicts, and the divisor-carrying bracket with
-  every product folded that way and signatures merged per term; the
-  references for the packed, interned ``nf_engine.rational.commutator`` and
-  its coupling fields, term order included, sharing no packing code with
-  them,
+- ``dict_product_key``, ``dict_action_derivatives`` and
+  ``product_key_commutator``: one product folded from exponent maps merged
+  as dicts; the action derivatives ``dI_d[Y] = zbar_d Y_d + z_d conj(Y_d)``
+  per mode summed on exponent maps, cancelled entries dropped; and the
+  divisor-carrying bracket with every product folded that way, each divisor
+  hit multiplied into those derivatives, and signatures merged per term;
+  the references for the packed, interned ``nf_engine.rational.commutator``,
+  ``action_transport`` and the coupling fields, term order included, sharing
+  no packing code with them,
+- ``Dual``, ``dual_evaluate``, ``dual_commutator`` and
+  ``dual_action_transport``: forward differentiation with ``a + b t`` mod
+  ``PRIME``, ``t^2 = 0``, at a point with ``z`` and ``zbar`` independent;
+  ``[X, Y] = DX[Y] - DY[X]`` and ``sum fac z_a I_e dI_d[Y]`` from the
+  fields' values alone, divisors from ``divisor_evaluator`` over ``Dual``;
+  the order-blind oracle of ``commutator``, its chain-rule tables and
+  ``action_transport``,
 - ``tuple_taylor_vf``: the interaction fields with their symbols multiplied
   on sorted exponent tuples and folded by ``dict_product_key``; the
   reference for the packed ``nf_engine.poly.taylor_vf``, term order
@@ -462,12 +472,36 @@ def tuple_taylor_vf(l: int, M: int) -> RationalVF:
     return RationalVF(acc)
 
 
+def dict_action_derivatives(field: RationalVF) -> dict:
+    """``W_d = zbar_d Y_d + z_d conj(Y_d)`` per field mode ``d`` of ``field``, summed on exponent maps.
+
+    Each mode maps to ``[(exponents, sections, coefficient), ...]`` in
+    first-seen order, the two routes of each term in turn, with the entries
+    whose coefficients cancel dropped; the reference for the packed
+    ``nf_engine.rational._action_derivatives``.
+    """
+    out: dict = {}
+    for key, c in field.terms.items():
+        d, exp = key[0], key_exponents(key)
+        w = out.setdefault(d, {})
+        for conj, (da, db), coef in ((False, (0, 1), c), (True, (1, 0), c.conj())):
+            merged = {m: [q, p] if conj else [p, q] for m, (p, q) in exp.items()}
+            t = merged.setdefault(d, [0, 0])
+            t[0] += da
+            t[1] += db
+            k = (tuple(sorted((m, tuple(e)) for m, e in merged.items() if e != [0, 0])), key[3:])
+            w[k] = w[k] + coef if k in w else coef
+    return {d: [(dict(e), s, c) for (e, s), c in w.items() if not c.is_zero()] for d, w in out.items()}
+
+
 def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None) -> RationalVF:
     """[X, Y] of divisor-carrying fields, one exponent-map fold per product.
 
     The same sums in the same order as the package's bracket: per pair of
     divisor signatures the numerator bracket, then the chain rule on each
-    divisor of ``x`` along ``y`` and of ``y`` along ``x``.
+    divisor of ``x`` along ``y`` and of ``y`` along ``x``, each divisor hit
+    multiplied into the other field's ``dict_action_derivatives`` entry by
+    entry.
     """
 
     def merge(d1, d2):
@@ -483,11 +517,9 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
             out.setdefault(key[0], []).append((c, exp, key[3:]))
         return out
 
-    def transport(acc, a, xe, acts, d, extra, fac, sections):
-        for c, ey, dy in acts:
-            secs = merge(sections, dy)
-            add(acc, dict_product_key(a, xe, ey, False, ((d, 0, 1),) + extra) + secs, fac * c)
-            add(acc, dict_product_key(a, xe, ey, True, ((d, 1, 0),) + extra) + secs, fac * c.conj())
+    def transport(acc, a, xe, w, extra, fac, sections):
+        for ew, sw, cw in w:
+            add(acc, dict_product_key(a, xe, ew, False, extra) + merge(sections, sw), fac * cw)
 
     def directional(part, x_by_mode, y_terms, sign):
         for key, cY, expY in y_terms:
@@ -499,8 +531,8 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
                     if beta:
                         add(part, dict_product_key(a, expY, expX, True, ((b, 0, -1),)), cX.conj() * cY * (sign * beta))
 
-    def divisor_part(acc, xt, yt, sign):
-        ymode = actors(yt)
+    def divisor_part(acc, xt, y, sign):
+        wy = dict_action_derivatives(y)
         for key, cx, ex in xt:
             a, _, _, h2, h4, kk = key
             for sec_idx, sec in ((0, h2), (1, h4), (2, kk)):
@@ -508,15 +540,15 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
                     target = 0 if sec_idx == 0 else 1
                     routed = tuple(s + (v,) if i == target else s for i, s in enumerate((h2, h4, kk)))
                     for d, lam in _linear_derivative(v):
-                        if ymode.get(d):
+                        if wy.get(d):
                             fac = cx * QC(Fraction(-count * sign) * lam)
-                            transport(acc, a, ex, ymode[d], d, (), fac, routed)
+                            transport(acc, a, ex, wy[d], (), fac, routed)
                     if sec_idx == 0:
                         continue
                     for d, e, cde in _quadratic_derivative(v, N):
-                        if ymode.get(d):
+                        if wy.get(d):
                             fac = cx * QC(Fraction(-count * sign) * cde)
-                            transport(acc, a, ex, ymode[d], d, ((e, 1, 1),), fac, (h2, h4, kk + (v,)))
+                            transport(acc, a, ex, wy[d], ((e, 1, 1),), fac, (h2, h4, kk + (v,)))
 
     def groups(terms):
         grouped = {}
@@ -538,8 +570,8 @@ def product_key_commutator(x: RationalVF, y: RationalVF, N: Optional[int] = None
             for k, c in part.items():
                 if not c.is_zero():
                     add(acc, k + merge(sx, sy), c)
-    divisor_part(acc, xt, yt, +1)
-    divisor_part(acc, yt, xt, -1)
+    divisor_part(acc, xt, y, +1)
+    divisor_part(acc, yt, x, -1)
     return RationalVF(acc)
 
 
@@ -641,6 +673,113 @@ def evaluate_exact(q: RationalVF, z: Mapping[int, QC], N: int) -> dict:
 def mod_prime(x: QC) -> int:
     """A Gaussian rational mod ``PRIME``, with i mapped to ``SQRT_MINUS_ONE``."""
     return (x.n + SQRT_MINUS_ONE * x.m) * pow(x.d, -1, PRIME) % PRIME
+
+
+class Dual:
+    """``a + b t`` mod ``PRIME`` with ``t^2 = 0``: a value and its derivative along ``t``.
+
+    Ints and Fractions enter as constants, so ``divisor_evaluator`` runs over
+    it with ``one=Dual(1)``; dividing by a value part that is zero mod
+    ``PRIME`` raises ``ZeroDivisionError``.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = a % PRIME, b % PRIME
+
+    @staticmethod
+    def of(x) -> "Dual":
+        if isinstance(x, Dual):
+            return x
+        x = Fraction(x)
+        return Dual(x.numerator * pow(x.denominator, -1, PRIME))
+
+    def __add__(self, other) -> "Dual":
+        other = Dual.of(other)
+        return Dual(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Dual":
+        return Dual(-self.a, -self.b)
+
+    def __sub__(self, other) -> "Dual":
+        return self + -Dual.of(other)
+
+    def __mul__(self, other) -> "Dual":
+        other = Dual.of(other)
+        return Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Dual":
+        if not self.a:
+            raise ZeroDivisionError("a dual number whose value is zero mod PRIME")
+        inv = pow(self.a, -1, PRIME)
+        return Dual(inv, -self.b * inv * inv)
+
+    def __truediv__(self, other) -> "Dual":
+        return self * Dual.of(other).inverse()
+
+    def __rtruediv__(self, other) -> "Dual":
+        return Dual.of(other) * self.inverse()
+
+
+def dual_evaluate(q: RationalVF, z: Mapping[int, Dual], zbar: Mapping[int, Dual], N: int,
+                  i_unit: int = SQRT_MINUS_ONE) -> dict:
+    """Component values ``d/dz_a`` of a field at dual ``z`` and ``zbar``, an absent mode zero.
+
+    i maps to ``i_unit``, and the divisors are ``divisor_evaluator``'s over
+    ``Dual`` at the actions ``z_b zbar_b``, so the ``t`` parts carry their
+    derivatives too. With ``z`` and ``zbar`` swapped and ``i_unit`` the other
+    square root of -1, the values are those of the ``d/dzbar_a`` components.
+    """
+    zero = Dual()
+    divisor = divisor_evaluator({m: z[m] * zbar[m] for m in z.keys() & zbar.keys()}, N, Dual(1))
+    out: dict = {}
+    for (a, kind, j, h2, h4, kk), c in q.terms.items():
+        num = (z if kind == DIAG else zbar).get(a, zero) * Dual(c.n + i_unit * c.m) / c.d
+        for delta, m in j:
+            x, y = z.get(m, zero), zbar.get(m, zero)
+            num = num * (x * x if delta == 1 else y * y if delta == -1 else x * y)
+        for order, sec in ((2, h2), (4, h4), (4, kk)):
+            for v in sec:
+                num = num / divisor(v, order)
+        out[a] = out.get(a, zero) + num
+    return out
+
+
+def _moved_along(y: RationalVF, z: Mapping[int, int], zbar: Mapping[int, int], N: int):
+    """The dual point ``(z + t Y, zbar + t conj(Y))`` with ``Y`` at the point ``(z, zbar)`` mod ``PRIME``."""
+    zd, zbd = ({m: Dual(v) for m, v in p.items()} for p in (z, zbar))
+    yz = dual_evaluate(y, zd, zbd, N)
+    yzbar = dual_evaluate(y, zbd, zd, N, PRIME - SQRT_MINUS_ONE)
+    return tuple({m: Dual(p.get(m, 0), t[m].a if m in t else 0) for m in p.keys() | t.keys()}
+                 for p, t in ((z, yz), (zbar, yzbar)))
+
+
+def dual_commutator(x: RationalVF, y: RationalVF, z: Mapping[int, int], zbar: Mapping[int, int], N: int) -> dict:
+    """``[X, Y] = DX[Y] - DY[X]`` mod ``PRIME`` at the point ``(z, zbar)``, by forward differentiation.
+
+    ``DX[Y]`` is the ``t`` part of ``X`` at the point moved along ``Y``; the
+    order of the terms plays no part.
+    """
+    dxy = dual_evaluate(x, *_moved_along(y, z, zbar, N), N)
+    dyx = dual_evaluate(y, *_moved_along(x, z, zbar, N), N)
+    return {a: (dxy.get(a, Dual()) - dyx.get(a, Dual())).b for a in dxy.keys() | dyx.keys()}
+
+
+def dual_action_transport(y: RationalVF, couplings, z: Mapping[int, int], zbar: Mapping[int, int], N: int) -> dict:
+    """``sum fac z_a I_e dI_d[Y]`` mod ``PRIME`` over couplings ``(a, d, e, fac)`` at the point ``(z, zbar)``,
+    ``I_0 = 1``, with ``dI_d[Y]`` the ``t`` part of ``I_d`` at the point moved along ``Y``."""
+    zd, zbd = _moved_along(y, z, zbar, N)
+    out: dict = {}
+    for a, d, e, fac in couplings:
+        action = z.get(e, 0) * zbar.get(e, 0) if e else 1
+        di = (zd.get(d, Dual()) * zbd.get(d, Dual())).b
+        out[a] = (out.get(a, 0) + mod_prime(fac) * z.get(a, 0) * action * di) % PRIME
+    return out
 
 
 def di_functional(a: int, chi: RationalVF, z: ComplexSeq) -> complex:

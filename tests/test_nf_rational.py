@@ -2,10 +2,11 @@
 
 The commutator here is verified against a finite-difference directional
 derivative of the evaluated fields (Richardson-extrapolated central
-differences), against exact-arithmetic evaluation, and through formal
-algebra identities that must hold key by key.  The frequency-derivative
-tables behind the divisor chain rule are pinned to numeric gradients of the
-independent frequency-combination implementation.
+differences), against exact-arithmetic evaluation, against forward
+differentiation in dual numbers mod a prime, which ignores term order, and
+through formal algebra identities that must hold key by key.  The
+frequency-derivative tables behind the divisor chain rule are pinned to
+numeric gradients of the independent frequency-combination implementation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from helpers import (
     big_omega,
     di_functional,
     closed_form_omega4_hessian,
+    dual_action_transport,
+    dual_commutator,
     evaluate_exact,
     mod_prime,
     product_key_commutator,
@@ -237,23 +240,25 @@ _DENOMINATORS = st.one_of(
 _NUMERATORS = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(10**6), 10**6))
 
 
-@st.composite
-def bracket_fields(draw, N: int, divisors: bool) -> RationalVF:
+_PARTS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+
+
+def _sections(N: int, divisors: bool):
+    """Up to two divisors in storage form on modes 1..N when ``divisors`` is set, else none."""
+    if not divisors:
+        return st.just(())
+    stored = _entries(N, 2, 3).map(lambda v: divisor_zero_form(tuple(v))[0])
+    return st.lists(stored, max_size=2).map(lambda ws: tuple(w for w in ws if w and max(m for _, m in w) <= N))
+
+
+def bracket_fields(N: int, divisors: bool):
     """A few canonical terms on modes 1..N, each section holding up to two
     divisors in storage form on those modes when ``divisors`` is set. Real and
     imaginary parts have small or large denominators, and either may be zero."""
-    terms = {}
-    for _ in range(draw(st.integers(0, 4))):
-        a = draw(st.integers(1, N))
-        key = (a, draw(st.sampled_from([DIAG, ANTI])), canonicalize(draw(_entries(N, 0, 3))))
-        sections = []
-        for _ in range(3):
-            vectors = draw(st.lists(_entries(N, 2, 3), max_size=2 if divisors else 0))
-            stored = (divisor_zero_form(tuple(v))[0] for v in vectors)
-            sections.append(tuple(w for w in stored if w and max(m for _, m in w) <= N))
-        part = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
-        terms[key + tuple(sections)] = QC(draw(part), draw(part))
-    return RationalVF(terms)
+    sections = _sections(N, divisors)
+    keys = st.tuples(st.integers(1, N), st.sampled_from([DIAG, ANTI]), _entries(N, 0, 3).map(canonicalize),
+                     sections, sections, sections)
+    return st.lists(st.tuples(keys, st.builds(QC, _PARTS, _PARTS)), max_size=4).map(lambda t: RationalVF(dict(t)))
 
 
 @given(st.data(), st.booleans())
@@ -366,6 +371,29 @@ def test_rotation_bracket_matches_per_product_fold_on_the_normal_forms():
         assert rational._rotation_rates(rot) is None
 
 
+def _nonzero(values: dict) -> dict:
+    return {a: v for a, v in values.items() if v}
+
+
+@given(st.data(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_bracket_and_transport_match_dual_numbers(data, divisors):
+    # order-blind: the package's fields evaluated mod PRIME at a seeded point
+    # against forward differentiation of their inputs there
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(st.one_of(bracket_fields(n, divisors), rotations(n)))
+    y = data.draw(bracket_fields(n, divisors))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    z, zbar = ({m: rng.randrange(rational.PRIME) for m in range(1, n + 3)} for _ in range(2))
+    for a, b in ((x, y), (y, x)):
+        want = _nonzero(dual_commutator(a, b, z, zbar, n))
+        assert _nonzero(evaluate_mod_p(commutator(a, b, n), z, zbar, n)) == want
+    coupling = st.tuples(st.integers(1, n), st.integers(1, n + 1), st.integers(0, n), st.builds(QC, _PARTS, _PARTS))
+    couplings = data.draw(st.lists(coupling, max_size=4))
+    want = _nonzero(dual_action_transport(y, couplings, z, zbar, n))
+    assert _nonzero(evaluate_mod_p(action_transport(y, couplings), z, zbar, n)) == want
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_fields_built_without_normalizing_are_canonical(data):
@@ -377,7 +405,7 @@ def test_fields_built_without_normalizing_are_canonical(data):
                 data.draw(st.builds(Fraction, _NUMERATORS, _DENOMINATORS)))
     total = x + y
     for f in (commutator(x, y, n), commutator(rot, on_basis(y), n), y.scale(factor),
-              action_transport(y, [(key[0], key[0], 0, QC(0, 1), [key]) for key in y.terms]),
+              action_transport(y, [(a, a, 0, QC(0, 1)) for a in dict.fromkeys(key[0] for key in y.terms)]),
               total, x - y, total - y, y + y.scale(factor), y + y.scale(QC(-1))):
         # what the normalizing constructor would make of the terms, in the same order
         assert list(RationalVF(dict(f.terms)).terms.items()) == list(f.terms.items())
@@ -896,29 +924,37 @@ def test_rational_normal_form_predicate():
     )
 
 
-@st.composite
-def normal_form_fields(draw, N: int) -> RationalVF:
+def normal_form_fields(N: int):
     """Diagonal terms on modes 1..N with nonzero imaginary coefficients, each
     beside its conjugate-index partner with the same divisors and coefficient."""
-    terms = {}
-    for _ in range(draw(st.integers(1, 4))):
-        a, j = draw(st.integers(1, N)), canonicalize(draw(_entries(N, 0, 3)))
-        sections = []
-        for _ in range(3):
-            stored = (divisor_zero_form(tuple(v))[0] for v in draw(st.lists(_entries(N, 2, 3), max_size=2)))
-            sections.append(tuple(w for w in stored if w and max(m for _, m in w) <= N))
-        c = QC(0, Fraction(draw(st.integers(-(10**6), 10**6).filter(bool)), draw(_DENOMINATORS)))
-        for partner in (j, conj_index_vector(j)):
-            terms[(a, DIAG, partner) + tuple(sections)] = c
-    return RationalVF(terms)
+    sections = _sections(N, True)
+    rates = st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), _DENOMINATORS)
+    term = st.tuples(st.integers(1, N), _entries(N, 0, 3).map(canonicalize),
+                     st.tuples(sections, sections, sections), rates)
+
+    def build(drawn) -> RationalVF:
+        terms = {}
+        for a, j, secs, c in drawn:
+            for partner in (j, conj_index_vector(j)):
+                terms[(a, DIAG, partner) + secs] = QC(0, c)
+        return RationalVF(terms)
+
+    return st.lists(term, min_size=1, max_size=4).map(build)
+
+
+def _derivatives(y: RationalVF) -> dict:
+    """The package's ``W_d = dI_d[y]`` per field mode of ``y``, cancelled routes dropped."""
+    return rational._action_derivatives(rational._Tables().terms(y)[1])
 
 
 def assert_preserves_actions(y: RationalVF, n: int) -> None:
-    """``z_d I_e dI_d[y]`` is the zero field for every mode ``d`` and every ``e`` in 0..n."""
+    """A normal form has an empty ``W_d`` at every mode, and ``z_d I_e dI_d[y]`` is
+    the zero field for every mode ``d`` and every ``e`` in 0..n."""
+    assert is_rational_normal_form(y)
+    assert not any(_derivatives(y).values())
     for d in range(1, n + 1):
-        keys = [key for key in y.terms if key[0] == d]
         for e in range(n + 1):
-            assert action_transport(y, [(d, d, e, QC(1), keys)]).is_zero(), (d, e)
+            assert action_transport(y, [(d, d, e, QC(1))]).is_zero(), (d, e)
 
 
 @given(st.data())
@@ -927,20 +963,17 @@ def test_normal_forms_preserve_every_action_exactly(data):
     # dI_d = zbar_d Y_d + z_d conj(Y_d) cancels between each term and its
     # partner, whatever divisors they carry, so the exact transport is zero
     n = data.draw(st.integers(1, 5))
-    y = data.draw(normal_form_fields(n))
-    assert is_rational_normal_form(y)
-    assert_preserves_actions(y, n)
+    assert_preserves_actions(data.draw(normal_form_fields(n)), n)
 
 
 def test_resonant_normal_form_preserves_every_action_exactly():
     n = 4
     nf = resonant_normal_form(3, n)
-    y = nf.z3 + nf.z5
-    assert is_rational_normal_form(y)
-    assert_preserves_actions(y, n)
+    assert_preserves_actions(nf.z3 + nf.z5, n)
     # real coefficients move the actions, so the check is not vacuous
-    moved = y.scale(QC(0, 1))
-    assert not action_transport(moved, [(1, 1, 0, QC(1), [key for key in moved.terms if key[0] == 1])]).is_zero()
+    moved = (nf.z3 + nf.z5).scale(QC(0, 1))
+    assert _derivatives(moved).get(1)
+    assert not action_transport(moved, [(1, 1, 0, QC(1))]).is_zero()
 
 
 def test_validate_class_catches_violations():

@@ -20,6 +20,7 @@ from helpers import (
     FreqContext,
     big_omega,
     di_functional,
+    dict_action_derivatives,
     dict_product_key,
     scalar_validate_class,
     zeta_product,
@@ -36,7 +37,6 @@ from stringnf.nf_engine import (
     divisor_zero_form,
     evaluate_vf,
     is_rational_normal_form,
-    key_exponents,
     omega4_hessian,
     quintic_rational_solve,
     resonant_normal_form,
@@ -280,29 +280,27 @@ def septic_states():
     return [rstate(rng, NS, scale=0.35) for _ in range(10)]
 
 
-def _transport_by_fold(acc, field, keys, a, d, extra, fac):
-    # fac * z_a * extra * dI_d[Y] for the terms keys of field, one dict fold
-    # per product
-    for key in keys:
-        c, ey = field.terms[key], key_exponents(key)
-        for conj, factor, coef in ((False, (d, 0, 1), c), (True, (d, 1, 0), c.conj())):
-            k = dict_product_key(a, {a: (1, 0)}, ey, conj, (factor,) + extra) + key[3:]
-            prev = acc.get(k)
-            acc[k] = fac * coef if prev is None else prev + fac * coef
+def _transport_by_fold(acc, w, a, extra, fac):
+    # fac * z_a * extra * W, for W one mode of dict_action_derivatives, one
+    # dict fold per product
+    for exp, sections, c in w:
+        k = dict_product_key(a, {a: (1, 0)}, exp, False, extra) + sections
+        prev = acc.get(k)
+        acc[k] = fac * c if prev is None else prev + fac * c
 
 
 def test_coupling_fields_match_per_product_fold(quintic_pair, septic_solution):
     head = RationalVF(dict(list(septic_solution[0].terms.items())[:200]))
     for field, n in ((quintic_pair[0], NQ), (head, NS)):
+        w = dict_action_derivatives(field)
         acc: dict = {}
-        for key in field.terms:
-            _transport_by_fold(acc, field, [key], key[0], key[0], (), QC(0, Fraction(-1, 4)))
+        for a in dict.fromkeys(key[0] for key in field.terms):
+            _transport_by_fold(acc, w[a], a, (), QC(0, Fraction(-1, 4)))
         assert list(_action_coupling(field).terms.items()) == list(RationalVF(acc).terms.items())
         acc = {}
         for a in range(1, n + 1):
             for d, e, h in omega4_hessian(a, n):
-                keys = [key for key in field.terms if key[0] == d]
-                _transport_by_fold(acc, field, keys, a, d, ((e, 1, 1),), QC(0, -1) * QC(h))
+                _transport_by_fold(acc, w.get(d, ()), a, ((e, 1, 1),), QC(0, -1) * QC(h))
         assert list(_frequency_coupling(field, n).terms.items()) == list(RationalVF(acc).terms.items())
 
 
@@ -317,22 +315,18 @@ def test_action_transport_matches_per_product_qc_loop(septic_solution):
 
     head = list(septic_solution[0].terms.items())[:120]
     field = RationalVF({key: c * QC(big(), big()) for key, c in head})
-    by_mode: dict = {}
-    for key in field.terms:
-        by_mode.setdefault(key[0], []).append(key)
-    couplings = []
-    for _ in range(16):
-        d = rng.choice(sorted(by_mode))
-        keys = rng.sample(by_mode[d], min(5, len(by_mode[d])))
-        couplings.append((rng.randint(1, NS), d, rng.randint(0, NS), QC(big(), big()), keys))
+    w = dict_action_derivatives(field)
+    # random modes, one past the field's among them
+    couplings = [(rng.randint(1, NS), rng.randint(1, NS + 1), rng.randint(0, NS), QC(big(), big()))
+                 for _ in range(16)]
     acc: dict = {}
-    for a, d, e, fac, keys in couplings:
-        _transport_by_fold(acc, field, keys, a, d, ((e, 1, 1),) if e else (), fac)
+    for a, d, e, fac in couplings:
+        _transport_by_fold(acc, w.get(d, ()), a, ((e, 1, 1),) if e else (), fac)
     got = action_transport(field, couplings)
     assert not got.is_zero()
     assert list(got.terms.items()) == list(RationalVF(acc).terms.items())
     # a coupling and its negative cancel exactly, route by route
-    negated = [(a, d, e, -fac, keys) for a, d, e, fac, keys in couplings]
+    negated = [(a, d, e, -fac) for a, d, e, fac in couplings]
     assert action_transport(field, couplings + negated).is_zero()
 
 

@@ -1,12 +1,15 @@
-"""Print the sha256 of the ordered term list of 224 exact fields, as JSON.
+"""Print two sha256 hashes of the term list of each of 224 exact fields, as JSON.
 
     python tools/term_lists.py [--checkout DIR] [--out PATH]
 
-Each field ``f`` is hashed as ``sha256(repr(list(f.terms.items())))``, so two
-checkouts that build the same terms with the same coefficients in the same
-order print the same document. ``--checkout`` names the source checkout whose
-``src/`` is imported (default: the one holding this script), so a parent and a
-change compare with one ``diff``:
+Each field ``f`` maps to a pair: ``sha256(repr(list(f.terms.items())))``, the
+ordered hash, and the same hash of the term list sorted by key, the
+order-blind hash. Two checkouts that build the same terms with the same
+coefficients in the same order print the same document; a field whose terms
+are the same in another order differs in its ordered hash only.
+``--checkout`` names the source checkout whose ``src/`` is imported (default:
+the one holding this script), so a parent and a change compare with one
+``diff``, one line per field:
 
     diff <(python tools/term_lists.py --checkout ../parent) <(python tools/term_lists.py)
 
@@ -114,12 +117,18 @@ def fields() -> Iterator[Tuple[str, object]]:
             yield f"{name}.[z1_field({M}), chi]", commutator(z1_field(M), chi, N)
 
 
-def term_lists() -> Dict[str, str]:
-    out: Dict[str, str] = {}
+def _sha256(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def term_lists() -> Dict[str, Tuple[str, str]]:
+    """``(ordered hash, order-blind hash)`` per field name."""
+    out: Dict[str, Tuple[str, str]] = {}
     for name, f in fields():
         if name in out:
             raise AssertionError(f"field {name} is listed twice")
-        out[name] = hashlib.sha256(repr(list(f.terms.items())).encode()).hexdigest()
+        items = list(f.terms.items())
+        out[name] = (_sha256(items), _sha256(sorted(items, key=lambda item: item[0])))
     return out
 
 
@@ -130,7 +139,9 @@ def main() -> int:
     parser.add_argument("--out", type=Path, help="write the JSON here instead of to stdout")
     args = parser.parse_args()
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
-    text = json.dumps(term_lists(), indent=1) + "\n"
+    # one field per line, so a diff names each field whose hashes moved
+    lines = (f" {json.dumps(name)}: {json.dumps(pair)}" for name, pair in term_lists().items())
+    text = "{\n" + ",\n".join(lines) + "\n}\n"
     if args.out:
         args.out.write_text(text)
     else:
