@@ -2,11 +2,11 @@
 
 Every subcommand reads at most one plain-text configuration file plus
 ``--set`` overrides, validates the merged result against the subcommand's
-schema before any computation starts, and returns its exit code and files.
-Only ``main`` writes them, once the subcommand has returned, and it embeds
-the resolved configuration, the seed, and the package version in each JSON
-file; a run that exits 2, 3 or 4 writes nothing.  Reruns with the same
-inputs produce byte-identical outputs.
+schema before any computation starts, and returns its exit code, files and
+summary lines.  Only ``main`` writes the files, embedding the resolved
+configuration, the seed, and the package version in each JSON file, and it
+prints the lines once every file is written; a run that exits 2, 3 or 4
+writes nothing.  Reruns with the same inputs produce byte-identical outputs.
 
 Config file format: one ``key = value`` assignment per line, ``#`` comments
 and blank lines ignored.  Values are parsed as JSON; a value that is not
@@ -36,7 +36,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -95,7 +95,15 @@ class SamplingFailure(RuntimeError):
 # a file's content: a JSON payload, which main stamps with the provenance
 # block, or a writer that streams the file's own text format into it
 Output = Union[Dict[str, Any], Callable[[TextIO], None]]
-Outputs = Tuple[int, Dict[str, Output]]
+
+
+class Outputs(NamedTuple):
+    """A command's exit code, its files, and the lines ``main`` prints once the files are written."""
+
+    code: int
+    files: Dict[str, Output]
+    stdout: Sequence[str] = ()
+    stderr: Sequence[str] = ()
 
 
 @contextmanager
@@ -413,14 +421,11 @@ def cmd_simulate(cfg: Dict[str, Any]) -> Outputs:
     traj = simulate(initial, sim)
     summary = trajectory_summary(traj)
     _refuse_energy_drift(summary, sim.dt)
-    print(
-        f"simulate: {summary['samples']} samples to t={summary['t_final']:.6g}, "
-        f"max relative energy drift {summary['energy_rel_drift_max']:.3e}"
-    )
-    return EXIT_OK, {
+    return Outputs(EXIT_OK, {
         "trajectory.csv": functools.partial(trajectory_to_csv, traj, header_lines=_header_lines("simulate", cfg)),
         "summary.json": {"summary": summary},
-    }
+    }, [f"simulate: {summary['samples']} samples to t={summary['t_final']:.6g}, "
+        f"max relative energy drift {summary['energy_rel_drift_max']:.3e}"])
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +498,13 @@ def cmd_drift_sweep(cfg: Dict[str, Any]) -> Outputs:
     fit = _slope_fit([(p["eps"], p["drift"]) for p in points])
     files: Dict[str, Output] = {f"sweep_point_{i}.json": {"point": p} for i, p in enumerate(points)}
     files["sweep.json"] = {"points": points, "fit": fit}
-    for p in points:
-        print(f"eps={p['eps']:g}: T={p['T']:g} sup weighted action drift {p['drift']:.6e}")
+    lines = [f"eps={p['eps']:g}: T={p['T']:g} sup weighted action drift {p['drift']:.6e}" for p in points]
     if fit["slope"] is None:
-        print("drift-sweep: slope not defined (need >= 2 points with positive drift at distinct eps)")
+        lines.append("drift-sweep: slope not defined (need >= 2 points with positive drift at distinct eps)")
     else:
         se = "n/a" if fit["stderr"] is None else f"{fit['stderr']:.3g}"
-        print(f"drift-sweep: slope {fit['slope']:.4g} (stderr {se}) from {fit['points_used']} points")
-    return EXIT_OK, files
+        lines.append(f"drift-sweep: slope {fit['slope']:.4g} (stderr {se}) from {fit['points_used']} points")
+    return Outputs(EXIT_OK, files, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +520,10 @@ def cmd_measure(cfg: Dict[str, Any]) -> Outputs:
         eps = cfg["eps"] or default_eps(min(grid), cfg["r"], cfg["N"])
         spec = MeasureSpec(weight, cfg["truncation"] or cfg["N"], cfg["samples"], cfg["seed"], cfg["ball_radius"])
         batch = sample_actions(spec)  # one draw scored at every gamma
-        records = [estimate_measure(p, batch, eps).record() for p in params]
-    for rec in records:
-        print(
-            f"gamma={rec['gamma']:g}: fraction {rec['fraction']:.6f} "
-            f"ci [{rec['ci_low']:.6f}, {rec['ci_high']:.6f}] ({rec['samples']} samples)"
-        )
-    return EXIT_OK, {"measure.json": {"eps_resolved": eps, "records": records}}
+        records = [estimate_measure(p, batch, eps, grid).record() for p in params]
+    lines = [f"gamma={rec['gamma']:g}: fraction {rec['fraction']:.6f} "
+             f"ci [{rec['ci_low']:.6f}, {rec['ci_high']:.6f}] ({rec['samples']} samples)" for rec in records]
+    return Outputs(EXIT_OK, {"measure.json": {"eps_resolved": eps, "records": records}}, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +558,8 @@ def cmd_resonance(cfg: Dict[str, Any]) -> Outputs:
         "worst_witness": witness,
     }
     why = rep.reason or f"margin {rep.margin:.4g}"
-    if rep.ok:
-        print(f"resonance: state is non-resonant ({why})")
-    else:
-        print(f"resonance: state is not in the non-resonant set ({why})")
-    return EXIT_OK, {"resonance.json": payload}
+    verdict = "is non-resonant" if rep.ok else "is not in the non-resonant set"
+    return Outputs(EXIT_OK, {"resonance.json": payload}, [f"resonance: state {verdict} ({why})"])
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +593,12 @@ _GOLDEN_NAMES = ("k3", "k5", "z5", "chi3", "s", "m")
 def cmd_nf_verify(cfg: Dict[str, Any]) -> Outputs:
     """Verify the normal form identities and write coefficient tables."""
     checks: List[Dict[str, Any]] = []
+    lines: List[str] = []
 
     def record(name: str, ok: bool, detail: str = "") -> None:
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
         suffix = f"  ({detail})" if detail else ""
-        print(f"{'PASS' if ok else 'FAIL'}  {name}{suffix}")
+        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}{suffix}")
 
     n, nq = cfg["N"], cfg["quintic_N"]
     nf = resonant_normal_form(2, n)
@@ -661,10 +660,9 @@ def cmd_nf_verify(cfg: Dict[str, Any]) -> Outputs:
     files["verify.json"] = {"checks": checks, "pass": ok}
     if not ok:
         failed = ", ".join(c["name"] for c in checks if not c["pass"])
-        print(f"nf-verify: FAILED ({failed})", file=sys.stderr)
-        return EXIT_VERIFY, files
-    print(f"nf-verify: all {len(checks)} checks passed")
-    return EXIT_OK, files
+        return Outputs(EXIT_VERIFY, files, lines, [f"nf-verify: FAILED ({failed})"])
+    lines.append(f"nf-verify: all {len(checks)} checks passed")
+    return Outputs(EXIT_OK, files, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +701,9 @@ def cmd_roundtrip(cfg: Dict[str, Any]) -> Outputs:
         "max_dilation_identity_error": max_ident,
         "pass": ok,
     }
-    status = "PASS" if ok else "FAIL"
-    print(
-        f"roundtrip: {status} over {cfg['samples']} states "
-        f"(max roundtrip error {max_rt:.3e}, max dilation identity error {max_ident:.3e})"
-    )
-    return EXIT_OK if ok else EXIT_VERIFY, {"roundtrip.json": payload}
+    line = (f"roundtrip: {'PASS' if ok else 'FAIL'} over {cfg['samples']} states "
+            f"(max roundtrip error {max_rt:.3e}, max dilation identity error {max_ident:.3e})")
+    return Outputs(EXIT_OK if ok else EXIT_VERIFY, {"roundtrip.json": payload}, [line])
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +791,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if not p.is_dir():
                     raise ConfigError(f"--out: {p} exists and is not a directory")
                 break
-        code, files = _COMMANDS[args.command](cfg)
-        _write_outputs(out, files, _resolved(args.command, cfg))
-        return code
+        result = _COMMANDS[args.command](cfg)
+        _write_outputs(out, result.files, _resolved(args.command, cfg))
+        sys.stdout.writelines(f"{line}\n" for line in result.stdout)
+        sys.stderr.writelines(f"{line}\n" for line in result.stderr)
+        return result.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

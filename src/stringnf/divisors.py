@@ -8,8 +8,10 @@ quadratic in the actions; the exact algebra takes both from here. Combinations
     Omega(j) = 2 ( sum_k delta_k omega(a_k) - omega(Delta_j) )
 
 over an index vector ``j`` are the small divisors; non-resonant states keep
-them above explicit weighted thresholds. Everything here is a plain function
-of the action vector, no symbolic machinery involved.
+them above explicit weighted thresholds. :func:`divisor_evaluator` is the one
+place that forms them: the exact algebra calls it over ``Fraction`` and mod p,
+and :class:`DivisorTable` over float arrays of actions, one row per state.
+Only :class:`DivisorTable` and :func:`certify` need numpy.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ OMEGA2_RATE = Fraction(1, 4)
 def _omega4_raw(a: int, actions: Mapping, N: int, one=1.0):
     """The quartic correction over the number type of ``one`` (float or Fraction).
 
-    ``actions`` maps modes to actions, with absent modes at zero.  Floats and
-    Fractions give the values of :func:`divisor_evaluator`, and Fractions at
-    unit actions the entries of :func:`omega4_hessian`; float arrays (one
-    action column per mode ``1..N``) give a whole batch of states at once for
-    :class:`DivisorTable`.
+    ``actions`` maps modes to actions, with absent modes at zero.  It serves
+    :func:`divisor_evaluator` over every number type that takes, float arrays
+    of one action column per mode included, and over Fractions at unit
+    actions it gives the entries of :func:`omega4_hessian`.
     Integer constants enter through ``one``, so the float operations are the
     same whichever type is used.  A zero action adds a signed zero to each
     sum, which leaves the sum unchanged, so a column that is zero in some rows
@@ -103,8 +104,10 @@ def divisor_evaluator(actions: Mapping, N: int, one=1.0) -> Callable[[Sequence[t
 
     At order 2, ``w(a)`` is ``OMEGA2_RATE I_a`` for ``1 <= a <= N`` and 0 otherwise;
     order 4 adds :func:`_omega4_raw`. Numbers are of the type of ``one``
-    (float or Fraction). ``v`` is not reduced: pass it irreducible with ``b
-    >= 0``, as a rational field stores it or as :func:`irr` returns it.
+    (float or Fraction); over floats the actions may be arrays, one entry per
+    state, as :class:`DivisorTable` passes them, and each divisor is then the
+    array of the scalar values. ``v`` is not reduced: pass it irreducible
+    with ``b >= 0``, as a rational field stores it or as :func:`irr` returns it.
     Each action enters as ``one * action``, so int actions over ``Fraction``
     stay exact, and over floats the values are those of the actions as
     given. Values are cached per evaluator, and over floats a zero action
@@ -268,7 +271,7 @@ def _kappa_factor(k: int, w: WeightSpec) -> float:
 
 
 class Margins(NamedTuple):
-    """Per-row result of :meth:`DivisorTable.margins`."""
+    """Per-row result of :meth:`DivisorTable.margins` at one gamma."""
 
     margin: np.ndarray  # min over divisors of |Omega| / threshold
     witness: np.ndarray  # index into DivisorTable.vectors, -1 when there is none
@@ -277,41 +280,20 @@ class Margins(NamedTuple):
     threshold: np.ndarray  # its threshold, nan when there is no witness
 
 
-def _thresholds(gnz2, length_factor, kappa_factor):
-    """Leading- and next-order thresholds ``gnz2 lf kf`` and ``gnz2 lf max(kf, gnz2)``.
-
-    ``gnz2`` is ``gamma |z|_w^2``, ``lf = N^(-4l-2)`` for a vector of length
-    ``l``, and ``kf`` is ``kappa^(-2s)`` (Sobolev) or ``exp(-2 rho
-    kappa^theta)`` (Gevrey).
-    """
-    base = gnz2 * length_factor
-    return base * kappa_factor, base * np.maximum(kappa_factor, gnz2)
-
-
-def _columns(I: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """``omega2`` of rows of actions ``I[B, N]`` in columns ``1..N`` (column 0 zero), and each mode's column."""
-    B, N = I.shape
-    w = np.zeros((B, N + 1))
-    w[:, 1:] = float(OMEGA2_RATE) * I
-    return w, {a: I[:, a - 1] for a in range(1, N + 1)}
-
-
-# floats gathered per block of rows (about 64 KiB), so that the divisor
-# temporaries stay small whatever the number of rows and the size of (r, N)
-_BLOCK_FLOATS = 1 << 13
+# divisor entries evaluated per block of rows (4 MiB of floats): few enough
+# that each temporary of a block stays small, and enough that the Python loop
+# over the vectors runs once per block, not once per row
+_BLOCK_FLOATS = 1 << 19
 
 
 class DivisorTable:
-    """Irreducible index vectors and their threshold factors at cutoff ``N``, compiled once.
+    """Irreducible index vectors at cutoff ``N`` with their length and kappa factors, built once.
 
-    For each vector the table holds its entry modes and signs in canonical
-    order (padded with mode 0 and sign 0 up to the longest vector), its
-    momentum ``b``, its length factor ``N^(-4l-2)`` and its kappa factor.
-    :meth:`margins` scores a batch of states with array operations that
-    repeat, element by element and in the same order, the float operations
-    of :func:`divisor_evaluator` and the thresholds, so each row gets the
-    margin, witness and order that scoring it alone in scalar floats gives,
-    bit for bit.
+    :meth:`divisors` evaluates every vector at both orders on rows of actions
+    through :func:`divisor_evaluator`, and :meth:`margins` holds those columns
+    to :meth:`thresholds`. The array operations repeat the scalar float ones
+    element by element, so each row gets the margin, witness and order that
+    scoring it alone in scalar floats gives, bit for bit.
     :func:`divisor_table` builds the table of :func:`enumerate_irr_indices`
     once and caches it; every mode and momentum of its vectors lies in 1..N.
     """
@@ -319,101 +301,98 @@ class DivisorTable:
     def __init__(self, vectors: Sequence[tuple[tuple[int, int], ...]], N: int, weight: WeightSpec) -> None:
         self.N = N
         self.vectors = tuple(vectors)
-        V = len(self.vectors)
-        width = max((len(j) for j in self.vectors), default=1)
-        self._modes = np.zeros((V, width), dtype=np.intp)
-        self._signs = np.zeros((V, width))
-        for i, j in enumerate(self.vectors):
-            for k, (delta, a) in enumerate(j):
-                self._modes[i, k] = a
-                self._signs[i, k] = delta
-        self._momentum = np.array([delta_sum(j) for j in self.vectors], dtype=np.intp)
-        if (self._momentum < 0).any():
+        if any(delta_sum(j) < 0 for j in self.vectors):
             raise ValueError("a divisor vector has negative momentum; conjugate it first")
         self._length_factor = np.array([float(N) ** (-4 * len(j) - 2) for j in self.vectors])
         self._kappa_factor = np.array([_kappa_factor(kappa(j), weight) for j in self.vectors])
         # one cached table serves every caller
-        for arr in (self._modes, self._signs, self._momentum, self._length_factor, self._kappa_factor):
+        for arr in (self._length_factor, self._kappa_factor):
             arr.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def _divisors(self, w: np.ndarray) -> np.ndarray:
-        """Signed divisors ``2 (sum_k delta_k w[a_k] - w[b])``, one column per vector."""
-        # w[:, a] is the frequency of mode a, and w[:, 0] = 0 serves both the
-        # padding and zero momentum; entries are added in canonical order
-        g = w[:, self._modes]
-        total = g[:, :, 0] * self._signs[:, 0]
-        for k in range(1, self._modes.shape[1]):
-            total = total + g[:, :, k] * self._signs[:, k]
-        return 2.0 * (total - w[:, self._momentum])
+    def divisors(self, I: np.ndarray) -> np.ndarray:
+        """``|Omega|`` of rows of actions ``I[B, N]``, columns (vector 0, order 2), (vector 0, order 4), ...
 
-    def _frequencies(self, I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both orders of frequency corrections, column ``a`` for mode ``a <= N = I.shape[1]`` and column 0 zero."""
-        N = I.shape[1]
-        w2, columns = _columns(I)
-        w4 = w2.copy()
-        for a in range(1, N + 1):
-            w4[:, a] += _omega4_raw(a, columns, N)
-        return w2, w4
-
-    def _scores(self, w2: np.ndarray, w4: np.ndarray, gnz2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Divisors and thresholds, columns ordered (vector 0, order 2), (vector 0, order 4), ..."""
-        B = w2.shape[0]
+        An action too large for its divisor gives an entry that is inf or nan.
+        The evaluator caches a second copy of every column and lives only for
+        the call, which :meth:`margins` makes once per block of rows.
+        """
+        I = np.asarray(I, dtype=float)
+        B = I.shape[0]
+        if I.shape != (B, self.N):
+            raise ValueError(f"expected actions of shape (B, {self.N})")
         div = np.empty((B, len(self), 2))
-        thr = np.empty((B, len(self), 2))
-        div[:, :, 0] = np.abs(self._divisors(w2))
-        div[:, :, 1] = np.abs(self._divisors(w4))
-        thr[:, :, 0], thr[:, :, 1] = _thresholds(gnz2[:, None], self._length_factor, self._kappa_factor)
-        return div.reshape(B, -1), thr.reshape(B, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            divisor = divisor_evaluator({a: I[:, a - 1] for a in range(1, self.N + 1)}, self.N)
+            for i, v in enumerate(self.vectors):
+                div[:, i, 0] = divisor(v, 2)
+                div[:, i, 1] = divisor(v, 4)
+        return np.abs(div, out=div).reshape(B, -1)
 
-    def margins(self, I: np.ndarray, nz2: np.ndarray, gamma: float) -> Margins:
-        """Worst divisor margin of each row of actions ``I[B, N]`` with squared norm ``nz2[B]``.
+    def thresholds(self, nz2: np.ndarray, gamma: float) -> np.ndarray:
+        """The threshold of each column of :meth:`divisors` for rows of squared norms ``nz2[B]``.
 
-        Both orders of every divisor are held to the thresholds of
-        :func:`_thresholds` at ``gamma nz2``. Ties go to the first divisor in
-        the order (vector 0, order 2), (vector 0, order 4), (vector 1, order
-        2), ...; a ratio that is not a number never attains the minimum. A
-        row without a finite ratio (no divisor at this cutoff) has an
-        infinite margin and no witness; a row with ``nz2 == 0`` has margin 0
-        and no witness.
+        With ``g = gamma nz2``, a vector of length ``l`` is held to ``g
+        N^(-4l-2) kf`` at order 2 and ``g N^(-4l-2) max(kf, g)`` at order 4;
+        ``kf`` is ``kappa^(-2s)`` (Sobolev) or ``exp(-2 rho kappa^theta)``.
+        """
+        g = (gamma * nz2)[:, None]
+        base = g * self._length_factor
+        thr = np.empty((len(g), len(self), 2))
+        thr[:, :, 0] = base * self._kappa_factor
+        thr[:, :, 1] = base * np.maximum(self._kappa_factor, g)
+        return thr.reshape(len(g), -1)
+
+    def margins(self, I: np.ndarray, nz2: np.ndarray, gammas: Sequence[float]) -> list[Margins]:
+        """Worst margin of each row of actions ``I[B, N]`` with squared norm ``nz2[B]``, one per gamma.
+
+        Every column of :meth:`divisors` is held to its threshold of
+        :meth:`thresholds`. Ties go to the first column; a ratio that is not a
+        number never attains the minimum. A row without a finite ratio (no
+        divisor at this cutoff) has an infinite margin and no witness; a row
+        with ``nz2 == 0`` has margin 0 and no witness. Rows are taken in
+        blocks of at most ``_BLOCK_FLOATS`` divisor entries, and each block's
+        divisors are evaluated once and held to every gamma, so memory stays
+        bounded by the block whatever the number of rows and gammas.
         """
         I = np.asarray(I, dtype=float)
         nz2 = np.asarray(nz2, dtype=float)
         B = I.shape[0]
         if I.shape != (B, self.N) or nz2.shape != (B,):
             raise ValueError(f"expected actions of shape (B, {self.N}) and squared norms of shape (B,)")
-        margin = np.full(B, math.inf)
-        pick = np.zeros(B, dtype=np.intp)
-        divisor = np.full(B, math.nan)
-        threshold = np.full(B, math.nan)
+        G = len(gammas)
+        margin = np.full((G, B), math.inf)
+        pick = np.zeros((G, B), dtype=np.intp)
+        divisor = np.full((G, B), math.nan)
+        threshold = np.full((G, B), math.nan)
         # overflowing or vanishing thresholds give inf and nan ratios, which
         # the comparison below handles as the scalar test does
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w2, w4 = self._frequencies(I)
-            gnz2 = gamma * nz2
-            rows = max(1, _BLOCK_FLOATS // max(1, self._modes.size))
+            rows = max(1, _BLOCK_FLOATS // max(1, 2 * len(self)))
             for lo in range(0, B if len(self) else 0, rows):
                 hi = min(B, lo + rows)
-                div, thr = self._scores(w2[lo:hi], w4[lo:hi], gnz2[lo:hi])
-                ratios = div / thr
-                ratios[np.isnan(ratios)] = math.inf
+                div = self.divisors(I[lo:hi])
                 at = np.arange(hi - lo)
-                p = np.argmin(ratios, axis=1)
-                pick[lo:hi] = p
-                margin[lo:hi] = ratios[at, p]
-                divisor[lo:hi] = div[at, p]
-                threshold[lo:hi] = thr[at, p]
+                for k, gamma in enumerate(gammas):
+                    thr = self.thresholds(nz2[lo:hi], gamma)
+                    ratios = div / thr
+                    ratios[np.isnan(ratios)] = math.inf
+                    p = np.argmin(ratios, axis=1)
+                    pick[k, lo:hi] = p
+                    margin[k, lo:hi] = ratios[at, p]
+                    divisor[k, lo:hi] = div[at, p]
+                    threshold[k, lo:hi] = thr[at, p]
         missing = (margin == math.inf) | (nz2 == 0.0)
-        margin[nz2 == 0.0] = 0.0
+        margin[:, nz2 == 0.0] = 0.0
         witness = pick // 2
         order = 2 + 2 * (pick % 2)
         witness[missing] = -1
         order[missing] = 0
         divisor[missing] = math.nan
         threshold[missing] = math.nan
-        return Margins(margin, witness, order, divisor, threshold)
+        return [Margins(*m) for m in zip(margin, witness, order, divisor, threshold)]
 
 
 @cache
@@ -442,16 +421,13 @@ def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[No
     I = np.array([[z.action(a) for a in range(1, params.N + 1)] for z in states]).reshape(-1, params.N)
     norms = np.array([weighted_norm(z, params.weight) for z in states], dtype=float)
     _check_rows(I, norms)
-    m = table.margins(I, norms * norms, params.gamma)
+    m = table.margins(I, norms * norms, [params.gamma])[0]
     reports = []
     for i, nrm in enumerate(norms.tolist()):
-        if nrm == 0.0:
-            reports.append(NonResonanceReport(False, 0.0, None, None, 0.0, reason="zero norm"))
-            continue
         margin = float(m.margin[i])
         k = int(m.witness[i])
-        if k < 0:
-            reason = "" if len(table) else "no divisors at this cutoff"
+        if k < 0:  # margins gives a zero-norm row margin 0 and no witness
+            reason = "zero norm" if nrm == 0.0 else "" if len(table) else "no divisors at this cutoff"
             reports.append(NonResonanceReport(margin > 1.0, margin, None, None, nrm, reason))
         else:
             reports.append(
@@ -466,7 +442,7 @@ def certify(states: Sequence[ComplexSeq], params: NonResonanceParams) -> list[No
 def is_nonresonant(z: ComplexSeq, params: NonResonanceParams) -> NonResonanceReport:
     """Test all irreducible divisors of ``z`` against their thresholds.
 
-    The thresholds are those of :func:`_thresholds`. Returns the
+    The thresholds are those of :meth:`DivisorTable.thresholds`. Returns the
     worst margin, the index vector attaining it, and that divisor with its
     threshold. The zero sequence is never non-resonant. With no divisor at
     the cutoff every nonzero state passes vacuously: the margin is infinite,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,8 @@ class SampleBatch:
     phases: np.ndarray
     spec: MeasureSpec
     attempts: int
-    # rows per (eps, N, weight), built once for every gamma scored
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # mask of the samples that pass, per (eps, divisor table, gamma) scored
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.actions.shape[0]
@@ -128,14 +129,23 @@ class SampleBatch:
         I[:, : min(M, N)] = acts[:, :N]
         return I, norms
 
-    def nonresonant(self, eps: float, params: NonResonanceParams) -> np.ndarray:
-        """Mask of the samples whose ``state(i, eps)`` :func:`~stringnf.divisors.certify` passes."""
-        key = (eps, params.N, params.weight)
-        if key not in self._rows:
-            self._rows[key] = self.rows(*key)
-        I, norms = self._rows[key]
+    def nonresonant(self, eps: float, params: NonResonanceParams, gammas: Sequence[float] = ()) -> np.ndarray:
+        """Mask of the samples whose ``state(i, eps)`` :func:`~stringnf.divisors.certify` passes.
+
+        ``gammas`` are the other gammas of a scan at ``params``' ``r``, ``N``
+        and weight. Those not scored yet are scored with ``params`` by one
+        :meth:`DivisorTable.margins <stringnf.divisors.DivisorTable.margins>`
+        call, which evaluates each block of divisors once for all of them, and
+        every mask is kept for later calls.
+        """
         table = divisor_table(params.r, params.N, params.weight)
-        return table.margins(I, norms * norms, params.gamma).margin > 1.0
+        todo = [g for g in dict.fromkeys([params.gamma, *gammas]) if (eps, table, g) not in self._masks]
+        if todo:
+            I, norms = self.rows(eps, params.N, params.weight)
+            for g, m in zip(todo, table.margins(I, norms * norms, todo)):
+                mask = self._masks[(eps, table, g)] = m.margin > 1.0
+                mask.flags.writeable = False  # every later call shares it
+        return self._masks[(eps, table, params.gamma)]
 
 
 def sample_actions(spec: MeasureSpec) -> SampleBatch:
@@ -240,7 +250,7 @@ def _check_eps_floor(eps: float) -> None:
 
 
 def estimate_measure(
-    params: NonResonanceParams, spec: MeasureSpec | SampleBatch, eps: float
+    params: NonResonanceParams, spec: MeasureSpec | SampleBatch, eps: float, gammas: Sequence[float] = ()
 ) -> MeasureEstimate:
     """Monte Carlo fraction of samples ``z`` with ``eps * z`` non-resonant.
 
@@ -248,7 +258,9 @@ def estimate_measure(
     so that a scan over gamma scores one draw. The scaled samples are scored
     as one batch by :meth:`SampleBatch.nonresonant`, which gives each the
     verdict of :func:`~stringnf.divisors.is_nonresonant` without building
-    its state.
+    its state. ``gammas`` are the other gammas of such a scan: the batch
+    scores them with ``params`` and keeps their masks, so the scan evaluates
+    the divisors once.
     The fraction comes with a Wilson 95% interval. When ``eps`` violates
     ``eps**2 <= 2 gamma / ((r+1) N**(4r+2))`` the estimate is still computed,
     but the lower bound ``1 - lambda gamma`` on the true fraction is not
@@ -267,7 +279,7 @@ def estimate_measure(
             stacklevel=2,
         )
     batch = spec if isinstance(spec, SampleBatch) else sample_actions(spec)
-    hits = int(np.count_nonzero(batch.nonresonant(eps, params)))
+    hits = int(np.count_nonzero(batch.nonresonant(eps, params, gammas)))
     lo, hi = wilson_interval(hits, len(batch))
     return MeasureEstimate(
         fraction=hits / len(batch),

@@ -150,10 +150,23 @@ class TestConfigResolution:
         (out / "summary.json").mkdir(parents=True)
         rc = run("simulate", "--out", str(out), "--set", "M=2", "--set", "T=0.01", "--set", "dt=0.001")
         assert rc == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"config error: --out: cannot write {out / 'summary.json'}: Is a directory\n")
+        captured = capsys.readouterr()
+        # the success line is printed only once the files are written
+        assert captured.out == ""
+        assert captured.err == f"config error: --out: cannot write {out / 'summary.json'}: Is a directory\n"
         assert [p.name for p in out.iterdir()] == ["summary.json"]
         assert not any((out / "summary.json").iterdir())
+
+    def test_failed_verification_unwritten_prints_only_the_write_error(self, tmp_path, capsys):
+        # nf-verify's check lines and its FAILED line wait for the write too
+        out = tmp_path / "o"
+        (out / "verify.json").mkdir(parents=True)
+        rc = run("nf-verify", "--out", str(out), "--set", f"golden_dir={tmp_path / 'none'}",
+                 "--set", "N=3", "--set", "quintic_N=3", "--set", "solver_N=2")
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --out: cannot write {out / 'verify.json'}: Is a directory\n"
 
     def test_writer_failing_midway_leaves_no_out(self, tmp_path, capsys, monkeypatch):
         def failing(fh):
@@ -161,7 +174,7 @@ class TestConfigResolution:
             raise OSError(28, "No space left on device")
 
         def command(cfg):
-            return EXIT_OK, {"first.json": {"x": 1}, "second.csv": failing, "third.json": {"y": 2}}
+            return cli.Outputs(EXIT_OK, {"first.json": {"x": 1}, "second.csv": failing, "third.json": {"y": 2}})
 
         monkeypatch.setitem(cli._COMMANDS, "roundtrip", command)
         out = tmp_path / "fresh" / "o"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stringnf.core import ComplexSeq, WeightSpec, canonicalize, delta_sum, weighted_norm
 from stringnf.divisors import (
+    DivisorTable,
     NonResonanceParams,
     certify,
     divisor_evaluator,
@@ -479,6 +480,15 @@ def certification_cases(draw):
 @settings(max_examples=120, deadline=None)
 def test_table_matches_scalar_oracle_bit_for_bit(case):
     params, states = case
+    # each divisor column is the scalar evaluator's at that row, both orders
+    table = divisor_table(params.r, params.N, params.weight)
+    rows = [{a: z.action(a) for a in range(1, params.N + 1)} for z in states]
+    div = table.divisors(np.array([list(row.values()) for row in rows]))
+    expected = np.array([
+        [abs(divisor(v, order)) for v in table.vectors for order in (2, 4)]
+        for divisor in (divisor_evaluator(row, params.N) for row in rows)
+    ]).reshape(div.shape)
+    assert np.array_equal(div.view(np.int64), expected.view(np.int64))
     together = certify(states, params)
     for z, rep in zip(states, together):
         assert (rep.margin, rep.witness, rep.witness_order) == scalar_nonresonance(z, params)
@@ -510,17 +520,22 @@ class TestDivisorTable:
     def test_zero_norm_rows_and_empty_tables(self):
         table = divisor_table(2, 4, self.W)
         I = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, 0.02, 0.0, 0.003]])
-        m = table.margins(I, np.array([0.0, 0.5]), 0.1)
+        (m,) = table.margins(I, np.array([0.0, 0.5]), [0.1])
         assert m.margin[0] == 0.0 and m.witness[0] == -1 and m.order[0] == 0
         assert math.isnan(m.divisor[0]) and math.isnan(m.threshold[0])
         assert m.witness[1] >= 0 and m.order[1] in (2, 4)
         empty = divisor_table(2, 1, self.W)
-        m = empty.margins(np.array([[0.3]]), np.array([0.09]), 0.1)
+        (m,) = empty.margins(np.array([[0.3]]), np.array([0.09]), [0.1])
         assert m.margin[0] == math.inf and m.witness[0] == -1
 
     def test_shape_mismatch_rejected(self):
+        table = divisor_table(2, 4, self.W)
         with pytest.raises(ValueError):
-            divisor_table(2, 4, self.W).margins(np.zeros((2, 3)), np.ones(2), 0.1)
+            table.divisors(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            table.margins(np.zeros((2, 3)), np.ones(2), [0.1])
+        with pytest.raises(ValueError):
+            table.margins(np.zeros((2, 4)), np.ones(3), [0.1])
 
     def test_blocks_of_rows_agree_with_one_block(self, monkeypatch):
         import stringnf.divisors as divisors
@@ -529,8 +544,33 @@ class TestDivisorTable:
         table = divisor_table(3, 6, self.W)
         I = rng.uniform(0.0, 1e-3, size=(9, 6))
         nz2 = rng.uniform(1e-4, 1e-2, size=9)
-        whole = table.margins(I, nz2, 0.1)
+        whole = table.margins(I, nz2, [0.1, 0.3])
         monkeypatch.setattr(divisors, "_BLOCK_FLOATS", 1)
-        rowwise = table.margins(I, nz2, 0.1)
-        for a, b in zip(whole, rowwise):
-            assert np.array_equal(a, b)
+        rowwise = table.margins(I, nz2, [0.1, 0.3])
+        for m, n in zip(whole, rowwise):
+            for a, b in zip(m, n):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("budget", [None, 1, 50, 10**9])
+    def test_divisors_are_evaluated_in_bounded_blocks_once_per_scan(self, monkeypatch, budget):
+        # each block holds at most _BLOCK_FLOATS divisor entries (one row at
+        # least), and its divisors serve every gamma of the call
+        import stringnf.divisors as divisors
+
+        if budget is not None:
+            monkeypatch.setattr(divisors, "_BLOCK_FLOATS", budget)
+        table = divisor_table(3, 6, self.W)
+        blocks = []
+        evaluate = DivisorTable.divisors
+
+        def counting(self, I):
+            blocks.append(len(I))
+            return evaluate(self, I)
+
+        monkeypatch.setattr(DivisorTable, "divisors", counting)
+        rng = np.random.default_rng(5)
+        B = 40
+        table.margins(rng.uniform(0.0, 1e-3, size=(B, 6)), rng.uniform(1e-4, 1e-2, size=B), [0.1, 0.2, 0.4])
+        rows = max(1, divisors._BLOCK_FLOATS // (2 * len(table)))
+        assert blocks == [min(rows, B - lo) for lo in range(0, B, rows)]
+        assert max(blocks) * 2 * len(table) <= max(divisors._BLOCK_FLOATS, 2 * len(table))

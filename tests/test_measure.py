@@ -11,7 +11,7 @@ from scipy import stats
 
 from helpers import scalar_nonresonance
 from stringnf.core import WeightSpec, weighted_norm
-from stringnf.divisors import NonResonanceParams, certify, divisor_table
+from stringnf.divisors import DivisorTable, NonResonanceParams, certify, divisor_table
 from stringnf.measure import (
     MeasureEstimate,
     MeasureSpec,
@@ -184,6 +184,32 @@ class TestEstimateMeasure:
         assert 0 < hits < len(batch)
         assert est.fraction == hits / len(batch)
 
+    def test_gamma_scan_evaluates_divisors_once(self, monkeypatch):
+        # the batch scores a scan's grid together, so its divisors are
+        # evaluated once, and every estimate is a fresh draw's
+        calls = []
+        evaluate = DivisorTable.divisors
+
+        def counting(table, I):
+            calls.append(len(I))
+            return evaluate(table, I)
+
+        monkeypatch.setattr(DivisorTable, "divisors", counting)
+        w = WeightSpec("sobolev", s=0.0)
+        spec = MeasureSpec(w, 2, 2000, 5)
+        batch = sample_actions(spec)
+        params = [NonResonanceParams(2, 2, g, w) for g in (0.225, 0.45, 0.6, 0.9)]
+        gammas = [p.gamma for p in params]
+        scan = [estimate_measure(p, batch, 0.01, gammas) for p in params]
+        assert calls == [2000]
+        # the masks are kept, and another weight is another table, with its own norms
+        assert batch.nonresonant(0.01, params[1]).sum() == scan[1].fraction * 2000
+        params.append(NonResonanceParams(2, 2, 0.9, SOB2))
+        scan.append(estimate_measure(params[-1], batch, 0.01))
+        assert calls == [2000, 2000]
+        assert scan == [estimate_measure(p, spec, 0.01) for p in params]
+        assert scan[-1].fraction != scan[-2].fraction
+
     def test_complement_grows_linearly_at_small_cutoff(self):
         # At cutoff 2 only two divisors exist, so the resonant complement is
         # large enough to measure: its fraction should scale roughly linearly
@@ -287,14 +313,14 @@ def test_per_divisor_counts_follow_the_gamma_law():
     table = divisor_table(2, 2, SOB2)
     batch = sample_actions(MeasureSpec(SOB1, truncation=5, sample_count=60_000, seed=20))
     I, norms = batch.rows(1.0, 2, SOB2)
-    w2, w4 = table._frequencies(I)
+    div = table.divisors(I)
     gammas = (0.05, 0.1, 0.2)
     counts = []
     margins = []
     for g in gammas:
-        div, thr = table._scores(w2, w4, g * norms * norms)
+        thr = table.thresholds(norms * norms, g)
         counts.append(np.count_nonzero(div / thr <= 1.0, axis=0).reshape(len(table), 2))
-        margins.append(np.count_nonzero(table.margins(I, norms * norms, g).margin <= 1.0))
+        margins.append(np.count_nonzero(table.margins(I, norms * norms, [g])[0].margin <= 1.0))
         assert counts[-1].max() <= margins[-1]
     counts = np.array(counts)  # [gamma, vector, order]
     # the two vectors at (2, 2) are negatives of each other

@@ -36,7 +36,14 @@ The snapshot holds:
   field is a rotation, and its seconds in all; the
   non-resonance certificate ``divisors.certify`` of B = 1 and of B = 250
   seeded states of 8 modes at (r, N) = (2, 8), seconds per call once the
-  divisor table is built; one step of ``simulate`` at M = 1,
+  divisor table is built; the scoring of a fresh batch at the shapes of
+  two workloads, seconds per batch once the divisor table is built:
+  ``drift_sweep``'s (r, N) = (2, 16), 32 rows of 16 modes and one gamma,
+  and ``measure_scan``'s (2, 8), 250 rows of 8 modes and four gammas, scored
+  as ``measure`` scores them (``SampleBatch.nonresonant`` of the first
+  gamma with the others as ``gammas`` where the tree takes them, else once
+  per gamma); one step of
+  ``simulate`` at M = 1,
   Strang split and rk4, as seconds per step over 20,000 steps without
   records; the same at M = 16, Strang split, on criterion 5's state with
   ``record_stride`` 10^9, which records the end only, together with the
@@ -48,6 +55,12 @@ The snapshot holds:
   ``StringIO``, as seconds per row; and the default ``nf-verify``
   (``solver_N`` 4), its exact identity checks included, as a subprocess,
   interpreter start included.
+- ``peak_rss``: seconds and peak resident memory (``ru_maxrss``) of three
+  whole runs in fresh interpreters, three rounds with the sides alternating:
+  criterion 7's Sobolev scan (four gammas, each on its own draw of 10,000
+  samples at (r, N) = (2, 8)) and an in-process ``measure --set r=3 --set
+  N=16`` at 1,000 and at 10,000 samples, which shows whether memory grows
+  with the number of samples.
 - ``passes``: per side, the ``drift_sweep`` and ``simulate_record``
   workloads' argv at seed 0, run once in process with ``np.exp`` wrapped:
   the split step's fixed-point passes, its first-half factors and the steps
@@ -202,6 +215,29 @@ print((time.perf_counter() - t) / {reps})
 print(gen2)
 """
 
+# every gamma scored on each of {reps} fresh batches, the grid together where
+# the tree scores it so
+NONRESONANT = """
+import inspect
+from stringnf.core import WeightSpec
+from stringnf.divisors import NonResonanceParams
+from stringnf.measure import MeasureSpec, SampleBatch, default_eps, sample_actions
+weight = WeightSpec("sobolev", s=3.0)
+params = [NonResonanceParams({r}, {N}, g, weight) for g in {gammas}]
+batches = [sample_actions(MeasureSpec(weight, {N}, {rows}, seed)) for seed in range({reps} + 1)]
+batches[0].nonresonant({eps}, params[0])  # builds the cached divisor table
+together = "gammas" in inspect.signature(SampleBatch.nonresonant).parameters
+t = start()
+for batch in batches[1:]:
+    if together:
+        batch.nonresonant({eps}, params[0], {gammas})
+    else:
+        for p in params:
+            batch.nonresonant({eps}, p)
+print((time.perf_counter() - t) / {reps})
+print(gen2)
+"""
+
 STEP = """
 from stringnf.simulator import SimConfig, simulate
 from stringnf.transforms import UVState
@@ -292,6 +328,33 @@ print(json.dumps({{"steps": steps, "passes": exp_calls["step"], "first_half_fact
 """
 PASS_WORKLOADS = ("drift_sweep", "simulate_record")
 
+# whole runs, timed, with the peak resident memory of their interpreter
+RSS_RUNS = {
+    "criterion_7_scan": """
+import math
+from stringnf.core import WeightSpec
+from stringnf.divisors import NonResonanceParams
+from stringnf.measure import MeasureSpec, estimate_measure
+grid, r, n = [0.02, 0.05, 0.1, 0.2], 2, 8
+eps = math.sqrt(0.999 * 2.0 * min(grid) / ((r + 1) * float(n) ** (4 * r + 2)))
+weight = WeightSpec("sobolev", s=3.0)
+t = time.perf_counter()
+for g in grid:
+    estimate_measure(NonResonanceParams(r, n, g, weight), MeasureSpec(weight, 8, 10_000, 701), eps)
+""",
+    **{f"measure_r3_N16_{samples}": f"""
+import contextlib, io, tempfile
+from stringnf import cli
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    t = time.perf_counter()
+    cli.main(["measure", "--set", "r=3", "--set", "N=16", "--set", "samples={samples}", "--out", out])
+""" for samples in (1000, 10_000)},
+}
+RSS_REPORT = """
+import resource
+print(time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
 LAYER_SCRIPTS = {kind: GC_PRELUDE + script for kind, script in {
     "bracket_34": BRACKET_34,
     **{kind: TIMED_CALL.format(call=call) for kind, call in CALLS.items()},
@@ -301,6 +364,9 @@ LAYER_SCRIPTS = {kind: GC_PRELUDE + script for kind, script in {
     "nf_verify_in_process": NF_VERIFY_ROTATION.format(timed="total"),
     "certify_1": CERTIFY.format(B=1, reps=2000),
     "certify_250": CERTIFY.format(B=250, reps=20),
+    "nonresonant_216": NONRESONANT.format(r=2, N=16, rows=32, gammas=[0.1], eps=0.2, reps=50),
+    "nonresonant_28": NONRESONANT.format(r=2, N=8, rows=250, gammas=[0.02, 0.05, 0.1, 0.2],
+                                         eps="default_eps(0.02, 2, 8)", reps=50),
     "strang_step_1": STEP.format(scheme="strang_split"),
     "rk4_step_1": STEP.format(scheme="rk4"),
     "strang_step_16": SPARSE,
@@ -427,6 +493,12 @@ def layers_section(trees) -> Dict[str, Any]:
         "certify_1": "divisors.certify of 1 state of 8 modes from random.Random(1) at (r, N) = (2, 8), "
                      "seconds per call",
         "certify_250": "divisors.certify of 250 such states at (r, N) = (2, 8), seconds per call",
+        "nonresonant_216": "SampleBatch.nonresonant of a fresh batch of 32 rows of 16 modes at (r, N) = "
+                           "(2, 16), eps 0.2 and gamma 0.1 (drift_sweep's shape), seconds per batch over 50",
+        "nonresonant_28": "a fresh batch of 250 rows of 8 modes at (r, N) = (2, 8), default eps, scored at "
+                          "gammas 0.02, 0.05, 0.1, 0.2 (measure_scan's shape) by one SampleBatch.nonresonant "
+                          "call given the grid as gammas, or one call per gamma where the tree takes no "
+                          "gammas, seconds per batch over 50",
         "strang_step_1": "simulate, strang_split at M = 1, seconds per step over 20,000 steps",
         "rk4_step_1": "simulate, rk4 at M = 1, seconds per step over 20,000 steps",
         "strang_step_16": "simulate, strang_split at M = 16 on criterion 5's state, record_stride 10**9, "
@@ -455,6 +527,25 @@ def layers_section(trees) -> Dict[str, Any]:
                   f"the generation-2 collections inside that region (a gc.callbacks hook; null for "
                   f"the nf-verify subprocess, timed from outside).",
         "timings_s": timings,
+    }
+
+
+def peak_rss_section(trees) -> Dict[str, Any]:
+    runs = {kind: {side: {"seconds": [], "peak_rss_mib": []} for side in SIDES} for kind in RSS_RUNS}
+    for kind, script in RSS_RUNS.items():
+        for rnd in range(LAYER_ROUNDS):
+            for side in (SIDES if rnd % 2 == 0 else SIDES[::-1]):
+                env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
+                proc = subprocess.run([sys.executable, "-c", "import time" + script + RSS_REPORT], cwd=trees[side],
+                                      env=env, capture_output=True, text=True, check=True)
+                seconds, rss = (float(x) for x in proc.stdout.split())
+                runs[kind][side]["seconds"].append(float(f"{seconds:.4g}"))
+                runs[kind][side]["peak_rss_mib"].append(round(rss, 1))
+    return {
+        "method": f"one fresh interpreter per side and round, {LAYER_ROUNDS} rounds alternating which side "
+                  f"runs first; seconds (time.perf_counter, not calibrated) of the run after its imports, "
+                  f"and the interpreter's peak resident memory (ru_maxrss) at its end.",
+        "runs": runs,
     }
 
 
@@ -533,6 +624,7 @@ def main(argv=None) -> int:
         "perfbench": perfbench_section(trees, benchmark, pairs, seconds),
         "traced": traced_section(trees, seconds),
         "layers": layers_section(trees),
+        "peak_rss": peak_rss_section(trees),
         "passes": passes_section(trees),
         "slowest_tests": slowest_tests_section(trees),
     }
